@@ -661,37 +661,41 @@ func BenchmarkTraceOverhead(b *testing.B) {
 	}
 }
 
-// BenchmarkPacketSimQueue pits the two event-queue implementations
-// against each other on the serial engine (identical results by the
-// calendar-vs-heap property test; this measures the speed difference).
-func BenchmarkPacketSimQueue(b *testing.B) {
-	h := topo.NewHxMesh(2, 2, 4, 4, topo.DefaultLinkParams())
-	rng := rand.New(rand.NewSource(9))
-	flows := netsim.PermutationFlows(h.Endpoints, 512<<10, rng)
-	for _, q := range []struct {
-		name string
-		kind netsim.QueueKind
-	}{{"calendar", netsim.QueueCalendar}, {"heap", netsim.QueueHeap}} {
-		b.Run(q.name, func(b *testing.B) {
-			cfg := netsim.DefaultConfig()
-			cfg.Queue = q.kind
-			sim := netsim.NewNet(h.Network, nil, cfg)
-			if _, err := sim.Run(flows); err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			var events int64
-			for i := 0; i < b.N; i++ {
-				res, err := sim.Run(flows)
-				if err != nil {
-					b.Fatal(err)
-				}
-				events += res.Events
-			}
-			b.ReportMetric(float64(events)/float64(b.N), "events/op")
-			b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/sec")
-		})
+// BenchmarkPacketSimRing runs Fig. 13's ring allreduce on the serial
+// engine: both Hamiltonian rings of the small (≈1k-accelerator) Hx2Mesh,
+// 256 KiB per neighbor flow, one Sim reused across runs. All 65,536
+// initial injections start at t=0 in one calendar slice, the burst that
+// once cost the calendar queue ~6 s/op when Run pushed it in ring order
+// instead of canonical order. Full size even under -short: the burst is
+// the point.
+func BenchmarkPacketSimRing(b *testing.B) {
+	c, err := core.NewByName("hx2mesh", core.Small)
+	if err != nil {
+		b.Fatal(err)
 	}
+	rings, err := c.AllreduceRings()
+	if err != nil {
+		b.Fatal(err)
+	}
+	var flows []netsim.Flow
+	for _, ring := range rings {
+		flows = append(flows, netsim.RingNeighborFlows(ring, 256<<10, true)...)
+	}
+	sim := netsim.New(c.Comp, c.Table, netsim.DefaultConfig())
+	if _, err := sim.Run(flows); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	var events int64
+	for i := 0; i < b.N; i++ {
+		res, err := sim.Run(flows)
+		if err != nil {
+			b.Fatal(err)
+		}
+		events += res.Events
+	}
+	b.ReportMetric(float64(events)/float64(b.N), "events/op")
+	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/sec")
 }
 
 // BenchmarkPacketSimShards measures the sharded conservative-parallel

@@ -4,10 +4,10 @@
 // canonicalizes each request (defaults filled, inert options stripped),
 // hashes it into a content address and serves repeats from a
 // byte-accounted LRU result cache. Concurrent identical requests coalesce
-// onto one in-flight computation, and small distinct requests are batched
-// onto the shared runner pool. /metrics exposes Prometheus-style
-// counters, gauges and latency histograms; /healthz answers liveness
-// probes.
+// onto one in-flight computation, and distinct requests compute one at a
+// time on the shared runner pool, with at most -queue of them waiting
+// (beyond that they get 429). /metrics exposes Prometheus-style counters,
+// gauges and latency histograms; /healthz answers liveness probes.
 //
 // Usage:
 //
@@ -45,9 +45,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "base seed of the runner pool's deterministic per-job seeds")
 	cacheBytes := flag.Int64("cache-bytes", serve.DefaultCacheBytes, "result cache budget in bytes")
 	clusterBytes := flag.Int64("cluster-cache-bytes", 0, "cluster cache budget in bytes (0 = unbounded)")
-	batchSize := flag.Int("batch-size", serve.DefaultBatchSize, "requests per batch flush")
-	maxWait := flag.Duration("max-wait", serve.DefaultMaxWait, "how long a partial batch waits before flushing")
-	queueLen := flag.Int("queue", serve.DefaultQueueLen, "pending-request queue bound; beyond it requests get 429")
+	queueLen := flag.Int("queue", serve.DefaultQueueLen, "bound on requests waiting to compute; beyond it requests get 429")
 	drainWait := flag.Duration("drain-wait", 30*time.Second, "graceful-shutdown deadline for in-flight requests")
 	pprofFlag := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 	journalDir := flag.String("journal-dir", "", "durable job journal directory: accepted requests and results survive a crash; on restart results rewarm the cache and unserved requests re-run")
@@ -80,8 +78,6 @@ func main() {
 		Registry:       reg,
 		CacheBytes:     *cacheBytes,
 		QueueLen:       *queueLen,
-		BatchSize:      *batchSize,
-		MaxWait:        *maxWait,
 		Pprof:          *pprofFlag,
 		JournalDir:     *journalDir,
 		JournalOptions: jopts,
@@ -119,7 +115,7 @@ func main() {
 	}
 
 	// Graceful drain: stop accepting, let in-flight handlers finish, then
-	// drain the batch queue so every accepted request still completes.
+	// wait for every admitted request and seal the journal.
 	ctx, cancel := context.WithTimeout(context.Background(), *drainWait)
 	defer cancel()
 	if err := srv.Shutdown(ctx); err != nil {

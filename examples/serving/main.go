@@ -21,7 +21,7 @@ import (
 
 func main() {
 	// The daemon core: canonicalize → SHA-256 content address → LRU
-	// result cache → singleflight → batch onto the runner pool.
+	// result cache → singleflight → one-at-a-time compute on the pool.
 	s, err := serve.New(serve.Config{Pool: runner.New(0), CacheBytes: 1 << 20})
 	if err != nil {
 		log.Fatal(err)

@@ -5,9 +5,9 @@ import (
 	"math/bits"
 )
 
-// calendarQueue is the engine's default event queue (Config.Queue ==
-// QueueCalendar): a bucketed calendar queue over a ring of small sorted
-// slices, with a heap fallback for far-future events.
+// calendarQueue is the engine's event queue: a bucketed calendar queue
+// over a ring of small sorted slices, with a heap fallback for
+// far-future events.
 //
 // A discrete-event packet simulation has a bounded event horizon: every
 // event scheduled at time t fires before t + maxDelay, where maxDelay is
@@ -20,7 +20,8 @@ import (
 // Within a bucket, events sit in a sorted slice (calBucket), so pop
 // order stays the engine's canonical total order exactly while pops pay
 // no comparisons at all; same-slice bursts — e.g. all W*flows initial
-// injections at t=0 — arrive in canonical order and insert at the tail.
+// injections at t=0, which Sim.Run sorts before pushing — arrive in
+// canonical order and insert at the tail.
 //
 // Events beyond the ring (flow Start times far in the future) go to an
 // overflow heap and are drained into the ring as base advances past
@@ -48,11 +49,12 @@ type calendarQueue struct {
 // calBucket is one calendar slot: its events kept in canonical order as a
 // sorted slice with a consumed prefix, rather than a heap. Pops read the
 // front and pay no comparisons; pushes binary-search the insert point.
-// The dominant push patterns — the initial same-slice injection burst and
-// overflow drains — arrive already in canonical order, so the insertion
-// memmove is almost always empty and the slot degenerates to an
-// append-only array, while the grow policy keeps mid-run slots near
-// calGrowPerBucket events so out-of-order inserts stay tiny.
+// The dominant push patterns — the initial same-slice injection burst
+// (sorted by Sim.Run) and overflow drains — arrive already in canonical
+// order, so the insertion memmove is almost always empty and the slot
+// degenerates to an append-only array, while the grow policy keeps
+// mid-run slots near calGrowPerBucket events so out-of-order inserts
+// stay tiny.
 type calBucket struct {
 	ev   []event
 	head int

@@ -5,10 +5,10 @@ import (
 	"testing"
 )
 
-// The property pinning QueueCalendar to QueueHeap: on any stream of
-// pushes and pops, the calendar queue pops the exact event sequence the
-// reference 4-ary heap pops — not just the same timestamp multiset, the
-// same canonical order. Unique seq values make any divergence visible.
+// The property pinning the calendar queue to the reference 4-ary heap:
+// on any stream of pushes and pops, the calendar queue pops the exact
+// event sequence the heap pops — not just the same timestamp multiset,
+// the same canonical order. Unique seq values make any divergence visible.
 func TestCalendarMatchesHeapProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for trial := 0; trial < 50; trial++ {

@@ -49,6 +49,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"hammingmesh/internal/obs"
 	"hammingmesh/internal/routing"
@@ -81,16 +82,16 @@ const (
 	FirstCandidate
 )
 
-// QueueKind selects the event-queue implementation. Both pop events in
-// the same canonical order, so results are bit-identical; the property
-// test in calqueue_test.go pins them pop-for-pop equal.
+// QueueKind once selected the event-queue implementation.
+//
+// Deprecated: New ignores it; the calendar queue (calqueue.go) is the
+// engine's only event queue.
 type QueueKind uint8
 
 const (
-	// QueueCalendar is the default bucketed calendar queue (calqueue.go):
-	// O(1)-ish push/pop at large event counts.
+	// Deprecated: New ignores Config.Queue.
 	QueueCalendar QueueKind = iota
-	// QueueHeap is the reference typed 4-ary heap (heap.go).
+	// Deprecated: New ignores Config.Queue.
 	QueueHeap
 )
 
@@ -110,7 +111,7 @@ type Config struct {
 	UGAL UGALConfig
 	// CollectLinkStats records per-channel delivered bytes in the result.
 	CollectLinkStats bool
-	// Queue selects the event-queue implementation (identical results).
+	// Deprecated: New ignores Queue; every run uses the calendar queue.
 	Queue QueueKind
 	// Shards runs the conservative-parallel engine on that many shards
 	// (see the package doc's parallel-engine section). 0 or 1 means
@@ -304,13 +305,16 @@ type Sim struct {
 	flowSent  []int64
 	flowRecvd []int64
 
-	// Exactly one of the two queues is active, per cfg.Queue; horizon is
-	// the largest event-scheduling delay of any port (sizes the calendar
-	// ring and, doubled as headroom, its span).
-	events  eventQueue
+	// cal is the serial engine's event queue; horizon is the largest
+	// event-scheduling delay of any port (sizes the calendar ring and,
+	// doubled as headroom, its span).
 	cal     calendarQueue
-	useHeap bool
 	horizon float64
+
+	// setup collects Run's initial injections so they can be pushed in
+	// canonical order (kept across runs so steady-state Runs allocate
+	// nothing).
+	setup []event
 
 	// injSeq numbers injected events in creation order (the canonical
 	// tie-breaker of last resort; see event.seq).
@@ -355,22 +359,10 @@ func (s *Sim) pushEvent(e event) {
 	if s.qLive > s.qPeak {
 		s.qPeak = s.qLive
 	}
-	if s.useHeap {
-		s.events.push(e)
-		return
-	}
 	s.cal.push(e)
 }
 
 func (s *Sim) popEventInto(ev *event) bool {
-	if s.useHeap {
-		if len(s.events) == 0 {
-			return false
-		}
-		*ev = s.events.pop()
-		s.qLive--
-		return true
-	}
 	if s.cal.popIfInto(math.Inf(1), ev) {
 		s.qLive--
 		return true
@@ -405,10 +397,7 @@ func New(c *simcore.Compiled, table *routing.Table, cfg Config) *Sim {
 			s.horizon = d
 		}
 	}
-	s.useHeap = cfg.Queue == QueueHeap
-	if !s.useHeap {
-		s.cal.init(2*s.horizon + 1)
-	}
+	s.cal.init(2*s.horizon + 1)
 	if n := cfg.Shards; n > 1 {
 		if nn := c.NumNodes(); n > nn {
 			n = nn
@@ -448,7 +437,7 @@ func NewNet(n *topo.Network, table *routing.Table, cfg Config) *Sim {
 
 // Reset re-arms the simulator for another Run on the same network: it
 // validates the flows and rewinds all mutable state — channel queues, flow
-// accounting, credit buffers, the event heap and the result — reusing
+// accounting, credit buffers, the event queue and the result — reusing
 // every backing array of earlier runs, so repeated Run calls on one Sim
 // allocate nothing in steady state. The rng deliberately carries over
 // (matching the long-standing multi-run behaviour of AlltoallShareOver);
@@ -499,10 +488,7 @@ func (s *Sim) Reset(flows []Flow) error {
 		res.LinkBytes = resetSlice(s.res.LinkBytes, len(s.channels))
 	}
 	s.res = res
-	s.events = s.events[:0]
-	if !s.useHeap {
-		s.cal.reset()
-	}
+	s.cal.reset()
 	s.injSeq = 0
 	s.stArrive, s.stFree, s.stDeliver, s.stWindows, s.stStalls = 0, 0, 0, 0, 0
 	s.qLive, s.qPeak = 0, 0
@@ -530,14 +516,33 @@ func (s *Sim) Run(flows []Flow) (*Result, error) {
 	if err := s.Reset(flows); err != nil {
 		return nil, err
 	}
+	// The initial injections are created in flow order (fixing their seq
+	// values and UGAL's RNG draws) but pushed in canonical order. Pop
+	// order cannot tell the difference, since keys are unique, but a burst
+	// of same-slice injections pushed out of order costs the calendar
+	// queue a memmove per insert: on Fig. 13's 65,536 ring injections that
+	// took seconds.
+	s.setup = s.setup[:0]
 	for fi, f := range flows {
 		if f.Bytes <= 0 {
 			s.res.FlowFinish[fi] = f.Start
 			continue
 		}
 		for w := 0; w < s.cfg.Window && s.flowSent[fi] < f.Bytes; w++ {
-			s.injectNext(int32(fi), f.Start)
+			s.setup = append(s.setup, s.newInjection(int32(fi), f.Start))
 		}
+	}
+	slices.SortFunc(s.setup, func(a, b event) int {
+		if eventBefore(&a, &b) {
+			return -1
+		}
+		if eventBefore(&b, &a) {
+			return 1
+		}
+		return 0
+	})
+	for _, ev := range s.setup {
+		s.pushInjection(ev)
 	}
 
 	if s.par != nil {
@@ -608,8 +613,8 @@ func (s *Sim) runSerial() error {
 	}
 }
 
-// injectNext creates the next packet of flow fi at time t.
-func (s *Sim) injectNext(fi int32, t float64) {
+// newInjection creates the next packet of flow fi, injected at time t.
+func (s *Sim) newInjection(fi int32, t float64) event {
 	f := s.flows[fi]
 	remaining := f.Bytes - s.flowSent[fi]
 	size := int64(s.cfg.LP.PacketB)
@@ -625,7 +630,12 @@ func (s *Sim) injectNext(fi int32, t float64) {
 	// (the setup loop, then deliveries in canonical order), so seq is a
 	// deterministic, shard-count-independent tie-breaker.
 	s.injSeq++
-	ev := makeEvent(t, evArrive, int32(f.Src), -1, s.injSeq, pkt)
+	return makeEvent(t, evArrive, int32(f.Src), -1, s.injSeq, pkt)
+}
+
+// pushInjection queues an injection on the serial queue or, under the
+// parallel engine, at its source's shard.
+func (s *Sim) pushInjection(ev event) {
 	if s.par != nil {
 		s.par.routeInjection(ev)
 		return
@@ -651,7 +661,7 @@ func (s *Sim) deliver(ev event) {
 		s.res.FlowFinish[pkt.flow] = ev.t
 	}
 	if s.flowSent[pkt.flow] < f.Bytes {
-		s.injectNext(pkt.flow, ev.t)
+		s.pushInjection(s.newInjection(pkt.flow, ev.t))
 	}
 }
 

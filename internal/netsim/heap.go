@@ -5,7 +5,7 @@ package netsim
 // (assigned in injection-creation order), which makes every key unique —
 // injections are the only events that can collide on (t, kind, node,
 // channel), and each carries a distinct seq. A deterministic tie order
-// is what lets the calendar queue replace the heap without drift, and —
+// is what let the calendar queue replace this heap without drift, and —
 // more importantly — what makes the sharded parallel engine
 // (parallel.go) bit-identical for any shard count: each shard pops the
 // canonical subsequence of the events at its nodes, so the per-node
@@ -28,12 +28,12 @@ func eventBefore(a, b *event) bool {
 // eventQueue is a typed 4-ary min-heap in the canonical event order. It
 // replaced the container/heap binary heap the engine started with (an
 // interface boxing/unboxing per push/pop plus indirect Less/Swap calls;
-// the event queue dominated the profile at ~60% of CPU), and since the
-// calendar queue (calqueue.go) became the default it serves two roles:
-// the reference implementation selectable with Config.Queue = QueueHeap
-// (pinned pop-for-pop identical to the calendar queue by property test),
-// and the calendar queue's far-future overflow area, where events beyond
-// the ring span wait in O(log n) until the cursor approaches their slice.
+// the event queue dominated the profile at ~60% of CPU). Since the
+// calendar queue (calqueue.go) became the engine's only event queue it
+// serves two roles: the calendar queue's far-future overflow area, where
+// events beyond the ring span wait in O(log n) until the cursor
+// approaches their slice, and the oracle the calendar queue is pinned
+// pop-for-pop identical to by property test (calqueue_test.go).
 type eventQueue []event
 
 // push inserts e, sifting it up toward the root.

@@ -178,26 +178,3 @@ func TestShardMaxEventsGlobalBudget(t *testing.T) {
 		}
 	}
 }
-
-// TestCalendarVsHeapEngine: the two queue implementations are selectable
-// and bit-identical end to end (the pop-for-pop property test lives in
-// calqueue_test.go; this pins the engine wiring).
-func TestCalendarVsHeapEngine(t *testing.T) {
-	h := topo.NewHxMesh(2, 2, 4, 4, topo.DefaultLinkParams())
-	c := simcore.Of(h.Network)
-	flows := ShiftFlows(h.Endpoints, 7, 96<<10)
-	cfg := DefaultConfig()
-	cfg.CollectLinkStats = true
-	cfg.Queue = QueueCalendar
-	resC, err := New(c, nil, cfg).Run(flows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := cloneResult(resC)
-	cfg.Queue = QueueHeap
-	resH, err := New(c, nil, cfg).Run(flows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireIdentical(t, "calendar-vs-heap", want, cloneResult(resH))
-}

@@ -5,7 +5,8 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-	"time"
+
+	"hammingmesh/internal/obs"
 )
 
 // The result cache's accounted bytes must never exceed its budget, and
@@ -65,91 +66,10 @@ func TestCacheOversizeAndReplace(t *testing.T) {
 	}
 }
 
-// The batcher flushes when the batch fills, when max-wait expires, and on
-// drain at Close; per-item stage timestamps are monotone.
-func TestBatcherFlushReasons(t *testing.T) {
-	computed := make(chan string, 16)
-	var flushes []string
-	b := NewBatcher(16, 2, 50*time.Millisecond,
-		func(cn *Canon) ([]byte, error) { computed <- cn.Topo; return []byte(cn.Topo), nil },
-		func(n int, reason string) { flushes = append(flushes, fmt.Sprintf("%s/%d", reason, n)) })
-
-	item := func(topo string) *batchItem {
-		return &batchItem{canon: &Canon{Topo: topo}, done: make(chan struct{})}
-	}
-
-	// Two items fill a batch: reason "size".
-	i1, i2 := item("a"), item("b")
-	if !b.Enqueue(i1) || !b.Enqueue(i2) {
-		t.Fatal("enqueue rejected with a near-empty queue")
-	}
-	<-i1.done
-	<-i2.done
-
-	// A lone item flushes on the timer: reason "wait".
-	i3 := item("c")
-	b.Enqueue(i3)
-	<-i3.done
-	if !(i3.enqueued.Before(i3.flushed) || i3.enqueued.Equal(i3.flushed)) || i3.served.Before(i3.flushed) {
-		t.Fatalf("stage timestamps not monotone: enq=%v flush=%v served=%v",
-			i3.enqueued, i3.flushed, i3.served)
-	}
-	if string(i3.body) != "c" || i3.err != nil {
-		t.Fatalf("item got body %q err %v", i3.body, i3.err)
-	}
-
-	b.Close()
-	if len(flushes) < 2 || !strings.HasPrefix(flushes[0], "size/2") || !strings.HasPrefix(flushes[1], "wait/1") {
-		t.Fatalf("flush reasons = %v, want [size/2 wait/1]", flushes)
-	}
-	if got := len(computed); got != 3 {
-		t.Fatalf("computed %d items, want 3", got)
-	}
-}
-
-// A full queue rejects instead of blocking (the 429 path), and Close
-// still completes everything already accepted.
-func TestBatcherBackpressureAndDrain(t *testing.T) {
-	release := make(chan struct{})
-	b := NewBatcher(2, 1, time.Millisecond, func(cn *Canon) ([]byte, error) {
-		<-release
-		return []byte("done"), nil
-	}, nil)
-
-	var items []*batchItem
-	accepted := 0
-	for i := 0; i < 10; i++ {
-		it := &batchItem{canon: &Canon{}, done: make(chan struct{})}
-		if b.Enqueue(it) {
-			accepted++
-			items = append(items, it)
-		}
-	}
-	// Queue capacity 2 plus at most one item already pulled by the flusher.
-	if accepted > 3 || accepted < 2 {
-		t.Fatalf("accepted %d items on a 2-slot queue, want 2..3", accepted)
-	}
-	close(release)
-	done := make(chan struct{})
-	go func() { b.Close(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("Close did not drain")
-	}
-	for i, it := range items {
-		select {
-		case <-it.done:
-		default:
-			t.Fatalf("accepted item %d never completed", i)
-		}
-	}
-}
-
 // The metrics registry renders deterministic Prometheus text exposition:
 // families sorted, labeled series, cumulative histogram buckets.
 func TestMetricsExposition(t *testing.T) {
-	r := NewRegistry()
+	r := obs.NewRegistry()
 	r.Counter("hxd_zeta_total", "", "z").Add(3)
 	r.Counter("hxd_alpha_total", `kind="a"`, "a").Inc()
 	r.Counter("hxd_alpha_total", `kind="b"`, "a").Add(2)

@@ -11,10 +11,10 @@ import (
 
 // The durable job journal (Config.JournalDir): every accepted experiment
 // request and every computed result is appended to a crash-safe
-// journal.Log, so a daemon killed mid-batch loses no accepted work — on
-// restart the journal is replayed, journaled results rewarm the result
+// journal.Log, so a daemon killed mid-computation loses no accepted work —
+// on restart the journal is replayed, journaled results rewarm the result
 // cache, and requests that were accepted but never served are re-run
-// through the batcher.
+// through the compute slot.
 //
 // Record layout (first byte is the type):
 //

@@ -2,10 +2,14 @@ package serve
 
 import (
 	"bytes"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"hammingmesh/internal/journal"
 )
@@ -54,8 +58,8 @@ func TestServeJournalRestartRewarmsCache(t *testing.T) {
 }
 
 // An accept record with no journaled result — the on-disk state a daemon
-// killed mid-batch leaves — is re-run through the batcher on restart: no
-// accepted request is lost.
+// killed mid-computation leaves — is re-run through the compute slot on
+// restart: no accepted request is lost.
 func TestServeJournalReplaysUnservedAccepts(t *testing.T) {
 	dir := t.TempDir()
 	o := journal.Options{NoSync: true}
@@ -139,5 +143,80 @@ func TestServeJournalReplaysUnservedAccepts(t *testing.T) {
 	if s2.ReplayedResults != 2 || s2.ReplayedPending != 0 {
 		t.Fatalf("final restart replayed %d results / %d pending, want 2/0",
 			s2.ReplayedResults, s2.ReplayedPending)
+	}
+}
+
+// Close drains: requests admitted before it — one computing, the rest
+// waiting for the compute slot — all complete with 200, and each result
+// is in the journal before Close seals it.
+func TestServeCloseDrainsAdmittedRequests(t *testing.T) {
+	dir := t.TempDir()
+	o := journal.Options{NoSync: true}
+	release := make(chan struct{})
+	s := mustNew(t, Config{
+		Compute:  func(cn *Canon) ([]byte, error) { <-release; return cn.CanonicalJSON(), nil },
+		QueueLen: 2, JournalDir: dir, JournalOptions: o,
+	})
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+
+	const n = 3 // one computing plus QueueLen waiting
+	keys := make(chan string, n)
+	codes := make(chan int, n)
+	for i := 0; i < n; i++ {
+		go func(i int) {
+			body := fmt.Sprintf(`{"kind":"allreduce","topo":"hx2mesh","size":"tiny","bytes":%d}`, 1024+i)
+			resp, err := http.Post(ts.URL+"/v1/experiments", "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Errorf("POST: %v", err)
+				codes <- 0
+				return
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			keys <- resp.Header.Get("X-Hxd-Key")
+			codes <- resp.StatusCode
+		}(i)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for len(s.admit) < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d requests admitted", len(s.admit), n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	closed := make(chan struct{})
+	go func() { s.Close(); close(closed) }()
+	select {
+	case <-closed:
+		t.Fatal("Close returned while admitted requests were still computing")
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(release)
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close did not drain")
+	}
+	for i := 0; i < n; i++ {
+		if code := <-codes; code != http.StatusOK {
+			t.Fatalf("admitted request got status %d, want 200", code)
+		}
+	}
+
+	// The journal was sealed by Close, so every result found in it was
+	// appended before Close returned.
+	_, pending, results, _, err := openJobJournal(dir, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pending) != 0 || len(results) != n {
+		t.Fatalf("journal after Close: %d pending, %d results, want 0 and %d", len(pending), len(results), n)
+	}
+	for i := 0; i < n; i++ {
+		if key := <-keys; results[key] == nil {
+			t.Fatalf("result of %.12s… missing from the journal", key)
+		}
 	}
 }

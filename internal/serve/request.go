@@ -7,9 +7,9 @@
 // bit-identical result, independent of worker count and shard count)
 // makes that address a sound cache key: repeats are served from a
 // byte-accounted LRU result cache, concurrent identical requests coalesce
-// onto one in-flight computation, and small distinct requests are batched
-// onto the shared runner pool behind a batch-size/max-wait flusher with
-// bounded-queue backpressure.
+// onto one in-flight computation, and distinct requests compute one at a
+// time on the shared runner pool, behind a bounded queue whose overflow is
+// rejected (backpressure).
 package serve
 
 import (

@@ -255,13 +255,13 @@ func TestServeEvictionNeverServesWrongResult(t *testing.T) {
 	}
 }
 
-// A full batch queue answers 429 + Retry-After instead of queueing
+// A full compute queue answers 429 + Retry-After instead of queueing
 // unboundedly, and invalid requests fail with 400.
 func TestServeBackpressureAndBadRequests(t *testing.T) {
 	release := make(chan struct{})
 	s := mustNew(t, Config{
 		Compute:  func(cn *Canon) ([]byte, error) { <-release; return cn.CanonicalJSON(), nil },
-		QueueLen: 1, BatchSize: 1, MaxWait: time.Millisecond,
+		QueueLen: 1,
 	})
 	ts := httptest.NewServer(s)
 	defer ts.Close()

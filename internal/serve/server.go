@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"hammingmesh/internal/journal"
+	"hammingmesh/internal/obs"
 	"hammingmesh/internal/runner"
 )
 
@@ -17,13 +18,11 @@ import (
 const (
 	DefaultCacheBytes = 64 << 20
 	DefaultQueueLen   = 256
-	DefaultBatchSize  = 8
-	DefaultMaxWait    = 2 * time.Millisecond
 )
 
-// errQueueFull is the backpressure signal: the batch queue rejected the
-// request, the handler answers 429 + Retry-After.
-var errQueueFull = errors.New("serve: batch queue full")
+// errQueueFull is the backpressure signal: QueueLen requests already wait
+// for the compute slot, the handler answers 429 + Retry-After.
+var errQueueFull = errors.New("serve: compute queue full")
 
 // Config configures a Server.
 type Config struct {
@@ -33,15 +32,9 @@ type Config struct {
 	// CacheBytes bounds the result cache (<= 0 uses DefaultCacheBytes;
 	// use NewCache directly for a disabled cache in tests).
 	CacheBytes int64
-	// QueueLen bounds the pending batch queue; beyond it requests are
-	// rejected with 429 (<= 0 uses DefaultQueueLen).
+	// QueueLen bounds the requests waiting for the compute slot; beyond
+	// it requests are rejected with 429 (<= 0 uses DefaultQueueLen).
 	QueueLen int
-	// BatchSize is the flush size of the batcher (<= 0 uses
-	// DefaultBatchSize).
-	BatchSize int
-	// MaxWait is how long a partial batch waits for company before
-	// flushing anyway (<= 0 uses DefaultMaxWait).
-	MaxWait time.Duration
 	// Compute overrides the per-request computation (tests); when nil,
 	// a Computer over Pool is used.
 	Compute func(*Canon) ([]byte, error)
@@ -49,14 +42,14 @@ type Config struct {
 	// builds a private one. cmd/hxd passes obs.Default() so daemon, pool
 	// and engine series land in one /metrics scrape; tests leave it nil
 	// for isolation.
-	Registry *Registry
+	Registry *obs.Registry
 	// Pprof mounts net/http/pprof handlers under /debug/pprof/ when set.
 	Pprof bool
 	// JournalDir enables the durable job journal (cmd/hxd -journal-dir):
 	// accepted requests and computed results are appended to a crash-safe
 	// journal there, and on restart the result cache is rewarmed from
 	// journaled results while accepted-but-unserved requests are re-run
-	// through the batcher. Empty disables journaling entirely.
+	// through the compute slot. Empty disables journaling entirely.
 	JournalDir string
 	// JournalOptions tunes the journal (tests: NoSync, tiny segments,
 	// crash plans). Its Obs field is overridden with the server registry.
@@ -77,46 +70,51 @@ type call struct {
 }
 
 // Server is the hxd daemon core: canonicalize → content address → cache
-// lookup → singleflight → batch onto the pool. It is an http.Handler
-// serving POST /v1/experiments, GET /metrics and GET /healthz.
+// lookup → singleflight → compute on the pool, one request at a time. It
+// is an http.Handler serving POST /v1/experiments, GET /metrics and
+// GET /healthz.
 type Server struct {
 	cache   *Cache
-	batcher *Batcher
-	metrics *Registry
+	compute func(*Canon) ([]byte, error)
+	metrics *obs.Registry
 	mux     *http.ServeMux
+
+	// admit holds one token per admitted computation: the one holding
+	// slot plus up to QueueLen waiting for it. A miss that finds admit
+	// full is rejected with 429. slot is the compute slot; a channel, so
+	// waiters take it in arrival order.
+	admit chan struct{}
+	slot  chan struct{}
 
 	mu       sync.Mutex
 	inflight map[string]*call
+	// active counts the handlers that registered an inflight call, for
+	// Close; it is incremented under mu.
+	active sync.WaitGroup
 
 	journal  *jobJournal // nil: journaling off
 	replayWG sync.WaitGroup
 	// ReplayedResults and ReplayedPending report what the journal restart
 	// recovery did: results rewarmed into the cache and accepted requests
-	// re-run through the batcher. Zero without a journal.
+	// re-run through the compute slot. Zero without a journal.
 	ReplayedResults, ReplayedPending int
 
-	hits, misses, coalesced, rejected, computations, errored *Counter
-	journalErrors                                            *Counter
-	queueHist, computeHist, totalHist                        *Histogram
+	hits, misses, coalesced, rejected, computations, errored *obs.Counter
+	journalErrors                                            *obs.Counter
+	queueHist, computeHist, totalHist                        *obs.Histogram
 }
 
-// New builds a Server and starts its batcher. Call Close to drain it.
-// With Config.JournalDir set it also opens (and if needed recovers) the
-// durable job journal before serving: journaled results rewarm the cache
-// synchronously, and accepted-but-unserved requests replay through the
-// batcher in the background (WaitReplay blocks until they finish).
+// New builds a Server. Call Close to drain it. With Config.JournalDir set
+// it also opens (and if needed recovers) the durable job journal before
+// serving: journaled results rewarm the cache synchronously, and
+// accepted-but-unserved requests replay through the compute slot in the
+// background (WaitReplay blocks until they finish).
 func New(cfg Config) (*Server, error) {
 	if cfg.CacheBytes <= 0 {
 		cfg.CacheBytes = DefaultCacheBytes
 	}
 	if cfg.QueueLen <= 0 {
 		cfg.QueueLen = DefaultQueueLen
-	}
-	if cfg.BatchSize <= 0 {
-		cfg.BatchSize = DefaultBatchSize
-	}
-	if cfg.MaxWait <= 0 {
-		cfg.MaxWait = DefaultMaxWait
 	}
 	compute := cfg.Compute
 	if compute == nil {
@@ -125,12 +123,15 @@ func New(cfg Config) (*Server, error) {
 
 	reg := cfg.Registry
 	if reg == nil {
-		reg = NewRegistry()
+		reg = obs.NewRegistry()
 	}
 	s := &Server{
 		cache:    NewCache(cfg.CacheBytes),
+		compute:  compute,
 		metrics:  reg,
 		mux:      http.NewServeMux(),
+		admit:    make(chan struct{}, cfg.QueueLen+1),
+		slot:     make(chan struct{}, 1),
 		inflight: make(map[string]*call),
 
 		hits:          reg.Counter("hxd_cache_hits_total", "", "requests served from the result cache"),
@@ -165,38 +166,30 @@ func New(cfg Config) (*Server, error) {
 	s.computeHist = reg.Histogram("hxd_stage_seconds", `stage="compute"`, "per-stage request latency", latBuckets)
 	s.totalHist = reg.Histogram("hxd_stage_seconds", `stage="total"`, "per-stage request latency", latBuckets)
 
-	flushes := func(n int, reason string) {
-		reg.Counter("hxd_batch_flushes_total", fmt.Sprintf("reason=%q", reason), "batch flushes by trigger").Inc()
-		reg.Counter("hxd_batched_requests_total", "", "requests that went through the batcher").Add(int64(n))
-	}
-	s.batcher = NewBatcher(cfg.QueueLen, cfg.BatchSize, cfg.MaxWait, compute, flushes)
-
 	if len(pendingReplay) > 0 {
-		// Re-run accepted-but-unserved requests through the live batcher,
-		// sequentially (each waits for the last, so replay never trips the
-		// queue's backpressure) and in sorted key order (deterministic
-		// recovery). The daemon serves normally while this drains.
+		// Re-run accepted-but-unserved requests through the compute slot,
+		// sequentially (each waits for an admission token, so replay never
+		// trips the queue's backpressure) and in sorted key order
+		// (deterministic recovery). The daemon serves normally meanwhile.
 		s.replayWG.Add(1)
 		go func() {
 			defer s.replayWG.Done()
 			for _, key := range sortedKeys(pendingReplay) {
-				item := &batchItem{canon: pendingReplay[key], key: key, done: make(chan struct{})}
-				for !s.batcher.Enqueue(item) {
-					time.Sleep(time.Millisecond)
-				}
-				<-item.done
-				if item.err != nil {
+				var cl call
+				s.admit <- struct{}{}
+				s.run(pendingReplay[key], &cl)
+				if cl.err != nil {
 					s.errored.Inc()
 					continue
 				}
-				s.cache.Put(key, item.body)
-				s.journalResult(key, item.body)
+				s.cache.Put(key, cl.body)
+				s.journalResult(key, cl.body)
 			}
 		}()
 	}
 
-	reg.GaugeFunc("hxd_queue_depth", "", "queued, not yet flushed requests", func() float64 {
-		return float64(s.batcher.Depth())
+	reg.GaugeFunc("hxd_queue_depth", "", "admitted requests waiting for the compute slot", func() float64 {
+		return float64(max(len(s.admit)-len(s.slot), 0))
 	})
 	reg.GaugeFunc("hxd_cache_entries", "", "entries in the result cache", func() float64 {
 		entries, _, _, _, _ := s.cache.Stats()
@@ -250,6 +243,19 @@ func New(cfg Config) (*Server, error) {
 // accepted-but-unserved requests (immediately without a journal).
 func (s *Server) WaitReplay() { s.replayWG.Wait() }
 
+// run computes cn into cl once the compute slot is free, timing the wait
+// for the slot and the computation. The caller holds an admission token;
+// run returns it.
+func (s *Server) run(cn *Canon, cl *call) {
+	queued := time.Now()
+	s.slot <- struct{}{}
+	began := time.Now()
+	cl.body, cl.err = s.compute(cn)
+	cl.queueNs, cl.computeNs = began.Sub(queued).Nanoseconds(), time.Since(began).Nanoseconds()
+	<-s.slot
+	<-s.admit
+}
+
 // journalResult appends a computed result to the job journal (no-op
 // without one). A failed append only degrades durability — the response
 // is already correct — so it is counted, not propagated.
@@ -262,20 +268,22 @@ func (s *Server) journalResult(key string, body []byte) {
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// Close drains the batch queue (every accepted request still completes),
-// stops the batcher and seals the job journal. The graceful-shutdown
-// order in cmd/hxd is http.Server.Shutdown first — no new requests —
-// then Close.
+// Close waits for the journal replay and every admitted request to
+// finish, then seals the job journal. The graceful-shutdown order in
+// cmd/hxd is http.Server.Shutdown first — no new requests — then Close.
+// Safe to call more than once.
 func (s *Server) Close() {
-	// Replay first: Enqueue on a closed batcher would panic, and replayed
-	// requests are accepted work that must complete like any other.
 	s.replayWG.Wait()
-	s.batcher.Close()
+	// Taking mu orders the active.Add of every request registered so far
+	// before the Wait.
+	s.mu.Lock()
+	s.mu.Unlock()
+	s.active.Wait()
 	s.journal.close()
 }
 
 // Metrics exposes the registry (examples, tests).
-func (s *Server) Metrics() *Registry { return s.metrics }
+func (s *Server) Metrics() *obs.Registry { return s.metrics }
 
 // CacheStats exposes result-cache occupancy and traffic counters.
 func (s *Server) CacheStats() (entries int, bytes, hits, misses, evictions int64) {
@@ -340,10 +348,13 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	}
 	cl := &call{done: make(chan struct{})}
 	s.inflight[key] = cl
+	s.active.Add(1)
 	s.mu.Unlock()
+	defer s.active.Done()
 
-	item := &batchItem{canon: cn, key: key, done: make(chan struct{})}
-	if !s.batcher.Enqueue(item) {
+	select {
+	case s.admit <- struct{}{}:
+	default:
 		cl.err = errQueueFull
 		// Publish the failure before dropping the inflight slot so
 		// attached followers observe it too.
@@ -356,19 +367,16 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// The request is accepted: make it durable before the (possibly long)
-	// computation, so a daemon killed mid-batch re-runs it on restart. The
-	// response itself is synchronous, so a failed append only loses
-	// durability for work the client has not been promised yet.
+	// computation, so a daemon killed mid-computation re-runs it on
+	// restart. The response itself is synchronous, so a failed append only
+	// loses durability for work the client has not been promised yet.
 	if s.journal != nil {
 		if err := s.journal.accept(cn); err != nil {
 			s.journalErrors.Inc()
 		}
 	}
-	<-item.done
+	s.run(cn, cl)
 	s.computations.Inc()
-	cl.body, cl.err = item.body, item.err
-	cl.queueNs = item.flushed.Sub(item.enqueued).Nanoseconds()
-	cl.computeNs = item.served.Sub(item.flushed).Nanoseconds()
 	s.queueHist.Observe(float64(cl.queueNs) / 1e9)
 	s.computeHist.Observe(float64(cl.computeNs) / 1e9)
 	if cl.err == nil {

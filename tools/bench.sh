@@ -5,14 +5,15 @@
 # PRs:
 #
 #   PacketSim            raw packet-engine throughput (Reset-reuse path)
-#   PacketSimQueue/*     calendar queue vs the reference 4-ary heap
+#   PacketSimRing        Fig. 13 ring allreduce at small size: a 65,536-
+#                        injection burst at t=0 (full size even in -short)
 #   PacketSimShards/*    sharded parallel engine at 1/2/4/8 shards
 #   TraceOverhead/off|on instrumentation cost: off must be 0 allocs/op
 #   AlltoallSweep        pooled packet-level alltoall shift sweep
 #   AlltoallSweepFaulted the same sweep on a 10%-degraded fabric
 #   FlowSolverLarge      flow-level alltoall on the 16,384-endpoint Hx2Mesh
 #   DaemonHit            hxd repeat-request path: HTTP + cache hit
-#   DaemonDistinct       hxd miss path: canonicalize + batch + pool
+#   DaemonDistinct       hxd miss path: canonicalize + compute slot + pool
 #   JournalAppend/*      checkpoint append overhead, nosync and fsync
 #   SweepResume/*        journaled sched sweep: fresh run vs journal replay
 #   SchedContention/*    joint contention pricing vs isolation slowdowns,
@@ -32,7 +33,7 @@ cd "$(dirname "$0")/.."
 out="${1:-BENCH_PR10.json}"
 raw="bench-raw.txt"
 args=(-run '^$'
-  -bench 'BenchmarkPacketSim$|BenchmarkPacketSimQueue$|BenchmarkPacketSimShards$|BenchmarkTraceOverhead$|BenchmarkAlltoallSweep$|BenchmarkAlltoallSweepFaulted$|BenchmarkFlowSolverLarge$'
+  -bench 'BenchmarkPacketSim$|BenchmarkPacketSimRing$|BenchmarkPacketSimShards$|BenchmarkTraceOverhead$|BenchmarkAlltoallSweep$|BenchmarkAlltoallSweepFaulted$|BenchmarkFlowSolverLarge$'
   -benchmem -benchtime "${BENCHTIME:-1x}")
 if [ "${SHORT:-1}" = "1" ]; then
   args+=(-short)
