@@ -204,6 +204,16 @@ func runSched(pool *runner.Pool, x, y, accelsPerBoard int, f schedFlags) {
 	if side < 1 || side*side != accelsPerBoard {
 		fatalf("bad -board %d: want a square accelerator count (4, 16, ...)", accelsPerBoard)
 	}
+	for _, v := range []struct {
+		flag string
+		v    float64
+	}{{"-arrival", f.arrival}, {"-service", f.service}, {"-commfrac", f.commfrac},
+		{"-horizon", f.horizon}, {"-repair", f.repair}, {"-defrag-cost", f.defragCost},
+		{"-elastic-frac", f.elasticFrac}, {"-priority-frac", f.priorityFrac}, {"-taper", f.taper}} {
+		if !finite(v.v) {
+			fatalf("bad %s %v: want a finite number", v.flag, v.v)
+		}
+	}
 	c := core.NewHxMesh(side, side, x, y)
 	mtbfs := parseFloats(f.mtbfs, "-mtbf")
 	ckpts := parseFloats(f.ckpts, "-ckpt")
@@ -429,13 +439,17 @@ func parseFloats(s, flagName string) []float64 {
 	var out []float64
 	for _, part := range strings.Split(s, ",") {
 		v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-		if err != nil || v < 0 {
+		if err != nil || v < 0 || !finite(v) {
 			fatalf("bad %s entry %q", flagName, part)
 		}
 		out = append(out, v)
 	}
 	return out
 }
+
+// finite reports whether v is neither NaN nor ±Inf, which strconv and the
+// flag package both accept.
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 func fatalf(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, format+"\n", args...)

@@ -53,6 +53,22 @@ func TestHxallocSchedSmoke(t *testing.T) {
 
 	cmdtest.RunExpectError(t, bin, "-mode", "sched", "-grid", "4x4", "-policies", "nosuchpolicy")
 	cmdtest.RunExpectError(t, bin, "-mode", "sched", "-grid", "4x4", "-burst-shape", "bogus")
+
+	// Non-finite floats, which strconv and the flag package both accept,
+	// are refused up front: an infinite horizon never terminates, a NaN one
+	// runs no jobs, a NaN MTBF silently means no failures and a NaN defrag
+	// threshold defragments at every check.
+	for _, bad := range [][]string{
+		{"-horizon", "Inf"}, {"-horizon", "NaN"}, {"-mtbf", "NaN"}, {"-mtbf", "0,+Inf"},
+		{"-defrag", "NaN"}, {"-ckpt", "Inf"}, {"-taper", "NaN"}, {"-arrival", "-Inf"},
+	} {
+		out := cmdtest.RunExpectError(t, bin, append([]string{"-mode", "sched", "-grid", "4x4",
+			"-jobs", "10", "-trials", "1"}, bad...)...)
+		cmdtest.MustContain(t, out, "bad "+bad[0])
+		if lines := strings.Count(strings.TrimSpace(out), "\n") + 1; lines != 1 {
+			t.Fatalf("%v: want a one-line error, got %d lines:\n%s", bad, lines, out)
+		}
+	}
 }
 
 // Smoke: the scheduler-v3 axes (interference x elastic x priority) print

@@ -36,6 +36,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"os/signal"
 	"runtime"
@@ -68,6 +69,10 @@ func main() {
 	journalDir := flag.String("journal", "", "checkpoint directory for the resilience sweep: completed points are journaled crash-safely and rerunning the same command resumes")
 	journalCrash := flag.String("journal-crash", "", "crash-injection plan <point>:<n> — die mid-write at that journal boundary (testing; see internal/journal)")
 	flag.Parse()
+	if math.IsNaN(*failLinks) || math.IsInf(*failLinks, 0) {
+		fmt.Fprintf(os.Stderr, "hxsim: bad -fail-links %v: want a finite fraction\n", *failLinks)
+		os.Exit(2)
+	}
 
 	pool := runner.NewSeeded(*parallel, *seed)
 	c, err := pool.Cluster(*topoName, core.ClusterSize(*size))

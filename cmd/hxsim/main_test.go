@@ -34,6 +34,14 @@ func TestHxsimSmoke(t *testing.T) {
 	// Bad flags exit non-zero.
 	cmdtest.RunExpectError(t, bin, "-topo", "nosuchtopo")
 	cmdtest.RunExpectError(t, bin, "-sim-shards", "zero")
+	// A non-finite failure fraction is refused, not read as "no failures".
+	for _, bad := range []string{"NaN", "Inf", "-Inf"} {
+		out := cmdtest.RunExpectError(t, bin, "-topo", "hx2mesh", "-size", "tiny", "-fail-links", bad)
+		cmdtest.MustContain(t, out, "bad -fail-links")
+		if strings.Contains(strings.TrimSpace(out), "\n") {
+			t.Fatalf("-fail-links %s: want a one-line error, got:\n%s", bad, out)
+		}
+	}
 }
 
 // Smoke: the sharded packet engine is wired through -sim-shards and its

@@ -13,14 +13,17 @@
 //
 // Water-filling is incremental and event-driven rather than round-based:
 // with L loaded links and S subflows of mean path length ℓ, a min-heap over
-// per-link saturation levels (remaining capacity over active subflows)
+// per-link saturation levels (remaining capacity over active weight)
 // processes each link saturation once and touches only the links of the
 // subflows it freezes, so a solve costs O((L + S·ℓ)·log L) instead of the
 // round-based O(rounds·(L + S·ℓ)) where the round count itself grows with
 // the cluster. All solver state (subflow CSR, per-link headrooms, the heap,
 // path-sample buffers) lives in scratch arrays sized once per Solver and
 // reused across Solve calls, so a shift sweep allocates only its result
-// slices.
+// slices. One fill serves both entry points: Solve raises every subflow at
+// unit rate without bound, and TenantShares (weighted max-min over a
+// multi-job traffic matrix) raises each at its demand's weight up to full
+// satisfaction.
 //
 // The solver scales to the paper's 16k-endpoint clusters where packet
 // simulation of 1 MiB-per-peer alltoall would need billions of packet
@@ -31,6 +34,7 @@ package flowsim
 
 import (
 	"fmt"
+	"math"
 
 	"hammingmesh/internal/routing"
 	"hammingmesh/internal/simcore"
@@ -98,10 +102,12 @@ type Solver struct {
 	// Water-filling scratch, sized to NumPorts once per Solver.
 	remCap  []float64 // remaining capacity of link l at fill level lastT[l]
 	lastT   []float64 // fill level at which remCap[l] was last materialized
-	nOnLink []int32   // active subflows crossing link l
+	nOnLink []int32   // subflows crossing link l
+	wOnLink []float64 // summed weight of the active subflows crossing link l
 	linkOff []int32   // CSR offsets: subflows crossing link l
 	linkCur []int32   // fill cursor for the linkSubs CSR build
 	linkSub []int32   // CSR payload, sized to len(subLinks) per Solve
+	weights []float64 // per-subflow rise rate per unit fill level
 	rates   []float64 // per-subflow frozen rate
 	heap    []satEntry
 
@@ -155,6 +161,7 @@ func New(c *simcore.Compiled, table *routing.Table, cfg Config) *Solver {
 		remCap:   make([]float64, nLinks),
 		lastT:    make([]float64, nLinks),
 		nOnLink:  make([]int32, nLinks),
+		wOnLink:  make([]float64, nLinks),
 		linkOff:  make([]int32, nLinks+1),
 		linkCur:  make([]int32, nLinks),
 	}
@@ -262,15 +269,23 @@ func (s *Solver) buildSubflows(flows []Flow) error {
 // waterfill runs incremental progressive filling over the built subflow CSR
 // and leaves each subflow's max-min rate in s.rates.
 //
-// All active subflows rise at unit rate in "fill level" T, so link l with
-// a fixed active count n and remaining capacity r saturates at level
-// T + r/n — and whenever another link's saturation freezes subflows, only
-// the links those subflows cross change state. Because freezing subflows
-// only ever *raises* the survivors' saturation levels, a min-heap with
-// lazy re-keying on pop (compare the popped key against the link's current
-// level, re-push if it grew) processes each saturation event in O(log L)
-// touching only the frozen subflows' links.
-func (s *Solver) waterfill() error {
+// Every active subflow rises at its weight s.weights[si] per unit of fill
+// level T, so link l with fixed active weight w and remaining capacity r
+// saturates at level T + r/w — and whenever another link's saturation
+// freezes subflows, only the links those subflows cross change state.
+// Because freezing subflows only ever *raises* the survivors' saturation
+// levels, a min-heap with lazy re-keying on pop (compare the popped key
+// against the link's current level, re-push if it grew) processes each
+// saturation event in O(log L) touching only the frozen subflows' links.
+// A subflow frozen at level T gets rate weight·T.
+//
+// The level is capped at limit: once the next saturation lies at or past
+// it, every still-rising subflow stops there. With limit = +Inf an
+// exhausted heap is an error instead. tol absorbs floating-point residue
+// that depends on the caller's weights: a popped entry is re-keyed only
+// when its link's level exceeds the key by more than tol, and a link
+// whose active weight falls to tol or below counts as unloaded.
+func (s *Solver) waterfill(limit, tol float64) error {
 	nSubs := len(s.subFlow)
 	nLinks := s.comp.NumPorts()
 	if cap(s.rates) < nSubs {
@@ -281,9 +296,13 @@ func (s *Solver) waterfill() error {
 		s.remCap[l] = s.comp.Ports[l].GBps
 		s.lastT[l] = 0
 		s.nOnLink[l] = 0
+		s.wOnLink[l] = 0
 	}
-	for _, l := range s.subLinks {
-		s.nOnLink[l]++
+	for si := 0; si < nSubs; si++ {
+		for _, l := range s.subLinks[s.subOff[si]:s.subOff[si+1]] {
+			s.nOnLink[l]++
+			s.wOnLink[l] += s.weights[si]
+		}
 	}
 	// CSR of subflows per link (only loaded links have entries).
 	s.linkOff[0] = 0
@@ -308,32 +327,32 @@ func (s *Solver) waterfill() error {
 	}
 	s.heap = s.heap[:0]
 	for l := 0; l < nLinks; l++ {
-		if s.nOnLink[l] > 0 {
-			s.heap = append(s.heap, satEntry{t: s.remCap[l] / float64(s.nOnLink[l]), link: int32(l)})
+		if s.wOnLink[l] > tol {
+			s.heap = append(s.heap, satEntry{t: s.remCap[l] / s.wOnLink[l], link: int32(l)})
 		}
 	}
 	s.heapify()
 	T := 0.0
 	frozen := 0
 	s.stats.Subflows += int64(nSubs)
-	for frozen < nSubs {
-		if len(s.heap) == 0 {
-			return fmt.Errorf("flowsim: water-filling ran dry with %d subflows active", nSubs-frozen)
-		}
+	for frozen < nSubs && len(s.heap) > 0 {
 		e := s.heapPop()
 		s.stats.HeapPops++
 		l := e.link
-		n := s.nOnLink[l]
-		if n == 0 {
+		w := s.wOnLink[l]
+		if w <= tol {
 			continue // all of this link's subflows were frozen elsewhere
 		}
-		trueT := s.lastT[l] + s.remCap[l]/float64(n)
-		if trueT > e.t {
+		trueT := s.lastT[l] + s.remCap[l]/w
+		if trueT > e.t+tol {
 			// The link lost active subflows since the push, moving its
 			// saturation level up; re-key and re-examine later.
 			s.heapPush(satEntry{t: trueT, link: l})
 			s.stats.ReKeys++
 			continue
+		}
+		if trueT >= limit {
+			break // every still-rising subflow reaches limit first
 		}
 		s.stats.Saturations++
 		if trueT > T {
@@ -345,12 +364,28 @@ func (s *Solver) waterfill() error {
 			if s.rates[si] >= 0 {
 				continue
 			}
-			s.rates[si] = T
+			s.rates[si] = s.weights[si] * T
 			frozen++
 			for _, m := range s.subLinks[s.subOff[si]:s.subOff[si+1]] {
-				s.remCap[m] -= (T - s.lastT[m]) * float64(s.nOnLink[m])
+				s.remCap[m] -= (T - s.lastT[m]) * s.wOnLink[m]
 				s.lastT[m] = T
-				s.nOnLink[m]--
+				s.wOnLink[m] -= s.weights[si]
+				if s.remCap[m] < 0 {
+					s.remCap[m] = 0
+				}
+				if s.wOnLink[m] < tol {
+					s.wOnLink[m] = 0
+				}
+			}
+		}
+	}
+	if frozen < nSubs {
+		if math.IsInf(limit, 1) {
+			return fmt.Errorf("flowsim: water-filling ran dry with %d subflows active", nSubs-frozen)
+		}
+		for si, r := range s.rates {
+			if r < 0 {
+				s.rates[si] = s.weights[si] * limit
 			}
 		}
 	}
@@ -411,7 +446,14 @@ func (s *Solver) Solve(flows []Flow) ([]float64, error) {
 	if err := s.buildSubflows(flows); err != nil {
 		return nil, err
 	}
-	if err := s.waterfill(); err != nil {
+	s.weights = s.weights[:0]
+	for range s.subFlow {
+		s.weights = append(s.weights, 1)
+	}
+	// Unit weights keep every per-link weight an exact integer count, so
+	// there is no residue to absorb; a nonzero tol would only let a link
+	// saturate ahead of links whose levels lie less than tol below its own.
+	if err := s.waterfill(math.Inf(1), 0); err != nil {
 		return nil, err
 	}
 	out := make([]float64, len(flows))

@@ -23,13 +23,13 @@ type Demand struct {
 // contention on shared links pushes shares below 1 in proportion to
 // weighted fair allocation. Tenants with no demands get share 1.
 //
-// The weighted fill generalizes Solve's unit fill: every active subflow
-// rises at its weight per unit fill level, a link saturates when the
-// weighted sum of its active subflows exhausts its capacity, and the fill
-// level is capped at 1 — a subflow reaching level 1 has its demand fully
-// met and stops growing. Path sampling reuses the Solver's scratch, so
-// TenantShares has the same determinism and non-concurrency contract as
-// Solve.
+// It is Solve's fill run with weights: each demand's weight is split
+// evenly over its sampled subflows, every active subflow rises at its
+// weight per unit fill level, a link saturates when the weighted sum of
+// its active subflows exhausts its capacity, and the fill level is capped
+// at 1 — a subflow reaching level 1 has its demand fully met and stops
+// growing. TenantShares has the same determinism and non-concurrency
+// contract as Solve, and counts towards the same Stats.
 func (s *Solver) TenantShares(demands []Demand, nTenants int) ([]float64, error) {
 	if nTenants < 0 {
 		return nil, fmt.Errorf("flowsim: negative tenant count %d", nTenants)
@@ -55,122 +55,26 @@ func (s *Solver) TenantShares(demands []Demand, nTenants int) ([]float64, error)
 		return nil, err
 	}
 
-	nSubs := len(s.subFlow)
-	nLinks := s.comp.NumPorts()
 	// A flow's weight is split evenly over its sampled subflows (dedup can
 	// leave fewer than PathsPerFlow).
 	subPerFlow := make([]int32, len(flows))
 	for _, fi := range s.subFlow {
 		subPerFlow[fi]++
 	}
-	w := make([]float64, nSubs)
-	for si, fi := range s.subFlow {
-		w[si] = demands[fi].Weight / float64(subPerFlow[fi])
+	s.weights = s.weights[:0]
+	for _, fi := range s.subFlow {
+		s.weights = append(s.weights, demands[fi].Weight/float64(subPerFlow[fi]))
 	}
-
-	// Weighted water-fill state (local: the Solver's integer-count scratch
-	// serves the unit fill; joint-pricing calls are memoized upstream).
-	remCap := make([]float64, nLinks)
-	lastT := make([]float64, nLinks)
-	wOnLink := make([]float64, nLinks)
-	for l := 0; l < nLinks; l++ {
-		remCap[l] = s.comp.Ports[l].GBps
-	}
-	for si := 0; si < nSubs; si++ {
-		for _, l := range s.subLinks[s.subOff[si]:s.subOff[si+1]] {
-			wOnLink[l] += w[si]
-		}
-	}
-	// CSR of subflows per link, reusing the Solver's offset scratch shape.
-	linkOff := make([]int32, nLinks+1)
-	cnt := make([]int32, nLinks)
-	for _, l := range s.subLinks {
-		cnt[l]++
-	}
-	for l := 0; l < nLinks; l++ {
-		linkOff[l+1] = linkOff[l] + cnt[l]
-	}
-	linkSub := make([]int32, len(s.subLinks))
-	cur := make([]int32, nLinks)
-	copy(cur, linkOff[:nLinks])
-	for si := 0; si < nSubs; si++ {
-		for _, l := range s.subLinks[s.subOff[si]:s.subOff[si+1]] {
-			linkSub[cur[l]] = int32(si)
-			cur[l]++
-		}
-	}
-
-	const eps = 1e-12
-	level := make([]float64, nSubs) // frozen fill level; <0 = still rising
-	for si := range level {
-		level[si] = -1
-	}
-	heap := make([]satEntry, 0, nLinks)
-	for l := 0; l < nLinks; l++ {
-		if wOnLink[l] > eps {
-			heap = append(heap, satEntry{t: remCap[l] / wOnLink[l], link: int32(l)})
-		}
-	}
-	h := tenantHeap(heap)
-	h.init()
-	T := 0.0
-	frozen := 0
-	freezeAll := func(at float64) {
-		for si := range level {
-			if level[si] < 0 {
-				level[si] = at
-				frozen++
-			}
-		}
-	}
-	for frozen < nSubs {
-		if len(h) == 0 {
-			// Spare capacity everywhere: remaining demands are fully met.
-			freezeAll(1)
-			break
-		}
-		e := h.pop()
-		l := e.link
-		if wOnLink[l] <= eps {
-			continue
-		}
-		trueT := lastT[l] + remCap[l]/wOnLink[l]
-		if trueT > e.t+eps {
-			h.push(satEntry{t: trueT, link: l})
-			continue
-		}
-		if trueT >= 1 {
-			// The next saturation happens past full demand satisfaction:
-			// every still-rising subflow reaches its weight first.
-			freezeAll(1)
-			break
-		}
-		if trueT > T {
-			T = trueT
-		}
-		for _, si := range linkSub[linkOff[l]:linkOff[l+1]] {
-			if level[si] >= 0 {
-				continue
-			}
-			level[si] = T
-			frozen++
-			for _, m := range s.subLinks[s.subOff[si]:s.subOff[si+1]] {
-				remCap[m] -= (T - lastT[m]) * wOnLink[m]
-				lastT[m] = T
-				wOnLink[m] -= w[si]
-				if remCap[m] < 0 {
-					remCap[m] = 0
-				}
-				if wOnLink[m] < eps {
-					wOnLink[m] = 0
-				}
-			}
-		}
+	// Fractional weights leave rounding residue in the per-link weight
+	// sums and saturation levels; 1e-12 absorbs it (with exact comparisons
+	// the joint solves, and so the scheduler's decisions, change).
+	if err := s.waterfill(1, 1e-12); err != nil {
+		return nil, err
 	}
 
 	rate := make([]float64, len(flows))
 	for si, fi := range s.subFlow {
-		rate[fi] += w[si] * level[si]
+		rate[fi] += s.rates[si]
 	}
 	sumRate := make([]float64, nTenants)
 	sumW := make([]float64, nTenants)
@@ -191,57 +95,4 @@ func (s *Solver) TenantShares(demands []Demand, nTenants int) ([]float64, error)
 		}
 	}
 	return out, nil
-}
-
-// tenantHeap is a local min-heap over satEntry for the weighted fill (the
-// Solver's heap methods mutate s.heap, which the unit fill owns).
-type tenantHeap []satEntry
-
-func (h *tenantHeap) init() {
-	n := len(*h)
-	for i := n/2 - 1; i >= 0; i-- {
-		h.siftDown(i, n)
-	}
-}
-
-func (h *tenantHeap) siftDown(i, n int) {
-	a := *h
-	for {
-		c := 2*i + 1
-		if c >= n {
-			return
-		}
-		if c+1 < n && a[c+1].t < a[c].t {
-			c++
-		}
-		if a[i].t <= a[c].t {
-			return
-		}
-		a[i], a[c] = a[c], a[i]
-		i = c
-	}
-}
-
-func (h *tenantHeap) push(e satEntry) {
-	*h = append(*h, e)
-	a := *h
-	i := len(a) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if a[p].t <= a[i].t {
-			break
-		}
-		a[p], a[i] = a[i], a[p]
-		i = p
-	}
-}
-
-func (h *tenantHeap) pop() satEntry {
-	a := *h
-	top := a[0]
-	last := len(a) - 1
-	a[0] = a[last]
-	*h = a[:last]
-	h.siftDown(0, last)
-	return top
 }

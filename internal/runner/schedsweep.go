@@ -3,6 +3,7 @@ package runner
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"hammingmesh/internal/core"
 	"hammingmesh/internal/journal"
@@ -21,7 +22,7 @@ type SchedSweepConfig struct {
 	// sched.LoadTrace) and trials differ only in their failure draws.
 	FixedTrace []sched.TraceJob
 	// Base is the scheduler config template; Policy and CheckpointH are
-	// overridden per point. Base.HorizonH must be positive. A nil
+	// overridden per point. Base.HorizonH must be finite and positive. A nil
 	// Base.Slowdown defaults to the communication model for the
 	// cluster's board type, shared (with its shape cache) across all
 	// jobs of the sweep.
@@ -187,8 +188,8 @@ func (p *Pool) SchedSweepJournaled(ctx context.Context, c *core.Cluster, cfg Sch
 	if c.Hx == nil || c.Grid == nil {
 		return nil, fmt.Errorf("runner: scheduler sweeps need an HxMesh-family cluster, got %s", c.Net.Meta.Family)
 	}
-	if cfg.Base.HorizonH <= 0 {
-		return nil, fmt.Errorf("runner: SchedSweepConfig.Base needs a positive HorizonH")
+	if h := cfg.Base.HorizonH; math.IsNaN(h) || math.IsInf(h, 0) || h <= 0 {
+		return nil, fmt.Errorf("runner: SchedSweepConfig.Base needs a finite positive HorizonH, got %v", h)
 	}
 	if len(cfg.MTBFs) == 0 || len(cfg.CheckpointsH) == 0 || len(cfg.Policies) == 0 {
 		return nil, fmt.Errorf("runner: scheduler sweep needs at least one MTBF, checkpoint and policy")

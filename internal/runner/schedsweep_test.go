@@ -1,7 +1,9 @@
 package runner
 
 import (
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"hammingmesh/internal/sched"
@@ -16,6 +18,23 @@ func schedSweepTestConfig() SchedSweepConfig {
 		Policies:     []sched.Policy{sched.FirstFit, sched.BestFit},
 		Trials:       6,
 		Seed:         42,
+	}
+}
+
+// A horizon that is not finite and positive is refused before any trial
+// runs: +Inf would never terminate and NaN would run no jobs.
+func TestSchedSweepRejectsBadHorizon(t *testing.T) {
+	pool := NewSeeded(1, 1)
+	c, err := pool.Cluster("hx2mesh", "tiny")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, h := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, -1} {
+		cfg := schedSweepTestConfig()
+		cfg.Base.HorizonH = h
+		if _, err := pool.SchedSweep(c, cfg); err == nil || !strings.Contains(err.Error(), "HorizonH") {
+			t.Fatalf("HorizonH %v: got error %v, want a HorizonH error", h, err)
+		}
 	}
 }
 
