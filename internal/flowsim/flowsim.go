@@ -102,7 +102,6 @@ type Solver struct {
 	// Water-filling scratch, sized to NumPorts once per Solver.
 	remCap  []float64 // remaining capacity of link l at fill level lastT[l]
 	lastT   []float64 // fill level at which remCap[l] was last materialized
-	nOnLink []int32   // subflows crossing link l
 	wOnLink []float64 // summed weight of the active subflows crossing link l
 	linkOff []int32   // CSR offsets: subflows crossing link l
 	linkCur []int32   // fill cursor for the linkSubs CSR build
@@ -160,7 +159,6 @@ func New(c *simcore.Compiled, table *routing.Table, cfg Config) *Solver {
 		tailPort: make([]int32, 0, 64),
 		remCap:   make([]float64, nLinks),
 		lastT:    make([]float64, nLinks),
-		nOnLink:  make([]int32, nLinks),
 		wOnLink:  make([]float64, nLinks),
 		linkOff:  make([]int32, nLinks+1),
 		linkCur:  make([]int32, nLinks),
@@ -295,19 +293,19 @@ func (s *Solver) waterfill(limit, tol float64) error {
 	for l := 0; l < nLinks; l++ {
 		s.remCap[l] = s.comp.Ports[l].GBps
 		s.lastT[l] = 0
-		s.nOnLink[l] = 0
 		s.wOnLink[l] = 0
 	}
+	// CSR of subflows per link (only loaded links have entries): count
+	// into linkOff[l+1], then prefix-sum.
+	clear(s.linkOff)
 	for si := 0; si < nSubs; si++ {
 		for _, l := range s.subLinks[s.subOff[si]:s.subOff[si+1]] {
-			s.nOnLink[l]++
+			s.linkOff[l+1]++
 			s.wOnLink[l] += s.weights[si]
 		}
 	}
-	// CSR of subflows per link (only loaded links have entries).
-	s.linkOff[0] = 0
 	for l := 0; l < nLinks; l++ {
-		s.linkOff[l+1] = s.linkOff[l] + s.nOnLink[l]
+		s.linkOff[l+1] += s.linkOff[l]
 		s.linkCur[l] = s.linkOff[l]
 	}
 	if cap(s.linkSub) < len(s.subLinks) {
@@ -339,11 +337,11 @@ func (s *Solver) waterfill(limit, tol float64) error {
 		e := s.heapPop()
 		s.stats.HeapPops++
 		l := e.link
-		w := s.wOnLink[l]
-		if w <= tol {
+		wl := s.wOnLink[l]
+		if wl <= tol {
 			continue // all of this link's subflows were frozen elsewhere
 		}
-		trueT := s.lastT[l] + s.remCap[l]/w
+		trueT := s.lastT[l] + s.remCap[l]/wl
 		if trueT > e.t+tol {
 			// The link lost active subflows since the push, moving its
 			// saturation level up; re-key and re-examine later.
@@ -364,12 +362,13 @@ func (s *Solver) waterfill(limit, tol float64) error {
 			if s.rates[si] >= 0 {
 				continue
 			}
-			s.rates[si] = s.weights[si] * T
+			w := s.weights[si]
+			s.rates[si] = w * T
 			frozen++
 			for _, m := range s.subLinks[s.subOff[si]:s.subOff[si+1]] {
 				s.remCap[m] -= (T - s.lastT[m]) * s.wOnLink[m]
 				s.lastT[m] = T
-				s.wOnLink[m] -= s.weights[si]
+				s.wOnLink[m] -= w
 				if s.remCap[m] < 0 {
 					s.remCap[m] = 0
 				}
