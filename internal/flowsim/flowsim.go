@@ -35,6 +35,7 @@ package flowsim
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"hammingmesh/internal/routing"
 	"hammingmesh/internal/simcore"
@@ -445,7 +446,7 @@ func (s *Solver) Solve(flows []Flow) ([]float64, error) {
 	if err := s.buildSubflows(flows); err != nil {
 		return nil, err
 	}
-	s.weights = s.weights[:0]
+	s.weights = slices.Grow(s.weights[:0], len(s.subFlow))
 	for range s.subFlow {
 		s.weights = append(s.weights, 1)
 	}

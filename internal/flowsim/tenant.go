@@ -2,6 +2,7 @@ package flowsim
 
 import (
 	"fmt"
+	"slices"
 
 	"hammingmesh/internal/topo"
 )
@@ -61,7 +62,7 @@ func (s *Solver) TenantShares(demands []Demand, nTenants int) ([]float64, error)
 	for _, fi := range s.subFlow {
 		subPerFlow[fi]++
 	}
-	s.weights = s.weights[:0]
+	s.weights = slices.Grow(s.weights[:0], len(s.subFlow))
 	for _, fi := range s.subFlow {
 		s.weights = append(s.weights, demands[fi].Weight/float64(subPerFlow[fi]))
 	}
