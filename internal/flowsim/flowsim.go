@@ -367,15 +367,15 @@ func (s *Solver) waterfill(limit, tol float64) error {
 			s.rates[si] = w * T
 			frozen++
 			for _, m := range s.subLinks[s.subOff[si]:s.subOff[si+1]] {
-				s.remCap[m] -= (T - s.lastT[m]) * s.wOnLink[m]
-				s.lastT[m] = T
-				s.wOnLink[m] -= w
-				if s.remCap[m] < 0 {
-					s.remCap[m] = 0
+				wm := s.wOnLink[m]
+				r := s.remCap[m] - (T-s.lastT[m])*wm
+				if r < 0 {
+					r = 0
 				}
-				if s.wOnLink[m] < tol {
-					s.wOnLink[m] = 0
+				if wm -= w; wm < tol {
+					wm = 0
 				}
+				s.remCap[m], s.lastT[m], s.wOnLink[m] = r, T, wm
 			}
 		}
 	}
