@@ -21,9 +21,27 @@ import (
 
 // Grid is the allocator's view of an x×y HxMesh: a matrix of boards that
 // are free, failed, or owned by a job.
+//
+// A Grid is not safe for concurrent use, and that includes the read-only
+// searches (PlaceCandidates, FitsDims, LargestPlaceable): every search
+// works in the grid's own scratch. Concurrent searches need their own
+// grids (Clone); no caller in this module shares one.
 type Grid struct {
 	X, Y  int
 	owner []int32 // -1 free, -2 failed, otherwise job id
+	sc    search  // placement-search scratch; Clone does not share it
+}
+
+// search is a Grid's reusable placement-search scratch: the per-row free
+// columns (rebuilt from the owners at the start of every search call), the
+// two intersection sets and the row and column-index buffers the
+// row-intersection loop reuses, and the memoized shape lists.
+type search struct {
+	avail        []colSet
+	inter, trial colSet
+	rows, cols   []int
+	shapes       map[[2]int32][][2]int // by (u, v), under shapeOpt
+	shapeOpt     Options
 }
 
 // Free and Failed are the non-job owner values.
@@ -136,9 +154,6 @@ func (p *Placement) V() int { return len(p.Cols) }
 // colSet is a bitset over board columns.
 type colSet []uint64
 
-func newColSet(x int) colSet { return make(colSet, (x+63)/64) }
-
-func (s colSet) set(i int) { s[i/64] |= 1 << (i % 64) }
 func (s colSet) count() int {
 	n := 0
 	for _, w := range s {
@@ -151,60 +166,77 @@ func (s colSet) andInto(dst colSet, o colSet) {
 		dst[i] = s[i] & o[i]
 	}
 }
-func (s colSet) indices(x int) []int {
-	out := make([]int, 0, s.count())
-	for i := 0; i < x; i++ {
-		if s[i/64]&(1<<(i%64)) != 0 {
-			out = append(out, i)
+
+// appendIndices appends the set's members in ascending order.
+func (s colSet) appendIndices(out []int) []int {
+	for wi, w := range s {
+		for w != 0 {
+			out = append(out, wi*64+bits.TrailingZeros64(w))
+			w &= w - 1
 		}
 	}
 	return out
 }
 
-// availRows returns, per row, the bitset of free columns.
+// availRows rebuilds, per row, the bitset of free columns in the grid's
+// search scratch. The sets stay valid until the next search call.
 func (g *Grid) availRows() []colSet {
-	rows := make([]colSet, g.Y)
-	for by := 0; by < g.Y; by++ {
-		s := newColSet(g.X)
-		for bx := 0; bx < g.X; bx++ {
-			if g.owner[by*g.X+bx] == Free {
-				s.set(bx)
-			}
+	sc := &g.sc
+	if sc.avail == nil {
+		nw := (g.X + 63) / 64
+		words := make(colSet, (g.Y+2)*nw)
+		sc.avail = make([]colSet, g.Y)
+		for by := range sc.avail {
+			sc.avail[by] = words[by*nw : (by+1)*nw : (by+1)*nw]
 		}
-		rows[by] = s
+		sc.inter = words[g.Y*nw : (g.Y+1)*nw : (g.Y+1)*nw]
+		sc.trial = words[(g.Y+1)*nw:]
 	}
-	return rows
+	for by, s := range sc.avail {
+		row := g.owner[by*g.X : (by+1)*g.X]
+		for wi := range s {
+			var w uint64
+			for i, o := range row[wi*64 : min(len(row), wi*64+64)] {
+				if o == Free {
+					w |= 1 << uint(i)
+				}
+			}
+			s[wi] = w
+		}
+	}
+	return sc.avail
 }
 
 // place finds a u×v placement with the greedy row-intersection strategy of
 // §IV-A: starting from each candidate row in turn, grow the selected set S
 // with rows whose intersection with the running column set keeps at least
-// v columns, until u rows are collected.
-func (g *Grid) place(u, v int) (rows []int, cols colSet, ok bool) {
+// v columns, until u rows are collected. avail comes from availRows; the
+// returned rows and columns live in the search scratch.
+func (g *Grid) place(avail []colSet, u, v int) (rows []int, cols colSet, ok bool) {
 	if u > g.Y || v > g.X || u <= 0 || v <= 0 {
 		return nil, nil, false
 	}
-	avail := g.availRows()
-	inter := newColSet(g.X)
-	for start := 0; start+u <= g.Y+0 && start < g.Y; start++ {
+	inter, trial := g.sc.inter, g.sc.trial
+	rows = g.sc.rows[:0]
+	for start := 0; start+u <= g.Y; start++ {
 		if avail[start].count() < v {
 			continue
 		}
 		copy(inter, avail[start])
-		rows = rows[:0]
-		rows = append(rows, start)
+		rows = append(rows[:0], start)
 		for r := start + 1; r < g.Y && len(rows) < u; r++ {
-			trial := newColSet(g.X)
 			avail[r].andInto(trial, inter)
 			if trial.count() >= v {
-				copy(inter, trial)
+				inter, trial = trial, inter
 				rows = append(rows, r)
 			}
 		}
 		if len(rows) == u {
+			g.sc.rows = rows
 			return rows, inter, true
 		}
 	}
+	g.sc.rows = rows
 	return nil, nil, false
 }
 
@@ -229,6 +261,26 @@ type Options struct {
 // DefaultOptions enables everything with the paper's parameters.
 func DefaultOptions() Options {
 	return Options{Transpose: true, AspectRatio: true, MaxAspect: 8, Locality: true, TreeGroupBoards: 16}
+}
+
+// shapesFor is shapes memoized on the grid per (u, v, options). The memo
+// holds the options of the latest call, since a scheduler searches its grid
+// under one policy's options, and starts over when they change. The
+// returned list is shared between calls and must not be modified.
+func (g *Grid) shapesFor(u, v int, opt Options) [][2]int {
+	k := [2]int32{int32(u), int32(v)}
+	if int(k[0]) != u || int(k[1]) != v {
+		return shapes(u, v, opt) // beyond the memo's key range
+	}
+	if g.sc.shapes == nil || opt != g.sc.shapeOpt {
+		g.sc.shapes, g.sc.shapeOpt = make(map[[2]int32][][2]int), opt
+	}
+	if out, ok := g.sc.shapes[k]; ok {
+		return out
+	}
+	out := shapes(u, v, opt)
+	g.sc.shapes[k] = out
+	return out
 }
 
 // shapes enumerates the (u, v) candidates for a job of `boards` boards
@@ -323,9 +375,10 @@ func (g *Grid) PlaceCandidates(job int32, u, v int, opt Options) []*Placement {
 	if groupBoards <= 0 {
 		groupBoards = 16
 	}
+	avail := g.availRows()
 	var out []*Placement
-	for _, s := range shapes(u, v, opt) {
-		if p, ok := g.placeShape(job, s[0], s[1], groupBoards); ok {
+	for _, s := range g.shapesFor(u, v, opt) {
+		if p, ok := g.placeShape(avail, job, s[0], s[1], groupBoards); ok {
 			out = append(out, p)
 		}
 	}
@@ -334,17 +387,22 @@ func (g *Grid) PlaceCandidates(job int32, u, v int, opt Options) []*Placement {
 
 // placeShape runs the greedy row-intersection search for one concrete
 // shape and builds the (uncommitted) placement.
-func (g *Grid) placeShape(job int32, u, v, groupBoards int) (*Placement, bool) {
-	rows, cols, ok := g.place(u, v)
+func (g *Grid) placeShape(avail []colSet, job int32, u, v, groupBoards int) (*Placement, bool) {
+	rows, cols, ok := g.place(avail, u, v)
 	if !ok {
 		return nil, false
 	}
-	colIdx := cols.indices(g.X)
+	g.sc.cols = cols.appendIndices(g.sc.cols[:0])
 	// The intersection may hold more than v columns; pick the v columns
 	// that minimize spread (consecutive window with the fewest L1-group
 	// crossings), a cheap locality refinement.
-	colIdx = bestWindow(colIdx, v, groupBoards)
-	return &Placement{Job: job, Rows: append([]int{}, rows...), Cols: colIdx}, true
+	start := bestWindow(g.sc.cols, v, groupBoards)
+	// Rows and Cols share one allocation; the capped Rows cannot grow
+	// into Cols.
+	buf := make([]int, u+v)
+	copy(buf, rows)
+	copy(buf[u:], g.sc.cols[start:start+v])
+	return &Placement{Job: job, Rows: buf[:u:u], Cols: buf[u:]}, true
 }
 
 // FitsDims reports whether some allowed shape of a u×v job fits the grid
@@ -352,7 +410,7 @@ func (g *Grid) placeShape(job int32, u, v, groupBoards int) (*Placement, bool) {
 // behind ErrNeverFits (a pure dimension check; no grid state is read).
 // Schedulers use it to drop impossible jobs instead of queueing them.
 func (g *Grid) FitsDims(u, v int, opt Options) bool {
-	for _, s := range shapes(u, v, opt) {
+	for _, s := range g.shapesFor(u, v, opt) {
 		if s[0] >= 1 && s[1] >= 1 && s[0] <= g.Y && s[1] <= g.X {
 			return true
 		}
@@ -395,8 +453,9 @@ func (g *Grid) Allocate(job int32, u, v int, opt Options) (*Placement, bool) {
 	if !opt.Locality {
 		// First feasible shape wins: stop searching at the first fit
 		// instead of enumerating every candidate.
-		for _, s := range shapes(u, v, opt) {
-			if p, ok := g.placeShape(job, s[0], s[1], groupBoards); ok {
+		avail := g.availRows()
+		for _, s := range g.shapesFor(u, v, opt) {
+			if p, ok := g.placeShape(avail, job, s[0], s[1], groupBoards); ok {
 				g.commit(p)
 				return p, true
 			}
@@ -432,24 +491,29 @@ func (g *Grid) Commit(p *Placement) error {
 	return nil
 }
 
-// bestWindow picks w consecutive entries of sorted idx minimizing the
-// number of distinct L1 groups covered (fewest upper-layer crossings).
-func bestWindow(idx []int, w, groupBoards int) []int {
+// bestWindow returns the start of the w consecutive entries of sorted idx
+// covering the fewest distinct L1 groups (fewest upper-layer crossings),
+// ties broken toward the narrowest span.
+func bestWindow(idx []int, w, groupBoards int) int {
 	if len(idx) <= w {
-		return idx
+		return 0
 	}
 	bestStart, bestGroups, bestSpan := 0, 1<<30, 1<<30
 	for s := 0; s+w <= len(idx); s++ {
-		groups := map[int]bool{}
-		for _, c := range idx[s : s+w] {
-			groups[c/groupBoards] = true
+		// idx ascends, so the window covers one group plus one more per
+		// group change between neighbours.
+		groups := 1
+		for k := s + 1; k < s+w; k++ {
+			if idx[k]/groupBoards != idx[k-1]/groupBoards {
+				groups++
+			}
 		}
 		span := idx[s+w-1] - idx[s]
-		if len(groups) < bestGroups || (len(groups) == bestGroups && span < bestSpan) {
-			bestStart, bestGroups, bestSpan = s, len(groups), span
+		if groups < bestGroups || (groups == bestGroups && span < bestSpan) {
+			bestStart, bestGroups, bestSpan = s, groups, span
 		}
 	}
-	return append([]int{}, idx[bestStart:bestStart+w]...)
+	return bestStart
 }
 
 // commit marks the placement's boards as owned.

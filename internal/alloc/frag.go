@@ -26,8 +26,7 @@ func (g *Grid) FreeBoards() int {
 // rectangle — this is the allocator's own notion of "largest free block".
 func (g *Grid) LargestPlaceable() int {
 	avail := g.availRows()
-	trial := newColSet(g.X)
-	inter := newColSet(g.X)
+	inter, trial := g.sc.inter, g.sc.trial
 	best := 0
 	for v := 1; v <= g.X; v++ {
 		maxU := 0
@@ -40,7 +39,7 @@ func (g *Grid) LargestPlaceable() int {
 			for r := start + 1; r < g.Y; r++ {
 				avail[r].andInto(trial, inter)
 				if trial.count() >= v {
-					copy(inter, trial)
+					inter, trial = trial, inter
 					u++
 				}
 			}
