@@ -1,6 +1,9 @@
 package sched
 
-import "testing"
+import (
+	"sync"
+	"testing"
+)
 
 // BenchmarkSchedContention tracks what joint contention pricing costs on
 // top of the isolation slowdown model, and what the placement-set memo
@@ -8,7 +11,10 @@ import "testing"
 // rebuilds the Interference model every run (every pricing is a fresh
 // flow solve), "joint-memoized" shares one model across runs the way the
 // sweep layer does, so recurring placement sets hit the memo. solves/op
-// and memohits/op expose the split.
+// and memohits/op expose the split. "joint-shared-2" runs two sims at once
+// (best-fit and frag-aware) on one fresh model per iteration, the way the
+// sweep's two workers share it: the only case where pricing can wait on
+// the model's lock.
 func BenchmarkSchedContention(b *testing.B) {
 	jobs := 200
 	if testing.Short() {
@@ -63,5 +69,30 @@ func BenchmarkSchedContention(b *testing.B) {
 		if total > 0 {
 			b.ReportMetric(100*float64(st.MemoHits)/float64(total), "%memo")
 		}
+	})
+	b.Run("joint-shared-2", func(b *testing.B) {
+		var solves int64
+		for i := 0; i < b.N; i++ {
+			inf := &Interference{GroupBoards: 2, Taper: 0.25}
+			errs := make([]error, 2)
+			var wg sync.WaitGroup
+			for w, policy := range []Policy{BestFit, FragAware} {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					cfg := baseCfg()
+					cfg.Policy, cfg.Interference = policy, inf
+					_, errs[w] = Run(8, 8, trace, nil, cfg)
+				}()
+			}
+			wg.Wait()
+			for _, err := range errs {
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+			solves += inf.Stats().Solves
+		}
+		b.ReportMetric(float64(solves)/float64(b.N), "solves/op")
 	})
 }

@@ -108,7 +108,7 @@ func (s *sim) tryRegrow(t float64) {
 			panic(err)
 		}
 		oldBoards := j.allocBoards
-		j.p = p
+		s.setPlacement(j, p)
 		j.allocBoards = p.U() * p.V()
 		slow, gamma := s.priceSlowdown(p, j.tj, int32(i))
 		if wf := float64(j.tj.Boards) / float64(j.allocBoards); wf > 1 {
@@ -163,7 +163,7 @@ func (s *sim) tryFailureShrink(victim int32, bx, by int, t float64) bool {
 		return false
 	}
 	oldBoards := j.allocBoards
-	j.p = np
+	s.setPlacement(j, np)
 	j.allocBoards = np.U() * np.V()
 	slow, gamma := s.priceSlowdown(np, j.tj, victim)
 	if wf := float64(j.tj.Boards) / float64(j.allocBoards); wf > 1 {

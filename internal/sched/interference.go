@@ -2,7 +2,7 @@ package sched
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -43,6 +43,18 @@ type JobTraffic struct {
 // repeated pricing of the same contention set — including across sweep
 // trials and workers — is deterministic and cheap. All methods are safe
 // for concurrent use; one Interference is shared across a sweep.
+//
+// The mutex covers only the joint and solo-share memos, the contention-net
+// registry and the counters: lookups and stores. Joint and solo flow
+// solves run outside it, each on a solver (with its demand buffer) taken
+// from the grid's contention-net pool, so the sweep's workers price
+// concurrently. Pooled solvers are interchangeable: the contention net has
+// exactly one link per node pair, so the solver's parallel-link
+// round-robin cursors never choose between channels, and exactly one
+// shortest path per endpoint pair, so path sampling has nothing to choose
+// either; every solver returns the same bits for the same demands. Two
+// workers missing on the same key at once may both solve it, which only
+// shifts the Solves/MemoHits counters.
 type Interference struct {
 	// BoardA, BoardB are accelerators per board dimension (zeros mean 2×2).
 	BoardA, BoardB int
@@ -61,7 +73,6 @@ type Interference struct {
 	mu    sync.Mutex
 	nets  map[[2]int]*contentionNet
 	memo  map[string][]float64 // joint shares, sorted-signature order
-	solo  map[string]float64   // single-job shares by grid+signature
 	stats InterferenceStats
 }
 
@@ -80,11 +91,30 @@ func (in *Interference) Stats() InterferenceStats {
 
 // contentionNet is the reduced upper-layer network of one grid size: Y row
 // trees and X column trees, disjoint, each a two-level star whose only
-// constrained links are the tapered group uplinks.
+// constrained links are the tapered group uplinks. Its network fields are
+// immutable once built, solvers come from the pool, and the solo-share
+// memo is guarded by the owning Interference's mutex.
 type contentionNet struct {
-	solver *flowsim.Solver
-	rowEp  [][]topo.NodeID // [row][col] endpoint in row tree `row`
-	colEp  [][]topo.NodeID // [col][row] endpoint in column tree `col`
+	comp   *simcore.Compiled
+	table  *routing.Table
+	rowEp  [][]topo.NodeID    // [row][col] endpoint in row tree `row`
+	colEp  [][]topo.NodeID    // [col][row] endpoint in column tree `col`
+	pricer sync.Pool          // *pricer
+	solo   map[string]float64 // single-job shares by signature
+}
+
+// pricer is one flow solver over a contention net and the demand buffer
+// it prices; the pool hands each to one solve at a time.
+type pricer struct {
+	solver  *flowsim.Solver
+	demands []flowsim.Demand
+}
+
+func (cn *contentionNet) getPricer() *pricer {
+	if pr, ok := cn.pricer.Get().(*pricer); ok {
+		return pr
+	}
+	return &pricer{solver: flowsim.New(cn.comp, cn.table, flowsim.Config{PathsPerFlow: 1, Seed: 1})}
 }
 
 func (in *Interference) defaults() (a, b, group int, taper float64, memoCap int) {
@@ -125,6 +155,8 @@ func (in *Interference) net(X, Y int) *contentionNet {
 
 	// buildTree adds one dimension tree with `width` endpoints grouped by
 	// `group`; uplinkGBps is the per-board tapered upper-layer capacity.
+	// Endpoint ids ascend with position, and every tree's ids exceed the
+	// previous tree's, which addDemands' output order relies on.
 	buildTree := func(width int, perBoardUp float64) []topo.NodeID {
 		eps := make([]topo.NodeID, width)
 		nGroups := (width + group - 1) / group
@@ -159,8 +191,8 @@ func (in *Interference) net(X, Y int) *contentionNet {
 	for c := 0; c < X; c++ {
 		cn.colEp[c] = buildTree(Y, 2*float64(a)*cable)
 	}
-	comp := simcore.Compile(n) // private net: skip the interning cache
-	cn.solver = flowsim.New(comp, routing.NewTable(comp), flowsim.Config{PathsPerFlow: 1, Seed: 1})
+	cn.comp = simcore.Compile(n) // private net: skip the interning cache
+	cn.table = routing.NewTable(cn.comp)
 	if in.nets == nil {
 		in.nets = make(map[[2]int]*contentionNet)
 	}
@@ -168,81 +200,81 @@ func (in *Interference) net(X, Y int) *contentionNet {
 	return cn
 }
 
-// signature is the canonical per-job fingerprint: contention pricing
+// jobSignature is the canonical per-job fingerprint: contention pricing
 // depends only on the placement geometry and comm fraction, never on job
-// identity.
+// identity. The comm fraction is written in full ('g', -1 round-trips
+// every float64), so jobs whose fractions differ anywhere never share a
+// memo entry.
 func jobSignature(j JobTraffic) string {
-	var sb strings.Builder
-	sb.WriteString(strconv.FormatFloat(j.CommFrac, 'g', 9, 64))
-	sb.WriteByte('r')
+	b := make([]byte, 0, 24+4*(len(j.Placement.Rows)+len(j.Placement.Cols)))
+	b = strconv.AppendFloat(b, j.CommFrac, 'g', -1, 64)
+	b = append(b, 'r')
 	for _, r := range j.Placement.Rows {
-		sb.WriteString(strconv.Itoa(r))
-		sb.WriteByte(',')
+		b = strconv.AppendInt(b, int64(r), 10)
+		b = append(b, ',')
 	}
-	sb.WriteByte('c')
+	b = append(b, 'c')
 	for _, c := range j.Placement.Cols {
-		sb.WriteString(strconv.Itoa(c))
-		sb.WriteByte(',')
+		b = strconv.AppendInt(b, int64(c), 10)
+		b = append(b, ',')
 	}
-	return sb.String()
+	return string(b)
 }
 
-// demandsFor appends job t's alltoall demands on the contention net.
-// Dimension-ordered routing splits each ordered board pair into a
-// row-tree segment at the source row and a column-tree segment at the
-// destination column; segments are aggregated per (src, dst) endpoint
-// pair.
-func (in *Interference) demandsFor(cn *contentionNet, j JobTraffic, tenant int32, agg map[[2]topo.NodeID]float64) {
+// addDemands appends job j's alltoall demands on the contention net,
+// attributed to tenant, in ascending (Src, Dst) order. Dimension-ordered
+// routing splits each ordered board pair into a row-tree segment at the
+// source row and a column-tree segment at the destination column. Summed
+// per endpoint pair, every row-tree pair (row r, columns c1 ≠ c2) carries
+// the per-pair slice w once per placement row, and every column-tree pair
+// (column c, rows r1 ≠ r2) once per placement column; the weights are
+// accumulated by that many additions of w, the same sums a per-pair
+// accumulator over the board-pair loop produces.
+func (in *Interference) addDemands(cn *contentionNet, j JobTraffic, tenant int32, out []flowsim.Demand) []flowsim.Demand {
 	a, b, _, _, _ := in.defaults()
 	p := j.Placement
 	nBoards := p.U() * p.V()
 	if nBoards <= 1 || j.CommFrac <= 0 {
-		return
+		return out
 	}
 	cable := topo.DefaultLinkParams().GBps
 	ab := float64(a * b)
 	// Per-board injection 4ab·cable·cf, spread uniformly over the job's
 	// other accelerators; the slice aimed at one specific other board:
 	w := 4 * ab * cable * j.CommFrac * ab / (float64(nBoards)*ab - 1)
-	add := func(src, dst topo.NodeID) {
-		agg[[2]topo.NodeID{src, dst}] += w
+	rowW, colW := 0.0, 0.0
+	for range p.Rows {
+		rowW += w
 	}
-	for _, r1 := range p.Rows {
-		for _, c1 := range p.Cols {
-			for _, r2 := range p.Rows {
-				for _, c2 := range p.Cols {
-					switch {
-					case r1 == r2 && c1 == c2:
-					case r1 == r2:
-						add(cn.rowEp[r1][c1], cn.rowEp[r1][c2])
-					case c1 == c2:
-						add(cn.colEp[c1][r1], cn.colEp[c1][r2])
-					default:
-						add(cn.rowEp[r1][c1], cn.rowEp[r1][c2])
-						add(cn.colEp[c2][r1], cn.colEp[c2][r2])
-					}
+	for range p.Cols {
+		colW += w
+	}
+	// Ascending rows and columns give ascending endpoint ids.
+	rows, cols := p.Rows, p.Cols
+	if !slices.IsSorted(rows) {
+		rows = slices.Sorted(slices.Values(rows))
+	}
+	if !slices.IsSorted(cols) {
+		cols = slices.Sorted(slices.Values(cols))
+	}
+	for _, r := range rows {
+		ep := cn.rowEp[r]
+		for _, c1 := range cols {
+			for _, c2 := range cols {
+				if c1 != c2 {
+					out = append(out, flowsim.Demand{Src: ep[c1], Dst: ep[c2], Weight: rowW, Tenant: tenant})
 				}
 			}
 		}
 	}
-}
-
-// collectDemands flattens per-job aggregated demands in canonical order.
-func collectDemands(aggs []map[[2]topo.NodeID]float64) []flowsim.Demand {
-	var out []flowsim.Demand
-	for t, agg := range aggs {
-		keys := make([][2]topo.NodeID, 0, len(agg))
-		for k := range agg {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool {
-			if keys[i][0] != keys[j][0] {
-				return keys[i][0] < keys[j][0]
+	for _, c := range cols {
+		ep := cn.colEp[c]
+		for _, r1 := range rows {
+			for _, r2 := range rows {
+				if r1 != r2 {
+					out = append(out, flowsim.Demand{Src: ep[r1], Dst: ep[r2], Weight: colW, Tenant: tenant})
+				}
 			}
-			return keys[i][1] < keys[j][1]
-		})
-		for _, k := range keys {
-			out = append(out, flowsim.Demand{Src: k[0], Dst: k[1], Weight: agg[k], Tenant: int32(t)})
 		}
 	}
 	return out
@@ -254,6 +286,16 @@ func collectDemands(aggs []map[[2]topo.NodeID]float64) []flowsim.Demand {
 // γ = 1. Pricing failures degrade to γ = 1 rather than poisoning the
 // schedule.
 func (in *Interference) Gammas(X, Y int, jobs []JobTraffic) []float64 {
+	sigs := make([]string, len(jobs))
+	for i, j := range jobs {
+		sigs[i] = jobSignature(j)
+	}
+	return in.gammas(X, Y, jobs, sigs)
+}
+
+// gammas is Gammas with each job's signature supplied by the caller (the
+// scheduler keeps every running job's signature from its placement).
+func (in *Interference) gammas(X, Y int, jobs []JobTraffic, sigs []string) []float64 {
 	out := make([]float64, len(jobs))
 	for i := range out {
 		out[i] = 1
@@ -268,59 +310,84 @@ func (in *Interference) Gammas(X, Y int, jobs []JobTraffic) []float64 {
 
 	// Canonical order: sort job indices by signature; tenant ids and the
 	// memo key follow that order, so γ never depends on caller ordering.
-	sigs := make([]string, len(jobs))
-	for i, j := range jobs {
-		sigs[i] = jobSignature(j)
-	}
 	order := make([]int, len(jobs))
+	keyLen := 24 // the "XxY|" prefix
 	for i := range order {
 		order[i] = i
+		keyLen += len(sigs[i]) + 1
 	}
-	sort.Slice(order, func(i, j int) bool { return sigs[order[i]] < sigs[order[j]] })
-	var kb strings.Builder
-	fmt.Fprintf(&kb, "%dx%d|", X, Y)
+	slices.SortFunc(order, func(a, b int) int { return strings.Compare(sigs[a], sigs[b]) })
+	key := make([]byte, 0, keyLen)
+	key = strconv.AppendInt(key, int64(X), 10)
+	key = append(key, 'x')
+	key = strconv.AppendInt(key, int64(Y), 10)
+	key = append(key, '|')
 	for _, i := range order {
-		kb.WriteString(sigs[i])
-		kb.WriteByte('|')
+		key = append(key, sigs[i]...)
+		key = append(key, '|')
 	}
-	key := kb.String()
 
+	// Look everything up under the lock; solve the misses outside it.
+	solo := make([]float64, len(order))
+	var soloMiss []int // tenants whose solo share is not memoized
 	in.mu.Lock()
-	defer in.mu.Unlock()
-	joint, ok := in.memo[key]
-	if ok {
+	cn := in.net(X, Y)
+	joint, hit := in.memo[string(key)]
+	if hit {
 		in.stats.MemoHits++
 	} else {
 		in.stats.Solves++
-		cn := in.net(X, Y)
-		aggs := make([]map[[2]topo.NodeID]float64, len(order))
-		for t, i := range order {
-			aggs[t] = make(map[[2]topo.NodeID]float64)
-			in.demandsFor(cn, jobs[i], int32(t), aggs[t])
+	}
+	for t, i := range order {
+		s, ok := cn.solo[sigs[i]]
+		if !ok {
+			soloMiss = append(soloMiss, t)
 		}
-		shares, err := cn.solver.TenantShares(collectDemands(aggs), len(order))
-		if err != nil {
-			shares = make([]float64, len(order))
-			for t := range shares {
-				shares[t] = 1
+		solo[t] = s
+	}
+	in.mu.Unlock()
+
+	if !hit || len(soloMiss) > 0 {
+		pr := cn.getPricer()
+		if !hit {
+			pr.demands = pr.demands[:0]
+			for t, i := range order {
+				pr.demands = in.addDemands(cn, jobs[i], int32(t), pr.demands)
 			}
+			shares, err := pr.solver.TenantShares(pr.demands, len(order))
+			if err != nil {
+				shares = make([]float64, len(order))
+				for t := range shares {
+					shares[t] = 1
+				}
+			}
+			joint = shares
 		}
-		joint = shares
-		if in.memo == nil {
-			in.memo = make(map[string][]float64)
+		for _, t := range soloMiss {
+			solo[t] = in.soloShare(cn, pr, jobs[order[t]])
 		}
-		if len(in.memo) >= memoCap {
-			in.memo = make(map[string][]float64)
+		cn.pricer.Put(pr)
+
+		in.mu.Lock()
+		if !hit {
+			if in.memo == nil || len(in.memo) >= memoCap {
+				in.memo = make(map[string][]float64)
+			}
+			in.memo[string(key)] = joint
 		}
-		in.memo[key] = joint
+		for _, t := range soloMiss {
+			if cn.solo == nil || len(cn.solo) >= 4096 {
+				cn.solo = make(map[string]float64)
+			}
+			cn.solo[sigs[order[t]]] = solo[t]
+		}
+		in.mu.Unlock()
 	}
 
-	gridKey := fmt.Sprintf("%dx%d|", X, Y)
 	for t, i := range order {
-		solo := in.soloShareLocked(X, Y, gridKey, sigs[i], jobs[i])
 		g := 1.0
 		if joint[t] > 0 {
-			g = solo / joint[t]
+			g = solo[t] / joint[t]
 		}
 		if g < 1 {
 			g = 1
@@ -330,6 +397,20 @@ func (in *Interference) Gammas(X, Y int, jobs []JobTraffic) []float64 {
 	return out
 }
 
+// soloShare prices job j alone on the grid's contention net with the
+// caller's pricer.
+func (in *Interference) soloShare(cn *contentionNet, pr *pricer, j JobTraffic) float64 {
+	pr.demands = in.addDemands(cn, j, 0, pr.demands[:0])
+	if len(pr.demands) == 0 {
+		return 1
+	}
+	shares, err := pr.solver.TenantShares(pr.demands, 1)
+	if err != nil {
+		return 1
+	}
+	return shares[0]
+}
+
 // gammaFor prices a hypothetical placement for a job against the current
 // running set (excluding job `exclude`, which is the job being priced when
 // it is already running — regrow and failure trims re-price in place).
@@ -337,15 +418,39 @@ func (s *sim) gammaFor(p *alloc.Placement, tj TraceJob, exclude int32) float64 {
 	if s.cfg.Interference == nil {
 		return 1
 	}
-	var traffic []JobTraffic
+	s.collectRunning(exclude)
+	jt := JobTraffic{Placement: p, CommFrac: tj.CommFrac}
+	var sig string
+	if exclude >= 0 && s.jobs[exclude].p == p {
+		sig = s.jobs[exclude].sig // pricing the job's own placement
+	} else {
+		sig = jobSignature(jt)
+	}
+	s.traffic = append(s.traffic, jt)
+	s.sigs = append(s.sigs, sig)
+	g := s.cfg.Interference.gammas(s.grid.X, s.grid.Y, s.traffic, s.sigs)
+	return g[len(g)-1]
+}
+
+// collectRunning fills the pricing scratch with every running job but
+// exclude, in job order.
+func (s *sim) collectRunning(exclude int32) {
+	s.traffic, s.sigs = s.traffic[:0], s.sigs[:0]
 	for i := range s.jobs {
-		if int32(i) != exclude && s.jobs[i].running {
-			traffic = append(traffic, JobTraffic{Placement: s.jobs[i].p, CommFrac: s.jobs[i].tj.CommFrac})
+		if j := &s.jobs[i]; int32(i) != exclude && j.running {
+			s.traffic = append(s.traffic, JobTraffic{Placement: j.p, CommFrac: j.tj.CommFrac})
+			s.sigs = append(s.sigs, j.sig)
 		}
 	}
-	traffic = append(traffic, JobTraffic{Placement: p, CommFrac: tj.CommFrac})
-	g := s.cfg.Interference.Gammas(s.grid.X, s.grid.Y, traffic)
-	return g[len(g)-1]
+}
+
+// setPlacement records the job's current placement and, when contention
+// pricing is on, its signature.
+func (s *sim) setPlacement(j *jobState, p *alloc.Placement) {
+	j.p = p
+	if s.cfg.Interference != nil {
+		j.sig = jobSignature(JobTraffic{Placement: p, CommFrac: j.tj.CommFrac})
+	}
 }
 
 // priceSlowdown is the admission-time slowdown of a placement: the model's
@@ -377,22 +482,21 @@ func (s *sim) reprice(t float64) {
 		return
 	}
 	cm, _ := s.cfg.Slowdown.(ContentionSlowdownModel)
-	var idxs []int32
-	var traffic []JobTraffic
-	for i := range s.jobs {
-		if s.jobs[i].running {
-			idxs = append(idxs, int32(i))
-			traffic = append(traffic, JobTraffic{Placement: s.jobs[i].p, CommFrac: s.jobs[i].tj.CommFrac})
-		}
-	}
-	if len(idxs) == 0 {
+	s.collectRunning(-1)
+	if len(s.traffic) == 0 {
 		return
 	}
-	gammas := s.cfg.Interference.Gammas(s.grid.X, s.grid.Y, traffic)
+	gammas := s.cfg.Interference.gammas(s.grid.X, s.grid.Y, s.traffic, s.sigs)
 	changed := false
-	for k, idx := range idxs {
+	k := 0
+	for i := range s.jobs {
+		if !s.jobs[i].running {
+			continue
+		}
+		idx := int32(i)
 		j := &s.jobs[idx]
 		gamma := gammas[k]
+		k++
 		var slow float64
 		if cm != nil && gamma > 1 {
 			slow = cm.ContendedSlowdown(j.p, j.tj, gamma)
@@ -423,31 +527,4 @@ func (s *sim) reprice(t float64) {
 		s.resJob = -1
 		s.reserve(t, idx, &s.jobs[idx])
 	}
-}
-
-// soloShareLocked returns (memoized) the share job j achieves alone on the
-// grid's contention net. Caller holds in.mu.
-func (in *Interference) soloShareLocked(X, Y int, gridKey, sig string, j JobTraffic) float64 {
-	key := gridKey + sig
-	if s, ok := in.solo[key]; ok {
-		return s
-	}
-	cn := in.net(X, Y)
-	agg := make(map[[2]topo.NodeID]float64)
-	in.demandsFor(cn, j, 0, agg)
-	s := 1.0
-	if len(agg) > 0 {
-		shares, err := cn.solver.TenantShares(collectDemands([]map[[2]topo.NodeID]float64{agg}), 1)
-		if err == nil {
-			s = shares[0]
-		}
-	}
-	if in.solo == nil {
-		in.solo = make(map[string]float64)
-	}
-	if len(in.solo) >= 4096 {
-		in.solo = make(map[string]float64)
-	}
-	in.solo[key] = s
-	return s
 }

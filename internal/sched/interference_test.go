@@ -1,10 +1,17 @@
 package sched
 
 import (
+	"fmt"
+	"maps"
 	"math"
+	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 
 	"hammingmesh/internal/alloc"
+	"hammingmesh/internal/flowsim"
+	"hammingmesh/internal/topo"
 )
 
 // placeAt builds a placement over explicit row/col indices.
@@ -117,4 +124,163 @@ func TestInterferenceNoCommNoGamma(t *testing.T) {
 	if g[0] != 1 || g[1] != 1 {
 		t.Fatalf("comm-free jobs must get γ=1: %v", g)
 	}
+}
+
+func TestInterferenceMemoKeyKeepsFullCommFrac(t *testing.T) {
+	// Comm fractions that agree to nine significant digits but not beyond
+	// are different jobs: pricing one set must not answer the other from
+	// the memo.
+	set := func(cf float64) []JobTraffic {
+		return []JobTraffic{
+			{Placement: placeAt([]int{0, 1}, []int{0, 2}), CommFrac: cf},
+			{Placement: placeAt([]int{0, 1}, []int{1, 5}), CommFrac: cf},
+			{Placement: placeAt([]int{0, 1}, []int{3, 7}), CommFrac: cf},
+		}
+	}
+	newModel := func() *Interference { return &Interference{BoardA: 2, BoardB: 2, GroupBoards: 2, Taper: 0.25} }
+	near, exact := 0.30000000001, 0.3
+	if a, b := newModel().Gammas(8, 8, set(near)), newModel().Gammas(8, 8, set(exact)); a[0] == b[0] {
+		t.Fatalf("premise: γ %v is the same for comm fractions %v and %v", a[0], near, exact)
+	}
+	in := newModel()
+	in.Gammas(8, 8, set(near))
+	got := in.Gammas(8, 8, set(exact))
+	want := newModel().Gammas(8, 8, set(exact))
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("γ[%d] = %v after pricing comm fraction %v first, fresh model %v", i, got[i], near, want[i])
+		}
+	}
+}
+
+// randomJobSets draws n sets of board-disjoint placements on an 8×8 grid
+// from a shared pool, so the sets overlap in jobs and sub-sets.
+func randomJobSets(n int, seed int64) [][]JobTraffic {
+	rng := rand.New(rand.NewSource(seed))
+	g := alloc.NewGrid(8, 8)
+	var pool []JobTraffic
+	for job := int32(0); job < 40; job++ {
+		if p, ok := g.Allocate(job, 1+rng.Intn(3), 1+rng.Intn(4), alloc.Options{Transpose: true}); ok {
+			pool = append(pool, JobTraffic{Placement: p, CommFrac: 0.1 + 0.8*rng.Float64()})
+		}
+	}
+	sets := make([][]JobTraffic, n)
+	for i := range sets {
+		for _, k := range rng.Perm(len(pool))[:2+rng.Intn(len(pool)-1)] {
+			sets[i] = append(sets[i], pool[k])
+		}
+	}
+	return sets
+}
+
+func TestInterferenceConcurrentPricingMatchesSerial(t *testing.T) {
+	// Workers sharing one model (and a memo small enough to be cleared
+	// while they run) must each get the bits a fresh model computes
+	// serially, whichever worker solves a set first.
+	sets := randomJobSets(24, 7)
+	newModel := func() *Interference { return &Interference{BoardA: 2, BoardB: 2, GroupBoards: 2, Taper: 0.25} }
+	want := make([][]float64, len(sets))
+	for i, set := range sets {
+		want[i] = newModel().Gammas(8, 8, set)
+	}
+	shared := newModel()
+	shared.MemoCap = 5
+	const workers = 4
+	errs := make(chan error, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for round := 0; round < 3; round++ {
+				for k := range sets {
+					i := (k + w*len(sets)/workers) % len(sets)
+					got := shared.Gammas(8, 8, sets[i])
+					for j := range got {
+						if got[j] != want[i][j] {
+							errs <- fmt.Errorf("worker %d set %d: γ[%d] = %v, serial %v", w, i, j, got[j], want[i][j])
+							return
+						}
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if st := shared.Stats(); st.Solves+st.MemoHits != workers*3*int64(len(sets)) {
+		t.Fatalf("counters %+v do not add up to %d pricings", st, workers*3*len(sets))
+	}
+}
+
+func TestInterferenceDemandsMatchPairAccumulator(t *testing.T) {
+	// addDemands' closed-form weights and ascending output must equal
+	// accumulating w into a per-(Src, Dst) map over the board-pair loop
+	// and sorting the keys, for placements in any row/column order.
+	in := &Interference{BoardA: 2, BoardB: 4, GroupBoards: 2, Taper: 0.5}
+	cn := in.net(8, 8)
+	rng := rand.New(rand.NewSource(5))
+	for _, set := range randomJobSets(30, 11) {
+		for tenant, j := range set {
+			p := *j.Placement
+			p.Rows = slices.Clone(p.Rows)
+			p.Cols = slices.Clone(p.Cols)
+			rng.Shuffle(len(p.Rows), func(a, b int) { p.Rows[a], p.Rows[b] = p.Rows[b], p.Rows[a] })
+			rng.Shuffle(len(p.Cols), func(a, b int) { p.Cols[a], p.Cols[b] = p.Cols[b], p.Cols[a] })
+			j.Placement = &p
+			got := in.addDemands(cn, j, int32(tenant), nil)
+			want := pairAccumulatorDemands(cn, j, int32(tenant))
+			if !slices.Equal(got, want) {
+				t.Fatalf("placement rows %v cols %v: demands\n%v\nwant\n%v", p.Rows, p.Cols, got, want)
+			}
+		}
+	}
+}
+
+// pairAccumulatorDemands is the map-based demand aggregation addDemands
+// replaces: every ordered board pair adds w to its row-tree segment at
+// the source row and its column-tree segment at the destination column.
+func pairAccumulatorDemands(cn *contentionNet, j JobTraffic, tenant int32) []flowsim.Demand {
+	p := j.Placement
+	nBoards := p.U() * p.V()
+	if nBoards <= 1 || j.CommFrac <= 0 {
+		return nil
+	}
+	ab := float64(2 * 4)
+	w := 4 * ab * topo.DefaultLinkParams().GBps * j.CommFrac * ab / (float64(nBoards)*ab - 1)
+	agg := map[[2]topo.NodeID]float64{}
+	add := func(src, dst topo.NodeID) { agg[[2]topo.NodeID{src, dst}] += w }
+	for _, r1 := range p.Rows {
+		for _, c1 := range p.Cols {
+			for _, r2 := range p.Rows {
+				for _, c2 := range p.Cols {
+					switch {
+					case r1 == r2 && c1 == c2:
+					case r1 == r2:
+						add(cn.rowEp[r1][c1], cn.rowEp[r1][c2])
+					case c1 == c2:
+						add(cn.colEp[c1][r1], cn.colEp[c1][r2])
+					default:
+						add(cn.rowEp[r1][c1], cn.rowEp[r1][c2])
+						add(cn.colEp[c2][r1], cn.colEp[c2][r2])
+					}
+				}
+			}
+		}
+	}
+	keys := slices.Collect(maps.Keys(agg))
+	slices.SortFunc(keys, func(a, b [2]topo.NodeID) int {
+		if a[0] != b[0] {
+			return int(a[0] - b[0])
+		}
+		return int(a[1] - b[1])
+	})
+	var out []flowsim.Demand
+	for _, k := range keys {
+		out = append(out, flowsim.Demand{Src: k[0], Dst: k[1], Weight: agg[k], Tenant: tenant})
+	}
+	return out
 }

@@ -329,6 +329,10 @@ type jobState struct {
 	// gamma is the contention factor priced into the current slowdown.
 	allocBoards int
 	gamma       float64
+	// sig is the current placement's contention-pricing signature
+	// (jobSignature), kept while interference is on so pricing never
+	// re-formats it; setPlacement maintains it.
+	sig string
 }
 
 // sim is one in-flight run.
@@ -368,6 +372,11 @@ type sim struct {
 	// the same outage is about to kill. The burst's last event runs the
 	// deferred pass.
 	pendingFailSched bool
+
+	// traffic and sigs are the contention-pricing scratch gammaFor and
+	// reprice fill with the running set.
+	traffic []JobTraffic
+	sigs    []string
 }
 
 // Run replays a trace against an x×y board grid under the failure process
@@ -569,7 +578,7 @@ func (s *sim) start(idx int32, j *jobState, p *alloc.Placement, t float64) {
 	}
 	j.queued = false
 	j.running = true
-	j.p = p
+	s.setPlacement(j, p)
 	j.startT = t
 	j.wait += t - j.queuedAt
 	j.allocBoards = p.U() * p.V()
