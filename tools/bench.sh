@@ -17,14 +17,17 @@
 #   JournalAppend/*      checkpoint append overhead, nosync and fsync
 #   SweepResume/*        journaled sched sweep: fresh run vs journal replay
 #   SchedContention/*    joint contention pricing vs isolation slowdowns,
-#                        cold (solves/op) vs shared-model memoized (%memo)
+#                        cold (solves/op) vs shared-model memoized (%memo),
+#                        and joint-shared-2: two sims pricing on one model
+#   PlaceCandidates/*    alloc's placement search on half-occupied 8x8 and
+#                        32x32 grids under each sched policy's options
 #
 # Usage:
 #   tools/bench.sh [out.json]
 #
 # Environment:
 #   SHORT=0       run the full-size benchmarks (default 1: -short, CI mode)
-#   BENCHTIME=5x  override -benchtime (default 1x)
+#   BENCHTIME=5x  override -benchtime (default 1x; 2000x for PlaceCandidates)
 #
 # Raw `go test -bench` output is kept next to the JSON as bench-raw.txt.
 set -euo pipefail
@@ -65,6 +68,12 @@ go test -run '^$' -bench 'BenchmarkSweepResume$' \
 # placement-set memo claws back (the sweep layer shares one model).
 go test -run '^$' -bench 'BenchmarkSchedContention$' \
   -benchmem -benchtime "${BENCHTIME:-1x}" ./internal/sched | tee -a "$raw"
+
+# Placement-search trajectory: the per-decision cost of alloc's greedy
+# row-intersection search, run for every queued job on every pass. One
+# search takes microseconds, so its default is 2000 iterations, not 1.
+go test -run '^$' -bench 'BenchmarkPlaceCandidates$' \
+  -benchmem -benchtime "${BENCHTIME:-2000x}" ./internal/alloc | tee -a "$raw"
 
 # One JSON object per benchmark line: name, iterations, then every
 # value/unit metric pair go test printed (ns/op, B/op, allocs/op,
