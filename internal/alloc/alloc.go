@@ -40,7 +40,7 @@ type search struct {
 	avail        []colSet
 	inter, trial colSet
 	rows, cols   []int
-	shapes       map[[2]int32][][2]int // by (u, v), under shapeOpt
+	shapes       map[[2]int][][2]int // by (u, v), under shapeOpt
 	shapeOpt     Options
 }
 
@@ -268,12 +268,9 @@ func DefaultOptions() Options {
 // under one policy's options, and starts over when they change. The
 // returned list is shared between calls and must not be modified.
 func (g *Grid) shapesFor(u, v int, opt Options) [][2]int {
-	k := [2]int32{int32(u), int32(v)}
-	if int(k[0]) != u || int(k[1]) != v {
-		return shapes(u, v, opt) // beyond the memo's key range
-	}
+	k := [2]int{u, v}
 	if g.sc.shapes == nil || opt != g.sc.shapeOpt {
-		g.sc.shapes, g.sc.shapeOpt = make(map[[2]int32][][2]int), opt
+		g.sc.shapes, g.sc.shapeOpt = make(map[[2]int][][2]int), opt
 	}
 	if out, ok := g.sc.shapes[k]; ok {
 		return out

@@ -8,10 +8,10 @@ import (
 	"testing"
 )
 
-// The reference search below is the allocator before its scratch reuse:
-// per-call free-column sets, a fresh intersection set per row, the shape
-// list rebuilt on every call and a map of L1 groups per window. The
-// property test checks the scratch-reusing search against it.
+// The reference search below keeps no state between calls: it builds the
+// free-column sets per call, a fresh intersection set per row, the shape
+// list per call and a map of L1 groups per window. The property test
+// checks the scratch-reusing search against it.
 
 func refAvailRows(g *Grid) [][]uint64 {
 	rows := make([][]uint64, g.Y)
@@ -221,6 +221,9 @@ func TestPlacementSearchMatchesReference(t *testing.T) {
 		y := 1 + rng.Intn(20)
 		g := NewGrid(x, y)
 		nextJob := int32(100)
+		// A scheduler searches its grid under one policy's options; an
+		// occasional switch exercises the shape memo's restart.
+		gridOpt := randomOptions(rng)
 		for i := range g.owner {
 			switch r := rng.Float64(); {
 			case r < 0.1:
@@ -237,7 +240,10 @@ func TestPlacementSearchMatchesReference(t *testing.T) {
 				target = g.Clone()
 			}
 			u, v := 1+rng.Intn(y+2), 1+rng.Intn(min(x, 12)+2)
-			opt := randomOptions(rng)
+			opt := gridOpt
+			if rng.Intn(8) == 0 {
+				opt = randomOptions(rng)
+			}
 			got := target.PlaceCandidates(nextJob, u, v, opt)
 			want := refPlaceCandidates(target, nextJob, u, v, opt)
 			if err := samePlacements(got, want); err != nil {

@@ -240,9 +240,10 @@ func TestInterferenceDemandsMatchPairAccumulator(t *testing.T) {
 	}
 }
 
-// pairAccumulatorDemands is the map-based demand aggregation addDemands
-// replaces: every ordered board pair adds w to its row-tree segment at
-// the source row and its column-tree segment at the destination column.
+// pairAccumulatorDemands states the demand sums directly: every ordered
+// board pair adds w to its row-tree segment at the source row and its
+// column-tree segment at the destination column, accumulated per
+// (Src, Dst) in a map whose keys are then sorted.
 func pairAccumulatorDemands(cn *contentionNet, j JobTraffic, tenant int32) []flowsim.Demand {
 	p := j.Placement
 	nBoards := p.U() * p.V()
