@@ -37,8 +37,9 @@ func (NoSlowdown) Slowdown(*alloc.Placement, TraceJob) float64 { return 1 }
 // CommSlowdown stretches the communication share of a job by the bandwidth
 // its placement delivers. A u×v placement forms a virtual sub-HxMesh with
 // the network properties of a physical u×v HxMesh (§III-E), so the shape
-// term is the alltoall share of that virtual mesh — estimated once per
-// distinct shape with the flow-level solver and cached (large shapes use
+// term is the alltoall share of that virtual mesh — estimated with the
+// flow-level solver once per distinct shape per process, and shared by
+// every model with the same board, MaxAccels and Shifts (large shapes use
 // the closed-form §III-A finite-mesh bound, calibrated to the flow
 // estimate at the MaxAccels boundary so the two regimes meet continuously).
 // On top of the shape term, the concrete placement pays for its spread: the
@@ -46,11 +47,11 @@ func (NoSlowdown) Slowdown(*alloc.Placement, TraceJob) float64 { return 1 }
 // layer (the Fig. 9 quantity) scales the communication cost by
 // 1 + UpperPenalty·fraction.
 //
-//	slowdown = (1 − commFrac) + commFrac · (shareRef/share) · (1 + UpperPenalty·upperFrac)
+//	slowdown = (1 − commFrac) + commFrac · (1/share) · (1 + UpperPenalty·upperFrac)
 //
-// where shareRef is the best (most compact) share observed for the board
-// type, so an ideally placed job runs at slowdown ≈ 1 and anything worse
-// pays proportionally.
+// where a single board, whose traffic stays on its PCB mesh, has share 1:
+// the reference, so an ideally placed job runs at slowdown ≈ 1 and
+// anything worse pays proportionally.
 type CommSlowdown struct {
 	// BoardA, BoardB are the board dimensions in accelerators (2×2 for
 	// Hx2Mesh, 4×4 for Hx4Mesh). Zeros mean 2×2.
@@ -71,19 +72,6 @@ type CommSlowdown struct {
 	// Shifts is the number of sampled alltoall shifts per shape estimate
 	// (zero means 4).
 	Shifts int
-
-	mu    sync.Mutex
-	cache map[[2]int]*shapeSlot
-
-	// refOnce computes the analytic-bound calibration anchor (the largest
-	// square shape the flow solver still evaluates) exactly once.
-	refOnce  sync.Once
-	refScale float64
-}
-
-type shapeSlot struct {
-	once  sync.Once
-	share float64
 }
 
 // NewCommSlowdown returns the default communication-slowdown model for an
@@ -144,70 +132,97 @@ func (m *CommSlowdown) ContendedSlowdown(p *alloc.Placement, job TraceJob, gamma
 		gamma = 1
 	}
 	_, _, group, _, _, penalty := m.defaults()
-	u, v := p.U(), p.V()
-	share := m.shapeShare(u, v)
-	ref := m.shapeShare(1, 1) // single-board reference: all comm on-board
+	share := m.shapeShare(p.U(), p.V())
 	if share <= 0 {
 		share = 1e-3 // defensive; flowsim shares are strictly positive
 	}
-	commCost := (ref / share) * (1 + penalty*gamma*alloc.UpperLayerFraction(p, alloc.TrafficAlltoall, group))
+	// The reference is the single-board share, exactly 1 (computeShare).
+	commCost := (1 / share) * (1 + penalty*gamma*alloc.UpperLayerFraction(p, alloc.TrafficAlltoall, group))
 	if commCost < 1 {
 		commCost = 1
 	}
 	return (1 - cf) + cf*commCost
 }
 
-// shapeShare returns the cached alltoall bandwidth share (fraction of
+// shapeKey is everything a shape share depends on once defaults are
+// filled in. GroupBoards and UpperPenalty price the spread, not the shape,
+// so models differing only in them share entries.
+type shapeKey struct {
+	a, b, maxAccels, shifts, u, v int
+}
+
+type shapeSlot struct {
+	once  sync.Once
+	share float64
+}
+
+// shapeShares memoizes shape shares for the whole process (shapeKey →
+// *shapeSlot), so every model reuses any shape the process has already
+// solved: each hxd request's model, a sweep's default model, hxalloc's
+// model, the examples' models. hxd builds a fresh model per sched request,
+// so a memo held by each model would re-solve every shape, up to the
+// 1,024-endpoint mesh, on every miss.
+//
+// It is a package variable that library code mutates, on purpose, like
+// simcore.Of's interning cache: it memoizes a pure function. A share is a
+// deterministic function of its key (a private solver, flowsim seed 1), so
+// which caller or goroutine solves a shape first cannot change a bit, and
+// no caller or test can observe another's entries except through timing.
+// It is bounded by the distinct (board type, shape) pairs: at most X·Y
+// entries per board type and setting of MaxAccels and Shifts, 4,096 on the
+// large grid, each a float and a sync.Once. A memo threaded from
+// runner.Pool instead would add an exported type, a field, and wiring in
+// serve and runner for the same effect.
+var shapeShares sync.Map
+
+// shapeShare returns the memoized alltoall bandwidth share (fraction of
 // injection) of a virtual u×v sub-HxMesh, computing it on first use.
 // Concurrent callers for the same shape share one computation.
 func (m *CommSlowdown) shapeShare(u, v int) float64 {
-	key := [2]int{u, v}
-	m.mu.Lock()
-	if m.cache == nil {
-		m.cache = make(map[[2]int]*shapeSlot)
-	}
-	slot, ok := m.cache[key]
+	a, b, _, maxAccels, shifts, _ := m.defaults()
+	return shapeKey{a: a, b: b, maxAccels: maxAccels, shifts: shifts, u: u, v: v}.share()
+}
+
+func (k shapeKey) share() float64 {
+	e, ok := shapeShares.Load(k)
 	if !ok {
-		slot = &shapeSlot{}
-		m.cache[key] = slot
+		e, _ = shapeShares.LoadOrStore(k, new(shapeSlot))
 	}
-	m.mu.Unlock()
-	slot.once.Do(func() { slot.share = m.computeShare(u, v) })
+	slot := e.(*shapeSlot)
+	slot.once.Do(func() { slot.share = k.computeShare() })
 	return slot.share
 }
 
-func (m *CommSlowdown) computeShare(u, v int) float64 {
-	a, b, _, maxAccels, _, _ := m.defaults()
-	if u*v <= 1 {
+func (k shapeKey) computeShare() float64 {
+	if k.u*k.v <= 1 {
 		// Single board: communication stays on the PCB mesh at full
 		// bandwidth; the shape term is the reference itself.
 		return 1
 	}
-	if u*v*a*b > maxAccels {
+	if k.u*k.v*k.a*k.b > k.maxAccels {
 		// Large shapes: the closed-form finite-mesh bound, calibrated so
 		// it meets the flow estimate at the MaxAccels boundary. The old
 		// code returned the shape-independent asymptotic AlltoallShare(a,b)
 		// here, pricing every large placement identically — exactly where
 		// spread matters most.
-		return analysis.AlltoallShareMesh(a, b, u, v) * m.boundaryScale()
+		return analysis.AlltoallShareMesh(k.a, k.b, k.u, k.v) * k.boundaryScale()
 	}
-	return m.flowShare(u, v)
+	return k.flowShare()
 }
 
 // flowShare is the flow-solver estimate of one virtual mesh's alltoall
 // share (the small-shape path).
-func (m *CommSlowdown) flowShare(u, v int) float64 {
-	a, b, _, _, shifts, _ := m.defaults()
-	h := topo.NewHxMesh(a, b, u, v, topo.DefaultLinkParams())
+func (k shapeKey) flowShare() float64 {
+	h := topo.NewHxMesh(k.a, k.b, k.u, k.v, topo.DefaultLinkParams())
 	c := simcore.Compile(h.Network) // throwaway: skip the interning cache
 	table := routing.NewTable(c)
 	s := flowsim.New(c, table, flowsim.Config{Seed: 1})
 	inj := 4 * topo.DefaultLinkParams().GBps
-	share, err := s.AlltoallShareOver(c.Endpoints, shifts, inj, 1)
+	share, err := s.AlltoallShareOver(c.Endpoints, k.shifts, inj, 1)
 	if err != nil {
 		// The virtual mesh is always connected; treat a solver failure as
 		// the analytic bound rather than poisoning the schedule.
-		return analysis.AlltoallShareMesh(a, b, u, v)
+		return analysis.AlltoallShareMesh(k.a, k.b, k.u, k.v)
 	}
 	return share
 }
@@ -215,27 +230,24 @@ func (m *CommSlowdown) flowShare(u, v int) float64 {
 // boundaryScale calibrates the analytic bound against the flow solver: the
 // largest square shape still below MaxAccels anchors the ratio
 // flowShare/analyticBound, so the two regimes agree (up to the solver's
-// sampling noise) where they hand over.
-func (m *CommSlowdown) boundaryScale() float64 {
-	m.refOnce.Do(func() {
-		a, b, _, maxAccels, _, _ := m.defaults()
-		s := 1
-		for (s+1)*(s+1)*a*b <= maxAccels {
-			s++
-		}
-		if s < 2 {
-			// No multi-board shape fits the budget: nothing to anchor to;
-			// use the uncalibrated bound.
-			m.refScale = 1
-			return
-		}
-		bound := analysis.AlltoallShareMesh(a, b, s, s)
-		flow := m.flowShare(s, s)
-		if bound <= 0 || flow <= 0 {
-			m.refScale = 1
-			return
-		}
-		m.refScale = flow / bound
-	})
-	return m.refScale
+// sampling noise) where they hand over. The anchor's flow share is the
+// memoized share of that square, which computeShare flow-solves.
+func (k shapeKey) boundaryScale() float64 {
+	s := 1
+	for (s+1)*(s+1)*k.a*k.b <= k.maxAccels {
+		s++
+	}
+	if s < 2 {
+		// No multi-board shape fits the budget: nothing to anchor to;
+		// use the uncalibrated bound.
+		return 1
+	}
+	bound := analysis.AlltoallShareMesh(k.a, k.b, s, s)
+	anchor := k
+	anchor.u, anchor.v = s, s
+	flow := anchor.share()
+	if bound <= 0 || flow <= 0 {
+		return 1
+	}
+	return flow / bound
 }

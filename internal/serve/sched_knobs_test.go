@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"testing"
 
@@ -71,5 +73,43 @@ func TestComputeSchedV3Knobs(t *testing.T) {
 	if resOff.Points[0].SlowP99 < resFree.Points[0].SlowP99 {
 		t.Fatalf("free upper layer slowed jobs down: default SlowP99 %v < free %v",
 			resOff.Points[0].SlowP99, resFree.Points[0].SlowP99)
+	}
+}
+
+// A sched body does not depend on what the process computed before it:
+// shape shares are memoized process-wide, so each request's model reads
+// shapes that earlier requests (on any Computer) solved. Three bodies,
+// pinned by SHA-256 as computed with a memo per model, must match their
+// pins on two Computers that compute them in opposite orders.
+func TestComputeSchedIndependentOfHistory(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs real simulations")
+	}
+	reqs := []struct {
+		r   Request
+		pin string
+	}{
+		{Request{Kind: KindSched, Topo: "hx2mesh", Size: "small", Seed: 1},
+			"f6dd9a71bc2992cc2a852f5acf43875f650559119767da379dbf316e6ee2d7fa"},
+		{Request{Kind: KindSched, Topo: "hx2mesh", Size: "small", Seed: 2},
+			"2aef9cbcbd820514e0b1e9963c65f2d030b00e78485d3a7b001ba7ea6d999749"},
+		{Request{Kind: KindSched, Topo: "hx4mesh", Size: "small", Seed: 1},
+			"c332007e3fb23246a3618cd1ea8c1f677d60e5fcf31d225d1b8d952e66d0571c"},
+	}
+	for c, order := range [][]int{{0, 1, 2}, {2, 1, 0}} {
+		cp := NewComputer(runner.New(2))
+		for _, i := range order {
+			cn, err := Canonicalize(reqs[i].r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, err := cp.Compute(cn)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sum := sha256.Sum256(body); hex.EncodeToString(sum[:]) != reqs[i].pin {
+				t.Fatalf("computer %d, %+v: body SHA-256 %x, pinned %s\n%s", c, reqs[i].r, sum, reqs[i].pin, body)
+			}
+		}
 	}
 }
