@@ -39,6 +39,10 @@ import (
 	"hammingmesh/internal/serve"
 )
 
+// readHeaderTimeout bounds how long a client may take to send its request
+// headers, so a client trickling them cannot hold a connection open.
+const readHeaderTimeout = 10 * time.Second
+
 func main() {
 	addr := flag.String("addr", "127.0.0.1:8080", "listen address (use :0 for an ephemeral port, printed on startup)")
 	workers := flag.Int("workers", 0, "runner pool workers (0 = GOMAXPROCS; results are worker-count invariant)")
@@ -100,7 +104,7 @@ func main() {
 	// smoke tests) can bind to :0 and parse the chosen port.
 	fmt.Printf("hxd listening on %s\n", ln.Addr())
 
-	srv := &http.Server{Handler: s}
+	srv := &http.Server{Handler: s, ReadHeaderTimeout: readHeaderTimeout}
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.Serve(ln) }()
 

@@ -328,3 +328,27 @@ func TestServeBackpressureAndBadRequests(t *testing.T) {
 		}
 	}
 }
+
+// A body past maxRequestBytes is refused with 413 before the daemon
+// buffers it, even when it would decode to a valid request, and the
+// daemon keeps serving normal requests afterwards.
+func TestServeRejectsOversizedBody(t *testing.T) {
+	s := mustNew(t, Config{Compute: func(cn *Canon) ([]byte, error) { return cn.CanonicalJSON(), nil }})
+	defer s.Close()
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+
+	req := `{"kind":"allreduce","topo":"hx2mesh","size":"tiny"}`
+	code, body, _ := post(t, ts.URL, strings.Repeat(" ", 1<<20)+req)
+	if code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("1 MiB body: status %d (%s), want 413", code, body)
+	}
+	if code, body, _ := post(t, ts.URL, req); code != http.StatusOK {
+		t.Fatalf("normal request after the oversized one: status %d (%s), want 200", code, body)
+	}
+	var m strings.Builder
+	s.Metrics().Render(&m)
+	if want := `hxd_requests_total{kind="unknown",status="bad_request"} 1`; !strings.Contains(m.String(), want) {
+		t.Fatalf("metrics lack %s:\n%s", want, m.String())
+	}
+}

@@ -20,6 +20,11 @@ const (
 	DefaultQueueLen   = 256
 )
 
+// maxRequestBytes bounds a request body. The largest request the repo
+// sends is under 1 KiB; the bound keeps a client from making the daemon
+// buffer an arbitrary body, such as a million-entry mtbfs list.
+const maxRequestBytes = 64 << 10
+
 // errQueueFull is the backpressure signal: QueueLen requests already wait
 // for the compute slot, the handler answers 429 + Retry-After.
 var errQueueFull = errors.New("serve: compute queue full")
@@ -298,7 +303,7 @@ func (s *Server) countRequest(kind, status string) {
 func (s *Server) fail(w http.ResponseWriter, kind string, code int, err error) {
 	status := "error"
 	switch code {
-	case http.StatusBadRequest:
+	case http.StatusBadRequest, http.StatusRequestEntityTooLarge:
 		status = "bad_request"
 	case http.StatusTooManyRequests:
 		status = "rejected"
@@ -312,11 +317,16 @@ func (s *Server) fail(w http.ResponseWriter, kind string, code int, err error) {
 
 func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	dec.DisallowUnknownFields()
 	var req Request
 	if err := dec.Decode(&req); err != nil {
-		s.fail(w, "unknown", http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
+		code := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		s.fail(w, "unknown", code, fmt.Errorf("decode request: %w", err))
 		return
 	}
 	cn, err := Canonicalize(req)
