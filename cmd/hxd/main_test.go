@@ -125,10 +125,10 @@ func TestHxdSmoke(t *testing.T) {
 }
 
 // The daemon's durability contract at the process level: a journaled hxd
-// that dies by a real process death mid-batch — after accepting a request
-// but before its result record lands — loses nothing. The restart replays
-// the accepted request through the batcher, and a later SIGKILL + restart
-// rewarms the cache from the journaled result.
+// that dies by a real process death mid-computation — after accepting a
+// request but before its result record lands — loses nothing. The restart
+// replays the accepted request through the compute slot, and a later
+// SIGKILL + restart rewarms the cache from the journaled result.
 func TestHxdJournalKillRestart(t *testing.T) {
 	bin := cmdtest.Build(t)
 	dir := t.TempDir()
@@ -146,7 +146,7 @@ func TestHxdJournalKillRestart(t *testing.T) {
 
 	// Crash plan: record 1 is the accept, record 2 is the result —
 	// torn-write:1 tears the result frame mid-write (one record already
-	// durable), exactly the state a SIGKILL mid-batch leaves on disk:
+	// durable), exactly the state a SIGKILL mid-computation leaves on disk:
 	// recovery truncates the torn result, keeping the accept. The POST
 	// never gets its response.
 	cmd, base, _ := startHxd(t, bin, "-addr", "127.0.0.1:0", "-workers", "2",

@@ -42,9 +42,10 @@ func BenchmarkDaemonHit(b *testing.B) {
 }
 
 // BenchmarkDaemonDistinct measures the full miss path: every request has
-// a fresh content address and flows through the batcher onto the pool
-// (the cheap analytic allreduce measurement, so the daemon overhead —
-// not the simulation — dominates what is being compared across PRs).
+// a fresh content address and waits for the compute slot, which runs it on
+// the pool (the cheap analytic allreduce measurement, so the daemon
+// overhead — not the simulation — dominates what is being compared across
+// PRs).
 func BenchmarkDaemonDistinct(b *testing.B) {
 	s := mustNew(b, Config{Pool: runner.New(2)})
 	defer s.Close()
@@ -58,4 +59,27 @@ func BenchmarkDaemonDistinct(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "req/s")
+}
+
+// BenchmarkDaemonSchedDistinct measures the sched miss path of a daemon
+// that has already served one sched request on the cluster, as a
+// long-running one has: every iteration posts a distinct seed, so each
+// runs a full scheduler sweep, pricing placements by their virtual
+// sub-mesh shapes.
+func BenchmarkDaemonSchedDistinct(b *testing.B) {
+	s := mustNew(b, Config{Pool: runner.New(2)})
+	defer s.Close()
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+
+	req := func(seed int) string {
+		return fmt.Sprintf(`{"kind":"sched","topo":"hx2mesh","size":"small","seed":%d}`, seed)
+	}
+	benchPost(b, ts.URL, req(1))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchPost(b, ts.URL, req(2+i))
+	}
+	b.StopTimer()
+	b.ReportMetric(b.Elapsed().Seconds()*1e3/float64(b.N), "ms/op")
 }

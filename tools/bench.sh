@@ -14,6 +14,8 @@
 #   FlowSolverLarge      flow-level alltoall on the 16,384-endpoint Hx2Mesh
 #   DaemonHit            hxd repeat-request path: HTTP + cache hit
 #   DaemonDistinct       hxd miss path: canonicalize + compute slot + pool
+#   DaemonSchedDistinct  hxd sched/small miss path after one primed sched
+#                        request (ms/op): a scheduler sweep per request
 #   JournalAppend/*      checkpoint append overhead, nosync and fsync
 #   SweepResume/*        journaled sched sweep: fresh run vs journal replay
 #   SchedContention/*    joint contention pricing vs isolation slowdowns,
@@ -50,8 +52,9 @@ grep -E 'BenchmarkTraceOverhead/off.*[[:space:]]0 B/op' "$raw" >/dev/null || {
   echo "BenchmarkTraceOverhead/off allocated — obs off is no longer free"; exit 1; }
 
 # The daemon-path benchmarks (hxd serving layer) ride along in the same
-# trajectory file: req/s for the cache-hit and full-miss paths.
-go test -run '^$' -bench 'BenchmarkDaemonHit$|BenchmarkDaemonDistinct$' \
+# trajectory file: req/s for the cache-hit and full-miss paths, ms/op for
+# the sched miss path.
+go test -run '^$' -bench 'BenchmarkDaemonHit$|BenchmarkDaemonDistinct$|BenchmarkDaemonSchedDistinct$' \
   -benchmem -benchtime "${BENCHTIME:-1x}" ./internal/serve | tee -a "$raw"
 
 # Checkpointing trajectory: raw journal append cost (the per-point tax a
