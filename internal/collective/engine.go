@@ -32,7 +32,7 @@ func (r SimResult) BandwidthGBps(totalBytes int64) float64 {
 // a slight upper bound on the fully pipelined schedule).
 type roundRunner struct {
 	comp       *simcore.Compiled
-	table      *routing.Table // shared across rounds (BFS/DAG computed once)
+	table      *routing.Table // shared across rounds (each BFS computed once)
 	cfg        netsim.Config
 	time       float64
 	round      int

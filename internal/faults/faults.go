@@ -8,7 +8,7 @@
 //     cables, single port directions, switches, endpoints, or whole boards
 //     (identified by HxMesh board coordinates).
 //   - Applied to a simcore.Compiled it yields a simcore.PortMask overlay:
-//     masked ports do not exist for routing (masked BFS / candidate DAGs),
+//     masked ports do not exist for routing (masked BFS and candidates),
 //     are refused by netsim, and are skipped by flowsim's parallel-link
 //     round-robin. The Compiled network itself is never mutated, so any
 //     number of FaultSets can share one compilation.

@@ -114,7 +114,7 @@ func TestFailSwitchMasksAllitsPorts(t *testing.T) {
 			if src == dst {
 				continue
 			}
-			for _, pid := range tab.Candidates(int32(src), dst) {
+			for _, pid := range tab.AppendCandidates(nil, int32(src), dst) {
 				if c.Ports[pid].To == int32(sw) {
 					t.Fatalf("candidate port %d routes into dead switch %d", pid, sw)
 				}

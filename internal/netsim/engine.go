@@ -719,13 +719,15 @@ func (s *Sim) arrive(ev event, x exec) error {
 }
 
 // pickOutput selects among minimal candidate ports per the Choice policy.
-// The candidates come precompiled from the routing table (port order), so
-// the per-packet work is a scan over 1-4 channel ids. On a degraded fabric
-// the candidate set excludes masked ports by construction; an empty set
-// means the target was cut off, reported as a typed *routing.ErrUnreachable
-// (this used to panic).
+// The routing table scans the node's ports against its distance vector
+// into a stack buffer (port order), so the per-packet work is one pass
+// over the node's ports, allocation-free up to 64 candidates. On a
+// degraded fabric the candidate set excludes masked ports by construction;
+// an empty set means the target was cut off, reported as a typed
+// *routing.ErrUnreachable.
 func (s *Sim) pickOutput(node, dst int32) (int32, error) {
-	cands := s.table.Candidates(node, topo.NodeID(dst))
+	var buf [64]int32
+	cands := s.table.AppendCandidates(buf[:0], node, topo.NodeID(dst))
 	switch s.cfg.Choice {
 	case FirstCandidate:
 		if len(cands) > 0 {

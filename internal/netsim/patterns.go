@@ -120,7 +120,7 @@ func AlltoallShareConcurrent(c *simcore.Compiled, table *routing.Table, cfg Conf
 // endpoints, 1 for fat-tree/Dragonfly endpoints); injectGBps is the
 // per-endpoint injection bandwidth the share is normalized against.
 // Passing the cluster's shared table (may be nil) reuses its cached
-// distance vectors and candidate DAGs across sweeps; the runner's
+// distance vectors across sweeps; the runner's
 // AlltoallPacketShare parallelizes the same sweep.
 func AlltoallShare(c *simcore.Compiled, table *routing.Table, cfg Config, bytes int64, nShifts int, injectGBps float64, seed int64) (float64, error) {
 	return AlltoallShareOver(c, table, cfg, c.Endpoints, bytes, nShifts, injectGBps, seed)

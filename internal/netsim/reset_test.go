@@ -73,6 +73,41 @@ func TestLinkStatsResetNoAlloc(t *testing.T) {
 	}
 }
 
+// TestWideNodeRunNoAlloc: a node with more minimal candidates than a
+// small scratch buffer holds (40 parallel links to the next hop, as at a
+// 16k-endpoint leaf switch with 32 upward ports) must route without
+// allocating. pickOutput collects the candidates into a 64-entry stack
+// buffer; a 16-entry one would allocate on every hop across the trunk.
+func TestWideNodeRunNoAlloc(t *testing.T) {
+	n := &topo.Network{Name: "wide-trunk"}
+	a := n.AddNode(topo.Switch)
+	b := n.AddNode(topo.Switch)
+	for i := 0; i < 40; i++ {
+		n.Link(a, b, topo.PCB, 50, 20)
+	}
+	var flows []Flow
+	for i := 0; i < 2; i++ {
+		l, r := n.AddNode(topo.Endpoint), n.AddNode(topo.Endpoint)
+		n.Link(l, a, topo.PCB, 50, 20)
+		n.Link(r, b, topo.PCB, 50, 20)
+		flows = append(flows, Flow{Src: l, Dst: r, Bytes: 64 << 10}, Flow{Src: r, Dst: l, Bytes: 64 << 10})
+	}
+	sim := NewNet(n, nil, DefaultConfig())
+	for i := 0; i < 3; i++ {
+		if _, err := sim.Run(flows); err != nil {
+			t.Fatal(err)
+		}
+	}
+	avg := testing.AllocsPerRun(10, func() {
+		if _, err := sim.Run(flows); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if avg != 0 {
+		t.Errorf("Run across a 40-wide trunk allocates %.1f times per op, want 0", avg)
+	}
+}
+
 // TestResetRejectsBadFlows checks Reset's validation surfaces the same
 // typed errors Run always produced.
 func TestResetRejectsBadFlows(t *testing.T) {

@@ -80,8 +80,9 @@ func (s *Sim) chooseUGAL(src, dst int32, rng *rand.Rand) int32 {
 
 // bestQueue is the smallest output backlog among minimal candidates.
 func (s *Sim) bestQueue(at, toward int32) float64 {
+	var buf [64]int32
 	best := -1.0
-	for _, ci := range s.table.Candidates(at, topo.NodeID(toward)) {
+	for _, ci := range s.table.AppendCandidates(buf[:0], at, topo.NodeID(toward)) {
 		q := float64(s.channels[ci].queuedB)
 		if best < 0 || q < best {
 			best = q

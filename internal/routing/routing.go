@@ -1,7 +1,7 @@
 // Package routing computes minimal adaptive routes on the topologies built
-// by internal/topo. For every destination it derives the all-shortest-path
-// DAG by breadth-first search; at each node the candidate next hops are the
-// ports whose peer is strictly closer to the destination. The simulator
+// by internal/topo. For every destination it derives the hop-distance
+// vector by breadth-first search; at each node the candidate next hops are
+// the ports whose peer is one hop closer to the destination. The simulator
 // picks among candidates adaptively (least-loaded output), which yields the
 // paper's routing behaviour on every topology:
 //
@@ -16,17 +16,19 @@
 // channel policy (§IV-C3): the VC is incremented every time a packet leaves
 // a board and enters a dimension network, requiring at most three VCs.
 //
-// Tables operate on the compiled flat-array network (internal/simcore):
-// distance vectors are cached in a dense per-node slice, so the per-packet
-// lookup in the simulator's hot loop is two array indexes. A Table is safe
-// for concurrent use — vectors are published through atomic pointers, which
-// lets the experiment runner share one table across parallel simulations.
+// Tables operate on the compiled flat-array network (internal/simcore).
+// The distance vectors are the only cache, held in a dense per-destination
+// slice; AppendCandidates scans a node's ports against one of them, so the
+// packet engine, UGAL and the flow solver's path sampler share one
+// candidate rule. A Table is safe for concurrent use — vectors are
+// published through atomic pointers, which lets the experiment runner
+// share one table across parallel simulations.
 //
 // Degraded fabrics (internal/faults) are first-class: NewTableMask builds a
-// table over a port-mask overlay, recomputing distance vectors and
-// candidate DAGs as if masked ports did not exist, and lookups that hit an
-// unreachable destination return a typed *ErrUnreachable instead of
-// silently producing empty candidate sets or indexing a -1 distance.
+// table over a port-mask overlay, computing distance vectors and candidates
+// as if masked ports did not exist, and path sampling toward an
+// unreachable destination returns a typed *ErrUnreachable instead of
+// silently indexing a -1 distance.
 package routing
 
 import (
@@ -52,45 +54,21 @@ func (e *ErrUnreachable) Error() string {
 // escalation policy (§IV-C3): a packet crosses at most two fat trees.
 const MaxVCs = 3
 
-// Table holds per-destination distance vectors and candidate-port lists,
-// computed lazily and cached in dense slices indexed by destination node
-// id. Construction is lock-free: workers that race on the same cold
-// destination each compute the vector and the first CompareAndSwap wins
-// (duplicate work is bounded and rare), so distinct destinations build
-// concurrently during parallel sweeps.
+// Table holds per-destination distance vectors, computed lazily and cached
+// in a dense slice indexed by destination node id. Construction is
+// lock-free: workers that race on the same cold destination each compute
+// the vector and the first CompareAndSwap wins (duplicate work is bounded
+// and rare), so distinct destinations build concurrently during parallel
+// sweeps.
 type Table struct {
 	C *simcore.Compiled
 
 	// mask is the port-mask overlay of a degraded fabric (nil = pristine).
-	// Distance vectors and candidate DAGs are computed as if masked ports
-	// did not exist, so every consumer of the table routes around faults.
+	// Distance vectors and candidates are computed as if masked ports did
+	// not exist, so every consumer of the table routes around faults.
 	mask simcore.PortMask
 
 	dist []atomic.Pointer[[]int32]
-	cand []atomic.Pointer[candVec]
-
-	// candBytes approximates the memory held by cached candidate DAGs; the
-	// path sampler stops *adding* DAGs beyond candBudget (Candidates keeps
-	// building unconditionally — the packet simulator requires them).
-	candBytes  atomic.Int64
-	candBudget int64
-}
-
-// DefaultCandBudget is the candidate-DAG cache memory (in bytes) that path
-// sampling is allowed to grow per table, snapshot into each Table at
-// construction (see Table.SetCandBudget). Sampling walks a cached DAG in
-// O(1) per hop; past the budget it falls back to an adjacency scan that
-// yields bit-identical paths, so on 16k-endpoint clusters — where DAGs for
-// every destination would cost several GiB — memory stays bounded while
-// small tables get the fast path for free.
-const DefaultCandBudget = int64(512 << 20)
-
-// candVec is the compiled shortest-path DAG toward one destination: the
-// minimal candidate output ports of node u are
-// ports[off[u]:off[u+1]] (global port ids == channel ids).
-type candVec struct {
-	off   []int32
-	ports []int32
 }
 
 // NewTable creates a routing table over a compiled network.
@@ -102,18 +80,11 @@ func NewTable(c *simcore.Compiled) *Table { return NewTableMask(c, nil) }
 // scenario is a new table).
 func NewTableMask(c *simcore.Compiled, mask simcore.PortMask) *Table {
 	return &Table{
-		C:          c,
-		mask:       mask,
-		dist:       make([]atomic.Pointer[[]int32], c.NumNodes()),
-		cand:       make([]atomic.Pointer[candVec], c.NumNodes()),
-		candBudget: DefaultCandBudget,
+		C:    c,
+		mask: mask,
+		dist: make([]atomic.Pointer[[]int32], c.NumNodes()),
 	}
 }
-
-// SetCandBudget overrides this table's candidate-DAG cache budget (bytes);
-// see DefaultCandBudget. Call it right after construction, before the
-// table is shared across goroutines.
-func (t *Table) SetCandBudget(bytes int64) { t.candBudget = bytes }
 
 // NewTableNet is a convenience constructor from a raw network (compiled via
 // the simcore cache).
@@ -142,66 +113,33 @@ func (t *Table) Reachable(src, dst topo.NodeID) bool {
 	return src == dst || t.Dist(dst)[src] >= 0
 }
 
-// Candidates returns the global port ids (channel ids) of the minimal
-// candidate outputs of node `at` toward dst, in port order. The
-// per-destination DAG is compiled once from the distance vector and cached,
-// so the per-packet cost in the simulator's hot loop is slicing a flat
-// array. The slice is shared and must not be mutated.
-func (t *Table) Candidates(at int32, dst topo.NodeID) []int32 {
-	cv := t.cand[dst].Load()
-	if cv == nil {
-		cv = t.buildCand(dst)
-	}
-	return cv.ports[cv.off[at]:cv.off[at+1]]
-}
-
-// CandidatesErr is Candidates with explicit unreachability: when node `at`
-// has no minimal candidate toward dst (dst is cut off on the degraded
-// fabric) it returns a typed *ErrUnreachable instead of an empty slice the
-// caller would have to interpret.
-func (t *Table) CandidatesErr(at int32, dst topo.NodeID) ([]int32, error) {
-	cands := t.Candidates(at, dst)
-	if len(cands) == 0 && int32(dst) != at {
-		return nil, &ErrUnreachable{From: topo.NodeID(at), To: dst}
-	}
-	return cands, nil
-}
-
-func (t *Table) buildCand(dst topo.NodeID) *candVec {
+// AppendCandidates appends to buf the global port ids (channel ids) of the
+// minimal candidate outputs of node `at` toward dst and returns the
+// extended slice: the unmasked ports whose peer is one hop closer to dst,
+// in port order (§IV-C). Masked ports are never candidates, even when
+// their peer is at the right distance through a live port. Nothing is
+// appended when at == dst or dst is unreachable from at. Hot loops pass
+// buf[:0] of a [64]int32 stack array, so the scan allocates only at nodes
+// with more candidates than that.
+func (t *Table) AppendCandidates(buf []int32, at int32, dst topo.NodeID) []int32 {
 	d := t.Dist(dst)
-	c := t.C
-	cv := &candVec{off: make([]int32, c.NumNodes()+1)}
-	cv.ports = make([]int32, 0, c.NumPorts()/2)
-	for u := 0; u < c.NumNodes(); u++ {
-		cv.off[u] = int32(len(cv.ports))
-		if int32(u) == int32(dst) || d[u] < 0 {
-			continue
-		}
-		want := d[u] - 1
-		off, end := c.PortRange(int32(u))
-		for pid := off; pid < end; pid++ {
-			if t.mask.Get(pid) {
-				continue
-			}
-			if d[c.Ports[pid].To] == want {
-				cv.ports = append(cv.ports, pid)
-			}
+	if d[at] <= 0 {
+		return buf
+	}
+	want := d[at] - 1
+	off, end := t.C.PortRange(at)
+	for i, p := range t.C.Ports[off:end] {
+		if d[p.To] == want && !t.mask.Get(off+int32(i)) {
+			buf = append(buf, off+int32(i))
 		}
 	}
-	cv.off[c.NumNodes()] = int32(len(cv.ports))
-	if t.cand[dst].CompareAndSwap(nil, cv) {
-		t.candBytes.Add(4 * int64(len(cv.off)+len(cv.ports)))
-		return cv
-	}
-	return t.cand[dst].Load()
+	return buf
 }
 
-// MemoryBytes approximates the memory retained by the table's lazily
-// built caches: four bytes per entry of every cached distance vector plus
-// the candidate-DAG bytes already tracked against the sampling budget.
-// The value grows as the table warms, so callers that budget table memory
-// (runner.Pool's cluster cache) should re-estimate rather than snapshot.
-// Safe for concurrent use.
+// MemoryBytes approximates the memory retained by the table's cache: four
+// bytes per entry of every cached distance vector. The value grows as the
+// table warms, so callers that budget table memory (runner.Pool's cluster
+// cache) should re-estimate rather than snapshot. Safe for concurrent use.
 func (t *Table) MemoryBytes() int64 {
 	built := 0
 	for i := range t.dist {
@@ -209,14 +147,7 @@ func (t *Table) MemoryBytes() int64 {
 			built++
 		}
 	}
-	return 4*int64(built)*int64(t.C.NumNodes()) + t.candBytes.Load()
-}
-
-// candUnderBudget reports whether one more candidate DAG fits the table's
-// budget, using the worst-case per-destination footprint.
-func (t *Table) candUnderBudget() bool {
-	estimate := 4 * int64(t.C.NumNodes()+1+t.C.NumPorts()/2)
-	return t.candBytes.Load()+estimate <= t.candBudget
+	return 4 * int64(built) * int64(t.C.NumNodes())
 }
 
 // Precompute fills the cache for the given destinations (useful before
@@ -228,32 +159,19 @@ func (t *Table) Precompute(dsts []topo.NodeID) {
 	}
 }
 
-// PrecomputeParallel warms the distance vectors — and, while the cache
-// fits the candidate budget, the candidate DAGs — of the given destinations, fanned
-// over the given number of goroutines. Vectors build lock-free (distinct
-// destinations never contend), so warming scales with cores; on the
-// 16k-endpoint clusters the serial warm-up dominates the first flow-level
-// solve and this cuts it by the worker count — and pre-warming avoids the
-// bounded-but-wasteful duplicate builds that racing cold sweep jobs would
-// otherwise perform.
+// PrecomputeParallel warms the distance vectors of the given destinations,
+// fanned over the given number of goroutines. Vectors build lock-free
+// (distinct destinations never contend), so warming scales with cores; on
+// the 16k-endpoint clusters the serial warm-up dominates the first
+// flow-level solve and this cuts it by the worker count — and pre-warming
+// avoids the bounded-but-wasteful duplicate builds that racing cold sweep
+// jobs would otherwise perform.
 func (t *Table) PrecomputeParallel(dsts []topo.NodeID, workers int) {
 	if workers > len(dsts) {
 		workers = len(dsts)
 	}
-	if workers < 1 {
-		workers = 1
-	}
-	warm := func(d topo.NodeID) {
-		if t.cand[d].Load() == nil && t.candUnderBudget() {
-			t.buildCand(d) // builds the distance vector as a side effect
-		} else {
-			t.Dist(d)
-		}
-	}
-	if workers == 1 {
-		for _, d := range dsts {
-			warm(d)
-		}
+	if workers <= 1 {
+		t.Precompute(dsts)
 		return
 	}
 	var next atomic.Int64
@@ -267,156 +185,46 @@ func (t *Table) PrecomputeParallel(dsts []topo.NodeID, workers int) {
 				if i >= int64(len(dsts)) {
 					return
 				}
-				warm(dsts[i])
+				t.Dist(dsts[i])
 			}
 		}()
 	}
 	wg.Wait()
 }
 
-// NextPorts appends to buf the node-local indexes of ports on node `at`
-// that lie on a shortest path to dst and returns the extended slice. It
-// returns buf unchanged if at == dst; see NextPortsErr for explicit
-// unreachability reporting.
-func (t *Table) NextPorts(at, dst topo.NodeID, buf []int) []int {
-	if at == dst {
-		return buf
-	}
-	d := t.Dist(dst)
-	if d[at] < 0 {
-		return buf
-	}
-	want := d[at] - 1
-	off := t.C.PortID(int32(at), 0)
-	for i, p := range t.C.PortsOf(int32(at)) {
-		if t.mask.Get(off + int32(i)) {
-			continue
-		}
-		if d[p.To] == want {
-			buf = append(buf, i)
-		}
-	}
-	return buf
-}
-
-// NextPortsErr is NextPorts with a typed *ErrUnreachable when dst cannot be
-// reached from `at` (historically this case fell through to a -1 distance
-// and an empty port list the caller had to guess about).
-func (t *Table) NextPortsErr(at, dst topo.NodeID, buf []int) ([]int, error) {
-	if at != dst && t.Dist(dst)[at] < 0 {
-		return buf, &ErrUnreachable{From: at, To: dst}
-	}
-	return t.NextPorts(at, dst, buf), nil
-}
-
 // PathLen returns the shortest path length in links between two nodes, or
 // -1 when b is unreachable from a.
 func (t *Table) PathLen(a, b topo.NodeID) int { return int(t.Dist(b)[a]) }
 
-// SamplePath returns one shortest path (as node ids, inclusive of both
-// ends) selected deterministically by the seed among the shortest-path DAG
-// branches, or nil when dst is unreachable (see SamplePathErr). Used by
-// the flow-level solver to enumerate path diversity.
-func (t *Table) SamplePath(src, dst topo.NodeID, seed uint64) []topo.NodeID {
-	path, _ := t.SamplePathErr(src, dst, seed)
-	return path
-}
-
-// SamplePathErr is SamplePath with a typed *ErrUnreachable instead of a nil
-// path when no route exists.
-func (t *Table) SamplePathErr(src, dst topo.NodeID, seed uint64) ([]topo.NodeID, error) {
-	return t.AppendSamplePath(nil, src, dst, seed)
-}
-
-// AppendSamplePath is SamplePathErr appending into buf (usually buf[:0] of
-// a buffer from a previous sample), so hot path-sampling loops — the
-// flow-level solver draws PathsPerFlow samples per flow per shift — reuse
-// one backing array instead of allocating every path. On error buf may hold
-// a partial walk; only the returned slice is meaningful.
-func (t *Table) AppendSamplePath(buf []topo.NodeID, src, dst topo.NodeID, seed uint64) ([]topo.NodeID, error) {
-	path, _, err := t.AppendSamplePathPorts(buf, nil, src, dst, seed)
-	return path, err
-}
-
-// AppendSamplePathPorts is AppendSamplePath that also appends the global
-// port id chosen at every hop into portBuf (skipped when portBuf is nil),
-// so callers that need the traversed channels — the flow-level solver maps
-// each hop to its parallel-link group — avoid re-scanning the adjacency
-// for every path edge. The walk, the rng draw sequence and the chosen
-// branches are identical to SamplePath for equal seeds.
+// AppendSamplePathPorts appends to buf one shortest path from src to dst
+// (as node ids, inclusive of both ends), selected deterministically by the
+// seed among the candidates at every hop, and appends the global port id
+// chosen at every hop into portBuf (skipped when portBuf is nil). The
+// flow-level solver uses it to enumerate path diversity: it reuses buf[:0]
+// and portBuf[:0] across samples, and maps each chosen port to its
+// parallel-link group without re-scanning the adjacency. When no route
+// exists it returns a typed *ErrUnreachable; buf may then hold a partial
+// walk, and only the returned slices are meaningful.
 func (t *Table) AppendSamplePathPorts(buf []topo.NodeID, portBuf []int32, src, dst topo.NodeID, seed uint64) ([]topo.NodeID, []int32, error) {
-	d := t.Dist(dst)
-	if d[src] < 0 {
+	if t.Dist(dst)[src] < 0 {
 		return nil, portBuf, &ErrUnreachable{From: src, To: dst}
-	}
-	// Prefer walking the precompiled candidate DAG: buildCand enumerates,
-	// per node, exactly the unmasked ports whose peer is one hop closer to
-	// dst, in port order — the same candidate set and order the adjacency
-	// scan below produces, at one slice index per hop. The DAG is built on
-	// first sample while the cache fits the table's budget; beyond it (16k-dst
-	// tables) the scan fallback keeps memory bounded with identical paths.
-	cv := t.cand[dst].Load()
-	if cv == nil && t.candUnderBudget() {
-		cv = t.buildCand(dst)
 	}
 	path := append(buf, src)
 	at := int32(src)
 	rng := seed
-	mask := t.mask
-	ports := t.C.Ports
-	// Candidate buffer for the scan fallback: the minimal fan-out is the
-	// node radix, so a fixed stack buffer covers all but degenerate nodes,
-	// which rescan for the picked candidate.
 	var cbuf [64]int32
+	cands := cbuf[:0]
 	for at != int32(dst) {
-		var n int
-		var cands []int32
-		if cv != nil {
-			cands = cv.ports[cv.off[at]:cv.off[at+1]]
-			n = len(cands)
-		} else {
-			// Collect unmasked minimal ports in port order. Masked ports
-			// are not candidates even when their peer is at the right
-			// distance (the peer may be reachable through a live port).
-			want := d[at] - 1
-			off, end := t.C.PortRange(at)
-			for pid := off; pid < end; pid++ {
-				if !mask.Get(pid) && d[ports[pid].To] == want {
-					if n < len(cbuf) {
-						cbuf[n] = pid
-					}
-					n++
-				}
-			}
-			cands = cbuf[:min(n, len(cbuf))]
-		}
-		if n == 0 {
+		cands = t.AppendCandidates(cands[:0], at, dst)
+		if len(cands) == 0 {
 			// Unreachable mid-walk cannot happen when the distance vector
 			// and the mask agree; guard anyway so a future inconsistency
 			// surfaces as an error, not a modulo-by-zero panic.
 			return nil, portBuf, &ErrUnreachable{From: topo.NodeID(at), To: dst}
 		}
 		rng = rng*6364136223846793005 + 1442695040888963407
-		pick := int(rng>>33) % n
-		var chosen int32
-		if pick < len(cands) {
-			chosen = cands[pick]
-		} else {
-			// Wider-than-buffer fan-out in scan mode: rescan for the
-			// pick-th candidate.
-			want := d[at] - 1
-			off, end := t.C.PortRange(at)
-			for pid := off; pid < end; pid++ {
-				if !mask.Get(pid) && d[ports[pid].To] == want {
-					if pick == 0 {
-						chosen = pid
-						break
-					}
-					pick--
-				}
-			}
-		}
-		at = ports[chosen].To
+		chosen := cands[int(rng>>33)%len(cands)]
+		at = t.C.Ports[chosen].To
 		path = append(path, topo.NodeID(at))
 		if portBuf != nil {
 			portBuf = append(portBuf, chosen)
@@ -438,22 +246,4 @@ func VCPolicy(c *simcore.Compiled, from, to int32, vc int8) int8 {
 		return vc
 	}
 	return vc
-}
-
-// Valiant holds an optional non-minimal routing decision: route first
-// minimally to Mid, then minimally to the destination. Used for UGAL-style
-// load balancing on Dragonfly (the paper uses UGAL-L there).
-type Valiant struct {
-	Mid topo.NodeID
-}
-
-// NextPortsVia routes toward mid until reached, then toward dst.
-func (t *Table) NextPortsVia(at, mid, dst topo.NodeID, reachedMid bool, buf []int) ([]int, bool) {
-	if !reachedMid && at == mid {
-		reachedMid = true
-	}
-	if reachedMid {
-		return t.NextPorts(at, dst, buf), true
-	}
-	return t.NextPorts(at, mid, buf), false
 }

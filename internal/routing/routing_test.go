@@ -2,15 +2,25 @@ package routing
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 
+	"hammingmesh/internal/faults"
 	"hammingmesh/internal/simcore"
 	"hammingmesh/internal/topo"
 )
 
 func lp() topo.LinkParams { return topo.DefaultLinkParams() }
+
+// samplePath is AppendSamplePathPorts without the port record.
+func samplePath(tab *Table, src, dst topo.NodeID, seed uint64) ([]topo.NodeID, error) {
+	path, _, err := tab.AppendSamplePathPorts(nil, nil, src, dst, seed)
+	return path, err
+}
 
 func TestNextPortsDecreaseDistance(t *testing.T) {
 	h := topo.NewHxMesh(2, 2, 4, 4, lp())
@@ -23,14 +33,13 @@ func TestNextPortsDecreaseDistance(t *testing.T) {
 			continue
 		}
 		d := tab.Dist(dst)
-		ports := tab.NextPorts(src, dst, nil)
-		if len(ports) == 0 {
-			t.Fatalf("no next ports from %d to %d", src, dst)
+		cands := tab.AppendCandidates(nil, int32(src), dst)
+		if len(cands) == 0 {
+			t.Fatalf("no candidates from %d to %d", src, dst)
 		}
-		for _, pi := range ports {
-			peer := h.Nodes[src].Ports[pi].To
-			if d[peer] != d[src]-1 {
-				t.Fatalf("port %d does not decrease distance", pi)
+		for _, pid := range cands {
+			if peer := tab.C.Ports[pid].To; d[peer] != d[src]-1 {
+				t.Fatalf("port %d does not decrease distance", pid)
 			}
 		}
 	}
@@ -49,7 +58,10 @@ func TestSamplePathIsShortestWalk(t *testing.T) {
 		for trial := 0; trial < 50; trial++ {
 			src := n.Endpoints[rng.Intn(len(n.Endpoints))]
 			dst := n.Endpoints[rng.Intn(len(n.Endpoints))]
-			path := tab.SamplePath(src, dst, uint64(trial))
+			path, err := samplePath(tab, src, dst, uint64(trial))
+			if err != nil {
+				t.Fatalf("%s: %v", n.Name, err)
+			}
 			if src == dst {
 				if len(path) != 1 {
 					t.Fatalf("%s: self path length %d", n.Name, len(path))
@@ -83,7 +95,10 @@ func TestHxMeshIntermediateBoardPath(t *testing.T) {
 	tab := NewTableNet(h.Network)
 	src := h.Accel(0, 0) // board (0,0)
 	dst := h.Accel(7, 7) // board (3,3)
-	path := tab.SamplePath(src, dst, 3)
+	path, err := samplePath(tab, src, dst, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
 	switches := 0
 	for _, id := range path {
 		if h.Nodes[id].Kind == topo.Switch {
@@ -103,7 +118,10 @@ func TestVCPolicyBounded(t *testing.T) {
 	f := func(s8, d8 uint8, seed uint64) bool {
 		src := h.Endpoints[int(s8)%len(h.Endpoints)]
 		dst := h.Endpoints[int(d8)%len(h.Endpoints)]
-		path := tab.SamplePath(src, dst, seed)
+		path, err := samplePath(tab, src, dst, seed)
+		if err != nil {
+			return false
+		}
 		vc := int8(0)
 		for i := 0; i+1 < len(path); i++ {
 			nvc := VCPolicy(tab.C, int32(path[i]), int32(path[i+1]), vc)
@@ -116,28 +134,6 @@ func TestVCPolicyBounded(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestNextPortsVia(t *testing.T) {
-	n := topo.NewDragonfly(topo.DragonflyConfig{A: 4, P: 2, H: 2, G: 5, LP: lp()})
-	tab := NewTableNet(n)
-	src, mid, dst := n.Endpoints[0], n.Endpoints[20], n.Endpoints[39]
-	// Walk hop by hop via mid; total hops must equal d(src,mid)+d(mid,dst).
-	at, reached := src, false
-	hops := 0
-	for at != dst && hops < 100 {
-		var ports []int
-		ports, reached = tab.NextPortsVia(at, mid, dst, reached, nil)
-		if len(ports) == 0 {
-			t.Fatal("stuck")
-		}
-		at = n.Nodes[at].Ports[ports[0]].To
-		hops++
-	}
-	want := tab.PathLen(src, mid) + tab.PathLen(mid, dst)
-	if hops != want {
-		t.Errorf("valiant walk took %d hops, want %d", hops, want)
 	}
 }
 
@@ -170,9 +166,9 @@ func TestMaskedTableRoutesAroundFailures(t *testing.T) {
 		if dst == 0 {
 			continue
 		}
-		cands, err := tab.CandidatesErr(0, dst)
-		if err != nil {
-			t.Fatalf("dst %d unreachable after one link failure: %v", dst, err)
+		cands := tab.AppendCandidates(nil, 0, dst)
+		if len(cands) == 0 {
+			t.Fatalf("dst %d has no candidate after one link failure", dst)
 		}
 		for _, ci := range cands {
 			if ci == pid {
@@ -180,8 +176,8 @@ func TestMaskedTableRoutesAroundFailures(t *testing.T) {
 			}
 		}
 	}
-	if got := tab.SamplePath(0, h.Endpoints[5], 3); got == nil {
-		t.Fatal("sample path nil on reachable pair")
+	if _, err := samplePath(tab, 0, h.Endpoints[5], 3); err != nil {
+		t.Fatalf("sample path on reachable pair: %v", err)
 	}
 }
 
@@ -199,76 +195,199 @@ func TestUnreachableIsTypedError(t *testing.T) {
 	if tab.Reachable(0, 7) {
 		t.Fatal("cut-off endpoint reported reachable")
 	}
+	if cands := tab.AppendCandidates(nil, 0, 7); len(cands) != 0 {
+		t.Fatalf("candidates toward a cut-off endpoint: %v", cands)
+	}
 	var unreach *ErrUnreachable
-	if _, err := tab.CandidatesErr(0, 7); !errors.As(err, &unreach) {
-		t.Fatalf("CandidatesErr = %v, want *ErrUnreachable", err)
+	if _, err := samplePath(tab, 0, 7, 1); !errors.As(err, &unreach) {
+		t.Fatalf("AppendSamplePathPorts = %v, want *ErrUnreachable", err)
 	}
 	if unreach.From != 0 || unreach.To != 7 {
 		t.Fatalf("error carries %d->%d, want 0->7", unreach.From, unreach.To)
-	}
-	if _, err := tab.SamplePathErr(0, 7, 1); !errors.As(err, &unreach) {
-		t.Fatalf("SamplePathErr = %v, want *ErrUnreachable", err)
-	}
-	if _, err := tab.NextPortsErr(0, 7, nil); !errors.As(err, &unreach) {
-		t.Fatalf("NextPortsErr = %v, want *ErrUnreachable", err)
 	}
 	if got := tab.PathLen(0, 7); got != -1 {
 		t.Fatalf("PathLen = %d, want -1", got)
 	}
 }
 
-// TestSamplePathScanMatchesDAG pins the sampler's two modes against each
-// other: the candidate-DAG walk (tables under their candidate budget) and the
-// adjacency-scan fallback (tables over it) must produce identical paths
-// and port choices for equal seeds, on pristine and masked fabrics —
-// that equality is what lets the budget trade memory for speed without
-// changing any result.
-func TestSamplePathScanMatchesDAG(t *testing.T) {
-	h := topo.NewHxMesh(2, 2, 4, 4, lp())
-	c := simcore.Compile(h.Network)
-	mask := simcore.NewPortMask(c.NumPorts())
-	mask.Set(c.PortID(int32(c.Switches[0]), 1))
-	for _, m := range []simcore.PortMask{nil, mask} {
-		dag := NewTableMask(c, m)
-		scan := NewTableMask(c, m)
-		scan.SetCandBudget(0) // scan table never caches candidate DAGs
-		rng := rand.New(rand.NewSource(7))
-		for trial := 0; trial < 200; trial++ {
-			src := h.Endpoints[rng.Intn(len(h.Endpoints))]
-			dst := h.Endpoints[rng.Intn(len(h.Endpoints))]
-			if src == dst {
+// refDAG is the per-destination candidate DAG the table used to cache,
+// kept as the reference the scan is pinned to: the candidates of node u
+// are ports[off[u]:off[u+1]].
+type refDAG struct {
+	off   []int32
+	ports []int32
+}
+
+// buildRefDAG compiles the shortest-path DAG toward dst the way the cached
+// DAG was built: per node, the unmasked ports whose peer is one hop closer,
+// in port order; none at dst or at nodes that cannot reach it.
+func buildRefDAG(t *Table, dst topo.NodeID) *refDAG {
+	d := t.Dist(dst)
+	c := t.C
+	cv := &refDAG{off: make([]int32, c.NumNodes()+1)}
+	for u := 0; u < c.NumNodes(); u++ {
+		cv.off[u] = int32(len(cv.ports))
+		if int32(u) == int32(dst) || d[u] < 0 {
+			continue
+		}
+		want := d[u] - 1
+		off, end := c.PortRange(int32(u))
+		for pid := off; pid < end; pid++ {
+			if t.mask.Get(pid) {
 				continue
 			}
-			seed := rng.Uint64()
-			p1, ports1, err1 := dag.AppendSamplePathPorts(nil, []int32{}, src, dst, seed)
-			p2, ports2, err2 := scan.AppendSamplePathPorts(nil, []int32{}, src, dst, seed)
-			if (err1 == nil) != (err2 == nil) {
-				t.Fatalf("trial %d: err mismatch %v vs %v", trial, err1, err2)
-			}
-			if err1 != nil {
-				continue
-			}
-			if len(p1) != len(p2) {
-				t.Fatalf("trial %d: path len %d vs %d", trial, len(p1), len(p2))
-			}
-			for i := range p1 {
-				if p1[i] != p2[i] {
-					t.Fatalf("trial %d hop %d: node %d vs %d", trial, i, p1[i], p2[i])
-				}
-			}
-			for i := range ports1 {
-				if ports1[i] != ports2[i] {
-					t.Fatalf("trial %d hop %d: port %d vs %d", trial, i, ports1[i], ports2[i])
-				}
+			if d[c.Ports[pid].To] == want {
+				cv.ports = append(cv.ports, pid)
 			}
 		}
 	}
+	cv.off[c.NumNodes()] = int32(len(cv.ports))
+	return cv
 }
 
-// TestSamplePathScanWideFanout exercises the scan fallback's rescan branch
-// for nodes whose minimal fan-out overflows the fixed candidate buffer
-// (>64 candidates — trunked links on over-budget tables, the 16k-cluster
-// case the budget exists for), pinning it against the DAG walk.
+func (cv *refDAG) of(u int32) []int32 { return cv.ports[cv.off[u]:cv.off[u+1]] }
+
+// refSample is one result of refSamplePath, the DAG walk the sampler used
+// while a DAG was cached: one LCG draw per hop picks among the node's DAG
+// candidates.
+type refSample struct {
+	path  []topo.NodeID
+	ports []int32
+	err   *ErrUnreachable
+}
+
+func refSamplePath(t *Table, dag *refDAG, src, dst topo.NodeID, seed uint64) refSample {
+	if t.Dist(dst)[src] < 0 {
+		return refSample{err: &ErrUnreachable{From: src, To: dst}}
+	}
+	r := refSample{path: []topo.NodeID{src}}
+	at := int32(src)
+	rng := seed
+	for at != int32(dst) {
+		cands := dag.of(at)
+		if len(cands) == 0 {
+			return refSample{err: &ErrUnreachable{From: topo.NodeID(at), To: dst}}
+		}
+		rng = rng*6364136223846793005 + 1442695040888963407
+		chosen := cands[int(rng>>33)%len(cands)]
+		at = t.C.Ports[chosen].To
+		r.path = append(r.path, topo.NodeID(at))
+		r.ports = append(r.ports, chosen)
+	}
+	return r
+}
+
+// checkSample compares one AppendSamplePathPorts result with the DAG walk.
+func checkSample(want refSample, path []topo.NodeID, ports []int32, err error) string {
+	if want.err != nil {
+		var got *ErrUnreachable
+		if !errors.As(err, &got) || *got != *want.err {
+			return fmt.Sprintf("error %v, want %v", err, want.err)
+		}
+		return ""
+	}
+	if err != nil {
+		return fmt.Sprintf("unexpected error %v", err)
+	}
+	if !slices.Equal(path, want.path) || !slices.Equal(ports, want.ports) {
+		return "path or ports differ from the DAG walk"
+	}
+	return ""
+}
+
+// TestScanMatchesReference pins AppendCandidates and AppendSamplePathPorts
+// bit for bit to the candidate DAG and DAG walk they replaced, on a
+// pristine fabric and three degraded ones (one masked port direction, 10%
+// connected link failures, and asymmetric single-direction faults that cut
+// one endpoint's sends). Four goroutines run every comparison against one
+// cold table, so the lock-free vector publication is raced as well.
+func TestScanMatchesReference(t *testing.T) {
+	h := topo.NewHxMesh(2, 2, 4, 4, lp())
+	c := simcore.Compile(h.Network)
+	onePort := simcore.NewPortMask(c.NumPorts())
+	onePort.Set(c.PortID(int32(c.Switches[0]), 1))
+	asym := faults.NewBuilder(c)
+	off, end := c.PortRange(int32(h.Endpoints[5]))
+	for pid := off; pid < end; pid++ {
+		asym.FailPortDir(pid) // endpoint 5 receives but cannot send
+	}
+	for _, sw := range c.Switches[:4] {
+		asym.FailPortDir(c.PortID(int32(sw), 2))
+	}
+	fabrics := []struct {
+		name string
+		mask simcore.PortMask
+	}{
+		{"pristine", nil},
+		{"one-port", onePort},
+		{"links10", faults.SampleLinksConnected(c, 0.1, 3).Mask()},
+		{"asymmetric", asym.Build().Mask()},
+	}
+	type pair struct {
+		src, dst topo.NodeID
+		seed     uint64
+	}
+	for _, fab := range fabrics {
+		ref := NewTableMask(c, fab.mask)
+		rng := rand.New(rand.NewSource(11))
+		dsts := make([]topo.NodeID, 24)
+		dags := make([]*refDAG, len(dsts))
+		for i := range dsts {
+			dsts[i] = topo.NodeID(rng.Intn(c.NumNodes()))
+			dags[i] = buildRefDAG(ref, dsts[i])
+		}
+		pairs := make([]pair, 200)
+		walks := make([]refSample, len(pairs))
+		for i := range pairs {
+			p := pair{
+				src:  h.Endpoints[rng.Intn(len(h.Endpoints))],
+				dst:  h.Endpoints[rng.Intn(len(h.Endpoints))],
+				seed: rng.Uint64(),
+			}
+			pairs[i] = p
+			walks[i] = refSamplePath(ref, buildRefDAG(ref, p.dst), p.src, p.dst, p.seed)
+		}
+
+		tab := NewTableMask(c, fab.mask) // cold, shared by every worker
+		var wg sync.WaitGroup
+		for w := 0; w < 4; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				var cbuf [8]int32 // small, so wider nodes also grow the buffer
+				for k := range dsts {
+					i := (k + w*len(dsts)/4) % len(dsts)
+					for u := int32(0); u < int32(c.NumNodes()); u++ {
+						got := tab.AppendCandidates(cbuf[:0], u, dsts[i])
+						if want := dags[i].of(u); !slices.Equal(got, want) {
+							t.Errorf("%s: node %d toward %d: scan %v, DAG %v", fab.name, u, dsts[i], got, want)
+							return
+						}
+					}
+				}
+				pathBuf, portBuf := []topo.NodeID{}, []int32{}
+				for k := range pairs {
+					i := (k + w*len(pairs)/4) % len(pairs)
+					p := pairs[i]
+					path, ports, err := tab.AppendSamplePathPorts(pathBuf[:0], portBuf[:0], p.src, p.dst, p.seed)
+					if msg := checkSample(walks[i], path, ports, err); msg != "" {
+						t.Errorf("%s: pair %d (%d->%d seed %d): %s", fab.name, i, p.src, p.dst, p.seed, msg)
+						return
+					}
+					if err == nil {
+						pathBuf, portBuf = path, ports
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
+	}
+}
+
+// TestSamplePathScanWideFanout pins a node whose candidate set outgrows
+// the sampler's 64-entry stack buffer (a 70-wide trunk) to the DAG walk:
+// the scan must return all 70 trunk ports in port order and the walk must
+// reach picks past the 64th.
 func TestSamplePathScanWideFanout(t *testing.T) {
 	n := &topo.Network{Name: "widefanout"}
 	src := n.AddNode(topo.Endpoint)
@@ -277,35 +396,32 @@ func TestSamplePathScanWideFanout(t *testing.T) {
 	dst := n.AddNode(topo.Endpoint)
 	n.Link(src, a, topo.PCB, 50, 20)
 	for i := 0; i < 70; i++ {
-		n.Link(a, b, topo.PCB, 50, 20) // 70-wide trunk: fan-out > cbuf
+		n.Link(a, b, topo.PCB, 50, 20) // 70-wide trunk: more candidates than the buffer
 	}
 	n.Link(b, dst, topo.PCB, 50, 20)
 	c := simcore.Compile(n)
-	dag := NewTableMask(c, nil)
-	scan := NewTableMask(c, nil)
-	scan.SetCandBudget(0)
-	sawRescan := false
+	tab := NewTableMask(c, nil)
+	dag := buildRefDAG(tab, dst)
+	if got := tab.AppendCandidates(nil, int32(a), dst); len(got) != 70 || !slices.Equal(got, dag.of(int32(a))) {
+		t.Fatalf("trunk candidates %v, want the DAG's %v", got, dag.of(int32(a)))
+	}
+	pastBuffer := false
 	for seed := uint64(0); seed < 300; seed++ {
-		p1, ports1, err1 := dag.AppendSamplePathPorts(nil, []int32{}, src, dst, seed)
-		p2, ports2, err2 := scan.AppendSamplePathPorts(nil, []int32{}, src, dst, seed)
-		if err1 != nil || err2 != nil {
-			t.Fatalf("seed %d: errors %v / %v", seed, err1, err2)
+		path, ports, err := tab.AppendSamplePathPorts(nil, []int32{}, src, dst, seed)
+		want := refSamplePath(tab, dag, src, dst, seed)
+		if msg := checkSample(want, path, ports, err); msg != "" {
+			t.Fatalf("seed %d: %s", seed, msg)
 		}
-		if len(p1) != 4 || len(p2) != 4 {
-			t.Fatalf("seed %d: path lengths %d/%d, want 4", seed, len(p1), len(p2))
+		if len(path) != 4 {
+			t.Fatalf("seed %d: path length %d, want 4", seed, len(path))
 		}
-		for i := range ports1 {
-			if ports1[i] != ports2[i] {
-				t.Fatalf("seed %d hop %d: DAG port %d != scan port %d", seed, i, ports1[i], ports2[i])
-			}
-		}
-		// The trunk hop's pick lands past the 64-entry buffer for ~6/70 of
-		// the seeds, driving the rescan branch.
-		if trunkPort := ports1[1] - c.PortID(int32(a), 0); trunkPort >= 64 {
-			sawRescan = true
+		// The trunk hop's pick lands past the 64th candidate for ~6/70 of
+		// the seeds, after the candidate buffer has grown.
+		if trunkPort := ports[1] - c.PortID(int32(a), 0); trunkPort >= 64 {
+			pastBuffer = true
 		}
 	}
-	if !sawRescan {
-		t.Fatal("no seed exercised the >64-candidate rescan branch")
+	if !pastBuffer {
+		t.Fatal("no seed picked a trunk candidate past the 64-entry buffer")
 	}
 }

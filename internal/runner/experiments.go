@@ -77,8 +77,8 @@ func (p *Pool) AlltoallPacketShare(c *core.Cluster, cfg netsim.Config, bytes int
 //
 // The shared table is pre-warmed in parallel before the fan-out: every
 // shift touches every destination, so cold jobs would race to build the
-// same distance vectors and candidate DAGs (the lock-free cache tolerates
-// but duplicates that work).
+// same distance vectors (the lock-free cache tolerates but duplicates that
+// work).
 func (p *Pool) AlltoallFlowShare(c *core.Cluster, cfg flowsim.Config, nShifts int, seed uint64) (float64, error) {
 	eps := c.AliveEndpoints()
 	nEp := len(eps)
