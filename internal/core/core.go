@@ -231,15 +231,6 @@ func (c *Cluster) AliveEndpoints() []topo.NodeID {
 	return c.Comp.Endpoints
 }
 
-// AlltoallSharePacket measures the share with the packet simulator
-// (slower; use for small clusters and validation). The runner's
-// AlltoallPacketShare parallelizes this sweep across a worker pool.
-func (c *Cluster) AlltoallSharePacket(bytes int64, nShifts int, seed int64) (float64, error) {
-	cfg := netsim.DefaultConfig()
-	cfg.Seed = seed
-	return netsim.AlltoallShareOver(c.Comp, c.Table, cfg, c.AliveEndpoints(), bytes, nShifts, c.SimInjectionGBps(), seed)
-}
-
 // AllreduceShare measures the large-message ring-allreduce bandwidth as a
 // share of the optimum (half injection), embedding two edge-disjoint
 // Hamiltonian rings where the topology supports them and a single

@@ -103,17 +103,6 @@ func TestTorusAndDragonflyClusters(t *testing.T) {
 	}
 }
 
-func TestAlltoallSharePacket(t *testing.T) {
-	c := NewHxMesh(2, 2, 4, 4)
-	share, err := c.AlltoallSharePacket(128<<10, 4, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if share <= 0 || share > 1.0 {
-		t.Errorf("packet alltoall share %.3f out of range", share)
-	}
-}
-
 func TestInjectionGBps(t *testing.T) {
 	if got := NewHxMesh(2, 2, 4, 4).InjectionGBps(); got != 200 {
 		t.Errorf("HxMesh injection = %f, want 200", got)
