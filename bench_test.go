@@ -1,7 +1,9 @@
 // Package hammingmesh_test is the benchmark harness that regenerates every
-// table and figure of the paper's evaluation (see DESIGN.md §2 for the
-// index and EXPERIMENTS.md for paper-vs-measured results). Each benchmark
-// prints the corresponding rows/series once; run with
+// table and figure of the paper's evaluation. Those benchmarks are named
+// after the table or figure they regenerate (BenchmarkTable2GlobalBW,
+// BenchmarkFig12Permutation, ...) and print its rows/series once, beside
+// the paper's values where the paper states them; the rest time the
+// simulators. Run with
 //
 //	go test -bench=. -benchmem
 //
@@ -793,11 +795,10 @@ func BenchmarkAlltoallSweep(b *testing.B) {
 // BenchmarkFlowSolverLarge measures the paper's headline scale end to end:
 // a flow-level alltoall shift sweep on the 16,384-accelerator Hx2Mesh —
 // the cluster whose Table II numbers cost the paper ~0.6M SST core-hours.
-// The shared routing table is warmed in parallel outside the timed loop
-// (distance vectors; candidate DAGs stay under the table's budget,
-// routing.DefaultCandBudget, so peak memory is ~2 GB instead of the ~7 GB
-// of unbounded DAG caching); each iteration
-// then fans the per-shift incremental water-filling solves onto the pool.
+// The shared routing table's distance vectors (the table's only cache,
+// about 1.1 GiB at this size) are warmed in parallel outside the timed loop;
+// each iteration then fans the per-shift incremental water-filling solves
+// onto the pool.
 // Runs in CI under -short to pin the large-cluster trajectory across PRs.
 func BenchmarkFlowSolverLarge(b *testing.B) {
 	shifts := 4
