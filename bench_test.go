@@ -7,8 +7,12 @@
 //
 //	go test -bench=. -benchmem
 //
-// Heavy experiments use the small-cluster (≈1k accelerator) configurations
-// with sampled iterations; the cmd/ tools expose the full parameter space.
+// The printouts run the same internal/runner definitions as the cmd/
+// tools and hxd (the allocation study, the permutation statistics, the
+// pooled flow-level alltoall), so a row prints what the CLI prints for the
+// same inputs; each benchmark names its CLI equivalent. Heavy experiments
+// use the small-cluster (≈1k accelerator) configurations with sampled
+// iterations; the cmd/ tools expose the full parameter space.
 package hammingmesh_test
 
 import (
@@ -36,6 +40,16 @@ import (
 )
 
 var printOnce sync.Map
+
+// table2 holds the paper's Table II bandwidth columns, in percent: global
+// (alltoall) bandwidth as a share of injection, and allreduce bandwidth as
+// a share of the optimum (0 where no allreduce benchmark measures the
+// topology).
+var table2 = map[string]struct{ globalBW, allreduceBW float64 }{
+	"fattree": {99.9, 98.9}, "fattree50": {51.2, 0}, "fattree75": {25.7, 0},
+	"dragonfly": {62.9, 0}, "hyperx": {91.6, 0},
+	"hx2mesh": {25.4, 98.3}, "hx4mesh": {11.3, 98.4}, "torus": {2.0, 98.1},
+}
 
 func once(key string, f func()) {
 	if _, loaded := printOnce.LoadOrStore(key, true); !loaded {
@@ -108,17 +122,16 @@ func BenchmarkTable2Diameter(b *testing.B) {
 }
 
 // BenchmarkTable2GlobalBW regenerates the global (alltoall) bandwidth
-// column with the flow-level solver on the small clusters.
+// column on the small clusters: the flow level is the pooled estimator of
+// `hxsim -size small -pattern alltoall -shifts 2 -seed 9`, the packet level
+// 16 concurrent shifts.
 func BenchmarkTable2GlobalBW(b *testing.B) {
-	paper := map[string]float64{
-		"fattree": 99.9, "fattree50": 51.2, "fattree75": 25.7,
-		"dragonfly": 62.9, "hyperx": 91.6, "hx2mesh": 25.4, "hx4mesh": 11.3, "torus": 2.0,
-	}
 	for _, name := range core.TopologyNames() {
 		b.Run(name, func(b *testing.B) {
 			// Built once outside the timed loop: iterations measure the
 			// sweeps, and throwaway networks are not pinned per iteration.
-			c, err := core.NewByName(name, core.Small)
+			pool := runner.NewSeeded(benchWorkers(), 7)
+			c, err := pool.Cluster(name, core.Small)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -129,10 +142,6 @@ func BenchmarkTable2GlobalBW(b *testing.B) {
 			comp := c.Comp
 			if name == "hyperx" {
 				comp = simcore.Compile(topo.NewHyperXDirect(32, 32, 4, topo.DefaultLinkParams()))
-			}
-			inj := 4 * 50.0
-			if name == "fattree" || name == "fattree50" || name == "fattree75" || name == "dragonfly" {
-				inj = 50.0
 			}
 			cfg := netsim.DefaultConfig()
 			if name == "dragonfly" {
@@ -145,18 +154,18 @@ func BenchmarkTable2GlobalBW(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				// Flow-level serialized shifts (lower bound) ...
-				shareFlow, err := c.AlltoallShare(2, 9)
+				shareFlow, err := pool.AlltoallFlowShare(c, c.FlowConfig(9), 2, 9)
 				if err != nil {
 					b.Fatal(err)
 				}
-				sharePkt, err := netsim.AlltoallShareConcurrent(comp, tab, cfg, 32<<10, 16, inj, 7)
+				sharePkt, err := netsim.AlltoallShareConcurrent(comp, tab, cfg, 32<<10, 16, c.SimInjectionGBps(), 7)
 				if err != nil {
 					b.Fatal(err)
 				}
 				b.ReportMetric(100*sharePkt, "%inject")
 				once("t2glob-"+name, func() {
 					fmt.Printf("  Table II global BW %-10s flow %5.1f%%  packet %5.1f%%  paper %5.1f%%\n",
-						name, 100*shareFlow, 100*sharePkt, paper[name])
+						name, 100*shareFlow, 100*sharePkt, table2[name].globalBW)
 				})
 			}
 		})
@@ -166,9 +175,6 @@ func BenchmarkTable2GlobalBW(b *testing.B) {
 // BenchmarkTable2AllreduceBW regenerates the allreduce bandwidth column by
 // packet-simulating steady ring traffic on the two Hamiltonian cycles.
 func BenchmarkTable2AllreduceBW(b *testing.B) {
-	paper := map[string]float64{
-		"fattree": 98.9, "hx2mesh": 98.3, "hx4mesh": 98.4, "torus": 98.1,
-	}
 	for _, name := range []string{"fattree", "hx2mesh", "hx4mesh", "torus"} {
 		b.Run(name, func(b *testing.B) {
 			c, err := core.NewByName(name, core.Small)
@@ -184,7 +190,7 @@ func BenchmarkTable2AllreduceBW(b *testing.B) {
 				b.ReportMetric(100*share, "%peak")
 				once("t2ar-"+name, func() {
 					fmt.Printf("  Table II allreduce %-10s measured %5.1f%%  paper %5.1f%%\n",
-						name, 100*share, paper[name])
+						name, 100*share, table2[name].allreduceBW)
 				})
 			}
 		})
@@ -207,38 +213,35 @@ func BenchmarkFig7JobSizeCDF(b *testing.B) {
 }
 
 // BenchmarkFig8Utilization regenerates the system-utilization study on the
-// small 16x16 Hx2Mesh across all heuristic stacks (the paper also varies
-// the cluster; cmd/hxalloc exposes that).
+// small 16x16 Hx2Mesh across all heuristic stacks: the rows of
+// `hxalloc -grid 16x16 -mixes 15` (the paper also varies the cluster;
+// cmd/hxalloc exposes that).
 func BenchmarkFig8Utilization(b *testing.B) {
 	const mixes = 15
 	for i := 0; i < b.N; i++ {
-		d := workload.AlibabaLike()
-		results := map[string]workload.Stats{}
-		for _, h := range workload.Fig8Stacks() {
-			s := workload.NewSampler(d, 11)
-			rng := rand.New(rand.NewSource(13))
-			utils := make([]float64, 0, mixes)
-			for m := 0; m < mixes; m++ {
-				utils = append(utils, workload.RunMix(16, 16, s.Mix(256, 4), h, 0, rng).Utilization)
-			}
-			results[h.Name] = workload.Summarize(utils)
-		}
+		pts := runner.NewSeeded(benchWorkers(), 1).UtilizationSweep(16, 16, 4, mixes, 0, workload.Fig8Stacks())
 		once("fig8", func() {
 			fmt.Println("\nFig. 8 — system utilization, small 16x16 Hx2Mesh")
-			for _, h := range workload.Fig8Stacks() {
-				st := results[h.Name]
-				fmt.Printf("  %-44s mean %5.1f%%  median %5.1f%%\n", h.Name, 100*st.Mean, 100*st.Median)
+			for _, pt := range pts {
+				st := pt.Utilization
+				fmt.Printf("  %-44s mean %5.1f%%  median %5.1f%%\n", pt.Stack.Name, 100*st.Mean, 100*st.Median)
 			}
 		})
 	}
 }
 
 // BenchmarkFig9UpperLayerTraffic regenerates the upper-level fat-tree
-// traffic fractions for alltoall and allreduce traffic.
+// traffic fractions for alltoall and allreduce traffic: the a2a-upper and
+// ar-upper columns of `hxalloc -grid 64x64 -mixes 6` and
+// `hxalloc -grid 32x32 -board 16 -mixes 6`.
 func BenchmarkFig9UpperLayerTraffic(b *testing.B) {
 	const mixes = 6
+	stacks := []workload.HeuristicStack{
+		{Name: "greedy"},
+		{Name: "greedy+transpose+aspect+sort+locality", Transpose: true, Aspect: true, Sort: true, Locality: true},
+	}
 	for i := 0; i < b.N; i++ {
-		d := workload.AlibabaLike()
+		pool := runner.NewSeeded(benchWorkers(), 1)
 		type row struct {
 			name    string
 			a2a, ar float64
@@ -249,25 +252,14 @@ func BenchmarkFig9UpperLayerTraffic(b *testing.B) {
 			x, y int
 			apb  int
 		}{{"large 64x64 Hx2Mesh", 64, 64, 4}, {"large 32x32 Hx4Mesh", 32, 32, 16}} {
-			for _, h := range []workload.HeuristicStack{
-				{Name: "greedy"},
-				{Name: "greedy+transpose+aspect+sort+locality", Transpose: true, Aspect: true, Sort: true, Locality: true},
-			} {
-				s := workload.NewSampler(d, 21)
-				rng := rand.New(rand.NewSource(23))
-				a2a, ar := 0.0, 0.0
-				for m := 0; m < mixes; m++ {
-					r := workload.RunMix(cl.x, cl.y, s.Mix(cl.x*cl.y, cl.apb), h, 0, rng)
-					a2a += r.UpperA2A / mixes
-					ar += r.UpperAllred / mixes
-				}
-				rows = append(rows, row{cl.name + " / " + h.Name, a2a, ar})
+			for _, pt := range pool.UtilizationSweep(cl.x, cl.y, cl.apb, mixes, 0, stacks) {
+				rows = append(rows, row{cl.name + " / " + pt.Stack.Name, pt.UpperA2APct, pt.UpperAllredPct})
 			}
 		}
 		once("fig9", func() {
 			fmt.Println("\nFig. 9 — upper-layer fat-tree traffic (alltoall / allreduce)")
 			for _, r := range rows {
-				fmt.Printf("  %-64s %5.1f%% / %5.1f%%\n", r.name, 100*r.a2a, 100*r.ar)
+				fmt.Printf("  %-64s %5.1f%% / %5.1f%%\n", r.name, r.a2a, r.ar)
 			}
 			fmt.Println("  (paper: alltoall < 50%, allreduce < 15%, locality < 25% on Hx4Mesh)")
 		})
@@ -275,15 +267,22 @@ func BenchmarkFig9UpperLayerTraffic(b *testing.B) {
 }
 
 // BenchmarkFig10Failures regenerates utilization under random board
-// failures on the small clusters.
+// failures on the small clusters: the mean utilization of the
+// greedy+transpose+aspect stack without and with sorting, as
+// `hxalloc -grid 16x16 -mixes 8 -failures F` (and `-grid 8x8 -board 16`)
+// prints it.
 func BenchmarkFig10Failures(b *testing.B) {
 	const mixes = 8
+	stacks := []workload.HeuristicStack{
+		{Name: "unsorted", Transpose: true, Aspect: true},
+		{Name: "sorted", Transpose: true, Aspect: true, Sort: true},
+	}
 	for i := 0; i < b.N; i++ {
-		d := workload.AlibabaLike()
+		pool := runner.NewSeeded(benchWorkers(), 1)
 		type point struct {
 			cluster  string
 			failures int
-			sorted   bool
+			mode     string
 			util     float64
 		}
 		var pts []point
@@ -296,46 +295,31 @@ func BenchmarkFig10Failures(b *testing.B) {
 				if failures >= cl.x*cl.y {
 					continue
 				}
-				for _, sorted := range []bool{false, true} {
-					h := workload.HeuristicStack{Name: "stack", Transpose: true, Aspect: true, Sort: sorted}
-					s := workload.NewSampler(d, 31)
-					rng := rand.New(rand.NewSource(37))
-					u := 0.0
-					for m := 0; m < mixes; m++ {
-						u += workload.RunMix(cl.x, cl.y, s.Mix(cl.x*cl.y, cl.apb), h, failures, rng).Utilization / mixes
-					}
-					pts = append(pts, point{cl.name, failures, sorted, u})
+				for _, pt := range pool.UtilizationSweep(cl.x, cl.y, cl.apb, mixes, failures, stacks) {
+					pts = append(pts, point{cl.name, failures, pt.Stack.Name, pt.Utilization.Mean})
 				}
 			}
 		}
 		once("fig10", func() {
 			fmt.Println("\nFig. 10 — utilization of working boards vs failed boards")
 			for _, p := range pts {
-				mode := "unsorted"
-				if p.sorted {
-					mode = "sorted"
-				}
-				fmt.Printf("  %-22s %3d failures %-8s %5.1f%%\n", p.cluster, p.failures, mode, 100*p.util)
+				fmt.Printf("  %-22s %3d failures %-8s %5.1f%%\n", p.cluster, p.failures, p.mode, 100*p.util)
 			}
 		})
 	}
 }
 
 // BenchmarkFig11Alltoall regenerates the alltoall bandwidth vs message
-// size curves (small topologies) from the schedule model with simulated
+// size curves (small topologies) from the schedule model with Table II's
 // sustained shares.
 func BenchmarkFig11Alltoall(b *testing.B) {
-	shares := map[string]float64{
-		"fattree": 0.999, "fattree50": 0.512, "fattree75": 0.257,
-		"dragonfly": 0.629, "hyperx": 0.916, "hx2mesh": 0.254, "hx4mesh": 0.113, "torus": 0.02,
-	}
 	sizes := []float64{1 << 10, 16 << 10, 256 << 10, 1 << 20, 16 << 20}
 	for i := 0; i < b.N; i++ {
 		pr := collective.DefaultParams()
 		out := map[string][]float64{}
-		for name, share := range shares {
+		for name, paper := range table2 {
 			for _, s := range sizes {
-				out[name] = append(out[name], collective.AlltoallBandwidth(1024, s, share, pr))
+				out[name] = append(out[name], collective.AlltoallBandwidth(1024, s, paper.globalBW/100, pr))
 			}
 		}
 		once("fig11", func() {
@@ -363,30 +347,28 @@ func BenchmarkFig11Alltoall(b *testing.B) {
 
 // BenchmarkFig12Permutation regenerates the per-endpoint bandwidth
 // distribution under random permutation traffic (packet-level, small
-// Hx2Mesh and fat tree).
+// clusters): the statistics of `hxsim -size small -pattern permutation
+// -bytes 65536`.
 func BenchmarkFig12Permutation(b *testing.B) {
 	for _, name := range []string{"fattree", "hx2mesh", "hx4mesh"} {
 		b.Run(name, func(b *testing.B) {
-			c, err := core.NewByName(name, core.Small)
+			pool := runner.NewSeeded(benchWorkers(), 1)
+			c, err := pool.Cluster(name, core.Small)
 			if err != nil {
 				b.Fatal(err)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				bws, err := c.PermutationGBps(64<<10, 5)
+				// netsim.DefaultConfig's engine seed is hxsim's default -seed.
+				bws, err := pool.PermutationSweepGBps(c, netsim.DefaultConfig(), 64<<10, 1, 1)
 				if err != nil {
 					b.Fatal(err)
 				}
-				sort.Float64s(bws)
-				mean := 0.0
-				for _, v := range bws {
-					mean += v
-				}
-				mean /= float64(len(bws))
-				b.ReportMetric(mean, "GB/s")
+				st := runner.SummarizePermutation(bws)
+				b.ReportMetric(st.Mean, "GB/s")
 				once("fig12-"+name, func() {
 					fmt.Printf("  Fig. 12 permutation %-10s min %5.1f  p50 %5.1f  max %5.1f  mean %5.1f GB/s\n",
-						name, bws[0], bws[len(bws)/2], bws[len(bws)-1], mean)
+						name, st.Min, st.P50, st.Max, st.Mean)
 				})
 			}
 		})
@@ -835,10 +817,6 @@ func BenchmarkTable2GlobalBWLarge(b *testing.B) {
 	if testing.Short() {
 		b.Skip("large Table II sweep: run without -short")
 	}
-	paper := map[string]float64{
-		"fattree": 99.9, "fattree50": 51.2, "fattree75": 25.7,
-		"dragonfly": 62.9, "hyperx": 91.6, "hx2mesh": 25.4, "hx4mesh": 11.3, "torus": 2.0,
-	}
 	for _, name := range core.TopologyNames() {
 		b.Run(name, func(b *testing.B) {
 			pool := runner.NewSeeded(benchWorkers(), 7)
@@ -856,7 +834,7 @@ func BenchmarkTable2GlobalBWLarge(b *testing.B) {
 				b.ReportMetric(100*share, "%inject")
 				once("t2glob-large-"+name, func() {
 					fmt.Printf("  Table II global BW (large) %-10s flow %5.1f%%  paper %5.1f%%\n",
-						name, 100*share, paper[name])
+						name, 100*share, table2[name].globalBW)
 				})
 			}
 		})

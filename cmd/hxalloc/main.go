@@ -1,12 +1,9 @@
 // Command hxalloc reproduces the allocation study of §IV-B: the job-size
 // CDF (Fig. 7), system utilization under the heuristic stacks (Fig. 8),
 // the upper-layer fat-tree traffic fractions (Fig. 9), and utilization
-// under board failures (Fig. 10). The job mixes of each heuristic stack
-// run as parallel jobs on the experiment runner with deterministic
-// per-mix seeds; mixes are therefore sampled i.i.d. (each mix gets its
-// own sampler, so an oversized job at the tail of one mix is dropped
-// rather than carried into the next, unlike the previous sequential
-// sampler — a deliberate trade for parallelism).
+// under board failures (Fig. 10). The study is runner.UtilizationSweep:
+// the job mixes of each heuristic stack run as parallel jobs with
+// deterministic per-mix seeds, so mixes are sampled i.i.d.
 //
 // -mode sched switches to the trace-driven cluster scheduler
 // (internal/sched): jobs arrive over simulated time, queue, fail with the
@@ -46,7 +43,6 @@ import (
 	"flag"
 	"fmt"
 	"math"
-	"math/rand"
 	"os"
 	"os/signal"
 	"runtime"
@@ -145,38 +141,10 @@ func main() {
 	fmt.Printf("grid %dx%d (%d boards), %d mixes, %d failed boards, %d workers\n\n",
 		x, y, x*y, *mixes, *failures, pool.Workers())
 	fmt.Printf("%-42s %6s %6s %6s | %9s %9s\n", "heuristics (Fig. 8)", "mean", "median", "p99", "a2a-upper", "ar-upper")
-	for _, h := range workload.Fig8Stacks() {
-		jobs := make([]runner.Job, *mixes)
-		for m := range jobs {
-			jobs[m] = runner.Job{
-				Name: fmt.Sprintf("%s/mix%d", h.Name, m),
-				Run: func(ctx *runner.Ctx) (any, error) {
-					// Every mix gets its own sampler and RNG derived from
-					// the deterministic per-job seed, so results do not
-					// depend on worker count or ordering.
-					sampler := workload.NewSampler(d, ctx.Seed)
-					rng := rand.New(rand.NewSource(ctx.Seed + 99))
-					return workload.RunMix(x, y, sampler.Mix(x*y, *board), h, *failures, rng), nil
-				},
-			}
-		}
-		results := pool.Run(jobs)
-		if err := runner.FirstErr(results); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		utils := make([]float64, 0, *mixes)
-		a2a, ar := 0.0, 0.0
-		for _, res := range results {
-			r := res.Value.(workload.UtilizationResult)
-			utils = append(utils, r.Utilization)
-			a2a += r.UpperA2A
-			ar += r.UpperAllred
-		}
-		s := workload.Summarize(utils)
+	for _, pt := range pool.UtilizationSweep(x, y, *board, *mixes, *failures, workload.Fig8Stacks()) {
+		s := pt.Utilization
 		fmt.Printf("%-42s %5.1f%% %5.1f%% %5.1f%% | %8.1f%% %8.1f%%\n",
-			h.Name, 100*s.Mean, 100*s.Median, 100*s.P99,
-			100*a2a/float64(*mixes), 100*ar/float64(*mixes))
+			pt.Stack.Name, 100*s.Mean, 100*s.Median, 100*s.P99, pt.UpperA2APct, pt.UpperAllredPct)
 	}
 }
 
@@ -377,46 +345,16 @@ func runSched(pool *runner.Pool, x, y, accelsPerBoard int, f schedFlags) {
 	}
 }
 
-// writeSchedTrace replays one representative scheduler run — the sweep's
-// first (policy, checkpoint, reservation, defrag) point at trial 0, with
-// the first positive MTBF's failure set — into a flight recorder and
-// writes it as Chrome trace-event JSON: a queued/run/evicted span per job
-// lane plus cluster-lane failure, repair and defrag instants. The replay
-// is an extra observation pass over a run the sweep already scored; it
-// alters none of the printed numbers.
+// writeSchedTrace records one run the sweep scored — every axis at its
+// first value, the first positive MTBF (the first MTBF when none is
+// positive), trial 0; see runner.SchedTraceRun — into a flight recorder
+// and writes it as Chrome trace-event JSON: a queued/run/evicted span per
+// job lane plus cluster-lane failure, repair and defrag instants. The
+// replay is an extra observation pass and alters none of the printed
+// numbers.
 func writeSchedTrace(c *core.Cluster, cfg runner.SchedSweepConfig, path string) {
 	rec := obs.NewRecorder(0)
-	runCfg := cfg.Base
-	runCfg.Policy = cfg.Policies[0]
-	runCfg.CheckpointH = cfg.CheckpointsH[0]
-	if len(cfg.Reservations) > 0 {
-		runCfg.Reservation = cfg.Reservations[0]
-	}
-	if len(cfg.DefragThresholds) > 0 {
-		runCfg.DefragThreshold = cfg.DefragThresholds[0]
-	}
-	if runCfg.Slowdown == nil {
-		runCfg.Slowdown = sched.NewCommSlowdown(c.Hx.Cfg.A, c.Hx.Cfg.B)
-	}
-	runCfg.Trace = rec
-	seed := runner.JobSeed(cfg.Seed, 0)
-	trace := cfg.FixedTrace
-	if trace == nil {
-		trace = sched.Synthetic(cfg.Trace, seed)
-	}
-	mtbf := 0.0
-	for _, m := range cfg.MTBFs {
-		if m > 0 {
-			mtbf = m
-			break
-		}
-	}
-	var fails []sched.FailEvent
-	if mtbf > 0 {
-		boards := sched.BoardSequence(c.Hx, c.Comp, seed)
-		fails = sched.NewFailures(boards, runCfg.HorizonH, mtbf, seed).Thin(mtbf)
-	}
-	if _, err := sched.Run(c.Grid.X, c.Grid.Y, trace, fails, runCfg); err != nil {
+	if _, err := runner.SchedTraceRun(c, cfg, rec); err != nil {
 		fatalf("trace run: %v", err)
 	}
 	f, err := os.Create(path)

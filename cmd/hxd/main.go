@@ -65,17 +65,12 @@ func main() {
 	// the one /metrics page.
 	reg := obs.Default()
 	pool.EnableObs(reg)
-	var jopts journal.Options
-	if *journalCrash != "" {
-		plan, err := journal.ParseCrashPlan(*journalCrash)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "hxd: %v\n", err)
-			os.Exit(2)
-		}
-		// A real process death at the boundary, not an in-process error:
-		// the restart path must recover exactly as from a SIGKILL.
-		plan.Fire = func() error { os.Exit(3); return nil }
-		jopts.Crash = plan
+	// A real process death at the boundary, not an in-process error: the
+	// restart path must recover exactly as from a SIGKILL.
+	crash, err := journal.ExitCrashPlan(*journalCrash)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "hxd: %v\n", err)
+		os.Exit(2)
 	}
 	s, err := serve.New(serve.Config{
 		Pool:           pool,
@@ -84,7 +79,7 @@ func main() {
 		QueueLen:       *queueLen,
 		Pprof:          *pprofFlag,
 		JournalDir:     *journalDir,
-		JournalOptions: jopts,
+		JournalOptions: journal.Options{Crash: crash},
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "hxd: %v\n", err)

@@ -40,7 +40,6 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"sort"
 	"strconv"
 	"syscall"
 
@@ -110,15 +109,7 @@ func main() {
 	}
 
 	if *pattern == "resilience" {
-		maxFrac := *failLinks
-		if maxFrac <= 0 {
-			maxFrac = 0.2
-		}
-		const steps = 5
-		fracs := make([]float64, 0, steps)
-		for i := 0; i < steps; i++ {
-			fracs = append(fracs, maxFrac*float64(i)/(steps-1))
-		}
+		fracs := runner.ResilienceFracs(*failLinks, runner.DefaultResilienceSteps)
 		// SIGINT/SIGTERM cancel the sweep: in-flight points finish and are
 		// journaled, the rest of the grid is skipped, and rerunning the
 		// same command resumes from the checkpoint.
@@ -204,14 +195,9 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		sort.Float64s(bws)
-		mean := 0.0
-		for _, b := range bws {
-			mean += b
-		}
-		mean /= float64(len(bws))
+		st := runner.SummarizePermutation(bws)
 		fmt.Printf("permutation receive bandwidth per endpoint [GB/s]: min=%.1f p25=%.1f median=%.1f p75=%.1f max=%.1f mean=%.1f\n",
-			bws[0], bws[len(bws)/4], bws[len(bws)/2], bws[3*len(bws)/4], bws[len(bws)-1], mean)
+			st.Min, st.P25, st.P50, st.P75, st.Max, st.Mean)
 	case "allreduce":
 		share, err := c.AllreduceShare(*bytes)
 		if err != nil {

@@ -9,6 +9,7 @@ import (
 	"math/rand"
 
 	"hammingmesh/internal/alloc"
+	"hammingmesh/internal/runner"
 	"hammingmesh/internal/workload"
 )
 
@@ -74,16 +75,11 @@ func main() {
 	fmt.Println()
 
 	// --- Fig. 8 in miniature ------------------------------------------------
+	// The allocation study hxalloc runs; these rows are what
+	// `hxalloc -grid 16x16 -mixes 20` prints.
 	fmt.Println("== heuristic stack impact (Fig. 8, 20 mixes on 16x16) ==")
-	d := workload.AlibabaLike()
-	for _, h := range workload.Fig8Stacks() {
-		s := workload.NewSampler(d, 42)
-		r := rand.New(rand.NewSource(43))
-		utils := make([]float64, 0, 20)
-		for m := 0; m < 20; m++ {
-			utils = append(utils, workload.RunMix(16, 16, s.Mix(256, 4), h, 0, r).Utilization)
-		}
-		st := workload.Summarize(utils)
-		fmt.Printf("%-42s mean=%.1f%% median=%.1f%%\n", h.Name, 100*st.Mean, 100*st.Median)
+	for _, pt := range runner.NewSeeded(0, 1).UtilizationSweep(16, 16, 4, 20, 0, workload.Fig8Stacks()) {
+		st := pt.Utilization
+		fmt.Printf("%-42s mean=%.1f%% median=%.1f%%\n", pt.Stack.Name, 100*st.Mean, 100*st.Median)
 	}
 }

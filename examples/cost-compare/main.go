@@ -10,6 +10,7 @@ import (
 	"hammingmesh/internal/analysis"
 	"hammingmesh/internal/core"
 	"hammingmesh/internal/cost"
+	"hammingmesh/internal/runner"
 	"hammingmesh/internal/topo"
 )
 
@@ -23,7 +24,7 @@ func main() {
 		"nonblocking fat tree": analysis.FatTreeAlltoallShare(topo.NonblockingTree()),
 		"50% tapered fat tree": analysis.FatTreeAlltoallShare(topo.TaperedTree(0.5)),
 		"75% tapered fat tree": analysis.FatTreeAlltoallShare(topo.TaperedTree(0.75)),
-		"dragonfly":            0.63, // Table II (measured; see EXPERIMENTS.md)
+		"dragonfly":            0.63, // Table II (measured in the paper)
 		"2D hyperx":            0.92,
 		"hx2mesh":              analysis.AlltoallShare(2, 2),
 		"hx4mesh":              analysis.AlltoallShare(4, 4),
@@ -49,12 +50,13 @@ func main() {
 
 	// Flow-level verification on a tiny instance of each family.
 	fmt.Println("flow-level alltoall shares (tiny instances, 8 sampled shifts):")
+	pool := runner.New(0)
 	for _, name := range []string{"fattree", "fattree75", "hx2mesh", "torus"} {
-		c, err := core.NewByName(name, core.Tiny)
+		c, err := pool.Cluster(name, core.Tiny)
 		if err != nil {
 			log.Fatal(err)
 		}
-		share, err := c.AlltoallShare(8, 3)
+		share, err := pool.AlltoallFlowShare(c, c.FlowConfig(3), 8, 3)
 		if err != nil {
 			log.Fatal(err)
 		}

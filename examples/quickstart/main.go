@@ -1,6 +1,6 @@
 // Quickstart: build a HammingMesh cluster, inspect its closed-form
-// properties, measure its bandwidth with the packet simulator, and
-// allocate a training job — the 60-second tour of the library.
+// properties, measure its bandwidth with the packet and flow simulators,
+// and allocate a training job — the 60-second tour of the library.
 package main
 
 import (
@@ -8,6 +8,7 @@ import (
 	"log"
 
 	"hammingmesh/internal/core"
+	"hammingmesh/internal/runner"
 )
 
 func main() {
@@ -33,7 +34,9 @@ func main() {
 	}
 	fmt.Printf("ring allreduce: %.0f%% of the theoretical optimum\n", 100*ar)
 
-	a2a, err := c.AlltoallShare(8, 1)
+	// The alltoall share is the flow-level sweep hxsim and hxd run: one
+	// max-min solve per sampled shift, fanned out on a worker pool.
+	a2a, err := runner.New(0).AlltoallFlowShare(c, c.FlowConfig(1), 8, 1)
 	if err != nil {
 		log.Fatal(err)
 	}

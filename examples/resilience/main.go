@@ -33,7 +33,8 @@ func main() {
 	// A degraded cluster view recomputes routes around the damage; every
 	// measurement works unchanged.
 	dc := c.WithFaults(fs)
-	share, err := dc.AlltoallShare(8, 1)
+	pool := runner.NewSeeded(0, 1)
+	share, err := pool.AlltoallFlowShare(dc, dc.FlowConfig(1), 8, 1)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -69,7 +70,6 @@ func main() {
 	// alltoall bandwidth vs link-failure fraction, trials in parallel on
 	// the experiment runner. Fault sets are nested per trial, so the curve
 	// is guaranteed to measure degradation, not sampling noise.
-	pool := runner.NewSeeded(0, 1)
 	pts, err := pool.ResilienceSweep(c, netsim.DefaultConfig(), 32<<10,
 		[]float64{0, 0.05, 0.1, 0.2}, 3, 3, 42, 0)
 	if err != nil {

@@ -96,7 +96,7 @@ func NewDragonfly(cfg topo.DragonflyConfig) *Cluster {
 // so job placement skips them (§IV-A failure handling). The pristine
 // cluster is returned unchanged for a nil or empty fault set, preserving
 // golden outputs bit-for-bit. Measurements on the returned cluster
-// (AlltoallShare, AllreduceShare, PermutationGBps, …) automatically route
+// (AllreduceShare, PermutationGBpsCfg and the runner's sweeps) route
 // around the failures; flows whose destination was cut off surface a typed
 // *routing.ErrUnreachable.
 func (c *Cluster) WithFaults(fs *faults.FaultSet) *Cluster {
@@ -171,20 +171,6 @@ func (c *Cluster) CostMUSD() float64 { return c.Inventory().CostMUSD(cost.PaperP
 // Diameter is the cable-counting diameter computed on the built graph.
 func (c *Cluster) Diameter() int { return topo.EndpointDiameter(c.Net, 64) }
 
-// InjectionGBps is the per-accelerator injection bandwidth represented by
-// the simulated plane(s): 4 links for HxMesh/torus endpoints, 1 for
-// switched endpoints, times the link rate — normalized so every topology
-// compares at 4×400 Gb/s as in §III-D.
-func (c *Cluster) InjectionGBps() float64 {
-	switch c.Net.Meta.Family {
-	case "fattree", "dragonfly":
-		// Simulated single-port planes; the paper simulates four of them.
-		return 4 * c.LP.GBps
-	default:
-		return 4 * c.LP.GBps // 4 links per plane
-	}
-}
-
 // SimInjectionGBps is the injection bandwidth of the *simulated* graph:
 // one port per endpoint for the switched single-plane builds, four for the
 // direct topologies. Shares measured by the simulators normalize against
@@ -197,9 +183,8 @@ func (c *Cluster) SimInjectionGBps() float64 {
 }
 
 // FlowConfig returns the cluster's default flow-solver configuration: the
-// per-family path-sampling policy under the given seed. The serial
-// AlltoallShare and the runner's pooled AlltoallFlowShare both start from
-// it, so the two estimators model routing identically.
+// per-family path-sampling policy under the given seed, from which the
+// runner's pooled AlltoallFlowShare starts.
 func (c *Cluster) FlowConfig(seed uint64) flowsim.Config {
 	cfg := flowsim.Config{Seed: seed}
 	switch c.Net.Meta.Family {
@@ -211,14 +196,6 @@ func (c *Cluster) FlowConfig(seed uint64) flowsim.Config {
 		cfg.ValiantPaths = 8
 	}
 	return cfg
-}
-
-// AlltoallShare estimates the global (alltoall) bandwidth share of the
-// injection bandwidth with the flow-level solver over sampled shift
-// iterations.
-func (c *Cluster) AlltoallShare(nShifts int, seed uint64) (float64, error) {
-	s := flowsim.New(c.Comp, c.Table, c.FlowConfig(seed))
-	return s.AlltoallShareOver(c.AliveEndpoints(), nShifts, c.SimInjectionGBps(), seed)
 }
 
 // AliveEndpoints returns the endpoints participating in measurements: all
@@ -299,16 +276,11 @@ func (c *Cluster) allreduceRingsPristine() ([][]topo.NodeID, error) {
 	}
 }
 
-// PermutationGBps runs random-permutation traffic through the packet
-// simulator and returns per-endpoint receive bandwidths (Fig. 12).
-func (c *Cluster) PermutationGBps(bytes int64, seed int64) ([]float64, error) {
-	return c.PermutationGBpsCfg(netsim.DefaultConfig(), bytes, rand.New(rand.NewSource(seed)))
-}
-
-// PermutationGBpsCfg is PermutationGBps with an explicit simulator config
-// and permutation source; it defines the Fig. 12 metric (per-flow bytes
-// over the flow's own completion time) for both the serial API and the
-// runner's parallel sweep.
+// PermutationGBpsCfg runs one random permutation, drawn from rng, through
+// the packet simulator under cfg and returns per-endpoint receive
+// bandwidths: it defines the Fig. 12 metric (per-flow bytes over the
+// flow's own completion time), and runner.Pool.PermutationSweepGBps runs
+// it once per sampled permutation.
 func (c *Cluster) PermutationGBpsCfg(cfg netsim.Config, bytes int64, rng *rand.Rand) ([]float64, error) {
 	flows := netsim.PermutationFlows(c.AliveEndpoints(), bytes, rng)
 	res, err := netsim.New(c.Comp, c.Table, cfg).Run(flows)

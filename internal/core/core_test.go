@@ -1,8 +1,19 @@
 package core
 
 import (
+	"math/rand"
 	"testing"
+
+	"hammingmesh/internal/flowsim"
+	"hammingmesh/internal/netsim"
 )
+
+// alltoallShare is the serial flow-level alltoall share over nShifts
+// sampled shifts, normalized to the simulated injection bandwidth.
+func alltoallShare(c *Cluster, nShifts int, seed uint64) (float64, error) {
+	s := flowsim.New(c.Comp, c.Table, c.FlowConfig(seed))
+	return s.AlltoallShareOver(c.AliveEndpoints(), nShifts, c.SimInjectionGBps(), seed)
+}
 
 func TestHxMeshClusterEndToEnd(t *testing.T) {
 	c := NewHxMesh(2, 2, 4, 4)
@@ -31,11 +42,11 @@ func TestClusterAlltoallShares(t *testing.T) {
 	// Flow-level alltoall shares must order: fat tree > Hx2 > Hx4-like.
 	ft := NewFatTree(128, 0)
 	hx2 := NewHxMesh(2, 2, 8, 8)
-	sFT, err := ft.AlltoallShare(6, 1)
+	sFT, err := alltoallShare(ft, 6, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sHx, err := hx2.AlltoallShare(6, 1)
+	sHx, err := alltoallShare(hx2, 6, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +84,7 @@ func TestClusterAllreduceShares(t *testing.T) {
 
 func TestPermutationDistribution(t *testing.T) {
 	c := NewHxMesh(2, 2, 4, 4)
-	bws, err := c.PermutationGBps(128<<10, 5)
+	bws, err := c.PermutationGBpsCfg(netsim.DefaultConfig(), 128<<10, rand.New(rand.NewSource(5)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,14 +111,5 @@ func TestTorusAndDragonflyClusters(t *testing.T) {
 	}
 	if _, err := tor.Summary(); err == nil {
 		t.Error("torus summary should fail")
-	}
-}
-
-func TestInjectionGBps(t *testing.T) {
-	if got := NewHxMesh(2, 2, 4, 4).InjectionGBps(); got != 200 {
-		t.Errorf("HxMesh injection = %f, want 200", got)
-	}
-	if got := NewFatTree(64, 0).InjectionGBps(); got != 200 {
-		t.Errorf("fat tree normalized injection = %f, want 200 (4 planes)", got)
 	}
 }

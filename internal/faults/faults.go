@@ -71,9 +71,6 @@ func (f *FaultSet) FailedSwitches() int { return f.switches }
 // FailedBoards returns the failed board coordinates (HxMesh only).
 func (f *FaultSet) FailedBoards() [][2]int { return f.boards }
 
-// MaskedPorts returns the number of masked port directions.
-func (f *FaultSet) MaskedPorts() int { return f.mask.Count() }
-
 // SurvivingEndpoints returns the endpoints whose node did not fail, in rank
 // order. The slice is shared and must not be mutated.
 func (f *FaultSet) SurvivingEndpoints() []topo.NodeID { return f.alive }

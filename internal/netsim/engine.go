@@ -142,13 +142,12 @@ func DefaultConfig() Config {
 type Flow struct {
 	Src, Dst topo.NodeID
 	Bytes    int64
-	Start    float64 // injection time in ns
 }
 
 // Result aggregates a simulation run.
 type Result struct {
-	// Makespan is the time of the last delivery, in ns (flows start at
-	// their Start times, typically 0).
+	// Makespan is the time of the last delivery, in ns (every flow
+	// starts at time 0).
 	Makespan float64
 	// TotalBytes delivered.
 	TotalBytes int64
@@ -524,12 +523,9 @@ func (s *Sim) Run(flows []Flow) (*Result, error) {
 	// took seconds.
 	s.setup = s.setup[:0]
 	for fi, f := range flows {
-		if f.Bytes <= 0 {
-			s.res.FlowFinish[fi] = f.Start
-			continue
-		}
+		// Empty flows inject nothing and keep FlowFinish 0 from Reset.
 		for w := 0; w < s.cfg.Window && s.flowSent[fi] < f.Bytes; w++ {
-			s.setup = append(s.setup, s.newInjection(int32(fi), f.Start))
+			s.setup = append(s.setup, s.newInjection(int32(fi), 0))
 		}
 	}
 	slices.SortFunc(s.setup, func(a, b event) int {

@@ -22,7 +22,7 @@ func TestClusterCacheBudgetChurn(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		share, err := c.AlltoallShare(2, 7)
+		share, err := pool.AlltoallFlowShare(c, c.FlowConfig(7), 2, 7)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -49,7 +49,7 @@ func TestClusterCacheBudgetChurn(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			share, err := c.AlltoallShare(2, 7)
+			share, err := pool.AlltoallFlowShare(c, c.FlowConfig(7), 2, 7)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -2,10 +2,8 @@ package runner
 
 import (
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"os"
 
 	"hammingmesh/internal/journal"
 )
@@ -30,7 +28,7 @@ type Checkpoint struct {
 // Checkpoint record types.
 const (
 	ckptMeta  = 1 // payload: sweep fingerprint (hex string)
-	ckptPoint = 2 // payload: u32 key length, key, value JSON
+	ckptPoint = 2 // journal.AppendKeyed: u32 key length, key, value JSON
 )
 
 // OpenCheckpoint opens (or creates) a sweep checkpoint in dir. sweepKey
@@ -50,9 +48,9 @@ func OpenCheckpoint(dir, sweepKey string, o journal.Options) (*Checkpoint, error
 		case ckptMeta:
 			storedKey = string(rec[1:])
 		case ckptPoint:
-			key, val, err := decodePoint(rec)
+			key, val, err := journal.DecodeKeyed(rec)
 			if err != nil {
-				return err
+				return fmt.Errorf("runner: checkpoint point record: %w", err)
 			}
 			ck.done[key] = val
 		default:
@@ -77,27 +75,6 @@ func OpenCheckpoint(dir, sweepKey string, o journal.Options) (*Checkpoint, error
 	return ck, nil
 }
 
-func encodePoint(key string, val []byte) []byte {
-	rec := make([]byte, 0, 5+len(key)+len(val))
-	rec = append(rec, ckptPoint)
-	rec = binary.LittleEndian.AppendUint32(rec, uint32(len(key)))
-	rec = append(rec, key...)
-	return append(rec, val...)
-}
-
-func decodePoint(rec []byte) (string, []byte, error) {
-	if len(rec) < 5 {
-		return "", nil, fmt.Errorf("runner: short checkpoint point record")
-	}
-	n := binary.LittleEndian.Uint32(rec[1:5])
-	if int(n) > len(rec)-5 {
-		return "", nil, fmt.Errorf("runner: checkpoint point key length %d exceeds record", n)
-	}
-	key := string(rec[5 : 5+n])
-	val := append([]byte(nil), rec[5+n:]...)
-	return key, val, nil
-}
-
 // Done returns the journaled value for a point key, if the point already
 // completed in a previous run.
 func (ck *Checkpoint) Done(key string) ([]byte, bool) {
@@ -111,7 +88,7 @@ func (ck *Checkpoint) Len() int { return len(ck.done) }
 // Put journals one completed point. Durable when it returns; safe for
 // concurrent use (the journal serializes appends).
 func (ck *Checkpoint) Put(key string, val []byte) error {
-	return ck.log.Append(encodePoint(key, val))
+	return ck.log.Append(journal.AppendKeyed(nil, ckptPoint, key, val))
 }
 
 // Close seals the journal.
@@ -119,21 +96,14 @@ func (ck *Checkpoint) Close() error { return ck.log.Close() }
 
 // OpenCheckpointCLI is OpenCheckpoint for the command-line tools' flag
 // pair -journal / -journal-crash: fsync'd appends (a kill -9 after any
-// point completes loses nothing), and a non-empty crashSpec
-// ("<point>:<n>", journal.ParseCrashPlan) arms an injected crash whose
-// Fire is a real process death via os.Exit(3) — the recovery the tests
-// then drive is exactly the SIGKILL path.
+// point completes loses nothing), and a non-empty crashSpec arms an
+// injected crash that kills the process (journal.ExitCrashPlan).
 func OpenCheckpointCLI(dir, crashSpec, fingerprint string) (*Checkpoint, error) {
-	var o journal.Options
-	if crashSpec != "" {
-		plan, err := journal.ParseCrashPlan(crashSpec)
-		if err != nil {
-			return nil, err
-		}
-		plan.Fire = func() error { os.Exit(3); return nil }
-		o.Crash = plan
+	plan, err := journal.ExitCrashPlan(crashSpec)
+	if err != nil {
+		return nil, err
 	}
-	return OpenCheckpoint(dir, fingerprint, o)
+	return OpenCheckpoint(dir, fingerprint, journal.Options{Crash: plan})
 }
 
 // RunJournaled executes jobs like RunCtx, with crash-safe resume: jobs

@@ -3,6 +3,7 @@ package runner
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 
 	"hammingmesh/internal/core"
 	"hammingmesh/internal/flowsim"
@@ -164,6 +165,33 @@ func (p *Pool) PermutationSweepGBps(c *core.Cluster, cfg netsim.Config, bytes in
 	return all, nil
 }
 
+// PermutationStats summarizes a Fig. 12 receive-bandwidth distribution
+// in GB/s: its sample count, extremes, quartiles and mean.
+type PermutationStats struct {
+	N                             int
+	Min, P25, P50, P75, Max, Mean float64
+}
+
+// SummarizePermutation sorts bws in place and returns the Fig. 12
+// statistics hxsim, hxd and the paper benchmark report; the quartiles
+// index the sorted samples at n/4, n/2 and 3n/4, and the mean sums them in
+// sorted order.
+func SummarizePermutation(bws []float64) PermutationStats {
+	n := len(bws)
+	if n == 0 {
+		return PermutationStats{}
+	}
+	sort.Float64s(bws)
+	mean := 0.0
+	for _, b := range bws {
+		mean += b
+	}
+	return PermutationStats{
+		N: n, Min: bws[0], P25: bws[n/4], P50: bws[n/2], P75: bws[3*n/4], Max: bws[n-1],
+		Mean: mean / float64(n),
+	}
+}
+
 // flushFlowStats publishes one solver's cumulative work counters (no-op
 // when observability is off). Solvers are per-job, so each flush adds a
 // full solver lifetime; called from worker goroutines (counters are
@@ -177,25 +205,4 @@ func (p *Pool) flushFlowStats(st flowsim.SolveStats) {
 	reg.Counter("flowsim_rekeys_total", "", "lazy heap re-keys (saturation level moved after push)").Add(st.ReKeys)
 	reg.Counter("flowsim_saturations_total", "", "links frozen at their max-min saturation level").Add(st.Saturations)
 	reg.Counter("flowsim_subflows_total", "", "subflows water-filled across all solves").Add(st.Subflows)
-}
-
-// TopologySweep runs fn once per topology name at the given size, each as
-// a pool job against the cached cluster, and returns results in name
-// order. Used by the cmd tools to evaluate Table II style rows in
-// parallel.
-func (p *Pool) TopologySweep(names []string, size core.ClusterSize, fn func(ctx *Ctx, name string, c *core.Cluster) (any, error)) []Result {
-	jobs := make([]Job, len(names))
-	for i, name := range names {
-		jobs[i] = Job{
-			Name: name,
-			Run: func(ctx *Ctx) (any, error) {
-				c, err := ctx.Pool.Cluster(name, size)
-				if err != nil {
-					return nil, err
-				}
-				return fn(ctx, name, c)
-			},
-		}
-	}
-	return p.Run(jobs)
 }

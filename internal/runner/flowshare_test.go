@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"hammingmesh/internal/core"
+	"hammingmesh/internal/flowsim"
 )
 
 // TestAlltoallFlowShareWorkerInvariance pins the pooled flow sweep's
@@ -42,9 +43,10 @@ func TestAlltoallFlowShareWorkerInvariance(t *testing.T) {
 }
 
 // TestAlltoallFlowShareTracksSerial sanity-checks the pooled estimator
-// against the serial one: same shift sequence and aggregation, so the two
-// must agree closely (they are not bit-identical — the serial solver's
-// parallel-link round-robin cursors carry across shifts).
+// against flowsim's serial AlltoallShareOver (sched's pinned shape
+// solver): same shift sequence and aggregation, so the two must agree
+// closely (they are not bit-identical — the serial solver's parallel-link
+// round-robin cursors carry across shifts).
 func TestAlltoallFlowShareTracksSerial(t *testing.T) {
 	c, err := core.NewByName("hx2mesh", core.Tiny)
 	if err != nil {
@@ -54,7 +56,8 @@ func TestAlltoallFlowShareTracksSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := c.AlltoallShare(6, 9)
+	serial, err := flowsim.New(c.Comp, c.Table, c.FlowConfig(9)).
+		AlltoallShareOver(c.AliveEndpoints(), 6, c.SimInjectionGBps(), 9)
 	if err != nil {
 		t.Fatal(err)
 	}

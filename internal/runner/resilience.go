@@ -10,6 +10,32 @@ import (
 	"hammingmesh/internal/netsim"
 )
 
+// The resilience sweep's defaults, shared by hxsim -pattern resilience and
+// hxd's resilience kind: link-failure fractions from 0 up to
+// DefaultResilienceMaxFrac in DefaultResilienceSteps even steps.
+const (
+	DefaultResilienceMaxFrac = 0.2
+	DefaultResilienceSteps   = 5
+)
+
+// ResilienceFracs returns steps link-failure fractions evenly spaced from
+// 0 to maxFrac (maxFrac alone when steps is 1); a maxFrac <= 0 means
+// DefaultResilienceMaxFrac.
+func ResilienceFracs(maxFrac float64, steps int) []float64 {
+	if maxFrac <= 0 {
+		maxFrac = DefaultResilienceMaxFrac
+	}
+	fracs := make([]float64, steps)
+	for i := range fracs {
+		if steps > 1 {
+			fracs[i] = maxFrac * float64(i) / float64(steps-1)
+		} else {
+			fracs[i] = maxFrac
+		}
+	}
+	return fracs
+}
+
 // ResiliencePoint is one point of a resilience sweep: delivered alltoall
 // bandwidth and makespan at one link-failure fraction, aggregated over the
 // seeded trials.

@@ -2,7 +2,11 @@
 // layer between the simulators and the command-line tools / benchmark
 // harness: callers describe a sweep as a list of jobs, and the pool runs
 // them on N workers with deterministic per-job RNG seeding, so results are
-// bit-identical regardless of worker count or scheduling order.
+// bit-identical regardless of worker count or scheduling order. Every
+// experiment that more than one surface runs (hxsim, hxalloc, hxd, the
+// paper benchmarks, the examples) is defined here once — its seeds,
+// defaults, aggregation and summary statistics — and the surfaces only
+// format the result.
 //
 // The pool also caches built clusters (topology + compiled network +
 // routing table) by name and size: compilation and BFS distance vectors are

@@ -7,6 +7,7 @@ import (
 
 	"hammingmesh/internal/core"
 	"hammingmesh/internal/journal"
+	"hammingmesh/internal/obs"
 	"hammingmesh/internal/sched"
 )
 
@@ -185,180 +186,44 @@ func (p *Pool) SchedSweep(c *core.Cluster, cfg SchedSweepConfig) ([]SchedPoint, 
 // sampling) is pure derivation from cfg.Seed and is recomputed, not
 // journaled.
 func (p *Pool) SchedSweepJournaled(ctx context.Context, c *core.Cluster, cfg SchedSweepConfig, ck *Checkpoint) ([]SchedPoint, error) {
-	if c.Hx == nil || c.Grid == nil {
-		return nil, fmt.Errorf("runner: scheduler sweeps need an HxMesh-family cluster, got %s", c.Net.Meta.Family)
+	pl, err := newSchedPlan(c, cfg)
+	if err != nil {
+		return nil, err
 	}
-	if h := cfg.Base.HorizonH; math.IsNaN(h) || math.IsInf(h, 0) || h <= 0 {
-		return nil, fmt.Errorf("runner: SchedSweepConfig.Base needs a finite positive HorizonH, got %v", h)
-	}
-	if len(cfg.MTBFs) == 0 || len(cfg.CheckpointsH) == 0 || len(cfg.Policies) == 0 {
-		return nil, fmt.Errorf("runner: scheduler sweep needs at least one MTBF, checkpoint and policy")
-	}
-	trials := cfg.Trials
-	if trials <= 0 {
-		trials = 1
-	}
-	base := cfg.Base
-	if base.Slowdown == nil {
-		base.Slowdown = sched.NewCommSlowdown(c.Hx.Cfg.A, c.Hx.Cfg.B)
-	}
-	// The failure process is sampled once per trial at the shortest
-	// positive MTBF and thinned per point (nested sets).
-	minMTBF := 0.0
-	for _, m := range cfg.MTBFs {
-		if m > 0 && (minMTBF == 0 || m < minMTBF) {
-			minMTBF = m
-		}
-	}
-	x, y := c.Grid.X, c.Grid.Y
-
-	// The scheduler-v2 axes default to a single inert value so pre-v2
-	// sweeps reproduce their points unchanged.
-	reservations := cfg.Reservations
-	if len(reservations) == 0 {
-		reservations = []bool{base.Reservation}
-	}
-	burstRates := cfg.BurstRates
-	if len(burstRates) == 0 {
-		burstRates = []float64{0}
-	}
-	defrags := cfg.DefragThresholds
-	if len(defrags) == 0 {
-		defrags = []float64{base.DefragThreshold}
-	}
-	// The scheduler-v3 axes likewise default to the base config's values.
-	// A single contention model (with its memoized joint solves) is shared
-	// by every interference-on point; its caches never affect results.
-	interferences := cfg.Interferences
-	if len(interferences) == 0 {
-		interferences = []bool{base.Interference != nil}
-	}
-	sharedInf := base.Interference
-	if sharedInf == nil {
-		sharedInf = &sched.Interference{BoardA: c.Hx.Cfg.A, BoardB: c.Hx.Cfg.B}
-	}
-	elastics := cfg.Elastics
-	if len(elastics) == 0 {
-		elastics = []bool{base.Elastic}
-	}
-	preempts := cfg.Preempts
-	if len(preempts) == 0 {
-		preempts = []bool{base.Preempt}
-	}
-	maxBurst := 0.0
-	for _, r := range burstRates {
-		if r > maxBurst {
-			maxBurst = r
-		}
-	}
-	burstShape := cfg.Burst
-	if burstShape.W < 1 && burstShape.H < 1 {
-		burstShape = sched.DefaultBurstShape()
-	}
-
-	type pointKey struct {
-		pi, ci, ri, di, ii, ei, qi, bi, mi int
-	}
-	var keys []pointKey
-	for pi := range cfg.Policies {
-		for ci := range cfg.CheckpointsH {
-			for ri := range reservations {
-				for di := range defrags {
-					for ii := range interferences {
-						for ei := range elastics {
-							for qi := range preempts {
-								for bi := range burstRates {
-									for mi := range cfg.MTBFs {
-										keys = append(keys, pointKey{pi, ci, ri, di, ii, ei, qi, bi, mi})
-									}
-								}
-							}
-						}
-					}
-				}
-			}
-		}
-	}
+	trials := pl.trials
 
 	// Per-trial inputs are shared by every point of the trial; build them
 	// as a first round of pool jobs (trace synthesis and failure sampling
-	// are the sweep's only serial state). Both failure processes are
-	// sampled once per trial at their highest rate and thinned per point,
-	// so each trial's failure sets are nested along the MTBF and burst
-	// axes.
-	type trialInput struct {
-		trace []sched.TraceJob
-		fp    *sched.Failures
-		bp    *sched.Bursts
-	}
+	// are the sweep's only serial state).
 	prepJobs := make([]Job, trials)
-	for tr := 0; tr < trials; tr++ {
-		tr := tr
+	for tr := range prepJobs {
 		prepJobs[tr] = Job{
 			Name: fmt.Sprintf("sched-prep-t%d", tr),
-			Run: func(ctx *Ctx) (any, error) {
-				seed := JobSeed(cfg.Seed, tr)
-				in := &trialInput{trace: cfg.FixedTrace}
-				if in.trace == nil {
-					in.trace = sched.Synthetic(cfg.Trace, seed)
-				}
-				if minMTBF > 0 {
-					boards := sched.BoardSequence(c.Hx, c.Comp, seed)
-					in.fp = sched.NewFailures(boards, base.HorizonH, minMTBF, seed)
-				}
-				if maxBurst > 0 {
-					in.bp = sched.NewBursts(x, y, burstShape, base.HorizonH, maxBurst, seed)
-				}
-				return in, nil
-			},
+			Run:  func(*Ctx) (any, error) { return pl.trial(tr), nil },
 		}
 	}
 	prepResults := p.RunCtx(ctx, prepJobs)
 	if err := FirstErr(prepResults); err != nil {
 		return nil, err
 	}
-	inputs := make([]*trialInput, trials)
-	for tr := range inputs {
-		inputs[tr] = prepResults[tr].Value.(*trialInput)
-	}
 
-	jobs := make([]Job, 0, len(keys)*trials)
-	for _, k := range keys {
+	jobs := make([]Job, 0, len(pl.points)*trials)
+	for _, pt := range pl.points {
 		for tr := 0; tr < trials; tr++ {
-			k, tr := k, tr
-			runCfg := base
-			runCfg.Policy = cfg.Policies[k.pi]
-			runCfg.CheckpointH = cfg.CheckpointsH[k.ci]
-			runCfg.Reservation = reservations[k.ri]
-			runCfg.DefragThreshold = defrags[k.di]
-			runCfg.Interference = nil
-			if interferences[k.ii] {
-				runCfg.Interference = sharedInf
-			}
-			runCfg.Elastic = elastics[k.ei]
-			runCfg.Preempt = preempts[k.qi]
+			// Point-job names are unique within the sweep and deterministic,
+			// so they double as checkpoint keys; the checkpoint's meta record
+			// pins the sweep fingerprint, making (fingerprint, name) globally
+			// unambiguous.
 			jobs = append(jobs, Job{
 				Name: fmt.Sprintf("sched-%s-ckpt%g-res%v-defrag%g-inf%v-ela%v-pre%v-burst%g-mtbf%g-t%d",
-					runCfg.Policy, runCfg.CheckpointH, runCfg.Reservation,
-					runCfg.DefragThreshold, interferences[k.ii], elastics[k.ei], preempts[k.qi],
-					burstRates[k.bi], cfg.MTBFs[k.mi], tr),
-				Run: func(ctx *Ctx) (any, error) {
-					in := inputs[tr]
-					var fails []sched.FailEvent
-					if mtbf := cfg.MTBFs[k.mi]; mtbf > 0 && in.fp != nil {
-						fails = in.fp.Thin(mtbf)
-					}
-					if rate := burstRates[k.bi]; rate > 0 && in.bp != nil {
-						fails = sched.MergeFailures(fails, in.bp.Thin(rate))
-					}
-					return sched.Run(x, y, in.trace, fails, runCfg)
+					pt.Policy, pt.CheckpointH, pt.Reservation, pt.DefragThreshold,
+					pt.Interference, pt.Elastic, pt.Preempt, pt.BurstRate, pt.MTBFh, tr),
+				Run: func(*Ctx) (any, error) {
+					return pl.run(pt, prepResults[tr].Value.(*schedTrial), nil)
 				},
 			})
 		}
 	}
-	// Point-job names are unique within the sweep and deterministic, so
-	// they double as checkpoint keys; the checkpoint's meta record pins the
-	// sweep fingerprint, making (fingerprint, name) globally unambiguous.
 	ckKeys := make([]string, len(jobs))
 	for i := range jobs {
 		ckKeys[i] = jobs[i].Name
@@ -371,20 +236,8 @@ func (p *Pool) SchedSweepJournaled(ctx context.Context, c *core.Cluster, cfg Sch
 		return nil, err
 	}
 
-	points := make([]SchedPoint, len(keys))
-	for ki, k := range keys {
-		pt := SchedPoint{
-			Policy:          cfg.Policies[k.pi],
-			CheckpointH:     cfg.CheckpointsH[k.ci],
-			Reservation:     reservations[k.ri],
-			BurstRate:       burstRates[k.bi],
-			DefragThreshold: defrags[k.di],
-			Interference:    interferences[k.ii],
-			Elastic:         elastics[k.ei],
-			Preempt:         preempts[k.qi],
-			MTBFh:           cfg.MTBFs[k.mi],
-			Trials:          trials,
-		}
+	for ki := range pl.points {
+		pt := &pl.points[ki]
 		for tr := 0; tr < trials; tr++ {
 			m := results[ki*trials+tr].Value.(*sched.Metrics)
 			p.flushSchedDecisions(m)
@@ -411,9 +264,185 @@ func (p *Pool) SchedSweepJournaled(ctx context.Context, c *core.Cluster, cfg Sch
 				pt.MinGoodput = m.Goodput
 			}
 		}
-		points[ki] = pt
 	}
-	return points, nil
+	return pl.points, nil
+}
+
+// SchedTraceRun replays one run of the sweep with rec attached as the
+// scheduler's flight recorder: the point with every axis at its first
+// value and the first positive MTBF (the first MTBF when none is
+// positive), at trial 0. The sweep scores exactly this run, and recording
+// never changes a result (obs contract), so the returned metrics are that
+// point's trial-0 metrics.
+func SchedTraceRun(c *core.Cluster, cfg SchedSweepConfig, rec *obs.Recorder) (*sched.Metrics, error) {
+	pl, err := newSchedPlan(c, cfg)
+	if err != nil {
+		return nil, err
+	}
+	// MTBF is the innermost axis, so point i of the first block is MTBF i.
+	pt := pl.points[0]
+	for i, m := range cfg.MTBFs {
+		if m > 0 {
+			pt = pl.points[i]
+			break
+		}
+	}
+	return pl.run(pt, pl.trial(0), rec)
+}
+
+// schedPlan is a scheduler sweep resolved against its cluster: the base
+// config and shared models after defaults, and every point's identity in
+// result order. The sweep's jobs and SchedTraceRun build their runs from
+// it alone.
+type schedPlan struct {
+	c                 *core.Cluster
+	cfg               SchedSweepConfig
+	base              sched.Config
+	sharedInf         *sched.Interference
+	minMTBF, maxBurst float64
+	burstShape        sched.BurstShape
+	trials            int
+	points            []SchedPoint // axis values and Trials set, metrics zero
+}
+
+// schedTrial holds one trial's inputs, shared by every point of the trial.
+type schedTrial struct {
+	trace []sched.TraceJob
+	fp    *sched.Failures
+	bp    *sched.Bursts
+}
+
+func newSchedPlan(c *core.Cluster, cfg SchedSweepConfig) (*schedPlan, error) {
+	if c.Hx == nil || c.Grid == nil {
+		return nil, fmt.Errorf("runner: scheduler sweeps need an HxMesh-family cluster, got %s", c.Net.Meta.Family)
+	}
+	if h := cfg.Base.HorizonH; math.IsNaN(h) || math.IsInf(h, 0) || h <= 0 {
+		return nil, fmt.Errorf("runner: SchedSweepConfig.Base needs a finite positive HorizonH, got %v", h)
+	}
+	if len(cfg.MTBFs) == 0 || len(cfg.CheckpointsH) == 0 || len(cfg.Policies) == 0 {
+		return nil, fmt.Errorf("runner: scheduler sweep needs at least one MTBF, checkpoint and policy")
+	}
+	pl := &schedPlan{c: c, cfg: cfg, base: cfg.Base, trials: max(cfg.Trials, 1), burstShape: cfg.Burst}
+	base := &pl.base
+	if base.Slowdown == nil {
+		base.Slowdown = sched.NewCommSlowdown(c.Hx.Cfg.A, c.Hx.Cfg.B)
+	}
+	// The failure process is sampled once per trial at the shortest
+	// positive MTBF and thinned per point (nested sets).
+	for _, m := range cfg.MTBFs {
+		if m > 0 && (pl.minMTBF == 0 || m < pl.minMTBF) {
+			pl.minMTBF = m
+		}
+	}
+
+	// The scheduler-v2 axes default to a single inert value so pre-v2
+	// sweeps reproduce their points unchanged.
+	reservations := cfg.Reservations
+	if len(reservations) == 0 {
+		reservations = []bool{base.Reservation}
+	}
+	burstRates := cfg.BurstRates
+	if len(burstRates) == 0 {
+		burstRates = []float64{0}
+	}
+	defrags := cfg.DefragThresholds
+	if len(defrags) == 0 {
+		defrags = []float64{base.DefragThreshold}
+	}
+	// The scheduler-v3 axes likewise default to the base config's values.
+	// A single contention model (with its memoized joint solves) is shared
+	// by every interference-on point; its caches never affect results.
+	interferences := cfg.Interferences
+	if len(interferences) == 0 {
+		interferences = []bool{base.Interference != nil}
+	}
+	pl.sharedInf = base.Interference
+	if pl.sharedInf == nil {
+		pl.sharedInf = &sched.Interference{BoardA: c.Hx.Cfg.A, BoardB: c.Hx.Cfg.B}
+	}
+	elastics := cfg.Elastics
+	if len(elastics) == 0 {
+		elastics = []bool{base.Elastic}
+	}
+	preempts := cfg.Preempts
+	if len(preempts) == 0 {
+		preempts = []bool{base.Preempt}
+	}
+	for _, r := range burstRates {
+		pl.maxBurst = max(pl.maxBurst, r)
+	}
+	if pl.burstShape.W < 1 && pl.burstShape.H < 1 {
+		pl.burstShape = sched.DefaultBurstShape()
+	}
+
+	for _, policy := range cfg.Policies {
+		for _, ckpt := range cfg.CheckpointsH {
+			for _, res := range reservations {
+				for _, defrag := range defrags {
+					for _, inf := range interferences {
+						for _, ela := range elastics {
+							for _, pre := range preempts {
+								for _, rate := range burstRates {
+									for _, mtbf := range cfg.MTBFs {
+										pl.points = append(pl.points, SchedPoint{
+											Policy: policy, CheckpointH: ckpt, Reservation: res,
+											BurstRate: rate, DefragThreshold: defrag,
+											Interference: inf, Elastic: ela, Preempt: pre,
+											MTBFh: mtbf, Trials: pl.trials,
+										})
+									}
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	return pl, nil
+}
+
+// trial derives trial tr's inputs from cfg.Seed alone: its trace, and both
+// failure processes sampled once at their highest rate, so that thinning
+// them per point nests each trial's failure sets along the MTBF and burst
+// axes.
+func (pl *schedPlan) trial(tr int) *schedTrial {
+	seed := JobSeed(pl.cfg.Seed, tr)
+	in := &schedTrial{trace: pl.cfg.FixedTrace}
+	if in.trace == nil {
+		in.trace = sched.Synthetic(pl.cfg.Trace, seed)
+	}
+	if pl.minMTBF > 0 {
+		boards := sched.BoardSequence(pl.c.Hx, pl.c.Comp, seed)
+		in.fp = sched.NewFailures(boards, pl.base.HorizonH, pl.minMTBF, seed)
+	}
+	if pl.maxBurst > 0 {
+		in.bp = sched.NewBursts(pl.c.Grid.X, pl.c.Grid.Y, pl.burstShape, pl.base.HorizonH, pl.maxBurst, seed)
+	}
+	return in
+}
+
+// run simulates point pt on one trial's inputs; a non-nil rec records it.
+func (pl *schedPlan) run(pt SchedPoint, in *schedTrial, rec *obs.Recorder) (*sched.Metrics, error) {
+	runCfg := pl.base
+	runCfg.Policy, runCfg.CheckpointH = pt.Policy, pt.CheckpointH
+	runCfg.Reservation, runCfg.DefragThreshold = pt.Reservation, pt.DefragThreshold
+	runCfg.Interference = nil
+	if pt.Interference {
+		runCfg.Interference = pl.sharedInf
+	}
+	runCfg.Elastic, runCfg.Preempt = pt.Elastic, pt.Preempt
+	if rec != nil {
+		runCfg.Trace = rec
+	}
+	var fails []sched.FailEvent
+	if pt.MTBFh > 0 && in.fp != nil {
+		fails = in.fp.Thin(pt.MTBFh)
+	}
+	if pt.BurstRate > 0 && in.bp != nil {
+		fails = sched.MergeFailures(fails, in.bp.Thin(pt.BurstRate))
+	}
+	return sched.Run(pl.c.Grid.X, pl.c.Grid.Y, in.trace, fails, runCfg)
 }
 
 // flushSchedDecisions publishes one scheduler run's decision counts as

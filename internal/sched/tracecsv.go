@@ -210,8 +210,3 @@ func ParseTraceCSV(r io.Reader, opts CSVOptions) ([]TraceJob, error) {
 	}
 	return finishTrace(jobs)
 }
-
-// LoadTraceCSV is ParseTraceCSV with default options.
-func LoadTraceCSV(r io.Reader) ([]TraceJob, error) {
-	return ParseTraceCSV(r, CSVOptions{})
-}

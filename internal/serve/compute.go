@@ -3,7 +3,6 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 
 	"hammingmesh/internal/core"
 	"hammingmesh/internal/netsim"
@@ -111,26 +110,14 @@ func (cp *Computer) Compute(cn *Canon) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		sort.Float64s(bws)
-		mean := 0.0
-		for _, b := range bws {
-			mean += b
-		}
-		mean /= float64(len(bws))
+		st := runner.SummarizePermutation(bws)
 		v = PermutationResult{
-			Kind: cn.Kind, Topo: cn.Topo, Size: cn.Size, Endpoints: len(bws),
-			MinGBps: bws[0], P25GBps: bws[len(bws)/4], P50GBps: bws[len(bws)/2],
-			P75GBps: bws[3*len(bws)/4], MaxGBps: bws[len(bws)-1], MeanGBps: mean,
+			Kind: cn.Kind, Topo: cn.Topo, Size: cn.Size, Endpoints: st.N,
+			MinGBps: st.Min, P25GBps: st.P25, P50GBps: st.P50,
+			P75GBps: st.P75, MaxGBps: st.Max, MeanGBps: st.Mean,
 		}
 	case KindResilience:
-		fracs := make([]float64, cn.Steps)
-		for i := range fracs {
-			if cn.Steps > 1 {
-				fracs[i] = cn.FailLinks * float64(i) / float64(cn.Steps-1)
-			} else {
-				fracs[i] = cn.FailLinks
-			}
-		}
+		fracs := runner.ResilienceFracs(cn.FailLinks, cn.Steps)
 		pts, err := cp.pool.ResilienceSweep(c, pktCfg, cn.Bytes, fracs, cn.Trials, cn.Shifts, cn.FailSeed, cn.FailBoards)
 		if err != nil {
 			return nil, err

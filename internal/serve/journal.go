@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"sort"
@@ -19,7 +18,7 @@ import (
 // Record layout (first byte is the type):
 //
 //	accept: 'A' | canonical request JSON (the Canon — its key re-derives)
-//	result: 'R' | u32 key length | key | result body
+//	result: 'R' | u32 key length | key | result body (journal.AppendKeyed)
 //
 // Both sides are idempotent by content address: a crash between a
 // result's append and its fsync can replay one extra or one fewer record
@@ -59,15 +58,11 @@ func openJobJournal(dir string, o journal.Options) (jj *jobJournal, pending map[
 			}
 			return nil
 		case jrecResult:
-			if len(rec) < 5 {
-				return fmt.Errorf("serve: short journal result record")
+			key, body, err := journal.DecodeKeyed(rec)
+			if err != nil {
+				return fmt.Errorf("serve: journal result record: %w", err)
 			}
-			n := binary.LittleEndian.Uint32(rec[1:5])
-			if int(n) > len(rec)-5 {
-				return fmt.Errorf("serve: journal result key length %d exceeds record", n)
-			}
-			key := string(rec[5 : 5+n])
-			results[key] = append([]byte(nil), rec[5+n:]...)
+			results[key] = body
 			delete(pending, key)
 			return nil
 		default:
@@ -91,12 +86,7 @@ func (j *jobJournal) result(key string, body []byte) error {
 	if j == nil {
 		return nil
 	}
-	rec := make([]byte, 0, 5+len(key)+len(body))
-	rec = append(rec, jrecResult)
-	rec = binary.LittleEndian.AppendUint32(rec, uint32(len(key)))
-	rec = append(rec, key...)
-	rec = append(rec, body...)
-	return j.log.Append(rec)
+	return j.log.Append(journal.AppendKeyed(nil, jrecResult, key, body))
 }
 
 func (j *jobJournal) close() error {

@@ -19,6 +19,7 @@ import (
 	"fmt"
 
 	"hammingmesh/internal/core"
+	"hammingmesh/internal/runner"
 	"hammingmesh/internal/sched"
 )
 
@@ -278,10 +279,10 @@ func Canonicalize(r Request) (*Canon, error) {
 		c.Bytes = defInt64(r.Bytes, DefaultBytes)
 		c.Credit = r.Credit
 		c.Trials = defInt(r.Trials, 3)
-		c.Steps = defInt(r.Steps, 5)
+		c.Steps = defInt(r.Steps, runner.DefaultResilienceSteps)
 		c.FailLinks = r.FailLinks
 		if c.FailLinks == 0 {
-			c.FailLinks = 0.2 // the sweep's upper bound, as in hxsim
+			c.FailLinks = runner.DefaultResilienceMaxFrac // the sweep's upper bound, as in hxsim
 		}
 		c.FailBoards = r.FailBoards
 		if c.FailBoards > 0 && !schedTopos[c.Topo] {

@@ -103,22 +103,3 @@ func Summarize(vals []float64) Stats {
 	}
 	return Stats{Mean: mean, Median: pick(0.5), P99: pick(0.01), Min: s[0], Max: s[len(s)-1]}
 }
-
-// UtilizationExperiment runs nMixes random job mixes (Fig. 8 uses 1,000)
-// on an x×y HxMesh grid with the given failures count, returning the
-// utilization sample per heuristic stack.
-func UtilizationExperiment(x, y, accelsPerBoard, nMixes, failures int, d Distribution, stacks []HeuristicStack, seed int64) map[string][]float64 {
-	out := make(map[string][]float64, len(stacks))
-	for _, h := range stacks {
-		sampler := NewSampler(d, seed)
-		rng := rand.New(rand.NewSource(seed + 77))
-		utils := make([]float64, 0, nMixes)
-		for m := 0; m < nMixes; m++ {
-			mix := sampler.Mix(x*y, accelsPerBoard)
-			r := RunMix(x, y, mix, h, failures, rng)
-			utils = append(utils, r.Utilization)
-		}
-		out[h.Name] = utils
-	}
-	return out
-}

@@ -99,24 +99,6 @@ func TestShapeForQuick(t *testing.T) {
 	}
 }
 
-func TestUtilizationImprovesWithHeuristics(t *testing.T) {
-	// Fig. 8: sorted allocation dominates plain greedy on average.
-	d := AlibabaLike()
-	stacks := []HeuristicStack{
-		{Name: "greedy"},
-		{Name: "full", Transpose: true, Aspect: true, Sort: true},
-	}
-	res := UtilizationExperiment(16, 16, 4, 12, 0, d, stacks, 5)
-	greedy := Summarize(res["greedy"])
-	full := Summarize(res["full"])
-	if greedy.Mean < 0.5 {
-		t.Errorf("greedy mean utilization %.2f unreasonably low", greedy.Mean)
-	}
-	if full.Mean+1e-9 < greedy.Mean {
-		t.Errorf("full heuristics mean %.3f below greedy %.3f", full.Mean, greedy.Mean)
-	}
-}
-
 func TestFailuresReduceUtilization(t *testing.T) {
 	d := AlibabaLike()
 	s := NewSampler(d, 3)
