@@ -44,11 +44,9 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"os/signal"
 	"runtime"
 	"strconv"
 	"strings"
-	"syscall"
 
 	"hammingmesh/internal/core"
 	"hammingmesh/internal/obs"
@@ -58,43 +56,46 @@ import (
 )
 
 func main() {
+	spec := runner.DefaultSchedSpec()
 	mode := flag.String("mode", "fig8", "experiment: fig8 (static mixes) or sched (trace-driven scheduler)")
 	grid := flag.String("grid", "16x16", "board grid (XxY)")
 	mixes := flag.Int("mixes", 100, "number of random job mixes (paper: 1000)")
 	failures := flag.Int("failures", 0, "randomly failed boards")
-	seed := flag.Int64("seed", 1, "random seed")
+	flag.Int64Var(&spec.Seed, "seed", spec.Seed, "random seed")
 	board := flag.Int("board", 4, "accelerators per board (4 for Hx2Mesh, 16 for Hx4Mesh)")
 	cdf := flag.Bool("cdf", false, "print the job-size board CDF (Fig. 7) and exit")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "worker pool size for the mix sweep")
 
-	// -mode sched flags.
-	jobs := flag.Int("jobs", 200, "sched: synthetic trace length")
-	arrival := flag.Float64("arrival", 4, "sched: Poisson arrival rate, jobs/hour")
-	service := flag.Float64("service", 3, "sched: mean job service time, hours (Pareto tail)")
-	commfrac := flag.Float64("commfrac", 0.3, "sched: communication share of each job")
-	horizon := flag.Float64("horizon", 60, "sched: simulated horizon, hours")
-	repair := flag.Float64("repair", 10, "sched: board repair time (MTTR), hours")
-	mtbfList := flag.String("mtbf", "0,500,120,40", "sched: per-board MTBF values in hours (0 = no failures)")
-	ckptList := flag.String("ckpt", "2", "sched: checkpoint intervals in hours (0 = continuous)")
-	policyList := flag.String("policies", "firstfit,bestfit,fragaware", "sched: placement policies")
-	trials := flag.Int("trials", 4, "sched: seeded trials per point")
-	traceFile := flag.String("trace", "", "sched: JSON trace file (overrides the synthetic generator)")
-	reserveList := flag.String("reserve", "0", "sched: EASY reservation backfill values to sweep (0=off, 1=on, e.g. 0,1)")
-	burstList := flag.String("burst", "0", "sched: correlated-outage rates in bursts/hour (0 = independent only)")
-	burstShape := flag.String("burst-shape", "4x1", "sched: burst region WxH in boards (rack segment / row outage)")
-	defragList := flag.String("defrag", "0", "sched: fragmentation thresholds triggering checkpoint-migrate defrag (0 = off)")
-	defragCost := flag.Float64("defrag-cost", 0.1, "sched: checkpoint-transfer overhead per migrated job, hours")
-	interferenceList := flag.String("interference", "0", "sched: joint contention pricing values to sweep (0=off, 1=on, e.g. 0,1)")
-	elasticList := flag.String("elastic", "0", "sched: malleable-job scheduling values to sweep (0=off, 1=on)")
-	priorityList := flag.String("priority", "0", "sched: priority preemption values to sweep (0=off, 1=on)")
-	elasticFrac := flag.Float64("elastic-frac", 0.3, "sched: fraction of synthetic jobs marked elastic when -elastic sweeps on")
-	priorityFrac := flag.Float64("priority-frac", 0.2, "sched: fraction of synthetic jobs given elevated priority when -priority sweeps on")
-	switchGroup := flag.Int("switch-group", 16, "sched: boards per upper-layer switch group (slowdown + contention models)")
-	taper := flag.Float64("taper", 1, "sched: upper-layer fat-tree taper fraction for contention pricing")
-	traceCSVFile := flag.String("trace-csv", "", "sched: CSV trace file, Alibaba/Philly-style columns (overrides the synthetic generator)")
-	traceOut := flag.String("trace-out", "", "sched: write a Chrome trace-event JSON flight recording of one representative run to this file (open in Perfetto); -trace stays the input trace file")
-	journalDir := flag.String("journal", "", "sched: checkpoint directory — completed sweep points are journaled crash-safely and rerunning the same command resumes")
-	journalCrash := flag.String("journal-crash", "", "crash-injection plan <point>:<n> — die mid-write at that journal boundary (testing; see internal/journal)")
+	// -mode sched flags, bound to the sweep spec and defaulting to its
+	// values; runSched parses the list flags and opens the files.
+	flag.IntVar(&spec.Jobs, "jobs", spec.Jobs, "sched: synthetic trace length")
+	flag.Float64Var(&spec.ArrivalPerH, "arrival", spec.ArrivalPerH, "sched: Poisson arrival rate, jobs/hour")
+	flag.Float64Var(&spec.ServiceH, "service", spec.ServiceH, "sched: mean job service time, hours (Pareto tail)")
+	flag.Float64Var(&spec.CommFrac, "commfrac", spec.CommFrac, "sched: communication share of each job")
+	flag.Float64Var(&spec.HorizonH, "horizon", spec.HorizonH, "sched: simulated horizon, hours")
+	flag.Float64Var(&spec.RepairH, "repair", spec.RepairH, "sched: board repair time (MTTR), hours")
+	var f schedFlags
+	flag.StringVar(&f.mtbfs, "mtbf", list(spec.MTBFs, fmtFloat), "sched: per-board MTBF values in hours (0 = no failures)")
+	flag.StringVar(&f.ckpts, "ckpt", list(spec.CkptsH, fmtFloat), "sched: checkpoint intervals in hours (0 = continuous)")
+	flag.StringVar(&f.policies, "policies", list(spec.Policies, func(p sched.Policy) string { return string(p) }), "sched: placement policies")
+	flag.IntVar(&spec.Trials, "trials", spec.Trials, "sched: seeded trials per point")
+	flag.StringVar(&f.trace, "trace", "", "sched: JSON trace file (overrides the synthetic generator)")
+	flag.StringVar(&f.reserves, "reserve", list(spec.Reserves, fmtBool), "sched: EASY reservation backfill values to sweep (0=off, 1=on, e.g. 0,1)")
+	flag.StringVar(&f.bursts, "burst", list(spec.BurstRates, fmtFloat), "sched: correlated-outage rates in bursts/hour (0 = independent only)")
+	flag.StringVar(&f.burstShape, "burst-shape", fmt.Sprintf("%dx%d", spec.Burst.W, spec.Burst.H), "sched: burst region WxH in boards (rack segment / row outage)")
+	flag.StringVar(&f.defrags, "defrag", list(spec.DefragThresholds, fmtFloat), "sched: fragmentation thresholds triggering checkpoint-migrate defrag (0 = off)")
+	flag.Float64Var(&spec.DefragCostH, "defrag-cost", spec.DefragCostH, "sched: checkpoint-transfer overhead per migrated job, hours")
+	flag.StringVar(&f.interferences, "interference", list(spec.Interferences, fmtBool), "sched: joint contention pricing values to sweep (0=off, 1=on, e.g. 0,1)")
+	flag.StringVar(&f.elastics, "elastic", list(spec.Elastics, fmtBool), "sched: malleable-job scheduling values to sweep (0=off, 1=on)")
+	flag.StringVar(&f.priorities, "priority", list(spec.Preempts, fmtBool), "sched: priority preemption values to sweep (0=off, 1=on)")
+	flag.Float64Var(&spec.ElasticFrac, "elastic-frac", spec.ElasticFrac, "sched: fraction of synthetic jobs marked elastic when -elastic sweeps on")
+	flag.Float64Var(&spec.PriorityFrac, "priority-frac", spec.PriorityFrac, "sched: fraction of synthetic jobs given elevated priority when -priority sweeps on")
+	flag.IntVar(&spec.SwitchGroup, "switch-group", spec.SwitchGroup, "sched: boards per upper-layer switch group (slowdown + contention models)")
+	flag.Float64Var(&spec.Taper, "taper", spec.Taper, "sched: upper-layer fat-tree taper fraction for contention pricing")
+	flag.StringVar(&f.traceCSV, "trace-csv", "", "sched: CSV trace file, Alibaba/Philly-style columns (overrides the synthetic generator)")
+	flag.StringVar(&f.traceOut, "trace-out", "", "sched: write a Chrome trace-event JSON flight recording of one representative run to this file (open in Perfetto); -trace stays the input trace file")
+	flag.StringVar(&f.journal, "journal", "", "sched: checkpoint directory — completed sweep points are journaled crash-safely and rerunning the same command resumes")
+	flag.StringVar(&f.journalCrash, "journal-crash", "", "crash-injection plan <point>:<n> — die mid-write at that journal boundary (testing; see internal/journal)")
 	flag.Parse()
 
 	d := workload.AlibabaLike()
@@ -114,29 +115,22 @@ func main() {
 		fmt.Fprintf(os.Stderr, "bad -grid %q\n", *grid)
 		os.Exit(1)
 	}
-	pool := runner.NewSeeded(*parallel, *seed)
+	pool := runner.NewSeeded(*parallel, spec.Seed)
 
 	if *mode == "sched" {
-		runSched(pool, x, y, *board, schedFlags{
-			jobs: *jobs, arrival: *arrival, service: *service, commfrac: *commfrac,
-			horizon: *horizon, repair: *repair, mtbfs: *mtbfList, ckpts: *ckptList,
-			policies: *policyList, trials: *trials, seed: *seed, traceFile: *traceFile,
-			reserves: *reserveList, bursts: *burstList, burstShape: *burstShape,
-			defrags: *defragList, defragCost: *defragCost, traceOut: *traceOut,
-			journalDir: *journalDir, journalCrash: *journalCrash,
-			interferences: *interferenceList, elastics: *elasticList, priorities: *priorityList,
-			elasticFrac: *elasticFrac, priorityFrac: *priorityFrac,
-			switchGroup: *switchGroup, taper: *taper, traceCSV: *traceCSVFile,
-		})
+		runSched(pool, x, y, *board, spec, f)
 		return
 	}
-	if *journalDir != "" {
+	if f.journal != "" {
 		fmt.Fprintln(os.Stderr, "hxalloc: -journal only applies to -mode sched")
 		os.Exit(2)
 	}
 	if *mode != "fig8" {
 		fmt.Fprintf(os.Stderr, "bad -mode %q (fig8|sched)\n", *mode)
 		os.Exit(1)
+	}
+	if *failures < 0 || *failures > x*y {
+		fatalf("bad -failures %d: want 0 to %d, the grid's board count", *failures, x*y)
 	}
 	fmt.Printf("grid %dx%d (%d boards), %d mixes, %d failed boards, %d workers\n\n",
 		x, y, x*y, *mixes, *failures, pool.Workers())
@@ -148,26 +142,18 @@ func main() {
 	}
 }
 
+// schedFlags holds the string flags of -mode sched: the comma-separated
+// lists runSched parses into the spec, and the files it reads, writes and
+// journals to.
 type schedFlags struct {
-	jobs                              int
-	arrival, service, commfrac        float64
-	horizon, repair                   float64
-	mtbfs, ckpts, policies, traceFile string
-	reserves, bursts, burstShape      string
-	defrags, traceOut                 string
-	journalDir, journalCrash          string
-	interferences, elastics           string
-	priorities, traceCSV              string
-	elasticFrac, priorityFrac, taper  float64
-	switchGroup                       int
-	defragCost                        float64
-	trials                            int
-	seed                              int64
+	mtbfs, ckpts, policies, reserves, bursts, burstShape string
+	defrags, interferences, elastics, priorities         string
+	trace, traceCSV, traceOut, journal, journalCrash     string
 }
 
 // runSched drives runner.SchedSweep: the utilization-vs-MTBF study on a
 // live cluster with checkpoint/restart.
-func runSched(pool *runner.Pool, x, y, accelsPerBoard int, f schedFlags) {
+func runSched(pool *runner.Pool, x, y, accelsPerBoard int, spec runner.SchedSpec, f schedFlags) {
 	side := int(math.Sqrt(float64(accelsPerBoard)))
 	if side < 1 || side*side != accelsPerBoard {
 		fatalf("bad -board %d: want a square accelerator count (4, 16, ...)", accelsPerBoard)
@@ -175,90 +161,39 @@ func runSched(pool *runner.Pool, x, y, accelsPerBoard int, f schedFlags) {
 	for _, v := range []struct {
 		flag string
 		v    float64
-	}{{"-arrival", f.arrival}, {"-service", f.service}, {"-commfrac", f.commfrac},
-		{"-horizon", f.horizon}, {"-repair", f.repair}, {"-defrag-cost", f.defragCost},
-		{"-elastic-frac", f.elasticFrac}, {"-priority-frac", f.priorityFrac}, {"-taper", f.taper}} {
+	}{{"-arrival", spec.ArrivalPerH}, {"-service", spec.ServiceH}, {"-commfrac", spec.CommFrac},
+		{"-horizon", spec.HorizonH}, {"-repair", spec.RepairH}, {"-defrag-cost", spec.DefragCostH},
+		{"-elastic-frac", spec.ElasticFrac}, {"-priority-frac", spec.PriorityFrac}, {"-taper", spec.Taper}} {
 		if !finite(v.v) {
 			fatalf("bad %s %v: want a finite number", v.flag, v.v)
 		}
 	}
 	c := core.NewHxMesh(side, side, x, y)
-	mtbfs := parseFloats(f.mtbfs, "-mtbf")
-	ckpts := parseFloats(f.ckpts, "-ckpt")
-	var policies []sched.Policy
+	spec.MTBFs = parseFloats(f.mtbfs, "-mtbf")
+	spec.CkptsH = parseFloats(f.ckpts, "-ckpt")
+	spec.Policies = nil
 	for _, s := range strings.Split(f.policies, ",") {
 		p, err := sched.ParsePolicy(strings.TrimSpace(s))
 		if err != nil {
 			fatalf("%v", err)
 		}
-		policies = append(policies, p)
+		spec.Policies = append(spec.Policies, p)
 	}
-	parseBools := func(s, flagName string) []bool {
-		var out []bool
-		for _, v := range parseFloats(s, flagName) {
-			out = append(out, v != 0)
-		}
-		return out
-	}
-	anyTrue := func(bs []bool) bool {
-		for _, b := range bs {
-			if b {
-				return true
-			}
-		}
-		return false
-	}
-	reserves := parseBools(f.reserves, "-reserve")
-	interferences := parseBools(f.interferences, "-interference")
-	elastics := parseBools(f.elastics, "-elastic")
-	priorities := parseBools(f.priorities, "-priority")
-	var shapeW, shapeH int
-	if _, err := fmt.Sscanf(f.burstShape, "%dx%d", &shapeW, &shapeH); err != nil || shapeW < 1 || shapeH < 1 {
+	spec.Reserves = parseBools(f.reserves, "-reserve")
+	spec.Interferences = parseBools(f.interferences, "-interference")
+	spec.Elastics = parseBools(f.elastics, "-elastic")
+	spec.Preempts = parseBools(f.priorities, "-priority")
+	if _, err := fmt.Sscanf(f.burstShape, "%dx%d", &spec.Burst.W, &spec.Burst.H); err != nil || spec.Burst.W < 1 || spec.Burst.H < 1 {
 		fatalf("bad -burst-shape %q (want WxH, e.g. 4x1)", f.burstShape)
 	}
-	traceCfg := sched.TraceConfig{
-		Jobs: f.jobs, ArrivalRate: f.arrival, MeanService: f.service,
-		AccelsPerBoard: accelsPerBoard, MaxBoards: x * y, CommFrac: f.commfrac,
-	}
-	if anyTrue(elastics) {
-		traceCfg.ElasticFrac = f.elasticFrac
-	}
-	if anyTrue(priorities) {
-		traceCfg.PriorityFrac = f.priorityFrac
-	}
-	// The slowdown model always carries the -switch-group topology (16
-	// matches the model's default); the contention model is built only
-	// when the interference axis sweeps on.
-	baseCfg := sched.Config{
-		HorizonH: f.horizon, RepairH: f.repair, DefragCostH: f.defragCost,
-		Slowdown: &sched.CommSlowdown{BoardA: side, BoardB: side, GroupBoards: f.switchGroup},
-	}
-	if anyTrue(interferences) {
-		baseCfg.Interference = &sched.Interference{
-			BoardA: side, BoardB: side, GroupBoards: f.switchGroup, Taper: f.taper,
-		}
-	}
-	cfg := runner.SchedSweepConfig{
-		Trace:            traceCfg,
-		Base:             baseCfg,
-		MTBFs:            mtbfs,
-		CheckpointsH:     ckpts,
-		Policies:         policies,
-		Reservations:     reserves,
-		BurstRates:       parseFloats(f.bursts, "-burst"),
-		Burst:            sched.BurstShape{W: shapeW, H: shapeH},
-		DefragThresholds: parseFloats(f.defrags, "-defrag"),
-		Interferences:    interferences,
-		Elastics:         elastics,
-		Preempts:         priorities,
-		Trials:           f.trials,
-		Seed:             f.seed,
-	}
-	if f.traceFile != "" && f.traceCSV != "" {
+	spec.BurstRates = parseFloats(f.bursts, "-burst")
+	spec.DefragThresholds = parseFloats(f.defrags, "-defrag")
+	cfg := spec.Config(c)
+	if f.trace != "" && f.traceCSV != "" {
 		fatalf("use only one of -trace and -trace-csv")
 	}
-	if f.traceFile != "" {
-		file, err := os.Open(f.traceFile)
+	if f.trace != "" {
+		file, err := os.Open(f.trace)
 		if err != nil {
 			fatalf("%v", err)
 		}
@@ -274,45 +209,19 @@ func runSched(pool *runner.Pool, x, y, accelsPerBoard int, f schedFlags) {
 			fatalf("%v", err)
 		}
 		cfg.FixedTrace, err = sched.ParseTraceCSV(file, sched.CSVOptions{
-			AccelsPerBoard: accelsPerBoard, DefaultCommFrac: f.commfrac,
+			AccelsPerBoard: accelsPerBoard, DefaultCommFrac: spec.CommFrac,
 		})
 		file.Close()
 		if err != nil {
 			fatalf("%v", err)
 		}
 	}
-	// SIGINT/SIGTERM cancel the sweep: in-flight points finish and are
-	// journaled, the rest of the grid is skipped, and rerunning the same
-	// command resumes from the checkpoint.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	var ck *runner.Checkpoint
-	if f.journalDir != "" {
-		var err error
-		ck, err = runner.OpenCheckpointCLI(f.journalDir, f.journalCrash, cfg.Fingerprint(c))
-		if err != nil {
-			fatalf("%v", err)
-		}
-		defer ck.Close()
-		if n := ck.Len(); n > 0 {
-			fmt.Printf("journal: resuming from %s, %d completed points loaded\n", f.journalDir, n)
-		}
-	}
-	pts, err := pool.SchedSweepJournaled(ctx, c, cfg, ck)
-	if err != nil {
-		if ctx.Err() != nil {
-			if ck != nil {
-				ck.Close()
-				fmt.Fprintln(os.Stderr, "hxalloc: interrupted; completed points are journaled — rerun the same command to resume")
-			} else {
-				fmt.Fprintln(os.Stderr, "hxalloc: interrupted")
-			}
-			os.Exit(130)
-		}
-		fatalf("%v", err)
-	}
+	pts := runner.RunSweepCLI("hxalloc", f.journal, f.journalCrash, cfg.Fingerprint(c),
+		func(ctx context.Context, ck *runner.Checkpoint) ([]runner.SchedPoint, error) {
+			return pool.SchedSweepJournaled(ctx, c, cfg, ck)
+		})
 	fmt.Printf("scheduler sweep: %dx%d boards, horizon %gh, repair %gh, burst shape %dx%d, %d trials, %d workers\n\n",
-		x, y, f.horizon, f.repair, shapeW, shapeH, f.trials, pool.Workers())
+		x, y, spec.HorizonH, spec.RepairH, spec.Burst.W, spec.Burst.H, spec.Trials, pool.Workers())
 	fmt.Printf("%-9s %6s %3s %6s %3s %3s %3s %6s %7s | %8s %8s %6s | %7s %7s %8s | %6s %6s %6s %6s %6s\n",
 		"policy", "ckpt-h", "res", "defrag", "inf", "ela", "pre", "burst", "mtbf-h",
 		"goodput", "util", "lost", "waitP50", "waitP99", "maxWaitL", "done", "evict", "migr", "restr", "elast")
@@ -357,17 +266,8 @@ func writeSchedTrace(c *core.Cluster, cfg runner.SchedSweepConfig, path string) 
 	if _, err := runner.SchedTraceRun(c, cfg, rec); err != nil {
 		fatalf("trace run: %v", err)
 	}
-	f, err := os.Create(path)
-	if err != nil {
+	if err := rec.WriteFile(path); err != nil {
 		fatalf("%v", err)
-	}
-	if err := rec.WriteJSON(f); err == nil {
-		err = f.Close()
-	} else {
-		f.Close()
-	}
-	if err != nil {
-		fatalf("trace write: %v", err)
 	}
 	fmt.Printf("\ntrace: %d events (%d dropped) -> %s (open in Perfetto / chrome://tracing)\n",
 		rec.Len(), rec.Dropped(), path)
@@ -383,6 +283,33 @@ func parseFloats(s, flagName string) []float64 {
 		out = append(out, v)
 	}
 	return out
+}
+
+func parseBools(s, flagName string) []bool {
+	var out []bool
+	for _, v := range parseFloats(s, flagName) {
+		out = append(out, v != 0)
+	}
+	return out
+}
+
+// list formats a spec default as the comma-separated value its flag
+// parses.
+func list[T any](vs []T, format func(T) string) string {
+	parts := make([]string, len(vs))
+	for i, v := range vs {
+		parts[i] = format(v)
+	}
+	return strings.Join(parts, ",")
+}
+
+func fmtFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+
+func fmtBool(b bool) string {
+	if b {
+		return "1"
+	}
+	return "0"
 }
 
 // finite reports whether v is neither NaN nor ±Inf, which strconv and the

@@ -25,6 +25,17 @@ func TestHxallocFig8Smoke(t *testing.T) {
 
 	cmdtest.RunExpectError(t, bin, "-grid", "bogus")
 	cmdtest.RunExpectError(t, bin, "-mode", "nosuchmode")
+
+	// -failures fails that many distinct boards, so it must fit the grid.
+	for _, bad := range []string{"-1", "17"} {
+		out := cmdtest.RunExpectError(t, bin, "-grid", "4x4", "-mixes", "1", "-failures", bad)
+		cmdtest.MustContain(t, out, "bad -failures "+bad)
+		if lines := strings.Count(strings.TrimSpace(out), "\n") + 1; lines != 1 {
+			t.Fatalf("-failures %s: want a one-line error, got %d lines:\n%s", bad, lines, out)
+		}
+	}
+	out = cmdtest.Run(t, bin, "-grid", "4x4", "-mixes", "1", "-failures", "16")
+	cmdtest.MustContain(t, out, "16 failed boards")
 }
 
 // Smoke: hxalloc's trace-driven scheduler mode sweeps the v2 axes

@@ -38,10 +38,8 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"os/signal"
 	"runtime"
 	"strconv"
-	"syscall"
 
 	"hammingmesh/internal/core"
 	"hammingmesh/internal/netsim"
@@ -110,38 +108,11 @@ func main() {
 
 	if *pattern == "resilience" {
 		fracs := runner.ResilienceFracs(*failLinks, runner.DefaultResilienceSteps)
-		// SIGINT/SIGTERM cancel the sweep: in-flight points finish and are
-		// journaled, the rest of the grid is skipped, and rerunning the
-		// same command resumes from the checkpoint.
-		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-		defer stop()
-		var ck *runner.Checkpoint
-		if *journalDir != "" {
-			fp := runner.ResilienceFingerprint(c, cfg, *bytes, fracs, *trials, *shifts, *failSeed, *failBoards)
-			ck, err = runner.OpenCheckpointCLI(*journalDir, *journalCrash, fp)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			defer ck.Close()
-			if n := ck.Len(); n > 0 {
-				fmt.Printf("journal: resuming from %s, %d completed points loaded\n", *journalDir, n)
-			}
-		}
-		pts, err := pool.ResilienceSweepJournaled(ctx, c, cfg, *bytes, fracs, *trials, *shifts, *failSeed, *failBoards, ck)
-		if err != nil {
-			if ctx.Err() != nil {
-				if ck != nil {
-					ck.Close()
-					fmt.Fprintln(os.Stderr, "hxsim: interrupted; completed points are journaled — rerun the same command to resume")
-				} else {
-					fmt.Fprintln(os.Stderr, "hxsim: interrupted")
-				}
-				os.Exit(130)
-			}
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		fp := runner.ResilienceFingerprint(c, cfg, *bytes, fracs, *trials, *shifts, *failSeed, *failBoards)
+		pts := runner.RunSweepCLI("hxsim", *journalDir, *journalCrash, fp,
+			func(ctx context.Context, ck *runner.Checkpoint) ([]runner.ResiliencePoint, error) {
+				return pool.ResilienceSweepJournaled(ctx, c, cfg, *bytes, fracs, *trials, *shifts, *failSeed, *failBoards, ck)
+			})
 		boardNote := ""
 		if *failBoards > 0 {
 			boardNote = fmt.Sprintf(", on top of %d dead boards", *failBoards)
@@ -223,18 +194,8 @@ func writeTrace(c *core.Cluster, cfg netsim.Config, bytes int64, path string) {
 		fmt.Fprintf(os.Stderr, "trace run: %v\n", err)
 		os.Exit(1)
 	}
-	f, err := os.Create(path)
-	if err != nil {
+	if err := rec.WriteFile(path); err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	if err := rec.WriteJSON(f); err == nil {
-		err = f.Close()
-	} else {
-		f.Close()
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "trace write: %v\n", err)
 		os.Exit(1)
 	}
 	fmt.Printf("trace: %d events (%d dropped) -> %s (open in Perfetto / chrome://tracing)\n",

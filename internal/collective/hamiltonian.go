@@ -1,9 +1,11 @@
-// Package collective implements the communication patterns and collective
-// algorithms of §V-A: pipelined rings (unidirectional and bidirectional),
-// two edge-disjoint Hamiltonian rings for four-NIC planes (Appendix D,
-// after Bae et al.), the 2D-torus allreduce (reduce-scatter / allreduce /
-// allgather), balanced-shift alltoall, and alpha-beta schedule models that
-// reproduce the message-size sweeps of Figs. 11, 13 and 17.
+// Package collective implements the collective algorithms of §V-A: two
+// edge-disjoint Hamiltonian rings for four-NIC planes (Appendix D, after
+// Bae et al.), whose steady-state neighbour exchange the packet engine
+// measures (MeasureAllreduceShare), and alpha-beta schedule models of the
+// pipelined rings (unidirectional, bidirectional, two rings), the binomial
+// tree, the 2D-torus allreduce and the balanced-shift alltoall that
+// reproduce the message-size sweeps of Figs. 11, 13 and 17. The 2D-torus
+// allreduce is an alpha-beta model only; no packet run simulates it.
 package collective
 
 import "fmt"

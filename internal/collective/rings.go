@@ -48,28 +48,6 @@ func TwoRingsOnTorus(n *topo.Network, w, hgt int) ([]topo.NodeID, []topo.NodeID,
 	return MapRing(r1, at), MapRing(r2, at), nil
 }
 
-// SnakeRing builds a single Hamiltonian cycle over a w×h grid by
-// boustrophedon traversal (used for fat tree and Dragonfly "ring"
-// algorithm mappings where all links go through switches anyway, and for
-// grids that do not satisfy the disjoint-ring condition). h must be even
-// for the closing column to be free on a mesh; on switched topologies any
-// ordering is a valid ring, so the cycle is always returned.
-func SnakeRing(w, h int) []Coord {
-	out := make([]Coord, 0, w*h)
-	for row := 0; row < h; row++ {
-		if row%2 == 0 {
-			for col := 0; col < w; col++ {
-				out = append(out, Coord{row, col})
-			}
-		} else {
-			for col := w - 1; col >= 0; col-- {
-				out = append(out, Coord{row, col})
-			}
-		}
-	}
-	return out
-}
-
 // EndpointOrderRing returns all endpoints of a network in rank order as a
 // logical ring (the natural mapping on fat trees and Dragonfly).
 func EndpointOrderRing(n *topo.Network) []topo.NodeID {

@@ -75,17 +75,6 @@ func OptimalAllreduceBandwidth(pr Params) float64 {
 	return float64(pr.NICs) / pr.BetaNSPerByte / 2
 }
 
-// ScaleBetaByShare derates the per-interface byte time by a sustained
-// bandwidth share (as measured by the packet or flow simulators), so the
-// schedule model reflects topology contention: beta_eff = beta / share.
-func ScaleBetaByShare(pr Params, share float64) Params {
-	if share <= 0 || share > 1 {
-		return pr
-	}
-	pr.BetaNSPerByte /= share
-	return pr
-}
-
 // AlltoallTime models the balanced-shift alltoall (§V-A1a): p−1 rounds of
 // α plus the serialization of S(p−1) bytes through the plane's injection
 // bandwidth derated by the topology's global-bandwidth share.

@@ -4,8 +4,8 @@
 // iteration-time model driven by per-topology effective bandwidths.
 //
 // The paper measured operator compute times on NVIDIA A100 GPUs; those
-// published numbers are encoded here directly (the substitution documented
-// in DESIGN.md), as are the communication volumes the paper derives
+// published numbers are encoded here directly in place of running the
+// operators, as are the communication volumes the paper derives
 // analytically (e.g., DLRM's 1 MB alltoalls and 2.96 MB allreduce).
 package dnn
 
@@ -121,8 +121,8 @@ func CostSaving(m Model, costHx, costOther float64, perfHx, perfOther NetPerf) f
 // times and communication volumes. Volumes without an explicit number in
 // the paper (GPT-3 pipeline/operator aggregates, CosmoFlow halos) are
 // calibrated so the modeled overheads land near the runtimes reported in
-// §V-B on the Table II effective bandwidths; EXPERIMENTS.md tabulates
-// paper-vs-model for every entry.
+// §V-B on the Table II effective bandwidths; `hxdnn -paper` prints
+// PaperRuntimesMS under the modeled table for comparison.
 func Models() []Model {
 	return []Model{
 		{
@@ -182,8 +182,8 @@ func Models() []Model {
 }
 
 // PaperRuntimesMS is the paper's reported per-iteration runtime (ms) per
-// topology for each model (§V-B), used by EXPERIMENTS.md to compare the
-// model against the original SST measurements.
+// topology for each model (§V-B), which `hxdnn -paper` and the tests
+// compare the model against (the original SST measurements).
 var PaperRuntimesMS = map[string]map[string]float64{
 	"ResNet-152": {
 		"fattree": 109.7, "fattree50": 109.7, "fattree75": 109.7,

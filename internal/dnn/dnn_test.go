@@ -154,31 +154,3 @@ func TestPaperRuntimesCoverage(t *testing.T) {
 		}
 	}
 }
-
-func TestResNetScaling(t *testing.T) {
-	// §V-B2: D ∈ {256, 512, 1024}; smaller D has even less communication
-	// overhead relative to compute.
-	np := perf(t, "hx2mesh")
-	sweep := WeakScalingSweep([]int{256, 512, 1024}, np)
-	if len(sweep) != 3 {
-		t.Fatal("sweep incomplete")
-	}
-	for _, d := range []int{256, 512} {
-		m := ResNetAtScale(d)
-		rel := (sweep[d] - m.ComputeMS) / m.ComputeMS
-		rel1024 := (sweep[1024] - 108) / 108.0
-		if rel > rel1024 {
-			t.Errorf("D=%d relative overhead %.4f above D=1024's %.4f", d, rel, rel1024)
-		}
-	}
-	if ResNetAtScale(256).ComputeMS != 432 {
-		t.Errorf("compute at D=256 = %f, want 432", ResNetAtScale(256).ComputeMS)
-	}
-}
-
-func TestGPT3OperatorScale(t *testing.T) {
-	m := GPT3AtOperatorScale(8)
-	if m.O != 8 || m.P != 96 {
-		t.Errorf("unexpected shape %dx%d", m.P, m.O)
-	}
-}

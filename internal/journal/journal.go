@@ -482,11 +482,3 @@ func (l *Log) Close() error {
 	}
 	return nil
 }
-
-// Appends reports the successful appends since Open (crash-plan counter;
-// tests).
-func (l *Log) Appends() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.appends
-}

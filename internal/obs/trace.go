@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"os"
 	"sort"
 	"strconv"
 	"sync"
@@ -258,4 +259,22 @@ func catField(cat string) string {
 // magnitudes traces use; -1 precision keeps the shortest round-trip form).
 func jnum(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
+}
+
+// WriteFile writes the recording to path (created or truncated) as
+// WriteJSON does. A file that cannot be created returns os.Create's error;
+// a failed write or close returns it wrapped as a trace write error.
+func (r *Recorder) WriteFile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := r.WriteJSON(f); err != nil {
+		f.Close()
+		return fmt.Errorf("trace write: %w", err)
+	}
+	if err := f.Close(); err != nil {
+		return fmt.Errorf("trace write: %w", err)
+	}
+	return nil
 }

@@ -4,6 +4,9 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"os"
+	"os/signal"
+	"syscall"
 
 	"hammingmesh/internal/journal"
 )
@@ -104,6 +107,47 @@ func OpenCheckpointCLI(dir, crashSpec, fingerprint string) (*Checkpoint, error) 
 		return nil, err
 	}
 	return OpenCheckpoint(dir, fingerprint, journal.Options{Crash: plan})
+}
+
+// RunSweepCLI is the command-line tools' journaled-sweep driver. It runs
+// sweep under a context that SIGINT and SIGTERM cancel: in-flight points
+// finish and are journaled, the rest of the grid is skipped, and rerunning
+// the same command resumes from the checkpoint. With a -journal directory
+// the checkpoint is opened by OpenCheckpointCLI against fingerprint and
+// announces how many points it resumes; without one sweep gets a nil
+// checkpoint. Errors end the process with a one-line message on stderr:
+// exit 130 on interruption (with a rerun hint when points are journaled),
+// exit 1 otherwise.
+func RunSweepCLI[T any](tool, dir, crashSpec, fingerprint string, sweep func(context.Context, *Checkpoint) (T, error)) T {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	var ck *Checkpoint
+	if dir != "" {
+		var err error
+		if ck, err = OpenCheckpointCLI(dir, crashSpec, fingerprint); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+		defer ck.Close()
+		if n := ck.Len(); n > 0 {
+			fmt.Printf("journal: resuming from %s, %d completed points loaded\n", dir, n)
+		}
+	}
+	v, err := sweep(ctx, ck)
+	if err != nil && ctx.Err() != nil {
+		if ck != nil {
+			ck.Close()
+			fmt.Fprintf(os.Stderr, "%s: interrupted; completed points are journaled — rerun the same command to resume\n", tool)
+		} else {
+			fmt.Fprintf(os.Stderr, "%s: interrupted\n", tool)
+		}
+		os.Exit(130)
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	return v
 }
 
 // RunJournaled executes jobs like RunCtx, with crash-safe resume: jobs

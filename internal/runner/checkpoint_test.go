@@ -6,8 +6,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
+	"os/exec"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"sync/atomic"
+	"syscall"
 	"testing"
 
 	"hammingmesh/internal/journal"
@@ -277,4 +282,84 @@ func TestRunCtxCancel(t *testing.T) {
 	if !sawCancel {
 		t.Fatal("no result carries the cancellation error")
 	}
+}
+
+// TestRunSweepCLIInterruptResumes runs RunSweepCLI in a child process (this
+// test binary, re-executed) on a four-point journaled sweep. Interrupted by
+// SIGINT once its first point is journaled, the child exits 130 with the
+// rerun hint; the rerun resumes that point and prints exactly what an
+// uninterrupted run prints.
+func TestRunSweepCLIInterruptResumes(t *testing.T) {
+	if mode := os.Getenv("RUNNER_SWEEP_CLI_CHILD"); mode != "" {
+		sweepCLIChild(mode == "interrupt", os.Getenv("RUNNER_SWEEP_CLI_DIR"))
+	}
+	run := func(mode, dir string) (stdout, stderr string, code int) {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestRunSweepCLIInterruptResumes$")
+		cmd.Env = append(os.Environ(), "RUNNER_SWEEP_CLI_CHILD="+mode, "RUNNER_SWEEP_CLI_DIR="+dir)
+		var o, e bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &o, &e
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if errors.As(err, &exit) {
+			code = exit.ExitCode()
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		return o.String(), e.String(), code
+	}
+	want, errOut, code := run("run", filepath.Join(t.TempDir(), "fresh"))
+	if code != 0 || want == "" {
+		t.Fatalf("uninterrupted run: exit %d, stdout %q, stderr %q", code, want, errOut)
+	}
+	dir := filepath.Join(t.TempDir(), "journal")
+	out, errOut, code := run("interrupt", dir)
+	hint := "sweep: interrupted; completed points are journaled — rerun the same command to resume\n"
+	if code != 130 || errOut != hint || out != "" {
+		t.Fatalf("interrupted run: exit %d, stdout %q, stderr %q; want exit 130 and the rerun hint", code, out, errOut)
+	}
+	got, errOut, code := run("run", dir)
+	resume := "journal: resuming from " + dir + ", 1 completed points loaded\n"
+	if code != 0 || !strings.HasPrefix(got, resume) || got[len(resume):] != want {
+		t.Fatalf("rerun: exit %d, stderr %q\n got  %q\n want %q after %q", code, errOut, got, want, resume)
+	}
+}
+
+// sweepCLIChild is the child side of TestRunSweepCLIInterruptResumes. One
+// worker runs the points in order, so point 0 is journaled before point 1
+// starts; with interrupt set, point 1 signals its own process and waits for
+// the cancellation.
+func sweepCLIChild(interrupt bool, dir string) {
+	pool := NewSeeded(1, 1)
+	vals := RunSweepCLI("sweep", dir, "", "sweep-cli-test", func(ctx context.Context, ck *Checkpoint) ([]float64, error) {
+		jobs := make([]Job, 4)
+		keys := make([]string, len(jobs))
+		for i := range jobs {
+			keys[i] = fmt.Sprintf("p%d", i)
+			jobs[i] = Job{Name: keys[i], Run: func(c *Ctx) (any, error) {
+				if interrupt && i == 1 {
+					if err := syscall.Kill(os.Getpid(), syscall.SIGINT); err != nil {
+						return nil, err
+					}
+					<-ctx.Done()
+					return nil, ctx.Err()
+				}
+				v := float64(c.Seed%1000) / 8
+				return &v, nil
+			}}
+		}
+		res, err := RunJournaled[float64](pool, ctx, jobs, keys, ck)
+		if err == nil {
+			err = FirstErr(res)
+		}
+		if err != nil {
+			return nil, err
+		}
+		out := make([]float64, len(res))
+		for i, r := range res {
+			out[i] = *r.Value.(*float64)
+		}
+		return out, nil
+	})
+	fmt.Println(vals)
+	os.Exit(0)
 }

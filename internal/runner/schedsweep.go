@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"hammingmesh/internal/core"
 	"hammingmesh/internal/journal"
@@ -68,6 +69,78 @@ type SchedSweepConfig struct {
 	// Seed derives every per-trial trace, board sequence and failure
 	// process.
 	Seed int64
+}
+
+// SchedSpec is a scheduler sweep as hxalloc's flags and hxd's sched kind
+// state it: flat scalars and axis lists, without the cluster.
+// DefaultSchedSpec holds hxalloc's flag defaults; hxd starts from it and
+// sets the fields it serves. Config resolves a spec on a cluster.
+type SchedSpec struct {
+	// Jobs, ArrivalPerH, ServiceH and CommFrac shape the synthetic trace:
+	// its length, Poisson arrivals per hour, mean service hours (Pareto
+	// tail) and each job's communication share. ElasticFrac and
+	// PriorityFrac mark that share of its jobs elastic or high-priority,
+	// but only when the Elastics or Preempts axis sweeps on.
+	Jobs                            int
+	ArrivalPerH, ServiceH, CommFrac float64
+	ElasticFrac, PriorityFrac       float64
+	// HorizonH, RepairH and DefragCostH are sched.Config's horizon, board
+	// repair time and per-migration checkpoint cost, in hours.
+	HorizonH, RepairH, DefragCostH float64
+	// SwitchGroup is the boards per upper-layer switch group of the
+	// slowdown and contention models, and Taper scales the contention
+	// model's group uplinks. UpperPenalty is sched.CommSlowdown's.
+	SwitchGroup         int
+	Taper, UpperPenalty float64
+	// The axes and trials of SchedSweepConfig.
+	MTBFs, CkptsH, BurstRates, DefragThresholds []float64
+	Policies                                    []sched.Policy
+	Reserves, Interferences, Elastics, Preempts []bool
+	Burst                                       sched.BurstShape
+	Trials                                      int
+	Seed                                        int64
+}
+
+// DefaultSchedSpec returns hxalloc's defaults.
+func DefaultSchedSpec() SchedSpec {
+	return SchedSpec{
+		Jobs: 200, ArrivalPerH: 4, ServiceH: 3, CommFrac: 0.3, ElasticFrac: 0.3, PriorityFrac: 0.2,
+		HorizonH: 60, RepairH: 10, DefragCostH: 0.1, SwitchGroup: 16, Taper: 1,
+		MTBFs: []float64{0, 500, 120, 40}, CkptsH: []float64{2}, BurstRates: []float64{0},
+		DefragThresholds: []float64{0},
+		Policies:         []sched.Policy{sched.FirstFit, sched.BestFit, sched.FragAware},
+		Reserves:         []bool{false}, Interferences: []bool{false},
+		Elastics: []bool{false}, Preempts: []bool{false},
+		Burst: sched.DefaultBurstShape(), Trials: 4, Seed: 1,
+	}
+}
+
+// Config resolves the spec on c, an HxMesh-family cluster, taking the
+// board shape and grid from it. The slowdown model always carries
+// SwitchGroup; the contention model exists only when the interference axis
+// sweeps on.
+func (s SchedSpec) Config(c *core.Cluster) SchedSweepConfig {
+	a, b := c.Hx.Cfg.A, c.Hx.Cfg.B
+	cfg := SchedSweepConfig{
+		Trace: sched.TraceConfig{Jobs: s.Jobs, ArrivalRate: s.ArrivalPerH, MeanService: s.ServiceH,
+			AccelsPerBoard: a * b, MaxBoards: c.Grid.X * c.Grid.Y, CommFrac: s.CommFrac},
+		Base: sched.Config{HorizonH: s.HorizonH, RepairH: s.RepairH, DefragCostH: s.DefragCostH,
+			Slowdown: &sched.CommSlowdown{BoardA: a, BoardB: b, GroupBoards: s.SwitchGroup, UpperPenalty: s.UpperPenalty}},
+		MTBFs: s.MTBFs, CheckpointsH: s.CkptsH, Policies: s.Policies,
+		Reservations: s.Reserves, BurstRates: s.BurstRates, Burst: s.Burst,
+		DefragThresholds: s.DefragThresholds, Interferences: s.Interferences,
+		Elastics: s.Elastics, Preempts: s.Preempts, Trials: s.Trials, Seed: s.Seed,
+	}
+	if slices.Contains(s.Elastics, true) {
+		cfg.Trace.ElasticFrac = s.ElasticFrac
+	}
+	if slices.Contains(s.Preempts, true) {
+		cfg.Trace.PriorityFrac = s.PriorityFrac
+	}
+	if slices.Contains(s.Interferences, true) {
+		cfg.Base.Interference = &sched.Interference{BoardA: a, BoardB: b, GroupBoards: s.SwitchGroup, Taper: s.Taper}
+	}
+	return cfg
 }
 
 // SchedPoint aggregates the trials of one (policy, checkpoint, MTBF)

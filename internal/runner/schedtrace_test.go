@@ -8,30 +8,6 @@ import (
 	"hammingmesh/internal/sched"
 )
 
-// hxallocSchedConfig is the sweep `hxalloc -mode sched -grid 8x8 -jobs
-// 120 -horizon 40 -ckpt 2 -trials 1` builds on its 2x2-board Hx2Mesh,
-// with the flags a test does not override at their defaults.
-func hxallocSchedConfig(mtbfs []float64, policies ...sched.Policy) SchedSweepConfig {
-	return SchedSweepConfig{
-		Trace: sched.TraceConfig{Jobs: 120, ArrivalRate: 4, MeanService: 3,
-			AccelsPerBoard: 4, MaxBoards: 64, CommFrac: 0.3},
-		Base: sched.Config{HorizonH: 40, RepairH: 10, DefragCostH: 0.1,
-			Slowdown: &sched.CommSlowdown{BoardA: 2, BoardB: 2, GroupBoards: 16}},
-		MTBFs:            mtbfs,
-		CheckpointsH:     []float64{2},
-		Policies:         policies,
-		Reservations:     []bool{false},
-		BurstRates:       []float64{0},
-		Burst:            sched.BurstShape{W: 4, H: 1},
-		DefragThresholds: []float64{0},
-		Interferences:    []bool{false},
-		Elastics:         []bool{false},
-		Preempts:         []bool{false},
-		Trials:           1,
-		Seed:             1,
-	}
-}
-
 // TestSchedTraceReplaysScoredPoint pins hxalloc -trace-out to a run the
 // sweep scored: with one trial a point's means are that trial's metrics
 // exactly, so the traced run must reproduce the point with every axis at
@@ -42,11 +18,15 @@ func hxallocSchedConfig(mtbfs []float64, policies ...sched.Policy) SchedSweepCon
 // even though the interference axis sweeps on.
 func TestSchedTraceReplaysScoredPoint(t *testing.T) {
 	c := core.NewHxMesh(2, 2, 8, 8)
-	contention := hxallocSchedConfig([]float64{0, 40}, sched.BestFit)
-	contention.Trace.ArrivalRate, contention.Trace.MeanService, contention.Trace.CommFrac = 8, 5, 0.6
-	contention.Trace.ElasticFrac, contention.Trace.PriorityFrac = 0.3, 0.2
-	contention.Base.Slowdown = &sched.CommSlowdown{BoardA: 2, BoardB: 2, GroupBoards: 2}
-	contention.Base.Interference = &sched.Interference{BoardA: 2, BoardB: 2, GroupBoards: 2, Taper: 0.25}
+	// hxalloc -mode sched -grid 8x8 -jobs 120 -horizon 40 -ckpt 2 -trials 1,
+	// with -mtbf and -policies set per case.
+	runAll := DefaultSchedSpec()
+	runAll.Jobs, runAll.HorizonH, runAll.CkptsH, runAll.Trials = 120, 40, []float64{2}, 1
+	runAll.MTBFs = []float64{0, 120, 40, 12}
+	contention := runAll
+	contention.MTBFs, contention.Policies = []float64{0, 40}, []sched.Policy{sched.BestFit}
+	contention.ArrivalPerH, contention.ServiceH, contention.CommFrac = 8, 5, 0.6
+	contention.SwitchGroup, contention.Taper = 2, 0.25
 	contention.Interferences = []bool{false, true}
 	contention.Elastics = []bool{false, true}
 	contention.Preempts = []bool{false, true}
@@ -56,8 +36,8 @@ func TestSchedTraceReplaysScoredPoint(t *testing.T) {
 		cfg  SchedSweepConfig
 		mi   int // index of the first positive MTBF
 	}{
-		{"run_all", hxallocSchedConfig([]float64{0, 120, 40, 12}, sched.FirstFit, sched.BestFit, sched.FragAware), 1},
-		{"contention", contention, 1},
+		{"run_all", runAll.Config(c), 1},
+		{"contention", contention.Config(c), 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			pts, err := NewSeeded(2, 1).SchedSweep(c, tc.cfg)
@@ -91,5 +71,21 @@ func TestSchedTraceReplaysScoredPoint(t *testing.T) {
 			t.Logf("mtbf %g: %d failures, %d evictions, %d restretches, goodput %.4f, SlowP99 %.2f",
 				want.MTBFh, m.Failures, m.Evictions, m.Restretches, m.Goodput, m.SlowP99)
 		})
+	}
+}
+
+// TestSchedSpecFingerprintPinned pins the checkpoint fingerprint of
+// tools/run_all.sh's scheduler grid (hxalloc -mode sched -grid 8x8 -jobs
+// 120 -horizon 40 -mtbf 0,120,40,12 -ckpt 2 -policies
+// firstfit,bestfit,fragaware -trials 3), so journals an older hxalloc
+// wrote on that grid keep resuming. Update it only for a deliberate change
+// of the sweep's meaning, which must refuse old journals.
+func TestSchedSpecFingerprintPinned(t *testing.T) {
+	s := DefaultSchedSpec()
+	s.Jobs, s.HorizonH, s.MTBFs, s.CkptsH, s.Trials = 120, 40, []float64{0, 120, 40, 12}, []float64{2}, 3
+	const want = "456d7cc0d1a3dabd4cf494da93ae86a693ee2ba7480a1702d9559c2ab05ffb91"
+	c := core.NewHxMesh(2, 2, 8, 8)
+	if got := s.Config(c).Fingerprint(c); got != want {
+		t.Fatalf("fingerprint %s, want %s", got, want)
 	}
 }

@@ -127,43 +127,20 @@ func (cp *Computer) Compute(cn *Canon) ([]byte, error) {
 		if c.Hx == nil || c.Grid == nil {
 			return nil, fmt.Errorf("serve: sched needs a board grid, topo %q has none", cn.Topo)
 		}
-		policies := make([]sched.Policy, len(cn.Policies))
+		// hxalloc's sweep, with each field hxd serves set from the request.
+		spec := runner.DefaultSchedSpec()
+		spec.Jobs, spec.HorizonH, spec.Trials, spec.Seed = cn.Jobs, cn.HorizonH, cn.Trials, cn.Seed
+		spec.MTBFs, spec.CkptsH, spec.Policies = cn.MTBFs, cn.CkptsH, make([]sched.Policy, len(cn.Policies))
 		for i, p := range cn.Policies {
-			policies[i] = sched.Policy(p)
+			spec.Policies[i] = sched.Policy(p)
 		}
-		trace := sched.TraceConfig{
-			Jobs: cn.Jobs, ArrivalRate: 4, MeanService: 3,
-			AccelsPerBoard: c.Hx.Cfg.A * c.Hx.Cfg.B,
-			MaxBoards:      c.Grid.X * c.Grid.Y, CommFrac: 0.3,
+		spec.Reserves, spec.Interferences = []bool{cn.Reserve}, []bool{cn.Interference}
+		spec.Elastics, spec.Preempts = []bool{cn.Elastic}, []bool{cn.Preempt}
+		spec.UpperPenalty = cn.UpperPenalty
+		if spec.UpperPenalty == 0 {
+			spec.UpperPenalty = -1 // the explicit-off sentinel; 0 would mean "default"
 		}
-		if cn.Elastic {
-			trace.ElasticFrac = 0.3
-		}
-		if cn.Preempt {
-			trace.PriorityFrac = 0.2
-		}
-		sd := sched.NewCommSlowdown(c.Hx.Cfg.A, c.Hx.Cfg.B)
-		if cn.UpperPenalty == 0 {
-			sd.UpperPenalty = -1 // the explicit-off sentinel; 0 would mean "default"
-		} else {
-			sd.UpperPenalty = cn.UpperPenalty
-		}
-		base := sched.Config{
-			HorizonH: cn.HorizonH, RepairH: 10, Reservation: cn.Reserve,
-			Slowdown: sd, Elastic: cn.Elastic, Preempt: cn.Preempt,
-		}
-		if cn.Interference {
-			base.Interference = &sched.Interference{BoardA: c.Hx.Cfg.A, BoardB: c.Hx.Cfg.B}
-		}
-		pts, err := cp.pool.SchedSweep(c, runner.SchedSweepConfig{
-			Trace:        trace,
-			Base:         base,
-			MTBFs:        cn.MTBFs,
-			CheckpointsH: cn.CkptsH,
-			Policies:     policies,
-			Trials:       cn.Trials,
-			Seed:         cn.Seed,
-		})
+		pts, err := cp.pool.SchedSweep(c, spec.Config(c))
 		if err != nil {
 			return nil, err
 		}

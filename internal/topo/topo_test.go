@@ -202,7 +202,7 @@ func TestDragonflyCounts(t *testing.T) {
 	// global link to every other group (18-19 links per group pair spread
 	// round-robin over 16 routers), so the worst endpoint pair is
 	// ep-router-global-router-ep = 4 cables. (Table II reports 3, which is
-	// consistent with switch-hop counting for Dragonfly; see EXPERIMENTS.md.)
+	// consistent with counting switch hops instead of cables for Dragonfly.)
 	if got := EndpointDiameter(n, 64); got != 4 {
 		t.Errorf("dragonfly diameter = %d, want 4", got)
 	}
@@ -312,52 +312,6 @@ func TestAverageDistancePositive(t *testing.T) {
 	avg := AverageEndpointDistance(h.Network, 16)
 	if avg <= 0 || avg > 8 {
 		t.Errorf("average distance = %f out of range", avg)
-	}
-}
-
-func TestHxMesh1D(t *testing.T) {
-	h := NewHxMesh1D(2, 4, 8, lp())
-	if err := h.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if got := h.NumEndpoints(); got != 64 {
-		t.Errorf("endpoints = %d, want 64", got)
-	}
-	if !Connected(h.Network) {
-		t.Error("1D HxMesh not connected")
-	}
-	// Every accelerator has 4 ports: E/W (mesh or switch) and N/S
-	// (wrapped vertical ring), except that b=2 columns merge the wrap.
-	for _, e := range h.Endpoints {
-		if d := h.Degree(e); d != 4 {
-			t.Fatalf("endpoint %d degree = %d, want 4", e, d)
-		}
-	}
-	// Vertical rings must wrap: top row accel is adjacent to bottom row.
-	top := h.AccelAt[3][0]
-	adj := false
-	for _, p := range h.Nodes[top].Ports {
-		if p.To == h.AccelAt[0][0] {
-			adj = true
-		}
-	}
-	if !adj {
-		t.Error("vertical wrap link missing")
-	}
-}
-
-func TestHxMesh1DCableCounts(t *testing.T) {
-	// x=8, a=2, b=4: one 64-port switch connects 2*4*8 = 64 edge ports.
-	h := NewHxMesh1D(2, 4, 8, lp())
-	if got := h.NumSwitches(); got != 1 {
-		t.Errorf("switches = %d, want 1", got)
-	}
-	cables := h.CableCount()
-	if cables[DAC] != 64 {
-		t.Errorf("DAC cables = %d, want 64", cables[DAC])
-	}
-	if cables[AoC] != 0 {
-		t.Errorf("AoC cables = %d, want 0", cables[AoC])
 	}
 }
 

@@ -49,12 +49,15 @@ type UtilizationResult struct {
 }
 
 // RunMix allocates one job mix (sizes in boards) on an x×y grid with the
-// given heuristic stack and preexisting failures, returning utilization
-// and traffic statistics. The grid is freshly created each run.
+// given heuristic stack after failing `failures` distinct boards drawn by
+// rng (every board when failures ≥ x·y), returning utilization and
+// traffic statistics. The grid is freshly created each run.
 func RunMix(x, y int, mix []int, h HeuristicStack, failures int, rng *rand.Rand) UtilizationResult {
 	g := alloc.NewGrid(x, y)
-	for i := 0; i < failures; i++ {
-		g.Fail(rng.Intn(x), rng.Intn(y))
+	if failures > 0 {
+		for _, b := range rng.Perm(x * y)[:min(failures, x*y)] {
+			g.Fail(b%x, b/x)
+		}
 	}
 	jobs := append([]int{}, mix...)
 	if h.Sort {

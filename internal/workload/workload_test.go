@@ -170,3 +170,22 @@ func TestRunMixDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// RunMix fails exactly the requested number of distinct boards. With one
+// single-board job per board every working board gets a job, so 40
+// failures on a 16×16 grid leave 216 jobs placed under every seed.
+func TestRunMixFailsDistinctBoards(t *testing.T) {
+	mix := make([]int, 16*16)
+	for i := range mix {
+		mix[i] = 1
+	}
+	for seed := int64(0); seed < 100; seed++ {
+		r := RunMix(16, 16, mix, HeuristicStack{}, 40, rand.New(rand.NewSource(seed)))
+		if r.JobsPlaced != 216 {
+			t.Fatalf("seed %d: %d working boards after 40 failures, want 216", seed, r.JobsPlaced)
+		}
+	}
+	if r := RunMix(4, 4, mix[:16], HeuristicStack{}, 99, rand.New(rand.NewSource(1))); r.JobsPlaced != 0 {
+		t.Fatalf("%d boards still working after failing more than the grid holds", r.JobsPlaced)
+	}
+}
