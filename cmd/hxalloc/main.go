@@ -158,15 +158,8 @@ func runSched(pool *runner.Pool, x, y, accelsPerBoard int, spec runner.SchedSpec
 	if side < 1 || side*side != accelsPerBoard {
 		fatalf("bad -board %d: want a square accelerator count (4, 16, ...)", accelsPerBoard)
 	}
-	for _, v := range []struct {
-		flag string
-		v    float64
-	}{{"-arrival", spec.ArrivalPerH}, {"-service", spec.ServiceH}, {"-commfrac", spec.CommFrac},
-		{"-horizon", spec.HorizonH}, {"-repair", spec.RepairH}, {"-defrag-cost", spec.DefragCostH},
-		{"-elastic-frac", spec.ElasticFrac}, {"-priority-frac", spec.PriorityFrac}, {"-taper", spec.Taper}} {
-		if !finite(v.v) {
-			fatalf("bad %s %v: want a finite number", v.flag, v.v)
-		}
+	if err := spec.Validate(); err != nil {
+		fatalf("%v", err)
 	}
 	c := core.NewHxMesh(side, side, x, y)
 	spec.MTBFs = parseFloats(f.mtbfs, "-mtbf")

@@ -68,10 +68,17 @@ func TestHxallocSchedSmoke(t *testing.T) {
 	// Non-finite floats, which strconv and the flag package both accept,
 	// are refused up front: an infinite horizon never terminates, a NaN one
 	// runs no jobs, a NaN MTBF silently means no failures and a NaN defrag
-	// threshold defragments at every check.
+	// threshold defragments at every check. So are out-of-range numbers
+	// (runner.SchedSpec.Validate): a 500% communication share, a negative
+	// service or repair time, no arrivals, no jobs or no trials would
+	// otherwise each print a full table.
 	for _, bad := range [][]string{
 		{"-horizon", "Inf"}, {"-horizon", "NaN"}, {"-mtbf", "NaN"}, {"-mtbf", "0,+Inf"},
 		{"-defrag", "NaN"}, {"-ckpt", "Inf"}, {"-taper", "NaN"}, {"-arrival", "-Inf"},
+		{"-commfrac", "5"}, {"-service", "-2"}, {"-arrival", "0"}, {"-jobs", "-5"},
+		{"-repair", "-1"}, {"-trials", "0"}, {"-switch-group", "0"}, {"-horizon", "0"},
+		{"-taper", "0"}, {"-taper", "1.5"}, {"-elastic-frac", "2"}, {"-priority-frac", "-0.1"},
+		{"-defrag-cost", "-1"},
 	} {
 		out := cmdtest.RunExpectError(t, bin, append([]string{"-mode", "sched", "-grid", "4x4",
 			"-jobs", "10", "-trials", "1"}, bad...)...)

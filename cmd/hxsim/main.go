@@ -36,7 +36,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"runtime"
 	"strconv"
@@ -66,9 +65,25 @@ func main() {
 	journalDir := flag.String("journal", "", "checkpoint directory for the resilience sweep: completed points are journaled crash-safely and rerunning the same command resumes")
 	journalCrash := flag.String("journal-crash", "", "crash-injection plan <point>:<n> — die mid-write at that journal boundary (testing; see internal/journal)")
 	flag.Parse()
-	if math.IsNaN(*failLinks) || math.IsInf(*failLinks, 0) {
-		fmt.Fprintf(os.Stderr, "hxsim: bad -fail-links %v: want a finite fraction\n", *failLinks)
-		os.Exit(2)
+	// NaN fails every comparison, so it is refused along with the
+	// out-of-range values.
+	for _, v := range []struct {
+		flag string
+		val  any
+		ok   bool
+		want string
+	}{
+		{"-bytes", *bytes, *bytes >= 1, "at least 1"},
+		{"-shifts", *shifts, *shifts >= 1, "at least 1"},
+		{"-perms", *perms, *perms >= 1, "at least 1"},
+		{"-trials", *trials, *trials >= 1, "at least 1"},
+		{"-fail-links", *failLinks, *failLinks >= 0 && *failLinks < 1, "a fraction in [0, 1)"},
+		{"-fail-boards", *failBoards, *failBoards >= 0, "at least 0"},
+	} {
+		if !v.ok {
+			fmt.Fprintf(os.Stderr, "hxsim: bad %s %v: want %s\n", v.flag, v.val, v.want)
+			os.Exit(2)
+		}
 	}
 
 	pool := runner.NewSeeded(*parallel, *seed)

@@ -34,12 +34,20 @@ func TestHxsimSmoke(t *testing.T) {
 	// Bad flags exit non-zero.
 	cmdtest.RunExpectError(t, bin, "-topo", "nosuchtopo")
 	cmdtest.RunExpectError(t, bin, "-sim-shards", "zero")
-	// A non-finite failure fraction is refused, not read as "no failures".
-	for _, bad := range []string{"NaN", "Inf", "-Inf"} {
-		out := cmdtest.RunExpectError(t, bin, "-topo", "hx2mesh", "-size", "tiny", "-fail-links", bad)
-		cmdtest.MustContain(t, out, "bad -fail-links")
+	// Out-of-range numbers are refused up front with a one-line error: a
+	// non-finite failure fraction is not read as "no failures", zero
+	// shifts do not print a share labelled "0 shifts", a negative size
+	// does not print NaN%, and zero permutations do not silently run one.
+	for _, bad := range [][]string{
+		{"-fail-links", "NaN"}, {"-fail-links", "Inf"}, {"-fail-links", "-Inf"},
+		{"-fail-links", "1.5"}, {"-fail-links", "-0.1"}, {"-fail-boards", "-2"},
+		{"-shifts", "0"}, {"-shifts", "-3"}, {"-bytes", "-5"}, {"-perms", "0"}, {"-trials", "0"},
+	} {
+		out := cmdtest.RunExpectError(t, bin, append([]string{"-topo", "hx2mesh", "-size", "tiny",
+			"-pattern", "allreduce"}, bad...)...)
+		cmdtest.MustContain(t, out, "bad "+bad[0])
 		if strings.Contains(strings.TrimSpace(out), "\n") {
-			t.Fatalf("-fail-links %s: want a one-line error, got:\n%s", bad, out)
+			t.Fatalf("%v: want a one-line error, got:\n%s", bad, out)
 		}
 	}
 }
@@ -178,8 +186,18 @@ func TestHxsimJournalCrashResume(t *testing.T) {
 		})
 	}
 
+	// The shard count never changes results, so a sweep journaled at
+	// -sim-shards 2 and killed resumes at -sim-shards 1.
+	dir := filepath.Join(t.TempDir(), "journal-shards")
+	cmdtest.RunExpectError(t, bin, append(args, "-sim-shards", "2", "-journal", dir, "-journal-crash", "torn-write:2")...)
+	resumed := cmdtest.Run(t, bin, append(args, "-sim-shards", "1", "-journal", dir)...)
+	cmdtest.MustContain(t, resumed, "journal: resuming")
+	if got := sweepTable(resumed); got != want {
+		t.Fatalf("resumed at 1 shard differs from an uninterrupted run:\nwant:\n%s\ngot:\n%s", want, got)
+	}
+
 	// A journal bound to different sweep parameters refuses to resume.
-	dir := filepath.Join(t.TempDir(), "journal")
+	dir = filepath.Join(t.TempDir(), "journal")
 	cmdtest.Run(t, bin, append(args, "-journal", dir)...)
 	out := cmdtest.RunExpectError(t, bin, "-topo", "hx2mesh", "-size", "tiny",
 		"-pattern", "resilience", "-trials", "3", "-shifts", "2", "-bytes", "32768",

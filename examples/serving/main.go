@@ -1,8 +1,8 @@
 // Serving: run the hxd simulation-as-a-service layer in-process and walk
 // the request lifecycle — a fresh computation, a semantically-equal
 // request served byte-identically from the content-addressed cache,
-// concurrent identical requests coalescing onto one computation, and the
-// metrics the daemon exposes. The same server speaks HTTP in cmd/hxd;
+// concurrent identical requests sharing one computation, and the metrics
+// the daemon exposes. It exits non-zero when any of these fails. The same server speaks HTTP in cmd/hxd;
 // here it is driven through Go's httptest to stay self-contained.
 package main
 
@@ -53,32 +53,60 @@ func main() {
 	body2, h2 := post(`{"shifts":4,"seed":1,"workers":8,"size":"tiny","topo":"hx2mesh","kind":"alltoall_flow"}`)
 	fmt.Printf("equal request:  %s  [%s, identical=%v]\n", body2, h2.Get("X-Hxd-Cache"), body1 == body2)
 
-	// 3. Concurrent identical requests coalesce: the first becomes the
-	// leader, the rest attach to its in-flight computation.
+	// 3. Concurrent identical requests share one computation: the first
+	// becomes the leader and computes (miss); each of the others either
+	// attaches to the leader's in-flight computation (coalesced) or, if it
+	// arrives after the leader finished, reads the cache (hit). Which of
+	// the two depends on goroutine timing, so the example checks and
+	// prints only what does not.
+	before := metric(ts.URL, "hxd_computations_total")
+	bodies, statuses := make([]string, 4), make([]string, 4)
 	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
+	for i := range bodies {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			post(`{"kind":"allreduce","topo":"hx4mesh","size":"tiny"}`)
+			var h http.Header
+			bodies[i], h = post(`{"kind":"allreduce","topo":"hx4mesh","size":"tiny"}`)
+			statuses[i] = h.Get("X-Hxd-Cache")
 		}()
 	}
 	wg.Wait()
+	count := map[string]int{}
+	for i, st := range statuses {
+		count[st]++
+		if bodies[i] != bodies[0] {
+			log.Fatalf("concurrent request %d: body differs from request 0", i)
+		}
+	}
+	if count["miss"] != 1 || count["hit"]+count["coalesced"] != 3 {
+		log.Fatalf("concurrent requests: X-Hxd-Cache %v, want one miss and three hit or coalesced", statuses)
+	}
+	computed := metric(ts.URL, "hxd_computations_total") - before
+	if computed != 1 {
+		log.Fatalf("concurrent requests: %d computations, want 1", computed)
+	}
+	fmt.Printf("4 concurrent identical requests: 1 miss, 3 hit or coalesced, %d computation, identical bodies\n", computed)
 
 	// 4. The registry tallies it all for /metrics.
-	entries, bytes, hits, misses, _ := s.CacheStats()
-	fmt.Printf("cache: %d entries, %d bytes, %d hits, %d misses\n", entries, bytes, hits, misses)
-	resp, err := http.Get(ts.URL + "/metrics")
+	entries, bytes, _, _, _ := s.CacheStats()
+	fmt.Printf("cache: %d entries, %d bytes\n", entries, bytes)
+	fmt.Println("metric: hxd_computations_total", metric(ts.URL, "hxd_computations_total"))
+}
+
+// metric reads one unlabelled counter from the server's /metrics page (0
+// when it is missing).
+func metric(base, name string) (n int64) {
+	resp, err := http.Get(base + "/metrics")
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer resp.Body.Close()
-	metrics, _ := io.ReadAll(resp.Body)
-	for _, line := range strings.Split(string(metrics), "\n") {
-		if strings.HasPrefix(line, "hxd_cache_hits_total") ||
-			strings.HasPrefix(line, "hxd_coalesced_total") ||
-			strings.HasPrefix(line, "hxd_computations_total") {
-			fmt.Println("metric:", line)
+	page, _ := io.ReadAll(resp.Body)
+	for _, line := range strings.Split(string(page), "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			fmt.Sscan(v, &n)
 		}
 	}
+	return n
 }

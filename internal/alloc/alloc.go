@@ -333,19 +333,6 @@ func shapes(u, v int, opt Options) [][2]int {
 	return out
 }
 
-// ErrNoCapacity reports that a job does not fit the grid's current free
-// boards: some allowed shape fits the grid dimensions, so the request can
-// succeed later once capacity frees up (schedulers should queue it).
-type ErrNoCapacity struct {
-	Job  int32
-	U, V int
-	Free int // free boards at the time of the attempt
-}
-
-func (e *ErrNoCapacity) Error() string {
-	return fmt.Sprintf("alloc: no capacity for job %d (%dx%d boards, %d free)", e.Job, e.U, e.V, e.Free)
-}
-
 // ErrNeverFits reports that no allowed shape of the job fits the grid's
 // dimensions even when every board is free: the request can never succeed
 // on this grid (schedulers should reject it rather than queue it).
@@ -413,27 +400,6 @@ func (g *Grid) FitsDims(u, v int, opt Options) bool {
 		}
 	}
 	return false
-}
-
-// AllocateErr places a u×v job like Allocate, but reports failure as a
-// typed error: *ErrNeverFits when no allowed shape fits the grid dimensions
-// at all, *ErrNoCapacity when the job merely does not fit the current free
-// boards. Schedulers use the distinction to drop impossible jobs instead of
-// queueing them forever.
-func (g *Grid) AllocateErr(job int32, u, v int, opt Options) (*Placement, error) {
-	if p, ok := g.Allocate(job, u, v, opt); ok {
-		return p, nil
-	}
-	if !g.FitsDims(u, v, opt) {
-		return nil, &ErrNeverFits{Job: job, U: u, V: v, X: g.X, Y: g.Y}
-	}
-	free := 0
-	for _, o := range g.owner {
-		if o == Free {
-			free++
-		}
-	}
-	return nil, &ErrNoCapacity{Job: job, U: u, V: v, Free: free}
 }
 
 // Allocate places a u×v job, applying the enabled heuristics, and commits

@@ -22,18 +22,6 @@ const (
 	SendRecv
 )
 
-func (k PhaseKind) String() string {
-	switch k {
-	case Allreduce:
-		return "allreduce"
-	case Alltoall:
-		return "alltoall"
-	case SendRecv:
-		return "sendrecv"
-	}
-	return "unknown"
-}
-
 // Phase is one communication phase of a training iteration.
 type Phase struct {
 	Kind PhaseKind
@@ -54,9 +42,6 @@ type Model struct {
 	FixedMS   float64 // framework/launch overhead outside the network model
 	Phases    []Phase
 }
-
-// Accelerators returns D·P·O.
-func (m Model) Accelerators() int { return m.D * m.P * m.O }
 
 // NetPerf is the effective network performance of one topology as seen by
 // a training job: large-message collective bandwidths per accelerator and

@@ -32,7 +32,6 @@ import (
 // network. The zero-value-like set returned by NewBuilder(...).Build() with
 // no failures masks nothing and is reported as pristine by Zero.
 type FaultSet struct {
-	c    *simcore.Compiled
 	mask simcore.PortMask // masked (down) port directions
 	down []bool           // down nodes (all ports masked), indexed by node id
 
@@ -41,9 +40,6 @@ type FaultSet struct {
 	boards   [][2]int
 	alive    []topo.NodeID // surviving endpoints, rank order
 }
-
-// Compiled returns the network the fault set applies to.
-func (f *FaultSet) Compiled() *simcore.Compiled { return f.c }
 
 // Mask returns the port-mask overlay (nil when the set is empty). The mask
 // is shared, not copied; callers must treat it as read-only.
@@ -173,16 +169,9 @@ func (b *Builder) FailBoardRegion(h *topo.HxMesh, bx, by, w, ht int) *Builder {
 	return b
 }
 
-// FailBoardRow fails a whole board row — the row-outage special case of
-// FailBoardRegion (e.g. one PDU feeding a full row of racks).
-func (b *Builder) FailBoardRow(h *topo.HxMesh, by int) *Builder {
-	return b.FailBoardRegion(h, 0, by, h.Cfg.X, 1)
-}
-
 // Build freezes the accumulated failures into an immutable FaultSet.
 func (b *Builder) Build() *FaultSet {
 	f := &FaultSet{
-		c:        b.c,
 		mask:     b.mask.Clone(),
 		down:     append([]bool(nil), b.down...),
 		links:    b.links,
@@ -251,17 +240,6 @@ func LinkCount(c *simcore.Compiled, frac float64) int {
 		n = 0
 	}
 	return n
-}
-
-// SampleLinks fails a fraction of the cables chosen by the seed. The
-// failed set is nested in frac: under one seed, SampleLinks(c, f2, seed)
-// with f2 >= f1 fails a superset of SampleLinks(c, f1, seed).
-func SampleLinks(c *simcore.Compiled, frac float64, seed int64) *FaultSet {
-	b := NewBuilder(c)
-	for _, pid := range shuffledCables(c, seed)[:min(LinkCount(c, frac), c.NumPorts()/2)] {
-		b.FailLink(pid)
-	}
-	return b.Build()
 }
 
 // SampleLinksConnected fails up to a fraction of the cables while keeping

@@ -183,8 +183,9 @@ func TestFailBoardRegionClipsAndKills(t *testing.T) {
 		t.Fatalf("corner 2x2 region failed %d boards, want 1 (clipped)", got)
 	}
 
-	// A row outage kills exactly one full board row.
-	fs = NewBuilder(c).FailBoardRow(h, 2).Build()
+	// A full-width one-row region (a row outage) kills exactly one board
+	// row.
+	fs = NewBuilder(c).FailBoardRegion(h, 0, 2, h.Cfg.X, 1).Build()
 	if got := len(fs.FailedBoards()); got != h.Cfg.X {
 		t.Fatalf("row outage failed %d boards, want %d", got, h.Cfg.X)
 	}
@@ -200,14 +201,14 @@ func TestFailBoardRegionClipsAndKills(t *testing.T) {
 func TestSampleLinksNestedAndCounted(t *testing.T) {
 	h := topo.NewHxMesh(2, 2, 4, 4, topo.DefaultLinkParams())
 	c := simcore.Of(h.Network)
-	lo, hi := SampleLinks(c, 0.05, 9), SampleLinks(c, 0.15, 9)
+	lo, hi := SampleLinksConnected(c, 0.05, 9), SampleLinksConnected(c, 0.15, 9)
 	if lo.FailedLinks() != LinkCount(c, 0.05) || hi.FailedLinks() != LinkCount(c, 0.15) {
 		t.Fatalf("failed link counts %d/%d, want %d/%d",
 			lo.FailedLinks(), hi.FailedLinks(), LinkCount(c, 0.05), LinkCount(c, 0.15))
 	}
 	for pid := int32(0); pid < int32(c.NumPorts()); pid++ {
 		if lo.Mask().Get(pid) && !hi.Mask().Get(pid) {
-			t.Fatalf("plain sampler not nested at port %d", pid)
+			t.Fatalf("connected sampler not nested at port %d", pid)
 		}
 	}
 }

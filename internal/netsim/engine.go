@@ -95,22 +95,22 @@ const (
 	QueueHeap
 )
 
+// window is the number of packets each flow keeps outstanding
+// (source-side injection control): a flow injects this many at time 0 and
+// one more per delivered packet.
+const window = 16
+
 // Config controls a simulation run.
 type Config struct {
 	LP     topo.LinkParams
 	Mode   Mode
 	Choice Choice
-	// Window is the number of outstanding packets per flow (source-side
-	// injection control). Zero means 16.
-	Window int
 	Seed   int64
 	// MaxEvents aborts runaway simulations. Zero means 500 million. With
 	// Shards > 1 it is a single global budget shared by all shards.
 	MaxEvents int64
 	// UGAL enables non-minimal adaptive routing (see UGALConfig).
 	UGAL UGALConfig
-	// CollectLinkStats records per-channel delivered bytes in the result.
-	CollectLinkStats bool
 	// Deprecated: New ignores Queue; every run uses the calendar queue.
 	Queue QueueKind
 	// Shards runs the conservative-parallel engine on that many shards
@@ -135,7 +135,7 @@ type Config struct {
 
 // DefaultConfig returns the paper-equivalent configuration.
 func DefaultConfig() Config {
-	return Config{LP: topo.DefaultLinkParams(), Mode: IdealBuffers, Choice: LeastQueued, Window: 16, Seed: 1}
+	return Config{LP: topo.DefaultLinkParams(), Mode: IdealBuffers, Choice: LeastQueued, Seed: 1}
 }
 
 // Flow is one unidirectional transfer.
@@ -162,9 +162,6 @@ type Result struct {
 	Deadlocked bool
 	// Events is the number of processed simulator events.
 	Events int64
-	// LinkBytes[i] is the byte count serialized by channel i (only when
-	// Config.CollectLinkStats is set); use Sim.ChannelInfo to decode i.
-	LinkBytes []int64
 }
 
 // AggregateGBps is total delivered bytes over the makespan (GB/s).
@@ -173,25 +170,6 @@ func (r *Result) AggregateGBps() float64 {
 		return 0
 	}
 	return float64(r.TotalBytes) / r.Makespan // bytes/ns == GB/s
-}
-
-// EndpointGBps is the delivered receive bandwidth of one endpoint.
-type EndpointGBps struct {
-	Node topo.NodeID
-	GBps float64
-}
-
-// PerEndpointGBps returns delivered bandwidth per receiving endpoint over
-// the makespan, in deterministic endpoint-rank order.
-func (r *Result) PerEndpointGBps() []EndpointGBps {
-	out := make([]EndpointGBps, 0, len(r.RecvByRank))
-	for rank, b := range r.RecvByRank {
-		if b == 0 {
-			continue
-		}
-		out = append(out, EndpointGBps{Node: r.Endpoints[rank], GBps: float64(b) / r.Makespan})
-	}
-	return out
 }
 
 type eventKind uint8
@@ -375,9 +353,6 @@ func New(c *simcore.Compiled, table *routing.Table, cfg Config) *Sim {
 	if table == nil {
 		table = routing.NewTable(c)
 	}
-	if cfg.Window <= 0 {
-		cfg.Window = 16
-	}
 	if cfg.MaxEvents <= 0 {
 		cfg.MaxEvents = 500_000_000
 	}
@@ -476,17 +451,11 @@ func (s *Sim) Reset(flows []Flow) error {
 	}
 	s.flowSent = resetSlice(s.flowSent, len(flows))
 	s.flowRecvd = resetSlice(s.flowRecvd, len(flows))
-	res := Result{
+	s.res = Result{
 		FlowFinish: resetSlice(s.res.FlowFinish, len(flows)),
 		RecvByRank: resetSlice(s.res.RecvByRank, s.comp.NumEndpoints()),
 		Endpoints:  s.comp.Endpoints,
 	}
-	if s.cfg.CollectLinkStats {
-		// Reuse the previous run's backing array (building the new Result
-		// first and assigning after would drop it and reallocate per run).
-		res.LinkBytes = resetSlice(s.res.LinkBytes, len(s.channels))
-	}
-	s.res = res
 	s.cal.reset()
 	s.injSeq = 0
 	s.stArrive, s.stFree, s.stDeliver, s.stWindows, s.stStalls = 0, 0, 0, 0, 0
@@ -524,7 +493,7 @@ func (s *Sim) Run(flows []Flow) (*Result, error) {
 	s.setup = s.setup[:0]
 	for fi, f := range flows {
 		// Empty flows inject nothing and keep FlowFinish 0 from Reset.
-		for w := 0; w < s.cfg.Window && s.flowSent[fi] < f.Bytes; w++ {
+		for w := 0; w < window && s.flowSent[fi] < f.Bytes; w++ {
 			s.setup = append(s.setup, s.newInjection(int32(fi), 0))
 		}
 	}
@@ -776,9 +745,6 @@ func (s *Sim) startTransmit(ci int32, t float64, x exec) {
 		pkt.relVC = -1
 	}
 	ser := float64(pkt.size) / p.GBps
-	if s.cfg.CollectLinkStats {
-		s.res.LinkBytes[ci] += int64(pkt.size)
-	}
 	if tr := s.cfg.Trace; tr != nil {
 		// One span per packet serialization on the channel's lane: the
 		// gaps between spans are exactly the link's idle time, so Perfetto

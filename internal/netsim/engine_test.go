@@ -248,10 +248,6 @@ func TestResultAccessors(t *testing.T) {
 	if got := r.AggregateGBps(); got != 50 {
 		t.Errorf("AggregateGBps = %f, want 50", got)
 	}
-	per := r.PerEndpointGBps()
-	if len(per) != 1 || per[0].Node != 3 || per[0].GBps != 50 {
-		t.Errorf("PerEndpointGBps = %v, want [{3 50}]", per)
-	}
 	var empty Result
 	if empty.AggregateGBps() != 0 {
 		t.Error("empty result bandwidth not 0")

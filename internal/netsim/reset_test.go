@@ -46,33 +46,6 @@ func TestResetReuseMatchesFreshSim(t *testing.T) {
 	}
 }
 
-// TestLinkStatsResetNoAlloc: the stats-enabled path must reach 0
-// allocs/op in steady state like the rest of the Reset-reused engine.
-// Result.LinkBytes used to be dropped and reallocated on every Reset
-// (the fresh Result literal was assigned before the reuse helper read
-// the old slice).
-func TestLinkStatsResetNoAlloc(t *testing.T) {
-	h := topo.NewHxMesh(2, 2, 2, 2, topo.DefaultLinkParams())
-	cfg := DefaultConfig()
-	cfg.CollectLinkStats = true
-	sim := NewNet(h.Network, nil, cfg)
-	flows := ShiftFlows(h.Endpoints, 3, 64<<10)
-	// Warm up: first runs grow queues and result buffers to steady state.
-	for i := 0; i < 3; i++ {
-		if _, err := sim.Run(flows); err != nil {
-			t.Fatal(err)
-		}
-	}
-	avg := testing.AllocsPerRun(10, func() {
-		if _, err := sim.Run(flows); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if avg != 0 {
-		t.Errorf("stats-enabled Run allocates %.1f times per op, want 0", avg)
-	}
-}
-
 // TestWideNodeRunNoAlloc: a node with more minimal candidates than a
 // small scratch buffer holds (40 parallel links to the next hop, as at a
 // 16k-endpoint leaf switch with 32 upward ports) must route without

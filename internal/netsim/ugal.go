@@ -10,18 +10,19 @@ import (
 // the paper runs UGAL-L for Dragonfly in SST). At injection, the source
 // compares the queue backlog of its best minimal candidate against the
 // backlog toward a random intermediate node (Valiant detour); the packet
-// takes the detour when the minimal path is at least Bias times more
-// backlogged, weighted by the extra hops.
+// takes the detour when the minimal path is at least ugalBias (2) times
+// more backlogged, weighted by the extra hops.
 type UGALConfig struct {
 	Enable bool
-	// Bias scales the minimal-path backlog before comparison; 2 is the
-	// classic UGAL setting (minimal path counted at half weight since the
-	// detour path is roughly twice as long). Zero means 2.
-	Bias float64
 	// Candidates is the number of random intermediates considered per
 	// packet. Zero means 1.
 	Candidates int
 }
+
+// ugalBias scales the minimal-path backlog before comparison: the classic
+// UGAL setting, counting the minimal path at half weight since the detour
+// path is roughly twice as long.
+const ugalBias = 2
 
 // ugalState is carried per packet: the chosen intermediate and whether it
 // has been reached. mid < 0 means minimal routing.
@@ -39,17 +40,13 @@ func (s *Sim) chooseUGAL(src, dst int32, rng *rand.Rand) int32 {
 	if !cfg.Enable {
 		return -1
 	}
-	bias := cfg.Bias
-	if bias <= 0 {
-		bias = 2
-	}
 	cands := cfg.Candidates
 	if cands <= 0 {
 		cands = 1
 	}
 	minQ := s.bestQueue(src, dst)
 	bestMid := int32(-1)
-	bestQ := minQ * bias
+	bestQ := minQ * ugalBias
 	for k := 0; k < cands; k++ {
 		// On a degraded fabric, sample intermediates weighted by their
 		// live-port counts instead of uniformly: dead switches (weight 0)

@@ -64,73 +64,3 @@ func TestUGALHarmlessOnUniform(t *testing.T) {
 		t.Errorf("UGAL %.1f GB/s vs minimal %.1f GB/s degrades >2.5x on uniform traffic", ugal, minimal)
 	}
 }
-
-func TestLinkStatsConservation(t *testing.T) {
-	// Total bytes over endpoint-egress channels must equal injected bytes;
-	// every channel's utilization must be ≤ 1.
-	h := topo.NewHxMesh(2, 2, 4, 4, topo.DefaultLinkParams())
-	cfg := DefaultConfig()
-	cfg.CollectLinkStats = true
-	sim := NewNet(h.Network, nil, cfg)
-	rng := rand.New(rand.NewSource(8))
-	flows := PermutationFlows(h.Endpoints, 128<<10, rng)
-	res, err := sim.Run(flows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.LinkBytes == nil {
-		t.Fatal("link stats not collected")
-	}
-	var carried int64
-	for _, b := range res.LinkBytes {
-		carried += b
-	}
-	if carried < res.TotalBytes {
-		t.Errorf("links carried %d < delivered %d", carried, res.TotalBytes)
-	}
-	for _, hl := range sim.HotLinks(res, 0) {
-		if hl.Utilization > 1.0001 {
-			t.Errorf("channel %d utilization %.3f > 1", hl.Channel, hl.Utilization)
-		}
-	}
-	hot := sim.HotLinks(res, 5)
-	if len(hot) != 5 {
-		t.Fatalf("got %d hot links", len(hot))
-	}
-	for i := 1; i < len(hot); i++ {
-		if hot[i].Bytes > hot[i-1].Bytes {
-			t.Error("hot links not sorted")
-		}
-	}
-	byClass := sim.BytesByClass(res)
-	if byClass[topo.PCB] == 0 || byClass[topo.DAC]+byClass[topo.AoC] == 0 {
-		t.Errorf("implausible class distribution %v", byClass)
-	}
-}
-
-func TestUpperLevelShare(t *testing.T) {
-	// On a single-switch-per-row HxMesh there is no upper level at all.
-	h := topo.NewHxMesh(2, 2, 4, 4, topo.DefaultLinkParams())
-	cfg := DefaultConfig()
-	cfg.CollectLinkStats = true
-	sim := NewNet(h.Network, nil, cfg)
-	rng := rand.New(rand.NewSource(3))
-	res, err := sim.Run(PermutationFlows(h.Endpoints, 64<<10, rng))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if share := sim.UpperLevelShare(res, 2); share != 0 {
-		t.Errorf("upper-level share %.3f on tree-less HxMesh, want 0", share)
-	}
-	// On a 2-level fat tree with alltoall-ish traffic, the upper level
-	// carries a substantial share.
-	ft := topo.NewFatTree(128, topo.NonblockingTree(), topo.DefaultLinkParams())
-	simF := NewNet(ft, nil, cfg)
-	resF, err := simF.Run(ShiftFlows(ft.Endpoints, 64, 64<<10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if share := simF.UpperLevelShare(resF, 2); share < 0.2 {
-		t.Errorf("fat-tree upper-level share %.3f, want ≥0.2", share)
-	}
-}

@@ -99,7 +99,7 @@ func TestConcurrentInstruments(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
 				c.Inc()
-				g.Add(1)
+				g.Set(float64(w))
 				h.Observe(float64(i%2) + 0.25)
 				// Lazy labeled registration from multiple goroutines.
 				r.Counter("par_lazy_total", `w="a"`, "h").Inc()
@@ -114,8 +114,8 @@ func TestConcurrentInstruments(t *testing.T) {
 	if c.Value() != workers*iters {
 		t.Errorf("counter = %d, want %d", c.Value(), workers*iters)
 	}
-	if g.Value() != workers*iters {
-		t.Errorf("gauge = %g, want %d", g.Value(), workers*iters)
+	if v := g.Value(); v != float64(int(v)) || v < 0 || v >= workers {
+		t.Errorf("gauge = %g, want one worker's id in [0, %d)", v, workers)
 	}
 	if got := r.Counter("par_lazy_total", `w="a"`, "h").Value(); got != workers*iters {
 		t.Errorf("lazy counter = %d, want %d", got, workers*iters)

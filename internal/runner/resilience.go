@@ -68,11 +68,12 @@ type resilienceTrial struct {
 
 // ResilienceFingerprint canonicalizes a resilience sweep's full parameter
 // set into a content hash for checkpoint binding (see
-// SchedSweepConfig.Fingerprint). Runtime-only Config fields — Metrics,
-// Trace — are excluded; they never change results (obs contract).
+// SchedSweepConfig.Fingerprint). Config fields that never change results
+// are excluded: Metrics and Trace (obs contract) and Shards (results are
+// shard-count invariant), so a sweep journaled at one -sim-shards resumes
+// at any other.
 func ResilienceFingerprint(c *core.Cluster, cfg netsim.Config, bytes int64, fracs []float64, trials, shifts int, seed int64, boards int) string {
-	cfg.Metrics = nil
-	cfg.Trace = nil
+	cfg.Metrics, cfg.Trace, cfg.Shards = nil, nil, 0
 	return journal.KeyOf(struct {
 		Kind   string
 		Family string

@@ -143,6 +143,39 @@ func (s SchedSpec) Config(c *core.Cluster) SchedSweepConfig {
 	return cfg
 }
 
+// Validate refuses a spec whose scalars no sweep can mean: no jobs or no
+// trials, a non-positive arrival rate, service time or horizon, a share
+// outside [0, 1], a negative repair or migration time, a switch group
+// below one board, a taper outside (0, 1], or any non-finite number. Its
+// errors name the hxalloc flag that sets the field.
+func (s SchedSpec) Validate() error {
+	for _, v := range []struct {
+		flag string
+		val  float64
+		ok   bool
+		want string
+	}{
+		{"-jobs", float64(s.Jobs), s.Jobs >= 1, "an integer of at least 1"},
+		{"-trials", float64(s.Trials), s.Trials >= 1, "an integer of at least 1"},
+		{"-arrival", s.ArrivalPerH, s.ArrivalPerH > 0, "a finite number above 0"},
+		{"-service", s.ServiceH, s.ServiceH > 0, "a finite number above 0"},
+		{"-horizon", s.HorizonH, s.HorizonH > 0, "a finite number above 0"},
+		{"-commfrac", s.CommFrac, s.CommFrac >= 0 && s.CommFrac <= 1, "a share in [0, 1]"},
+		{"-elastic-frac", s.ElasticFrac, s.ElasticFrac >= 0 && s.ElasticFrac <= 1, "a share in [0, 1]"},
+		{"-priority-frac", s.PriorityFrac, s.PriorityFrac >= 0 && s.PriorityFrac <= 1, "a share in [0, 1]"},
+		{"-repair", s.RepairH, s.RepairH >= 0, "a finite number of at least 0"},
+		{"-defrag-cost", s.DefragCostH, s.DefragCostH >= 0, "a finite number of at least 0"},
+		{"-switch-group", float64(s.SwitchGroup), s.SwitchGroup >= 1, "an integer of at least 1"},
+		{"-taper", s.Taper, s.Taper > 0 && s.Taper <= 1, "a fraction in (0, 1]"},
+	} {
+		// NaN fails every comparison; +Inf passes the open-ended ones.
+		if !v.ok || math.IsInf(v.val, 0) {
+			return fmt.Errorf("bad %s %v: want %s", v.flag, v.val, v.want)
+		}
+	}
+	return nil
+}
+
 // SchedPoint aggregates the trials of one (policy, checkpoint, MTBF)
 // combination. Mean values are over trials.
 type SchedPoint struct {
@@ -195,11 +228,11 @@ type SchedPoint struct {
 // Fingerprint canonicalizes the sweep — cluster shape, trace, base config
 // scalars, every axis, trials and seed — into a content hash (the hxd
 // canonicalize-then-hash discipline), used by checkpoints to refuse
-// resuming a journal under different parameters. Base.Slowdown is
-// excluded: it is an interface; the sweeps derive it deterministically
-// from the cluster shape when nil, and callers that install a custom one
-// are expected to keep it fixed across resume (it is config code, not
-// data).
+// resuming a journal under different parameters. Base.Trace is excluded
+// (recording never changes results), and so is Base.Slowdown: the sweeps
+// derive it from the cluster shape when nil, and callers that install a
+// model must keep it fixed across resume. Hashing it would refuse every
+// journal written so far (TestSchedSpecFingerprintPinned).
 func (cfg SchedSweepConfig) Fingerprint(c *core.Cluster) string {
 	base := cfg.Base
 	base.Slowdown = nil

@@ -453,21 +453,25 @@ func (s *sim) setPlacement(j *jobState, p *alloc.Placement) {
 	}
 }
 
-// priceSlowdown is the admission-time slowdown of a placement: the model's
-// isolation price, contention-stretched through ContendedSlowdown when
-// interference is on and the model supports it. The elastic width ratio is
-// the caller's (it depends on the boards actually allocated).
+// priceSlowdown is the admission-time slowdown of a placement at its
+// contention factor (1 when interference is off). The elastic width ratio
+// is the caller's (it depends on the boards actually allocated).
 func (s *sim) priceSlowdown(p *alloc.Placement, tj TraceJob, exclude int32) (slow, gamma float64) {
 	gamma = s.gammaFor(p, tj, exclude)
-	if cm, ok := s.cfg.Slowdown.(ContentionSlowdownModel); ok && gamma > 1 {
-		slow = cm.ContendedSlowdown(p, tj, gamma)
-	} else {
-		slow = s.cfg.Slowdown.Slowdown(p, tj)
+	return s.slowdown(p, tj, gamma), gamma
+}
+
+// slowdown prices a placement at contention factor gamma: 1 without a
+// Slowdown model, and never below 1 with one.
+func (s *sim) slowdown(p *alloc.Placement, tj TraceJob, gamma float64) float64 {
+	if s.cfg.Slowdown == nil {
+		return 1
 	}
+	slow := s.cfg.Slowdown.ContendedSlowdown(p, tj, gamma)
 	if slow < 1 {
 		slow = 1
 	}
-	return slow, gamma
+	return slow
 }
 
 // reprice re-stretches every running job whose contention factor changed:
@@ -481,7 +485,6 @@ func (s *sim) reprice(t float64) {
 	if s.cfg.Interference == nil {
 		return
 	}
-	cm, _ := s.cfg.Slowdown.(ContentionSlowdownModel)
 	s.collectRunning(-1)
 	if len(s.traffic) == 0 {
 		return
@@ -497,15 +500,7 @@ func (s *sim) reprice(t float64) {
 		j := &s.jobs[idx]
 		gamma := gammas[k]
 		k++
-		var slow float64
-		if cm != nil && gamma > 1 {
-			slow = cm.ContendedSlowdown(j.p, j.tj, gamma)
-		} else {
-			slow = s.cfg.Slowdown.Slowdown(j.p, j.tj)
-		}
-		if slow < 1 {
-			slow = 1
-		}
+		slow := s.slowdown(j.p, j.tj, gamma)
 		if wf := float64(j.tj.Boards) / float64(j.allocBoards); wf > 1 {
 			slow *= wf
 		}

@@ -198,7 +198,7 @@ func TestShapeMemoMatchesPerModelReference(t *testing.T) {
 	for g, gr := range grids {
 		m := &CommSlowdown{BoardA: gr.a, BoardB: gr.b, MaxAccels: gr.maxAccels, Shifts: shifts}
 		for s, sh := range shapes {
-			if got := m.Slowdown(contiguousPlacement(sh[0], sh[1]), job); got != wantSlow[g][s] {
+			if got := m.ContendedSlowdown(contiguousPlacement(sh[0], sh[1]), job, 1); got != wantSlow[g][s] {
 				t.Fatalf("grid %+v shape %dx%d: slowdown %v, reference %v", gr, sh[0], sh[1], got, wantSlow[g][s])
 			}
 		}

@@ -58,8 +58,9 @@ type Config struct {
 	RepairH float64
 	// HorizonH ends the simulation; metrics integrate over [0, HorizonH).
 	HorizonH float64
-	// Slowdown scales job runtimes by placement quality (nil means none).
-	Slowdown SlowdownModel
+	// Slowdown scales job runtimes by placement quality; nil prices every
+	// placement at 1 (jobs run at their ideal service time).
+	Slowdown *CommSlowdown
 	// Reservation enables EASY-style backfill: when the head of the queue
 	// cannot be placed, it gets a reservation — a projected start time and
 	// board set computed by replaying the running jobs' completion times on
@@ -100,8 +101,8 @@ type Config struct {
 	// shared upper-layer fat-trees: placements are admitted and backfilled
 	// at their contention-stretched slowdown, and running jobs are
 	// re-stretched (epoch-bumped, like rollback) whenever the contention
-	// set changes. Contention reaches job runtimes only through a
-	// Slowdown model implementing ContentionSlowdownModel; nil keeps the
+	// set changes. Contention reaches job runtimes only through the
+	// Slowdown model (CommSlowdown.ContendedSlowdown); nil keeps the
 	// isolation pricing byte-identical to earlier behaviour.
 	Interference *Interference
 	// Elastic enables malleable jobs: a queued job with MinBoards set
@@ -394,9 +395,6 @@ func Run(x, y int, trace []TraceJob, failures []FailEvent, cfg Config) (*Metrics
 	}
 	if _, err := ParsePolicy(string(cfg.Policy)); err != nil {
 		return nil, err
-	}
-	if cfg.Slowdown == nil {
-		cfg.Slowdown = NoSlowdown{}
 	}
 	s := &sim{cfg: cfg, grid: alloc.NewGrid(x, y), opts: policyOptions(cfg.Policy),
 		resJob: -1, lastDefragT: math.Inf(-1)}

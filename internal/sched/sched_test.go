@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -177,38 +176,22 @@ func TestEvictCheckpointRestart(t *testing.T) {
 	}
 }
 
-// Jobs whose shape cannot fit the grid dimensions are rejected up front via
-// the typed allocator error, not queued forever.
+// Jobs whose shape cannot fit the grid dimensions are rejected up front
+// with the allocator's *ErrNeverFits, not queued forever.
 func TestRejectNeverFits(t *testing.T) {
 	trace := []TraceJob{
 		{ID: 0, Arrival: 0, Boards: 17, Service: 1}, // 17 > 4x4 grid
 		{ID: 1, Arrival: 0.5, Boards: 4, Service: 1},
 	}
-	m, err := Run(4, 4, trace, nil, Config{Policy: BestFit, HorizonH: 10})
+	m, err := Run(4, 4, trace, nil, Config{Policy: BestFit, HorizonH: 10, RecordDecisions: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m.Rejected != 1 || m.Completed != 1 {
 		t.Fatalf("rejected %d completed %d, want 1 and 1", m.Rejected, m.Completed)
 	}
-
-	// The typed errors themselves.
-	g := alloc.NewGrid(4, 4)
-	_, err = g.AllocateErr(0, 5, 5, alloc.DefaultOptions())
-	var never *alloc.ErrNeverFits
-	if !errors.As(err, &never) {
-		t.Fatalf("5x5 on 4x4: got %v, want *ErrNeverFits", err)
-	}
-	if _, ok := g.Allocate(1, 4, 4, alloc.DefaultOptions()); !ok {
-		t.Fatal("4x4 should place on an empty 4x4 grid")
-	}
-	_, err = g.AllocateErr(2, 2, 2, alloc.DefaultOptions())
-	var noCap *alloc.ErrNoCapacity
-	if !errors.As(err, &noCap) {
-		t.Fatalf("2x2 on a full grid: got %v, want *ErrNoCapacity", err)
-	}
-	if noCap.Free != 0 {
-		t.Fatalf("ErrNoCapacity.Free = %d, want 0", noCap.Free)
+	if want := "t=0.0000 reject job=0: alloc: job 0 (1x17 boards) can never fit a 4x4 grid"; m.Decisions[1] != want {
+		t.Fatalf("decision after the arrival %q, want %q", m.Decisions[1], want)
 	}
 }
 
@@ -239,22 +222,22 @@ func TestCommSlowdown(t *testing.T) {
 	m := NewCommSlowdown(2, 2)
 	job := TraceJob{CommFrac: 0.5}
 	one := &alloc.Placement{Job: 0, Rows: []int{0}, Cols: []int{0}}
-	if s := m.Slowdown(one, job); s != 1 {
+	if s := m.ContendedSlowdown(one, job, 1); s != 1 {
 		t.Fatalf("single-board slowdown %g, want 1", s)
 	}
 	compact := &alloc.Placement{Job: 1, Rows: []int{0, 1}, Cols: []int{0, 1}}
 	spread := &alloc.Placement{Job: 2, Rows: []int{0, 1}, Cols: []int{0, 40}}
-	sc, ss := m.Slowdown(compact, job), m.Slowdown(spread, job)
+	sc, ss := m.ContendedSlowdown(compact, job, 1), m.ContendedSlowdown(spread, job, 1)
 	if sc <= 1 {
 		t.Fatalf("2x2-board slowdown %g, want > 1 (communication leaves the board)", sc)
 	}
 	if ss <= sc {
 		t.Fatalf("spread placement slowdown %g not above compact %g", ss, sc)
 	}
-	if m.Slowdown(compact, TraceJob{}) != 1 {
+	if m.ContendedSlowdown(compact, TraceJob{}, 1) != 1 {
 		t.Fatal("compute-bound job (CommFrac 0) must not slow down")
 	}
-	if again := m.Slowdown(compact, job); again != sc {
+	if again := m.ContendedSlowdown(compact, job, 1); again != sc {
 		t.Fatalf("cached slowdown changed: %g != %g", again, sc)
 	}
 }

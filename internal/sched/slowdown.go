@@ -11,29 +11,6 @@ import (
 	"hammingmesh/internal/topo"
 )
 
-// SlowdownModel maps a concrete placement to the factor by which it
-// stretches a job's service time (≥ 1). Implementations must be safe for
-// concurrent use: one model is shared across all trials of a sweep.
-type SlowdownModel interface {
-	Slowdown(p *alloc.Placement, job TraceJob) float64
-}
-
-// ContentionSlowdownModel extends SlowdownModel with joint pricing: gamma
-// is the cross-job contention factor of the job's upper-layer traffic
-// (≥ 1, from Interference), scaling the upper-layer crossing cost. A gamma
-// of 1 must reproduce Slowdown exactly, so isolation pricing is the
-// contended model's fixed point.
-type ContentionSlowdownModel interface {
-	SlowdownModel
-	ContendedSlowdown(p *alloc.Placement, job TraceJob, gamma float64) float64
-}
-
-// NoSlowdown ignores placement: every job runs at its ideal service time.
-type NoSlowdown struct{}
-
-// Slowdown implements SlowdownModel.
-func (NoSlowdown) Slowdown(*alloc.Placement, TraceJob) float64 { return 1 }
-
 // CommSlowdown stretches the communication share of a job by the bandwidth
 // its placement delivers. A u×v placement forms a virtual sub-HxMesh with
 // the network properties of a physical u×v HxMesh (§III-E), so the shape
@@ -51,7 +28,8 @@ func (NoSlowdown) Slowdown(*alloc.Placement, TraceJob) float64 { return 1 }
 //
 // where a single board, whose traffic stays on its PCB mesh, has share 1:
 // the reference, so an ideally placed job runs at slowdown ≈ 1 and
-// anything worse pays proportionally.
+// anything worse pays proportionally. A model is safe for concurrent use:
+// one is shared across all trials of a sweep.
 type CommSlowdown struct {
 	// BoardA, BoardB are the board dimensions in accelerators (2×2 for
 	// Hx2Mesh, 4×4 for Hx4Mesh). Zeros mean 2×2.
@@ -112,14 +90,11 @@ func (m *CommSlowdown) defaults() (a, b, group, maxAccels, shifts int, penalty f
 	return
 }
 
-// Slowdown implements SlowdownModel.
-func (m *CommSlowdown) Slowdown(p *alloc.Placement, job TraceJob) float64 {
-	return m.ContendedSlowdown(p, job, 1)
-}
-
-// ContendedSlowdown implements ContentionSlowdownModel: gamma scales the
-// upper-layer crossing cost by the job's cross-job contention factor.
-// ContendedSlowdown(p, job, 1) == Slowdown(p, job) bit for bit.
+// ContendedSlowdown is the factor (≥ 1) by which placement p stretches
+// the job's service time. gamma is the cross-job contention factor of the
+// job's upper-layer traffic (from Interference; values below 1 count as
+// 1) and scales the upper-layer crossing cost, so gamma = 1 is the
+// isolation price.
 func (m *CommSlowdown) ContendedSlowdown(p *alloc.Placement, job TraceJob, gamma float64) float64 {
 	cf := job.CommFrac
 	if cf <= 0 {

@@ -79,7 +79,7 @@ func TestSlowdownMonotoneInSpread(t *testing.T) {
 	prev := 0.0
 	for _, stride := range []int{1, 2, 4, 8} {
 		p := spreadPlacement(4, 4, stride)
-		got := m.Slowdown(p, job)
+		got := m.ContendedSlowdown(p, job, 1)
 		if got < 1 {
 			t.Fatalf("slowdown %v < 1 at stride %d", got, stride)
 		}
@@ -89,8 +89,8 @@ func TestSlowdownMonotoneInSpread(t *testing.T) {
 		prev = got
 	}
 	// And strictly greater once the spread forces upper-layer crossings.
-	compact := m.Slowdown(contiguousPlacement(4, 4), job)
-	spread := m.Slowdown(spreadPlacement(4, 4, 8), job)
+	compact := m.ContendedSlowdown(contiguousPlacement(4, 4), job, 1)
+	spread := m.ContendedSlowdown(spreadPlacement(4, 4, 8), job, 1)
 	if spread <= compact {
 		t.Fatalf("spread placement %v not slower than compact %v", spread, compact)
 	}
@@ -106,9 +106,9 @@ func TestUpperPenaltySentinel(t *testing.T) {
 	off := &CommSlowdown{BoardA: 2, BoardB: 2, GroupBoards: 2, UpperPenalty: -1}
 	one := &CommSlowdown{BoardA: 2, BoardB: 2, GroupBoards: 2, UpperPenalty: 1}
 
-	sDef := def.Slowdown(p, job)
-	sOff := off.Slowdown(p, job)
-	sOne := one.Slowdown(p, job)
+	sDef := def.ContendedSlowdown(p, job, 1)
+	sOff := off.ContendedSlowdown(p, job, 1)
+	sOne := one.ContendedSlowdown(p, job, 1)
 	if sDef != sOne {
 		t.Fatalf("zero UpperPenalty must mean default 1: got %v vs %v", sDef, sOne)
 	}
@@ -116,19 +116,16 @@ func TestUpperPenaltySentinel(t *testing.T) {
 		t.Fatalf("negative UpperPenalty must disable the penalty: off=%v default=%v", sOff, sDef)
 	}
 	// Disabled penalty = pure shape term: compact and spread price equally.
-	if a, b := off.Slowdown(contiguousPlacement(4, 4), job), sOff; math.Abs(a-b) > 1e-12 {
+	if a, b := off.ContendedSlowdown(contiguousPlacement(4, 4), job, 1), sOff; math.Abs(a-b) > 1e-12 {
 		t.Fatalf("with penalty off, spread must not matter: compact=%v spread=%v", a, b)
 	}
 }
 
-// ContendedSlowdown(γ=1) is exactly Slowdown, and γ monotonically stretches.
+// γ monotonically stretches, and γ below 1 prices like γ = 1.
 func TestContendedSlowdownGamma(t *testing.T) {
 	m := &CommSlowdown{BoardA: 2, BoardB: 2, GroupBoards: 2}
 	job := TraceJob{Boards: 16, Service: 1, CommFrac: 0.5}
 	p := spreadPlacement(4, 4, 4)
-	if got, want := m.ContendedSlowdown(p, job, 1), m.Slowdown(p, job); got != want {
-		t.Fatalf("gamma=1 not identity: %v vs %v", got, want)
-	}
 	prev := 0.0
 	for _, g := range []float64{1, 1.5, 2, 4} {
 		got := m.ContendedSlowdown(p, job, g)
@@ -138,7 +135,7 @@ func TestContendedSlowdownGamma(t *testing.T) {
 		prev = got
 	}
 	// γ below 1 clamps to 1 (contention never speeds a job up).
-	if got, want := m.ContendedSlowdown(p, job, 0.5), m.Slowdown(p, job); got != want {
+	if got, want := m.ContendedSlowdown(p, job, 0.5), m.ContendedSlowdown(p, job, 1); got != want {
 		t.Fatalf("gamma<1 must clamp: %v vs %v", got, want)
 	}
 }

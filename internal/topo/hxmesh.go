@@ -150,12 +150,6 @@ func NewHxMeshConfig(cfg HxMeshConfig) *HxMesh {
 // Accel returns the endpoint at global accelerator coordinates (gx, gy).
 func (h *HxMesh) Accel(gx, gy int) NodeID { return h.AccelAt[gy][gx] }
 
-// Board returns the board coordinates of an endpoint.
-func (h *HxMesh) Board(id NodeID) (bx, by int) {
-	c := h.Nodes[id].Coord
-	return int(c[2]), int(c[3])
-}
-
 // BoardAccels returns all endpoints on board (bx, by) in row-major order.
 func (h *HxMesh) BoardAccels(bx, by int) []NodeID {
 	out := make([]NodeID, 0, h.Cfg.A*h.Cfg.B)

@@ -69,38 +69,6 @@ func EndpointDiameter(n *Network, maxExact int) int {
 	return max
 }
 
-// AverageEndpointDistance returns the mean cable count over endpoint pairs,
-// sampling at most maxSources BFS sources.
-func AverageEndpointDistance(n *Network, maxSources int) float64 {
-	srcs := n.Endpoints
-	if len(srcs) > maxSources && maxSources > 0 {
-		stride := (len(srcs) + maxSources - 1) / maxSources
-		sample := make([]NodeID, 0, maxSources)
-		for i := 0; i < len(srcs); i += stride {
-			sample = append(sample, srcs[i])
-		}
-		srcs = sample
-	}
-	isEndpoint := make([]bool, len(n.Nodes))
-	for _, e := range n.Endpoints {
-		isEndpoint[e] = true
-	}
-	sum, cnt := 0.0, 0
-	for _, s := range srcs {
-		dist := BFSFrom(n, s)
-		for i, d := range dist {
-			if isEndpoint[i] && NodeID(i) != s && d >= 0 {
-				sum += float64(d)
-				cnt++
-			}
-		}
-	}
-	if cnt == 0 {
-		return 0
-	}
-	return sum / float64(cnt)
-}
-
 // CutWidth counts the cables crossing a node partition. part[i] must be
 // true for nodes on one side. Endpoint-to-switch cables count like any
 // other cable.

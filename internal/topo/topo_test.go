@@ -307,14 +307,6 @@ func TestTaperedTreeSpecs(t *testing.T) {
 	}
 }
 
-func TestAverageDistancePositive(t *testing.T) {
-	h := NewHxMesh(2, 2, 4, 4, lp())
-	avg := AverageEndpointDistance(h.Network, 16)
-	if avg <= 0 || avg > 8 {
-		t.Errorf("average distance = %f out of range", avg)
-	}
-}
-
 func TestHyperXDirect(t *testing.T) {
 	n := NewHyperXDirect(8, 8, 4, lp())
 	if err := n.Validate(); err != nil {

@@ -3,7 +3,7 @@ package topo
 import "fmt"
 
 // NewTorus2D builds a single plane of a 2D torus of w×h accelerators.
-// Accelerators are grouped on boardA×boardB PCB boards (the paper's torus
+// The accelerators sit on boardA×boardB PCB boards (the paper's torus
 // baseline uses 2×2 boards); links within a board are PCB, links between
 // boards are DAC (the torus baseline uses no switches and no AoC cables).
 // Wrap-around links close each ring. Endpoint Coord holds (gx, gy, bx, by).
