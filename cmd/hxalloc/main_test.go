@@ -189,6 +189,19 @@ func TestHxallocSchedJournalCrashResume(t *testing.T) {
 		"-policies", "firstfit", "-trials", "3", "-journal", dir)
 	cmdtest.MustContain(t, out, "different sweep")
 
+	// So does one written under a different slowdown model: -switch-group
+	// reaches the sweep only through it when interference is off. The
+	// original command still resumes.
+	dir = filepath.Join(t.TempDir(), "journal")
+	group := func(g string) []string {
+		return []string{"-mode", "sched", "-grid", "8x8", "-jobs", "60", "-horizon", "30",
+			"-mtbf", "0,40", "-ckpt", "2", "-policies", "bestfit", "-trials", "2",
+			"-switch-group", g, "-journal", dir}
+	}
+	cmdtest.Run(t, bin, group("16")...)
+	cmdtest.MustContain(t, cmdtest.RunExpectError(t, bin, group("2")...), "different sweep")
+	cmdtest.MustContain(t, cmdtest.Run(t, bin, group("16")...), "journal: resuming")
+
 	// -journal outside -mode sched is a usage error.
 	cmdtest.RunExpectError(t, bin, "-grid", "4x4", "-mixes", "3", "-journal", dir)
 }

@@ -20,10 +20,10 @@
 // the cluster. All solver state (subflow CSR, per-link headrooms, the heap,
 // path-sample buffers) lives in scratch arrays sized once per Solver and
 // reused across Solve calls, so a shift sweep allocates only its result
-// slices. One fill serves both entry points: Solve raises every subflow at
-// unit rate without bound, and TenantShares (weighted max-min over a
-// multi-job traffic matrix) raises each at its demand's weight up to full
-// satisfaction.
+// slices. One fill serves both entry points: Solve raises every sampled
+// subflow at unit rate without bound, and TenantShares (weighted max-min
+// over a multi-job traffic matrix) samples nothing — each demand brings its
+// one path, which rises at the demand's weight up to full satisfaction.
 //
 // The solver scales to the paper's 16k-endpoint clusters where packet
 // simulation of 1 MiB-per-peer alltoall would need billions of packet
@@ -81,9 +81,9 @@ type Solver struct {
 	// so unbounded increments wrap instead of going negative).
 	rr []uint32
 
-	// Subflow CSR, rebuilt per Solve into reused backing arrays: subflow i
-	// belongs to flow subFlow[i] and crosses channels
-	// subLinks[subOff[i]:subOff[i+1]].
+	// Subflow CSR, rebuilt per solve into reused backing arrays: subflow i
+	// crosses channels subLinks[subOff[i]:subOff[i+1]] and, in Solve,
+	// belongs to flow subFlow[i].
 	subFlow  []int32
 	subOff   []int32
 	subLinks []int32
@@ -110,6 +110,9 @@ type Solver struct {
 	weights []float64 // per-subflow rise rate per unit fill level
 	rates   []float64 // per-subflow frozen rate
 	heap    []satEntry
+
+	// TenantShares' per-tenant sums of achieved rate and offered weight.
+	sumRate, sumW []float64
 
 	// stats accumulates solver-work counters across Solve calls (plain
 	// ints on the single-threaded solve path; see Stats).
@@ -285,7 +288,7 @@ func (s *Solver) buildSubflows(flows []Flow) error {
 // when its link's level exceeds the key by more than tol, and a link
 // whose active weight falls to tol or below counts as unloaded.
 func (s *Solver) waterfill(limit, tol float64) error {
-	nSubs := len(s.subFlow)
+	nSubs := len(s.subOff) - 1
 	nLinks := s.comp.NumPorts()
 	if cap(s.rates) < nSubs {
 		s.rates = make([]float64, nSubs)

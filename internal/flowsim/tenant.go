@@ -1,20 +1,16 @@
 package flowsim
 
-import (
-	"fmt"
-	"slices"
-
-	"hammingmesh/internal/topo"
-)
+import "fmt"
 
 // Demand is one weighted traffic entry of a combined multi-job traffic
-// matrix: Weight GB/s of offered load from Src to Dst, attributed to
-// tenant (job) Tenant. Unlike Flow, a Demand is satisfiable — a tenant
-// whose demands all achieve their full weight suffers no contention.
+// matrix: Weight GB/s of offered load along one path, attributed to tenant
+// (job) Tenant. Ports are the compiled port ids of the path's hops, in hop
+// order. Unlike Flow, a Demand is satisfiable — a tenant whose demands all
+// achieve their full weight suffers no contention.
 type Demand struct {
-	Src, Dst topo.NodeID
-	Weight   float64
-	Tenant   int32
+	Ports  []int32
+	Weight float64
+	Tenant int32
 }
 
 // TenantShares prices all demands jointly with a weighted max-min
@@ -24,13 +20,13 @@ type Demand struct {
 // contention on shared links pushes shares below 1 in proportion to
 // weighted fair allocation. Tenants with no demands get share 1.
 //
-// It is Solve's fill run with weights: each demand's weight is split
-// evenly over its sampled subflows, every active subflow rises at its
-// weight per unit fill level, a link saturates when the weighted sum of
-// its active subflows exhausts its capacity, and the fill level is capped
-// at 1 — a subflow reaching level 1 has its demand fully met and stops
-// growing. TenantShares has the same determinism and non-concurrency
-// contract as Solve, and counts towards the same Stats.
+// It is Solve's fill run with weights over the given paths: each demand is
+// one subflow rising at its weight per unit fill level, a link saturates
+// when the weighted sum of its active subflows exhausts its capacity, and
+// the fill level is capped at 1 — a subflow reaching level 1 has its
+// demand fully met and stops growing. TenantShares has the same
+// determinism and non-concurrency contract as Solve, and counts towards
+// the same Stats.
 func (s *Solver) TenantShares(demands []Demand, nTenants int) ([]float64, error) {
 	if nTenants < 0 {
 		return nil, fmt.Errorf("flowsim: negative tenant count %d", nTenants)
@@ -42,7 +38,9 @@ func (s *Solver) TenantShares(demands []Demand, nTenants int) ([]float64, error)
 	if len(demands) == 0 {
 		return out, nil
 	}
-	flows := make([]Flow, len(demands))
+	s.subOff = append(s.subOff[:0], 0)
+	s.subLinks = s.subLinks[:0]
+	s.weights = s.weights[:0]
 	for i, d := range demands {
 		if d.Weight <= 0 {
 			return nil, fmt.Errorf("flowsim: demand %d has non-positive weight %v", i, d.Weight)
@@ -50,21 +48,9 @@ func (s *Solver) TenantShares(demands []Demand, nTenants int) ([]float64, error)
 		if d.Tenant < 0 || int(d.Tenant) >= nTenants {
 			return nil, fmt.Errorf("flowsim: demand %d tenant %d out of range [0,%d)", i, d.Tenant, nTenants)
 		}
-		flows[i] = Flow{Src: d.Src, Dst: d.Dst}
-	}
-	if err := s.buildSubflows(flows); err != nil {
-		return nil, err
-	}
-
-	// A flow's weight is split evenly over its sampled subflows (dedup can
-	// leave fewer than PathsPerFlow).
-	subPerFlow := make([]int32, len(flows))
-	for _, fi := range s.subFlow {
-		subPerFlow[fi]++
-	}
-	s.weights = slices.Grow(s.weights[:0], len(s.subFlow))
-	for _, fi := range s.subFlow {
-		s.weights = append(s.weights, demands[fi].Weight/float64(subPerFlow[fi]))
+		s.subLinks = append(s.subLinks, d.Ports...)
+		s.subOff = append(s.subOff, int32(len(s.subLinks)))
+		s.weights = append(s.weights, d.Weight)
 	}
 	// Fractional weights leave rounding residue in the per-link weight
 	// sums and saturation levels; 1e-12 absorbs it (with exact comparisons
@@ -73,19 +59,15 @@ func (s *Solver) TenantShares(demands []Demand, nTenants int) ([]float64, error)
 		return nil, err
 	}
 
-	rate := make([]float64, len(flows))
-	for si, fi := range s.subFlow {
-		rate[fi] += s.rates[si]
-	}
-	sumRate := make([]float64, nTenants)
-	sumW := make([]float64, nTenants)
+	s.sumRate = append(s.sumRate[:0], make([]float64, nTenants)...)
+	s.sumW = append(s.sumW[:0], make([]float64, nTenants)...)
 	for i, d := range demands {
-		sumRate[d.Tenant] += rate[i]
-		sumW[d.Tenant] += d.Weight
+		s.sumRate[d.Tenant] += s.rates[i]
+		s.sumW[d.Tenant] += d.Weight
 	}
 	for t := 0; t < nTenants; t++ {
-		if sumW[t] > 0 {
-			sh := sumRate[t] / sumW[t]
+		if s.sumW[t] > 0 {
+			sh := s.sumRate[t] / s.sumW[t]
 			if sh > 1 {
 				sh = 1
 			}

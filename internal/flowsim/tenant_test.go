@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"hammingmesh/internal/routing"
 	"hammingmesh/internal/simcore"
 	"hammingmesh/internal/topo"
 )
@@ -24,8 +23,14 @@ func star(n int, gbps float64) *topo.Network {
 
 func tenantSolver(t *testing.T, net *topo.Network) *Solver {
 	t.Helper()
-	c := simcore.Compile(net)
-	return New(c, routing.NewTable(c), Config{PathsPerFlow: 1, Seed: 1})
+	return New(simcore.Compile(net), nil, Config{})
+}
+
+// starPath is the path from endpoint src up to the hub and down to dst:
+// src's only port, then the hub's port to dst (the reverse of dst's).
+func starPath(s *Solver, src, dst topo.NodeID) []int32 {
+	c := s.comp
+	return []int32{c.PortOff[src], c.Ports[c.PortOff[dst]].Rev}
 }
 
 func TestTenantSharesUncontended(t *testing.T) {
@@ -34,7 +39,7 @@ func TestTenantSharesUncontended(t *testing.T) {
 	eps := s.comp.Endpoints
 	// One tenant, demand well under capacity: fully satisfied.
 	shares, err := s.TenantShares([]Demand{
-		{Src: eps[0], Dst: eps[1], Weight: 50, Tenant: 0},
+		{Ports: starPath(s, eps[0], eps[1]), Weight: 50, Tenant: 0},
 	}, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -61,8 +66,8 @@ func TestTenantSharesFairSplit(t *testing.T) {
 	// Two equal tenants into the same destination: the 100 GB/s ingress
 	// link splits evenly, each achieving 50/100 of its offered load.
 	shares, err := s.TenantShares([]Demand{
-		{Src: eps[0], Dst: eps[2], Weight: 100, Tenant: 0},
-		{Src: eps[1], Dst: eps[2], Weight: 100, Tenant: 1},
+		{Ports: starPath(s, eps[0], eps[2]), Weight: 100, Tenant: 0},
+		{Ports: starPath(s, eps[1], eps[2]), Weight: 100, Tenant: 1},
 	}, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -76,8 +81,8 @@ func TestTenantSharesFairSplit(t *testing.T) {
 	// share), weighted max-min being proportional under a shared
 	// bottleneck.
 	shares, err = s.TenantShares([]Demand{
-		{Src: eps[0], Dst: eps[2], Weight: 300, Tenant: 0},
-		{Src: eps[1], Dst: eps[2], Weight: 100, Tenant: 1},
+		{Ports: starPath(s, eps[0], eps[2]), Weight: 300, Tenant: 0},
+		{Ports: starPath(s, eps[1], eps[2]), Weight: 100, Tenant: 1},
 	}, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -98,9 +103,9 @@ func TestTenantSharesMonotoneInContenders(t *testing.T) {
 	// can only lower (never raise) its share.
 	prev := 2.0
 	for k := 0; k <= 5; k++ {
-		demands := []Demand{{Src: eps[0], Dst: eps[7], Weight: 80, Tenant: 0}}
+		demands := []Demand{{Ports: starPath(s, eps[0], eps[7]), Weight: 80, Tenant: 0}}
 		for j := 0; j < k; j++ {
-			demands = append(demands, Demand{Src: eps[1+j], Dst: eps[7], Weight: 80, Tenant: int32(1 + j)})
+			demands = append(demands, Demand{Ports: starPath(s, eps[1+j], eps[7]), Weight: 80, Tenant: int32(1 + j)})
 		}
 		shares, err := s.TenantShares(demands, 1+k)
 		if err != nil {
@@ -121,9 +126,9 @@ func TestTenantSharesDeterministic(t *testing.T) {
 	s := tenantSolver(t, net)
 	eps := s.comp.Endpoints
 	demands := []Demand{
-		{Src: eps[0], Dst: eps[4], Weight: 90, Tenant: 0},
-		{Src: eps[1], Dst: eps[4], Weight: 60, Tenant: 1},
-		{Src: eps[2], Dst: eps[5], Weight: 30, Tenant: 0},
+		{Ports: starPath(s, eps[0], eps[4]), Weight: 90, Tenant: 0},
+		{Ports: starPath(s, eps[1], eps[4]), Weight: 60, Tenant: 1},
+		{Ports: starPath(s, eps[2], eps[5]), Weight: 30, Tenant: 0},
 	}
 	a, err := s.TenantShares(demands, 2)
 	if err != nil {
@@ -151,13 +156,10 @@ func TestTenantSharesRejects(t *testing.T) {
 	net := star(3, 100)
 	s := tenantSolver(t, net)
 	eps := s.comp.Endpoints
-	if _, err := s.TenantShares([]Demand{{Src: eps[0], Dst: eps[1], Weight: 0, Tenant: 0}}, 1); err == nil {
+	if _, err := s.TenantShares([]Demand{{Ports: starPath(s, eps[0], eps[1]), Weight: 0, Tenant: 0}}, 1); err == nil {
 		t.Fatal("zero-weight demand must error")
 	}
-	if _, err := s.TenantShares([]Demand{{Src: eps[0], Dst: eps[1], Weight: 1, Tenant: 5}}, 1); err == nil {
+	if _, err := s.TenantShares([]Demand{{Ports: starPath(s, eps[0], eps[1]), Weight: 1, Tenant: 5}}, 1); err == nil {
 		t.Fatal("out-of-range tenant must error")
-	}
-	if _, err := s.TenantShares([]Demand{{Src: eps[0], Dst: eps[0], Weight: 1, Tenant: 0}}, 1); err == nil {
-		t.Fatal("self-demand must error")
 	}
 }

@@ -416,8 +416,13 @@ func NewNet(n *topo.Network, table *routing.Table, cfg Config) *Sim {
 // allocate nothing in steady state. The rng deliberately carries over
 // (matching the long-standing multi-run behaviour of AlltoallShareOver);
 // a previously returned Result aliases the reused arrays and is
-// invalidated by the next Reset or Run.
+// invalidated by the next Reset or Run. A config without a positive
+// packet size (Config.LP.PacketB; the zero Config has none) is refused:
+// its packets would carry no bytes and the run would spin to MaxEvents.
 func (s *Sim) Reset(flows []Flow) error {
+	if s.cfg.LP.PacketB <= 0 {
+		return fmt.Errorf("netsim: packet size %d B, want at least 1 (Config.LP.PacketB)", s.cfg.LP.PacketB)
+	}
 	for fi, f := range flows {
 		if f.Bytes <= 0 {
 			continue

@@ -3,6 +3,7 @@ package netsim
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"hammingmesh/internal/simcore"
@@ -64,6 +65,12 @@ func TestZeroByteFlowAndValidation(t *testing.T) {
 	}
 	if _, err := sim.Run([]Flow{{Src: n.Endpoints[0], Dst: n.Endpoints[0], Bytes: 1}}); err == nil {
 		t.Error("self-flow not rejected")
+	}
+	// The zero Config has no packet size: refused up front, not run to
+	// the MaxEvents cap.
+	_, err = NewNet(n, nil, Config{}).Run([]Flow{{Src: n.Endpoints[0], Dst: n.Endpoints[1], Bytes: 1 << 20}})
+	if err == nil || !strings.Contains(err.Error(), "packet size") {
+		t.Errorf("zero Config: err = %v, want a packet-size error", err)
 	}
 }
 

@@ -226,16 +226,13 @@ type SchedPoint struct {
 }
 
 // Fingerprint canonicalizes the sweep — cluster shape, trace, base config
-// scalars, every axis, trials and seed — into a content hash (the hxd
-// canonicalize-then-hash discipline), used by checkpoints to refuse
-// resuming a journal under different parameters. Base.Trace is excluded
-// (recording never changes results), and so is Base.Slowdown: the sweeps
-// derive it from the cluster shape when nil, and callers that install a
-// model must keep it fixed across resume. Hashing it would refuse every
-// journal written so far (TestSchedSpecFingerprintPinned).
+// scalars, the slowdown model it runs with, every axis, trials and seed —
+// into a content hash (the hxd canonicalize-then-hash discipline), used by
+// checkpoints to refuse resuming a journal under different parameters.
+// Base.Trace is excluded: recording never changes results.
 func (cfg SchedSweepConfig) Fingerprint(c *core.Cluster) string {
 	base := cfg.Base
-	base.Slowdown = nil
+	base.Slowdown = cfg.slowdown(c)
 	base.Trace = nil
 	return journal.KeyOf(struct {
 		Kind             string
@@ -266,6 +263,15 @@ func (cfg SchedSweepConfig) Fingerprint(c *core.Cluster) string {
 		Interferences:    cfg.Interferences, Elastics: cfg.Elastics, Preempts: cfg.Preempts,
 		Trials: cfg.Trials, Seed: cfg.Seed,
 	})
+}
+
+// slowdown is the model the sweep runs with: Base.Slowdown, or the default
+// model of the cluster's board type when it is nil.
+func (cfg SchedSweepConfig) slowdown(c *core.Cluster) *sched.CommSlowdown {
+	if cfg.Base.Slowdown != nil {
+		return cfg.Base.Slowdown
+	}
+	return sched.NewCommSlowdown(c.Hx.Cfg.A, c.Hx.Cfg.B)
 }
 
 // SchedSweep runs the scheduler sweep on the pool, one job per (point,
@@ -430,9 +436,7 @@ func newSchedPlan(c *core.Cluster, cfg SchedSweepConfig) (*schedPlan, error) {
 	}
 	pl := &schedPlan{c: c, cfg: cfg, base: cfg.Base, trials: max(cfg.Trials, 1), burstShape: cfg.Burst}
 	base := &pl.base
-	if base.Slowdown == nil {
-		base.Slowdown = sched.NewCommSlowdown(c.Hx.Cfg.A, c.Hx.Cfg.B)
-	}
+	base.Slowdown = cfg.slowdown(c)
 	// The failure process is sampled once per trial at the shortest
 	// positive MTBF and thinned per point (nested sets).
 	for _, m := range cfg.MTBFs {

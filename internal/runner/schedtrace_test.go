@@ -83,7 +83,7 @@ func TestSchedTraceReplaysScoredPoint(t *testing.T) {
 func TestSchedSpecFingerprintPinned(t *testing.T) {
 	s := DefaultSchedSpec()
 	s.Jobs, s.HorizonH, s.MTBFs, s.CkptsH, s.Trials = 120, 40, []float64{0, 120, 40, 12}, []float64{2}, 3
-	const want = "456d7cc0d1a3dabd4cf494da93ae86a693ee2ba7480a1702d9559c2ab05ffb91"
+	const want = "a3433fdb2066d32774dd21e4cd670488a3da6ed4136a87266cc356662bdd1af2"
 	c := core.NewHxMesh(2, 2, 8, 8)
 	if got := s.Config(c).Fingerprint(c); got != want {
 		t.Fatalf("fingerprint %s, want %s", got, want)

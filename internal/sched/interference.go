@@ -9,7 +9,6 @@ import (
 
 	"hammingmesh/internal/alloc"
 	"hammingmesh/internal/flowsim"
-	"hammingmesh/internal/routing"
 	"hammingmesh/internal/simcore"
 	"hammingmesh/internal/topo"
 )
@@ -46,15 +45,14 @@ type JobTraffic struct {
 //
 // The mutex covers only the joint and solo-share memos, the contention-net
 // registry and the counters: lookups and stores. Joint and solo flow
-// solves run outside it, each on a solver (with its demand buffer) taken
+// solves run outside it, each on a solver (with its demand buffers) taken
 // from the grid's contention-net pool, so the sweep's workers price
 // concurrently. Pooled solvers are interchangeable: the contention net has
-// exactly one link per node pair, so the solver's parallel-link
-// round-robin cursors never choose between channels, and exactly one
-// shortest path per endpoint pair, so path sampling has nothing to choose
-// either; every solver returns the same bits for the same demands. Two
-// workers missing on the same key at once may both solve it, which only
-// shifts the Solves/MemoHits counters.
+// exactly one path between any two endpoints, each demand carries that
+// path's port ids (appendPath), and TenantShares keeps no state between
+// calls that could reach a result, so every solver returns the same bits
+// for the same demands. Two workers missing on the same key at once may
+// both solve it, which only shifts the Solves/MemoHits counters.
 type Interference struct {
 	// BoardA, BoardB are accelerators per board dimension (zeros mean 2×2).
 	BoardA, BoardB int
@@ -96,25 +94,42 @@ func (in *Interference) Stats() InterferenceStats {
 // memo is guarded by the owning Interference's mutex.
 type contentionNet struct {
 	comp   *simcore.Compiled
-	table  *routing.Table
 	rowEp  [][]topo.NodeID    // [row][col] endpoint in row tree `row`
 	colEp  [][]topo.NodeID    // [col][row] endpoint in column tree `col`
 	pricer sync.Pool          // *pricer
 	solo   map[string]float64 // single-job shares by signature
 }
 
-// pricer is one flow solver over a contention net and the demand buffer
-// it prices; the pool hands each to one solve at a time.
+// pricer is one flow solver over a contention net and the demand buffers
+// it prices (each demand's Ports slice the shared ports buffer); the pool
+// hands each to one solve at a time.
 type pricer struct {
 	solver  *flowsim.Solver
 	demands []flowsim.Demand
+	ports   []int32
 }
 
 func (cn *contentionNet) getPricer() *pricer {
 	if pr, ok := cn.pricer.Get().(*pricer); ok {
 		return pr
 	}
-	return &pricer{solver: flowsim.New(cn.comp, cn.table, flowsim.Config{PathsPerFlow: 1, Seed: 1})}
+	return &pricer{solver: flowsim.New(cn.comp, nil, flowsim.Config{})}
+}
+
+// appendPath appends the port ids of the one path between src and dst,
+// two endpoints of one tree, in hop order: up to src's L1 switch, through
+// the root when dst hangs off another L1 switch, and down to dst. An
+// endpoint's only port leads to its L1 switch, and an L1 switch's last
+// port leads to the root (buildTree links them in that order).
+func (cn *contentionNet) appendPath(ports []int32, src, dst topo.NodeID) []int32 {
+	c := cn.comp
+	up, down := c.PortOff[src], c.Ports[c.PortOff[dst]].Rev
+	l1s, l1d := c.Ports[up].To, c.Ports[c.PortOff[dst]].To
+	ports = append(ports, up)
+	if l1s != l1d {
+		ports = append(ports, c.PortOff[l1s+1]-1, c.Ports[c.PortOff[l1d+1]-1].Rev)
+	}
+	return append(ports, down)
 }
 
 func (in *Interference) defaults() (a, b, group int, taper float64, memoCap int) {
@@ -155,8 +170,9 @@ func (in *Interference) net(X, Y int) *contentionNet {
 
 	// buildTree adds one dimension tree with `width` endpoints grouped by
 	// `group`; uplinkGBps is the per-board tapered upper-layer capacity.
-	// Endpoint ids ascend with position, and every tree's ids exceed the
-	// previous tree's, which addDemands' output order relies on.
+	// Node and port ids follow this build order, and the fill pops equal
+	// saturation levels in an order set by port ids, so a different build
+	// order can change γ.
 	buildTree := func(width int, perBoardUp float64) []topo.NodeID {
 		eps := make([]topo.NodeID, width)
 		nGroups := (width + group - 1) / group
@@ -192,7 +208,6 @@ func (in *Interference) net(X, Y int) *contentionNet {
 		cn.colEp[c] = buildTree(Y, 2*float64(a)*cable)
 	}
 	cn.comp = simcore.Compile(n) // private net: skip the interning cache
-	cn.table = routing.NewTable(cn.comp)
 	if in.nets == nil {
 		in.nets = make(map[[2]int]*contentionNet)
 	}
@@ -221,21 +236,23 @@ func jobSignature(j JobTraffic) string {
 	return string(b)
 }
 
-// addDemands appends job j's alltoall demands on the contention net,
-// attributed to tenant, in ascending (Src, Dst) order. Dimension-ordered
-// routing splits each ordered board pair into a row-tree segment at the
-// source row and a column-tree segment at the destination column. Summed
-// per endpoint pair, every row-tree pair (row r, columns c1 ≠ c2) carries
-// the per-pair slice w once per placement row, and every column-tree pair
-// (column c, rows r1 ≠ r2) once per placement column; the weights are
-// accumulated by that many additions of w, the same sums a per-pair
-// accumulator over the board-pair loop produces.
-func (in *Interference) addDemands(cn *contentionNet, j JobTraffic, tenant int32, out []flowsim.Demand) []flowsim.Demand {
+// addDemands appends job j's alltoall demands on the contention net to
+// pr's buffers, attributed to tenant, in (tree, source, destination)
+// order: row trees by row, then column trees by column, positions
+// ascending within a tree. Dimension-ordered routing splits each ordered
+// board pair into a row-tree segment at the source row and a column-tree
+// segment at the destination column. Summed per endpoint pair, every
+// row-tree pair (row r, columns c1 ≠ c2) carries the per-pair slice w once
+// per placement row, and every column-tree pair (column c, rows r1 ≠ r2)
+// once per placement column; the weights are accumulated by that many
+// additions of w, the same sums a per-pair accumulator over the board-pair
+// loop produces.
+func (in *Interference) addDemands(cn *contentionNet, pr *pricer, j JobTraffic, tenant int32) {
 	a, b, _, _, _ := in.defaults()
 	p := j.Placement
 	nBoards := p.U() * p.V()
 	if nBoards <= 1 || j.CommFrac <= 0 {
-		return out
+		return
 	}
 	cable := topo.DefaultLinkParams().GBps
 	ab := float64(a * b)
@@ -249,7 +266,12 @@ func (in *Interference) addDemands(cn *contentionNet, j JobTraffic, tenant int32
 	for range p.Cols {
 		colW += w
 	}
-	// Ascending rows and columns give ascending endpoint ids.
+	add := func(src, dst topo.NodeID, w float64) {
+		n := len(pr.ports)
+		pr.ports = cn.appendPath(pr.ports, src, dst)
+		pr.demands = append(pr.demands, flowsim.Demand{Ports: pr.ports[n:], Weight: w, Tenant: tenant})
+	}
+	// Ascending rows and columns give the (tree, source, destination) order.
 	rows, cols := p.Rows, p.Cols
 	if !slices.IsSorted(rows) {
 		rows = slices.Sorted(slices.Values(rows))
@@ -262,7 +284,7 @@ func (in *Interference) addDemands(cn *contentionNet, j JobTraffic, tenant int32
 		for _, c1 := range cols {
 			for _, c2 := range cols {
 				if c1 != c2 {
-					out = append(out, flowsim.Demand{Src: ep[c1], Dst: ep[c2], Weight: rowW, Tenant: tenant})
+					add(ep[c1], ep[c2], rowW)
 				}
 			}
 		}
@@ -272,12 +294,11 @@ func (in *Interference) addDemands(cn *contentionNet, j JobTraffic, tenant int32
 		for _, r1 := range rows {
 			for _, r2 := range rows {
 				if r1 != r2 {
-					out = append(out, flowsim.Demand{Src: ep[r1], Dst: ep[r2], Weight: colW, Tenant: tenant})
+					add(ep[r1], ep[r2], colW)
 				}
 			}
 		}
 	}
-	return out
 }
 
 // Gammas prices the given jobs jointly on an X×Y grid and returns each
@@ -350,9 +371,9 @@ func (in *Interference) gammas(X, Y int, jobs []JobTraffic, sigs []string) []flo
 	if !hit || len(soloMiss) > 0 {
 		pr := cn.getPricer()
 		if !hit {
-			pr.demands = pr.demands[:0]
+			pr.demands, pr.ports = pr.demands[:0], pr.ports[:0]
 			for t, i := range order {
-				pr.demands = in.addDemands(cn, jobs[i], int32(t), pr.demands)
+				in.addDemands(cn, pr, jobs[i], int32(t))
 			}
 			shares, err := pr.solver.TenantShares(pr.demands, len(order))
 			if err != nil {
@@ -400,7 +421,8 @@ func (in *Interference) gammas(X, Y int, jobs []JobTraffic, sigs []string) []flo
 // soloShare prices job j alone on the grid's contention net with the
 // caller's pricer.
 func (in *Interference) soloShare(cn *contentionNet, pr *pricer, j JobTraffic) float64 {
-	pr.demands = in.addDemands(cn, j, 0, pr.demands[:0])
+	pr.demands, pr.ports = pr.demands[:0], pr.ports[:0]
+	in.addDemands(cn, pr, j, 0)
 	if len(pr.demands) == 0 {
 		return 1
 	}

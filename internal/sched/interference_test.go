@@ -11,6 +11,7 @@ import (
 
 	"hammingmesh/internal/alloc"
 	"hammingmesh/internal/flowsim"
+	"hammingmesh/internal/routing"
 	"hammingmesh/internal/topo"
 )
 
@@ -217,12 +218,16 @@ func TestInterferenceConcurrentPricingMatchesSerial(t *testing.T) {
 }
 
 func TestInterferenceDemandsMatchPairAccumulator(t *testing.T) {
-	// addDemands' closed-form weights and ascending output must equal
-	// accumulating w into a per-(Src, Dst) map over the board-pair loop
-	// and sorting the keys, for placements in any row/column order.
+	// addDemands' closed-form weights and (tree, source, destination)
+	// order must equal accumulating w into a map keyed that way over the
+	// board-pair loop and sorting the keys, for placements in any
+	// row/column order.
 	in := &Interference{BoardA: 2, BoardB: 4, GroupBoards: 2, Taper: 0.5}
 	cn := in.net(8, 8)
 	rng := rand.New(rand.NewSource(5))
+	sameDemand := func(a, b flowsim.Demand) bool {
+		return slices.Equal(a.Ports, b.Ports) && a.Weight == b.Weight && a.Tenant == b.Tenant
+	}
 	for _, set := range randomJobSets(30, 11) {
 		for tenant, j := range set {
 			p := *j.Placement
@@ -231,10 +236,11 @@ func TestInterferenceDemandsMatchPairAccumulator(t *testing.T) {
 			rng.Shuffle(len(p.Rows), func(a, b int) { p.Rows[a], p.Rows[b] = p.Rows[b], p.Rows[a] })
 			rng.Shuffle(len(p.Cols), func(a, b int) { p.Cols[a], p.Cols[b] = p.Cols[b], p.Cols[a] })
 			j.Placement = &p
-			got := in.addDemands(cn, j, int32(tenant), nil)
+			pr := &pricer{}
+			in.addDemands(cn, pr, j, int32(tenant))
 			want := pairAccumulatorDemands(cn, j, int32(tenant))
-			if !slices.Equal(got, want) {
-				t.Fatalf("placement rows %v cols %v: demands\n%v\nwant\n%v", p.Rows, p.Cols, got, want)
+			if !slices.EqualFunc(pr.demands, want, sameDemand) {
+				t.Fatalf("placement rows %v cols %v: demands\n%v\nwant\n%v", p.Rows, p.Cols, pr.demands, want)
 			}
 		}
 	}
@@ -242,8 +248,10 @@ func TestInterferenceDemandsMatchPairAccumulator(t *testing.T) {
 
 // pairAccumulatorDemands states the demand sums directly: every ordered
 // board pair adds w to its row-tree segment at the source row and its
-// column-tree segment at the destination column, accumulated per
-// (Src, Dst) in a map whose keys are then sorted.
+// column-tree segment at the destination column, accumulated per (tree,
+// source, destination) in a map whose keys are then sorted. Row tree r is
+// tree r and column tree c is tree Y+c; positions index the tree's
+// endpoints.
 func pairAccumulatorDemands(cn *contentionNet, j JobTraffic, tenant int32) []flowsim.Demand {
 	p := j.Placement
 	nBoards := p.U() * p.V()
@@ -252,8 +260,9 @@ func pairAccumulatorDemands(cn *contentionNet, j JobTraffic, tenant int32) []flo
 	}
 	ab := float64(2 * 4)
 	w := 4 * ab * topo.DefaultLinkParams().GBps * j.CommFrac * ab / (float64(nBoards)*ab - 1)
-	agg := map[[2]topo.NodeID]float64{}
-	add := func(src, dst topo.NodeID) { agg[[2]topo.NodeID{src, dst}] += w }
+	Y := len(cn.rowEp)
+	agg := map[[3]int]float64{}
+	add := func(tree, src, dst int) { agg[[3]int{tree, src, dst}] += w }
 	for _, r1 := range p.Rows {
 		for _, c1 := range p.Cols {
 			for _, r2 := range p.Rows {
@@ -261,27 +270,59 @@ func pairAccumulatorDemands(cn *contentionNet, j JobTraffic, tenant int32) []flo
 					switch {
 					case r1 == r2 && c1 == c2:
 					case r1 == r2:
-						add(cn.rowEp[r1][c1], cn.rowEp[r1][c2])
+						add(r1, c1, c2)
 					case c1 == c2:
-						add(cn.colEp[c1][r1], cn.colEp[c1][r2])
+						add(Y+c1, r1, r2)
 					default:
-						add(cn.rowEp[r1][c1], cn.rowEp[r1][c2])
-						add(cn.colEp[c2][r1], cn.colEp[c2][r2])
+						add(r1, c1, c2)
+						add(Y+c2, r1, r2)
 					}
 				}
 			}
 		}
 	}
 	keys := slices.Collect(maps.Keys(agg))
-	slices.SortFunc(keys, func(a, b [2]topo.NodeID) int {
-		if a[0] != b[0] {
-			return int(a[0] - b[0])
-		}
-		return int(a[1] - b[1])
-	})
+	slices.SortFunc(keys, func(a, b [3]int) int { return slices.Compare(a[:], b[:]) })
+	trees := slices.Concat(cn.rowEp, cn.colEp)
 	var out []flowsim.Demand
 	for _, k := range keys {
-		out = append(out, flowsim.Demand{Src: k[0], Dst: k[1], Weight: agg[k], Tenant: tenant})
+		ep := trees[k[0]]
+		out = append(out, flowsim.Demand{Ports: cn.appendPath(nil, ep[k[1]], ep[k[2]]), Weight: agg[k], Tenant: tenant})
 	}
 	return out
+}
+
+func TestContentionPathsMatchRouting(t *testing.T) {
+	// Every tree of the contention net has one path between any two of
+	// its endpoints, and every hop is a parallel-link group of one: the
+	// path appendPath writes is the one the routing table's sampler finds
+	// on the same compiled net, whatever the seed.
+	for _, group := range []int{2, 3, 16} {
+		cn := (&Interference{GroupBoards: group}).net(8, 12)
+		table := routing.NewTable(cn.comp)
+		seed := uint64(0)
+		for _, tree := range slices.Concat(cn.rowEp, cn.colEp) {
+			for _, src := range tree {
+				for _, dst := range tree {
+					if src == dst {
+						continue
+					}
+					seed++
+					got := cn.appendPath(nil, src, dst)
+					_, want, err := table.AppendSamplePathPorts(nil, make([]int32, 0, 4), src, dst, seed)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !slices.Equal(got, want) {
+						t.Fatalf("group %d, %d -> %d: path %v, routing samples %v", group, src, dst, got, want)
+					}
+					for _, pid := range got {
+						if n := len(cn.comp.GroupMembers(cn.comp.GroupOf[pid])); n != 1 {
+							t.Fatalf("group %d, %d -> %d: port %d is one of %d parallel links", group, src, dst, pid, n)
+						}
+					}
+				}
+			}
+		}
+	}
 }

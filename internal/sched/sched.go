@@ -69,9 +69,6 @@ type Config struct {
 	// bounds large-job wait, which greedy backfill (the default) leaves
 	// unbounded under a steady stream of small jobs.
 	Reservation bool
-	// LargeBoards is the board count at or above which a job counts as
-	// "large" for Metrics.MaxWaitLarge. Zero means half the grid.
-	LargeBoards int
 	// DefragThreshold triggers a checkpoint-migrate defragmentation pass
 	// when the grid's fragmentation (alloc.Grid.Fragmentation) exceeds it
 	// while jobs wait: every running job is checkpointed and evicted, the
@@ -83,10 +80,6 @@ type Config struct {
 	// pays, in wall-clock hours: its restart is delayed by this much and
 	// the time is accounted as lost board-hours.
 	DefragCostH float64
-	// DefragMinGapH is the minimum time between defragmentation passes
-	// (zero means 1h), bounding migration churn when a repack cannot
-	// reduce fragmentation.
-	DefragMinGapH float64
 	// RecordDecisions keeps the full decision log in the metrics (golden
 	// tests and debugging; sweeps leave it off).
 	RecordDecisions bool
@@ -186,8 +179,9 @@ type Metrics struct {
 	// Failures and Repairs count board state transitions applied.
 	Failures, Repairs int
 	// MaxWaitLarge is the longest queue wait suffered by any "large" job
-	// (boards ≥ Config.LargeBoards), in hours, counting time still queued
-	// at the horizon — the quantity reservation backfill bounds.
+	// (at least half the grid's boards, and at least one), in hours,
+	// counting time still queued at the horizon — the quantity
+	// reservation backfill bounds.
 	MaxWaitLarge float64
 	// Reservations counts reservations created for blocked head-of-queue
 	// jobs; Backfills counts placements admitted behind an active
@@ -359,7 +353,6 @@ type sim struct {
 	resTime   float64
 	resBoards []bool // X*Y bitset
 
-	largeBoards int     // "large job" threshold for MaxWaitLarge
 	lastDefragT float64 // last defragmentation pass (-Inf before the first)
 
 	// pendingRequeue holds jobs evicted mid-pass (preemption victims):
@@ -401,13 +394,6 @@ func Run(x, y int, trace []TraceJob, failures []FailEvent, cfg Config) (*Metrics
 	if tr := cfg.Trace; tr != nil {
 		tr.SetProcessName(tracePidSched, "sched")
 		tr.SetThreadName(tracePidSched, traceTidCluster, "cluster")
-	}
-	s.largeBoards = cfg.LargeBoards
-	if s.largeBoards <= 0 {
-		s.largeBoards = x * y / 2
-		if s.largeBoards < 1 {
-			s.largeBoards = 1
-		}
 	}
 	s.jobs = make([]jobState, len(trace))
 	for i, tj := range trace {
@@ -876,6 +862,11 @@ func (s *sim) evict(idx int32, j *jobState, t float64) float64 {
 	return lost
 }
 
+// defragMinGapH is the minimum time between defragmentation passes, in
+// hours, bounding migration churn when a repack cannot reduce
+// fragmentation.
+const defragMinGapH = 1
+
 // maybeDefrag runs a checkpoint-migrate defragmentation pass when enabled,
 // jobs are waiting, fragmentation crossed the threshold, the pass gap has
 // elapsed, and there is something to migrate. Mid-burst events (a deferred
@@ -885,11 +876,7 @@ func (s *sim) maybeDefrag(t float64) {
 	if s.cfg.DefragThreshold <= 0 || len(s.queue) == 0 || s.pendingFailSched {
 		return
 	}
-	gap := s.cfg.DefragMinGapH
-	if gap <= 0 {
-		gap = 1
-	}
-	if t < s.lastDefragT+gap {
+	if t < s.lastDefragT+defragMinGapH {
 		return
 	}
 	frag := s.grid.Fragmentation()
@@ -1002,9 +989,10 @@ func (s *sim) finish() {
 	// The large-job wait bound: completed large jobs contribute their full
 	// accumulated wait, still-queued ones the wait they are suffering at
 	// the horizon.
+	large := max(s.grid.X*s.grid.Y/2, 1)
 	for i := range s.jobs {
 		j := &s.jobs[i]
-		if j.tj.Boards < s.largeBoards {
+		if j.tj.Boards < large {
 			continue
 		}
 		w := j.wait

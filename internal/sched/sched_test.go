@@ -37,18 +37,13 @@ func TestSyntheticDeterministicAndSorted(t *testing.T) {
 	}
 }
 
-func TestParseTrace(t *testing.T) {
-	jobs, err := ParseTrace([]byte(`[
+// TestParseTrace's inputs, shared with FuzzParseTrace as seeds.
+var (
+	jsonTrace = `[
 		{"id": 1, "arrival_h": 2.5, "boards": 4, "service_h": 1.5},
 		{"id": 0, "arrival_h": 0.5, "boards": 1, "service_h": 3, "comm_frac": 0.4}
-	]`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(jobs) != 2 || jobs[0].ID != 0 || jobs[1].ID != 1 {
-		t.Fatalf("expected arrival-sorted jobs, got %+v", jobs)
-	}
-	for _, bad := range []string{
+	]`
+	jsonBadTraces = []string{
 		`[{"id": -1, "arrival_h": 0, "boards": 1, "service_h": 1}]`,
 		`[{"id": 0, "arrival_h": 0, "boards": 0, "service_h": 1}]`,
 		`[{"id": 0, "arrival_h": 0, "boards": 1, "service_h": 0}]`,
@@ -57,7 +52,18 @@ func TestParseTrace(t *testing.T) {
 		`[{"id": 0, "arrival_h": 0, "boards": 1, "service_h": 1},
 		  {"id": 0, "arrival_h": 1, "boards": 1, "service_h": 1}]`,
 		`{"not": "an array"}`,
-	} {
+	}
+)
+
+func TestParseTrace(t *testing.T) {
+	jobs, err := ParseTrace([]byte(jsonTrace))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(jobs) != 2 || jobs[0].ID != 0 || jobs[1].ID != 1 {
+		t.Fatalf("expected arrival-sorted jobs, got %+v", jobs)
+	}
+	for _, bad := range jsonBadTraces {
 		if _, err := ParseTrace([]byte(bad)); err == nil {
 			t.Fatalf("trace %s parsed without error", bad)
 		}

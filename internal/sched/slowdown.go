@@ -6,7 +6,6 @@ import (
 	"hammingmesh/internal/alloc"
 	"hammingmesh/internal/analysis"
 	"hammingmesh/internal/flowsim"
-	"hammingmesh/internal/routing"
 	"hammingmesh/internal/simcore"
 	"hammingmesh/internal/topo"
 )
@@ -190,8 +189,7 @@ func (k shapeKey) computeShare() float64 {
 func (k shapeKey) flowShare() float64 {
 	h := topo.NewHxMesh(k.a, k.b, k.u, k.v, topo.DefaultLinkParams())
 	c := simcore.Compile(h.Network) // throwaway: skip the interning cache
-	table := routing.NewTable(c)
-	s := flowsim.New(c, table, flowsim.Config{Seed: 1})
+	s := flowsim.New(c, nil, flowsim.Config{Seed: 1})
 	inj := 4 * topo.DefaultLinkParams().GBps
 	share, err := s.AlltoallShareOver(c.Endpoints, k.shifts, inj, 1)
 	if err != nil {

@@ -75,18 +75,9 @@ type TraceConfig struct {
 	// ArrivalRate is the Poisson arrival rate in jobs/hour.
 	ArrivalRate float64
 	// MeanService is the mean job duration in hours. Durations are
-	// heavy-tailed Pareto with shape ParetoAlpha and this mean.
+	// heavy-tailed Pareto with tail exponent paretoAlpha and this mean,
+	// capped at 50×MeanService.
 	MeanService float64
-	// ParetoAlpha is the Pareto tail exponent (> 1 so the mean exists).
-	// Zero means 1.8 — a heavy tail with most jobs short, as in the
-	// MLaaS traces the paper samples from.
-	ParetoAlpha float64
-	// MaxService caps a single job's duration (hours). Zero means
-	// 50×MeanService.
-	MaxService float64
-	// Dist is the job-size distribution in accelerators. A zero value
-	// means workload.AlibabaLike().
-	Dist workload.Distribution
 	// AccelsPerBoard converts sampled accelerator counts to boards
 	// (4 for Hx2Mesh, 16 for Hx4Mesh). Zero means 4.
 	AccelsPerBoard int
@@ -104,9 +95,16 @@ type TraceConfig struct {
 	PriorityFrac float64
 }
 
+// paretoAlpha is the Pareto tail exponent of synthetic service times (> 1
+// so the mean exists): a heavy tail with most jobs short, as in the MLaaS
+// traces the paper samples from. It is typed so that constant arithmetic
+// on it rounds every step to float64, as the same arithmetic at run time
+// does (untyped, (1.8-1)/1.8 is exact and rounds differently).
+const paretoAlpha float64 = 1.8
+
 // Synthetic generates a trace of cfg.Jobs jobs under the seed: exponential
 // inter-arrival times (Poisson process), Pareto service times, and sizes
-// from the workload distribution, rounded up to whole boards. The trace is
+// from workload.AlibabaLike, rounded up to whole boards. The trace is
 // sorted by arrival and deterministic in (cfg, seed).
 func Synthetic(cfg TraceConfig, seed int64) []TraceJob {
 	if cfg.Jobs <= 0 {
@@ -118,24 +116,13 @@ func Synthetic(cfg TraceConfig, seed int64) []TraceJob {
 	if cfg.MeanService <= 0 {
 		cfg.MeanService = 4
 	}
-	alpha := cfg.ParetoAlpha
-	if alpha <= 1 {
-		alpha = 1.8
-	}
-	maxService := cfg.MaxService
-	if maxService <= 0 {
-		maxService = 50 * cfg.MeanService
-	}
-	dist := cfg.Dist
-	if len(dist.Sizes) == 0 {
-		dist = workload.AlibabaLike()
-	}
+	dist := workload.AlibabaLike()
 	apb := cfg.AccelsPerBoard
 	if apb <= 0 {
 		apb = 4
 	}
 	// Pareto(xm, alpha) has mean xm·alpha/(alpha-1); pick xm for MeanService.
-	xm := cfg.MeanService * (alpha - 1) / alpha
+	xm := cfg.MeanService * (paretoAlpha - 1) / paretoAlpha
 	rng := rand.New(rand.NewSource(seed))
 	// Elastic/priority marks come from a separate stream so enabling them
 	// never perturbs the arrival/size/service draws of existing traces.
@@ -148,9 +135,9 @@ func Synthetic(cfg TraceConfig, seed int64) []TraceJob {
 	for len(jobs) < cfg.Jobs {
 		t += rng.ExpFloat64() / cfg.ArrivalRate
 		boards := (dist.Sample(rng) + apb - 1) / apb
-		service := xm / math.Pow(1-rng.Float64(), 1/alpha)
-		if service > maxService {
-			service = maxService
+		service := xm / math.Pow(1-rng.Float64(), 1/paretoAlpha)
+		if service > 50*cfg.MeanService {
+			service = 50 * cfg.MeanService
 		}
 		if cfg.MaxBoards > 0 && boards > cfg.MaxBoards {
 			continue // oversized sample: discard, keep the arrival clock

@@ -6,12 +6,33 @@ import (
 	"testing"
 )
 
-func TestParseTraceCSVHours(t *testing.T) {
-	csv := `id,arrival_h,boards,service_h,comm_frac,min_boards,priority
+// The parser tests' inputs, shared with the fuzz targets as seeds.
+const (
+	csvHoursTrace = `id,arrival_h,boards,service_h,comm_frac,min_boards,priority
 0,0.5,4,2.0,0.3,1,2
 1,0.25,8,1.5,,,
 `
-	jobs, err := ParseTraceCSV(strings.NewReader(csv), CSVOptions{DefaultCommFrac: 0.1})
+	// Philly-style: seconds, GPU counts, no id column.
+	csvSecondsTrace = `submit_time_s,num_gpus,run_time_s,min_gpus
+7200,9,3600,4
+0,4,1800,
+`
+)
+
+var csvBadTraces = map[string]string{
+	"no arrival": "id,boards,service_h\n0,4,1\n",
+	"no size":    "id,arrival_h,service_h\n0,0,1\n",
+	"no service": "id,arrival_h,boards\n0,0,4\n",
+	"bad number": "arrival_h,boards,service_h\nx,4,1\n",
+	"dup column": "arrival_h,submit_time_h,boards,service_h\n0,0,4,1\n",
+	"dup id":     "id,arrival_h,boards,service_h\n3,0,4,1\n3,1,4,1\n",
+	"zero svc":   "arrival_h,boards,service_h\n0,4,0\n",
+	"min>boards": "arrival_h,boards,service_h,min_boards\n0,4,1,8\n",
+	"neg prio":   "arrival_h,boards,service_h,priority\n0,4,1,-1\n",
+}
+
+func TestParseTraceCSVHours(t *testing.T) {
+	jobs, err := ParseTraceCSV(strings.NewReader(csvHoursTrace), CSVOptions{DefaultCommFrac: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,12 +56,7 @@ func TestParseTraceCSVHours(t *testing.T) {
 }
 
 func TestParseTraceCSVAliasesAndSeconds(t *testing.T) {
-	// Philly-style: seconds, GPU counts, no id column.
-	csv := `submit_time_s,num_gpus,run_time_s,min_gpus
-7200,9,3600,4
-0,4,1800,
-`
-	jobs, err := ParseTraceCSV(strings.NewReader(csv), CSVOptions{AccelsPerBoard: 4})
+	jobs, err := ParseTraceCSV(strings.NewReader(csvSecondsTrace), CSVOptions{AccelsPerBoard: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,18 +80,7 @@ func TestParseTraceCSVAliasesAndSeconds(t *testing.T) {
 }
 
 func TestParseTraceCSVErrors(t *testing.T) {
-	cases := map[string]string{
-		"no arrival": "id,boards,service_h\n0,4,1\n",
-		"no size":    "id,arrival_h,service_h\n0,0,1\n",
-		"no service": "id,arrival_h,boards\n0,0,4\n",
-		"bad number": "arrival_h,boards,service_h\nx,4,1\n",
-		"dup column": "arrival_h,submit_time_h,boards,service_h\n0,0,4,1\n",
-		"dup id":     "id,arrival_h,boards,service_h\n3,0,4,1\n3,1,4,1\n",
-		"zero svc":   "arrival_h,boards,service_h\n0,4,0\n",
-		"min>boards": "arrival_h,boards,service_h,min_boards\n0,4,1,8\n",
-		"neg prio":   "arrival_h,boards,service_h,priority\n0,4,1,-1\n",
-	}
-	for name, csv := range cases {
+	for name, csv := range csvBadTraces {
 		if _, err := ParseTraceCSV(strings.NewReader(csv), CSVOptions{}); err == nil {
 			t.Errorf("%s: want error, got nil", name)
 		}

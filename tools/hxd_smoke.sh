@@ -27,6 +27,9 @@ trap cleanup EXIT
 # a fixed sleep. Sets $hxd_pid and $base.
 start_hxd() {
   local log="$1"; shift
+  # Create the log first: the poll below reads it before the background
+  # shell may have opened it for hxd.
+  : >"$log"
   "$workdir/hxd" -addr 127.0.0.1:0 -workers 2 "$@" >"$log" 2>&1 &
   hxd_pid=$!
   local addr="" delay=0.05
