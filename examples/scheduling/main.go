@@ -38,7 +38,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fails := sched.NewFailures(sched.BoardSequence(c.Hx, c.Comp, 9), 40, 30, 9).Thin(30)
+	rate := float64(c.Grid.X*c.Grid.Y) / 30 // aggregate failures/hour at a 30h per-board MTBF
+	fails := sched.NewFailures(sched.BoardSequence(c.Hx, 9), 40, rate, 9).Thin(rate)
 	m, err := sched.Run(c.Grid.X, c.Grid.Y, trace, fails, sched.Config{
 		Policy: sched.BestFit, CheckpointH: 2, RepairH: 10, HorizonH: 40,
 		Slowdown: sched.NewCommSlowdown(c.Hx.Cfg.A, c.Hx.Cfg.B), RecordDecisions: true,

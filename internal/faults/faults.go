@@ -206,6 +206,14 @@ func (r *rng) next() uint64 {
 
 func (r *rng) intn(n int) int { return int(r.next() % uint64(n)) }
 
+// shuffle permutes s in place by Fisher-Yates under r.
+func shuffle[T any](s []T, r rng) {
+	for i := len(s) - 1; i > 0; i-- {
+		j := r.intn(i + 1)
+		s[i], s[j] = s[j], s[i]
+	}
+}
+
 // CableIDs returns one port id per physical cable (the direction with the
 // smaller global port id), in ascending order — the sampling universe for
 // link failures.
@@ -224,11 +232,7 @@ func CableIDs(c *simcore.Compiled) []int32 {
 // share.
 func shuffledCables(c *simcore.Compiled, seed int64) []int32 {
 	cables := CableIDs(c)
-	r := rng(splitmix64(uint64(seed)))
-	for i := len(cables) - 1; i > 0; i-- {
-		j := r.intn(i + 1)
-		cables[i], cables[j] = cables[j], cables[i]
-	}
+	shuffle(cables, rng(splitmix64(uint64(seed))))
 	return cables
 }
 
@@ -300,26 +304,34 @@ func SampleBoards(h *topo.HxMesh, c *simcore.Compiled, n int, seed int64) *Fault
 	return NewBuilder(c).SampleFailedBoards(h, n, seed).Build()
 }
 
-// SampleFailedBoards fails n distinct seeded boards (nested in n for a
-// fixed seed, like the link samplers).
+// SampleFailedBoards fails n distinct seeded boards: the first n of the
+// seed's BoardSalt order (nested in n for a fixed seed, like the link
+// samplers).
 func (b *Builder) SampleFailedBoards(h *topo.HxMesh, n int, seed int64) *Builder {
-	total := h.Cfg.X * h.Cfg.Y
-	if n > total {
-		n = total
-	}
-	idx := make([]int, total)
-	for i := range idx {
-		idx[i] = i
-	}
-	r := rng(splitmix64(uint64(seed) ^ 0xb0a2d5))
-	for i := total - 1; i > 0; i-- {
-		j := r.intn(i + 1)
-		idx[i], idx[j] = idx[j], idx[i]
-	}
-	for _, bi := range idx[:n] {
-		b.FailBoard(h, bi%h.Cfg.X, bi/h.Cfg.X)
+	order := BoardOrder(h.Cfg.X, h.Cfg.Y, seed, BoardSalt)
+	for _, bd := range order[:min(n, len(order))] {
+		b.FailBoard(h, bd[0], bd[1])
 	}
 	return b
+}
+
+// BoardSalt selects the board order SampleFailedBoards powers off a prefix
+// of (the scheduler's board-failure process cycles through the same one).
+const BoardSalt = 0xb0a2d5
+
+// BoardOrder returns every board of an x×y grid, as (bx, by), in a seeded
+// Fisher-Yates order drawn from the samplers' generator seeded with
+// seed^salt: distinct salts give independent orders under one seed, and
+// every prefix is a nested board sample.
+func BoardOrder(x, y int, seed int64, salt uint64) [][2]int {
+	out := make([][2]int, 0, x*y)
+	for by := 0; by < y; by++ {
+		for bx := 0; bx < x; bx++ {
+			out = append(out, [2]int{bx, by})
+		}
+	}
+	shuffle(out, rng(splitmix64(uint64(seed)^salt)))
+	return out
 }
 
 // connected reports whether every endpoint not already failed outright is

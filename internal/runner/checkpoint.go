@@ -150,47 +150,45 @@ func RunSweepCLI[T any](tool, dir, crashSpec, fingerprint string, sweep func(con
 	return v
 }
 
-// RunJournaled executes jobs like RunCtx, with crash-safe resume: jobs
-// whose key is already in the checkpoint are not re-run — a no-op job
-// returns the decoded journaled value instead — and every freshly
-// completed job's value is journaled as it finishes. T is the result
-// type; job Run functions must return *T (and the sweeps that use this
-// do), which JSON round-trips bit-exactly for the finite floats and
-// integers the sweeps produce.
+// RunJournaled executes jobs like RunCtx, with crash-safe resume: each
+// job is journaled under its Name, so names must be unique within the
+// sweep (the checkpoint's meta record pins the sweep fingerprint, which
+// makes (fingerprint, name) globally unambiguous). Jobs whose name is
+// already in the checkpoint are not re-run — a no-op job returns the
+// decoded journaled value instead — and every freshly completed job's
+// value is journaled as it finishes. T is the result type; job Run
+// functions must return *T (and the sweeps that use this do), which JSON
+// round-trips bit-exactly for the finite floats and integers the sweeps
+// produce.
 //
 // The full jobs slice is always submitted (replayed entries as no-ops),
 // so Ctx.Index and the per-job seeds are identical between a fresh run
 // and a resumed one — part of the byte-identical-resume contract.
 // A nil ck degrades to plain RunCtx.
-func RunJournaled[T any](p *Pool, ctx context.Context, jobs []Job, keys []string, ck *Checkpoint) ([]Result, error) {
+func RunJournaled[T any](p *Pool, ctx context.Context, jobs []Job, ck *Checkpoint) ([]Result, error) {
 	if ck == nil {
 		return p.RunCtx(ctx, jobs), nil
 	}
-	if len(keys) != len(jobs) {
-		return nil, fmt.Errorf("runner: RunJournaled got %d keys for %d jobs", len(keys), len(jobs))
-	}
 	wrapped := make([]Job, len(jobs))
-	for i := range jobs {
-		i := i
-		if b, ok := ck.Done(keys[i]); ok {
+	for i, job := range jobs {
+		if b, ok := ck.Done(job.Name); ok {
 			v := new(T)
 			if err := json.Unmarshal(b, v); err != nil {
-				return nil, fmt.Errorf("runner: checkpoint decode %q: %w", keys[i], err)
+				return nil, fmt.Errorf("runner: checkpoint decode %q: %w", job.Name, err)
 			}
-			wrapped[i] = Job{Name: jobs[i].Name, Run: func(*Ctx) (any, error) { return v, nil }}
+			wrapped[i] = Job{Name: job.Name, Run: func(*Ctx) (any, error) { return v, nil }}
 			continue
 		}
-		orig := jobs[i].Run
-		wrapped[i] = Job{Name: jobs[i].Name, Run: func(c *Ctx) (any, error) {
-			v, err := orig(c)
+		wrapped[i] = Job{Name: job.Name, Run: func(c *Ctx) (any, error) {
+			v, err := job.Run(c)
 			if err != nil {
 				return v, err
 			}
 			b, err := json.Marshal(v)
 			if err != nil {
-				return nil, fmt.Errorf("runner: checkpoint encode %q: %w", keys[i], err)
+				return nil, fmt.Errorf("runner: checkpoint encode %q: %w", job.Name, err)
 			}
-			if err := ck.Put(keys[i], b); err != nil {
+			if err := ck.Put(job.Name, b); err != nil {
 				return nil, err
 			}
 			return v, nil

@@ -38,24 +38,20 @@ func TestRunJournaledSkipsCompleted(t *testing.T) {
 	dir := t.TempDir()
 	p := NewSeeded(4, 1)
 	var executed atomic.Int64
-	mkJobs := func() ([]Job, []string) {
+	mkJobs := func() []Job {
 		jobs := make([]Job, 6)
-		keys := make([]string, 6)
 		for i := range jobs {
-			i := i
-			keys[i] = fmt.Sprintf("point-%d", i)
-			jobs[i] = Job{Name: keys[i], Run: func(c *Ctx) (any, error) {
+			jobs[i] = Job{Name: fmt.Sprintf("point-%d", i), Run: func(c *Ctx) (any, error) {
 				executed.Add(1)
 				return &val{X: float64(i) + 0.125}, nil
 			}}
 		}
-		return jobs, keys
+		return jobs
 	}
 	o := journal.Options{NoSync: true}
 
 	ck := openCk(t, dir, "sweep-A", o)
-	jobs, keys := mkJobs()
-	first, err := RunJournaled[val](p, context.Background(), jobs, keys, ck)
+	first, err := RunJournaled[val](p, context.Background(), mkJobs(), ck)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,8 +65,7 @@ func TestRunJournaledSkipsCompleted(t *testing.T) {
 	if ck2.Len() != 6 {
 		t.Fatalf("resume loaded %d points, want 6", ck2.Len())
 	}
-	jobs2, keys2 := mkJobs()
-	second, err := RunJournaled[val](p, context.Background(), jobs2, keys2, ck2)
+	second, err := RunJournaled[val](p, context.Background(), mkJobs(), ck2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,13 +84,6 @@ func TestRunJournaledSkipsCompleted(t *testing.T) {
 	// A checkpoint refuses a different sweep's fingerprint.
 	if _, err := OpenCheckpoint(dir, "sweep-B", o); err == nil {
 		t.Fatal("OpenCheckpoint accepted a mismatched sweep fingerprint")
-	}
-
-	// Key/job count mismatch is an error, not a silent misalignment.
-	ck3 := openCk(t, dir, "sweep-A", o)
-	defer ck3.Close()
-	if _, err := RunJournaled[val](p, context.Background(), jobs2, keys2[:3], ck3); err == nil {
-		t.Fatal("RunJournaled accepted mismatched keys/jobs lengths")
 	}
 }
 
@@ -332,10 +320,8 @@ func sweepCLIChild(interrupt bool, dir string) {
 	pool := NewSeeded(1, 1)
 	vals := RunSweepCLI("sweep", dir, "", "sweep-cli-test", func(ctx context.Context, ck *Checkpoint) ([]float64, error) {
 		jobs := make([]Job, 4)
-		keys := make([]string, len(jobs))
 		for i := range jobs {
-			keys[i] = fmt.Sprintf("p%d", i)
-			jobs[i] = Job{Name: keys[i], Run: func(c *Ctx) (any, error) {
+			jobs[i] = Job{Name: fmt.Sprintf("p%d", i), Run: func(c *Ctx) (any, error) {
 				if interrupt && i == 1 {
 					if err := syscall.Kill(os.Getpid(), syscall.SIGINT); err != nil {
 						return nil, err
@@ -347,7 +333,7 @@ func sweepCLIChild(interrupt bool, dir string) {
 				return &v, nil
 			}}
 		}
-		res, err := RunJournaled[float64](pool, ctx, jobs, keys, ck)
+		res, err := RunJournaled[float64](pool, ctx, jobs, ck)
 		if err == nil {
 			err = FirstErr(res)
 		}

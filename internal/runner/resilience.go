@@ -212,11 +212,7 @@ func (p *Pool) ResilienceSweepJournaled(ctx context.Context, c *core.Cluster, cf
 			})
 		}
 	}
-	ckKeys := make([]string, len(jobs))
-	for i := range jobs {
-		ckKeys[i] = jobs[i].Name
-	}
-	results, err := RunJournaled[resilienceTrial](p, ctx, jobs, ckKeys, ck)
+	results, err := RunJournaled[resilienceTrial](p, ctx, jobs, ck)
 	if err != nil {
 		return nil, err
 	}

@@ -41,7 +41,7 @@ type SchedSweepConfig struct {
 	Reservations []bool
 	// BurstRates sweeps the correlated-outage rate in bursts/hour (0 =
 	// independent failures only). Within a trial the burst sets are nested
-	// across rates (sched.Bursts thinning), like the MTBF axis. Empty
+	// across rates (sched.Failures thinning), like the MTBF axis. Empty
 	// means the single value 0.
 	BurstRates []float64
 	// Burst is the board-region footprint of one burst (zero value means
@@ -282,7 +282,7 @@ func (cfg SchedSweepConfig) slowdown(c *core.Cluster) *sched.CommSlowdown {
 // trace, board-failure order, failure timing and burst process from seeds
 // derived only from cfg.Seed and the trial index, so results are identical
 // for any worker count; within a trial the failure sets are nested across
-// MTBF values (sched.Failures) and burst rates (sched.Bursts), which makes
+// MTBF values and burst rates (sched.Failures thinning), which makes
 // the goodput curve of each group measure monotone degradation.
 func (p *Pool) SchedSweep(c *core.Cluster, cfg SchedSweepConfig) ([]SchedPoint, error) {
 	return p.SchedSweepJournaled(context.Background(), c, cfg, nil)
@@ -322,10 +322,8 @@ func (p *Pool) SchedSweepJournaled(ctx context.Context, c *core.Cluster, cfg Sch
 	jobs := make([]Job, 0, len(pl.points)*trials)
 	for _, pt := range pl.points {
 		for tr := 0; tr < trials; tr++ {
-			// Point-job names are unique within the sweep and deterministic,
-			// so they double as checkpoint keys; the checkpoint's meta record
-			// pins the sweep fingerprint, making (fingerprint, name) globally
-			// unambiguous.
+			// Point-job names are unique within the sweep and deterministic:
+			// RunJournaled keys the checkpoint by them.
 			jobs = append(jobs, Job{
 				Name: fmt.Sprintf("sched-%s-ckpt%g-res%v-defrag%g-inf%v-ela%v-pre%v-burst%g-mtbf%g-t%d",
 					pt.Policy, pt.CheckpointH, pt.Reservation, pt.DefragThreshold,
@@ -336,11 +334,7 @@ func (p *Pool) SchedSweepJournaled(ctx context.Context, c *core.Cluster, cfg Sch
 			})
 		}
 	}
-	ckKeys := make([]string, len(jobs))
-	for i := range jobs {
-		ckKeys[i] = jobs[i].Name
-	}
-	results, err := RunJournaled[sched.Metrics](p, ctx, jobs, ckKeys, ck)
+	results, err := RunJournaled[sched.Metrics](p, ctx, jobs, ck)
 	if err != nil {
 		return nil, err
 	}
@@ -417,11 +411,12 @@ type schedPlan struct {
 	points            []SchedPoint // axis values and Trials set, metrics zero
 }
 
-// schedTrial holds one trial's inputs, shared by every point of the trial.
+// schedTrial holds one trial's inputs, shared by every point of the trial:
+// its trace, and its independent board failures (fp) and correlated bursts
+// (bp), each sampled at the highest rate a point thins it to.
 type schedTrial struct {
-	trace []sched.TraceJob
-	fp    *sched.Failures
-	bp    *sched.Bursts
+	trace  []sched.TraceJob
+	fp, bp *sched.Failures
 }
 
 func newSchedPlan(c *core.Cluster, cfg SchedSweepConfig) (*schedPlan, error) {
@@ -523,13 +518,18 @@ func (pl *schedPlan) trial(tr int) *schedTrial {
 		in.trace = sched.Synthetic(pl.cfg.Trace, seed)
 	}
 	if pl.minMTBF > 0 {
-		boards := sched.BoardSequence(pl.c.Hx, pl.c.Comp, seed)
-		in.fp = sched.NewFailures(boards, pl.base.HorizonH, pl.minMTBF, seed)
+		in.fp = sched.NewFailures(sched.BoardSequence(pl.c.Hx, seed), pl.base.HorizonH, pl.failRate(pl.minMTBF), seed)
 	}
 	if pl.maxBurst > 0 {
 		in.bp = sched.NewBursts(pl.c.Grid.X, pl.c.Grid.Y, pl.burstShape, pl.base.HorizonH, pl.maxBurst, seed)
 	}
 	return in
+}
+
+// failRate is the grid's aggregate board-failure rate at a per-board MTBF
+// of mtbfH hours.
+func (pl *schedPlan) failRate(mtbfH float64) float64 {
+	return float64(pl.c.Grid.X*pl.c.Grid.Y) / mtbfH
 }
 
 // run simulates point pt on one trial's inputs; a non-nil rec records it.
@@ -547,7 +547,7 @@ func (pl *schedPlan) run(pt SchedPoint, in *schedTrial, rec *obs.Recorder) (*sch
 	}
 	var fails []sched.FailEvent
 	if pt.MTBFh > 0 && in.fp != nil {
-		fails = in.fp.Thin(pt.MTBFh)
+		fails = in.fp.Thin(pl.failRate(pt.MTBFh))
 	}
 	if pt.BurstRate > 0 && in.bp != nil {
 		fails = sched.MergeFailures(fails, in.bp.Thin(pt.BurstRate))

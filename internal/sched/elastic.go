@@ -1,6 +1,9 @@
 package sched
 
 import (
+	"iter"
+	"sort"
+
 	"hammingmesh/internal/alloc"
 	"hammingmesh/internal/workload"
 )
@@ -41,6 +44,22 @@ func (s *sim) rebaseline(idx int32, j *jobState, t, newSlow float64) {
 	s.events.push(event{t: j.completeT, kind: evComplete, idx: idx, epoch: j.epoch})
 }
 
+// boards is a placement's board count.
+func boards(p *alloc.Placement) int { return p.U() * p.V() }
+
+// halvings yields the shapes of the halved widths of an n-board job,
+// widest first: n/2, n/4, ... down to floor. A floor below 1 (a rigid
+// job's MinBoards) yields none.
+func halvings(n, floor int) iter.Seq2[int, int] {
+	return func(yield func(u, v int) bool) {
+		for bb := n / 2; floor >= 1 && bb >= floor; bb /= 2 {
+			if !yield(workload.ShapeFor(bb)) {
+				return
+			}
+		}
+	}
+}
+
 // elasticFitsDims reports whether some halved width of an elastic job fits
 // the grid dimensions — the admission criterion for jobs whose full shape
 // never can (they queue and run shrunk instead of being rejected).
@@ -48,76 +67,67 @@ func (s *sim) elasticFitsDims(j *jobState) bool {
 	if !s.cfg.Elastic {
 		return false
 	}
-	min := j.tj.MinBoards
-	if min <= 0 || min >= j.tj.Boards {
-		return false
-	}
-	for bb := j.tj.Boards / 2; bb >= min && bb >= 1; bb /= 2 {
-		if u, v := workload.ShapeFor(bb); s.grid.FitsDims(u, v, s.opts) {
+	for u, v := range halvings(j.tj.Boards, j.tj.MinBoards) {
+		if s.grid.FitsDims(u, v, s.opts) {
 			return true
 		}
 	}
 	return false
 }
 
-// findShrunkPlacement searches successively halved board counts (down to
-// MinBoards) for an elastic job that cannot be placed at full width.
-func (s *sim) findShrunkPlacement(idx int32, j *jobState) *alloc.Placement {
-	min := j.tj.MinBoards
-	if min <= 0 || min >= j.tj.Boards {
-		return nil
-	}
-	for bb := j.tj.Boards / 2; bb >= min && bb >= 1; bb /= 2 {
-		u, v := workload.ShapeFor(bb)
-		if p := s.findPlacementShape(s.grid, idx, u, v); p != nil {
+// findShrunkPlacement searches the halved widths of job idx, down to
+// floor, for a placement on the grid.
+func (s *sim) findShrunkPlacement(idx int32, j *jobState, floor int) *alloc.Placement {
+	for u, v := range halvings(j.tj.Boards, floor) {
+		if p := s.findPlacement(s.grid, idx, u, v); p != nil {
 			return p
 		}
 	}
 	return nil
 }
 
+// replace moves running job idx onto p at t — an elastic regrow or
+// failure trim the caller has already applied to the grid — re-pricing it
+// and re-baselining its schedule without a rollback, and counts it in n.
+func (s *sim) replace(idx int32, j *jobState, p *alloc.Placement, t float64, what string, n *int) {
+	old := boards(j.p)
+	s.setPlacement(j, p)
+	slow := s.price(idx, j, p)
+	s.rebaseline(idx, j, t, slow)
+	*n++
+	s.logf("t=%.4f %s job=%d boards=%d->%d slow=%.4f", t, what, j.tj.ID, old, boards(p), slow)
+}
+
 // tryRegrow expands shrunken elastic jobs back toward full width once the
 // queue has drained: each one releases its boards, re-runs the policy's
-// full-shape search (its own freed boards are candidates), and either
-// migrates to the bigger placement or recommits the old one unchanged.
+// full-shape search (its own freed boards are candidates) and, when full
+// width does not fit (or never fits the grid), the halving ladder down to
+// just above its current width; it either migrates to the bigger
+// placement or recommits the old one unchanged.
 func (s *sim) tryRegrow(t float64) {
 	if !s.cfg.Elastic || len(s.queue) > 0 {
 		return
 	}
 	for i := range s.jobs {
-		j := &s.jobs[i]
-		if !j.running || j.allocBoards >= j.tj.Boards {
+		j, idx := &s.jobs[i], int32(i)
+		if !j.running || boards(j.p) >= j.tj.Boards {
 			continue
 		}
 		old := j.p
-		s.grid.Release(int32(i))
-		p := s.findPlacement(s.grid, int32(i), j)
-		// Full width may not fit (or even never fit the grid); try the
-		// halving ladder down to just above the current width.
-		for bb := j.tj.Boards / 2; p == nil && bb > j.allocBoards; bb /= 2 {
-			u, v := workload.ShapeFor(bb)
-			p = s.findPlacementShape(s.grid, int32(i), u, v)
+		s.grid.Release(idx)
+		p := s.findPlacement(s.grid, idx, j.u, j.v)
+		if p == nil {
+			p = s.findShrunkPlacement(idx, j, boards(old)+1)
 		}
-		if p == nil || p.U()*p.V() <= j.allocBoards {
-			if err := s.grid.Commit(old); err != nil {
-				panic(err)
-			}
-			continue
+		if p == nil || boards(p) <= boards(old) {
+			p = old
 		}
 		if err := s.grid.Commit(p); err != nil {
 			panic(err)
 		}
-		oldBoards := j.allocBoards
-		s.setPlacement(j, p)
-		j.allocBoards = p.U() * p.V()
-		slow, gamma := s.priceSlowdown(p, j.tj, int32(i))
-		if wf := float64(j.tj.Boards) / float64(j.allocBoards); wf > 1 {
-			slow *= wf
+		if p != old {
+			s.replace(idx, j, p, t, "regrow", &s.met.Regrows)
 		}
-		s.rebaseline(int32(i), j, t, slow)
-		j.gamma = gamma
-		s.met.Regrows++
-		s.logf("t=%.4f regrow job=%d boards=%d->%d slow=%.4f", t, j.tj.ID, oldBoards, j.allocBoards, slow)
 	}
 }
 
@@ -136,43 +146,22 @@ func (s *sim) tryFailureShrink(victim int32, bx, by int, t float64) bool {
 	}
 	p := j.p
 	u, v := p.U(), p.V()
-	type trim struct {
-		rows, cols []int
-		boards     int
-	}
-	var cands []trim
-	if v > 1 {
-		if nb := u * (v - 1); nb >= j.tj.MinBoards {
-			cands = append(cands, trim{p.Rows, without(p.Cols, bx), nb})
-		}
-	}
-	if u > 1 {
-		if nb := (u - 1) * v; nb >= j.tj.MinBoards {
-			cands = append(cands, trim{without(p.Rows, by), p.Cols, nb})
-		}
-	}
-	if len(cands) == 0 {
+	dropCol := v > 1 && u*(v-1) >= j.tj.MinBoards
+	dropRow := u > 1 && (u-1)*v >= j.tj.MinBoards && (!dropCol || (u-1)*v > u*(v-1))
+	var np *alloc.Placement
+	var err error
+	switch {
+	case dropRow:
+		np, err = s.grid.Shrink(p, without(p.Rows, by), p.Cols)
+	case dropCol:
+		np, err = s.grid.Shrink(p, p.Rows, without(p.Cols, bx))
+	default:
 		return false
 	}
-	best := cands[0]
-	if len(cands) == 2 && cands[1].boards > cands[0].boards {
-		best = cands[1]
-	}
-	np, err := s.grid.Shrink(p, best.rows, best.cols)
 	if err != nil {
 		return false
 	}
-	oldBoards := j.allocBoards
-	s.setPlacement(j, np)
-	j.allocBoards = np.U() * np.V()
-	slow, gamma := s.priceSlowdown(np, j.tj, victim)
-	if wf := float64(j.tj.Boards) / float64(j.allocBoards); wf > 1 {
-		slow *= wf
-	}
-	s.rebaseline(victim, j, t, slow)
-	j.gamma = gamma
-	s.met.Shrinks++
-	s.logf("t=%.4f shrink job=%d boards=%d->%d slow=%.4f", t, j.tj.ID, oldBoards, j.allocBoards, slow)
+	s.replace(victim, j, np, t, "shrink", &s.met.Shrinks)
 	return true
 }
 
@@ -206,14 +195,25 @@ func (s *sim) tryPreempt(idx int32, j *jobState, t float64) *alloc.Placement {
 	if len(vics) == 0 {
 		return nil
 	}
-	sortPreemptVictims(s, vics)
+	// Lowest priority first (the least important die first), then most
+	// boards (fewest victims freed), then index for determinism.
+	sort.Slice(vics, func(a, b int) bool {
+		ja, jb := &s.jobs[vics[a]], &s.jobs[vics[b]]
+		if ja.tj.Priority != jb.tj.Priority {
+			return ja.tj.Priority < jb.tj.Priority
+		}
+		if na, nb := boards(ja.p), boards(jb.p); na != nb {
+			return na > nb
+		}
+		return vics[a] < vics[b]
+	})
 	shadow := s.grid.Clone()
 	var p *alloc.Placement
 	prefix := 0
 	for _, v := range vics {
 		shadow.Release(v)
 		prefix++
-		if cand := s.findPlacement(shadow, idx, j); cand != nil {
+		if cand := s.findPlacement(shadow, idx, j.u, j.v); cand != nil {
 			p = cand
 			break
 		}
@@ -223,7 +223,7 @@ func (s *sim) tryPreempt(idx int32, j *jobState, t float64) *alloc.Placement {
 	}
 	for _, v := range vics[:prefix] {
 		vj := &s.jobs[v]
-		lost := s.rollback(v, vj, t)
+		lost := s.rollback(vj, t)
 		s.grid.Release(v)
 		vj.queued = true
 		vj.queuedAt = t
@@ -232,26 +232,4 @@ func (s *sim) tryPreempt(idx int32, j *jobState, t float64) *alloc.Placement {
 		s.logf("t=%.4f preempt victim=%d by=%d lost=%.4fh", t, vj.tj.ID, j.tj.ID, lost)
 	}
 	return p
-}
-
-// sortPreemptVictims orders candidate victims: lowest priority first (the
-// least important die first), then most boards (fewest victims freed), then
-// index for determinism.
-func sortPreemptVictims(s *sim, vics []int32) {
-	for i := 1; i < len(vics); i++ {
-		for k := i; k > 0 && preemptBefore(s, vics[k], vics[k-1]); k-- {
-			vics[k], vics[k-1] = vics[k-1], vics[k]
-		}
-	}
-}
-
-func preemptBefore(s *sim, a, b int32) bool {
-	ja, jb := &s.jobs[a], &s.jobs[b]
-	if ja.tj.Priority != jb.tj.Priority {
-		return ja.tj.Priority < jb.tj.Priority
-	}
-	if ja.allocBoards != jb.allocBoards {
-		return ja.allocBoards > jb.allocBoards
-	}
-	return a < b
 }

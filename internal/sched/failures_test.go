@@ -10,43 +10,55 @@ import (
 	"hammingmesh/internal/topo"
 )
 
-// The burst process nesting guarantee: under one seed, the burst set kept
-// at a lower rate is a subsequence (prefix in burst-acceptance order) of
-// the set kept at any higher rate, so goodput-vs-burst-rate sweeps measure
+// The outage processes' nesting guarantee, for the independent 1×1
+// board-order process and a 3×1 burst process alike: under one seed, the
+// event list kept at a lower rate is a subsequence of the list kept at any
+// higher rate, so goodput-vs-MTBF and goodput-vs-burst-rate sweeps measure
 // monotone degradation.
-func TestBurstsNestedAcrossRates(t *testing.T) {
-	b := NewBursts(8, 8, BurstShape{W: 3, H: 1}, 1000, 0.2, 11)
-	if b.Sampled() == 0 {
-		t.Fatal("burst process sampled no events at the max rate")
-	}
-	prev := b.Thin(0.2) // the sampling rate: everything
-	if len(prev) == 0 {
-		t.Fatal("Thin at the sampling rate kept nothing")
-	}
-	for _, rate := range []float64{0.1, 0.05, 0.02, 0.005} {
-		cur := b.Thin(rate)
-		if len(cur) > len(prev) {
-			t.Fatalf("rate %g kept more events (%d) than rate above it (%d)", rate, len(cur), len(prev))
-		}
-		// Nesting: the lower-rate expanded event list is a subsequence of
-		// the higher-rate list.
-		i := 0
-		for _, e := range cur {
-			for i < len(prev) && prev[i] != e {
-				i++
+func TestFailuresNestedAcrossRates(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		f     *Failures
+		rates []float64 // descending; the first is the sampling rate
+		empty *Failures
+	}{
+		{"1x1-board-order", NewFailures(faults.BoardOrder(8, 8, 3, orderSalt), 500, 64.0/20, 3),
+			[]float64{64.0 / 20, 64.0 / 50, 64.0 / 100, 64.0 / 400, 64.0 / 2000}, NewFailures(nil, 100, 64.0/50, 1)},
+		{"3x1-burst", NewBursts(8, 8, BurstShape{W: 3, H: 1}, 1000, 0.2, 11),
+			[]float64{0.2, 0.1, 0.05, 0.02, 0.005}, NewBursts(0, 8, BurstShape{}, 100, 0.1, 1)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if !tc.f.Validate() {
+				t.Fatal("outages not sorted by time")
 			}
-			if i == len(prev) {
-				t.Fatalf("rate %g event at t=%.3f board=%v not nested in the higher-rate set", rate, e.Time, e.Board)
+			prev := tc.f.Thin(tc.rates[0]) // the sampling rate: everything
+			if tc.f.Sampled() == 0 || len(prev) < tc.f.Sampled() {
+				t.Fatalf("Thin at the sampling rate kept %d board failures of %d outages", len(prev), tc.f.Sampled())
 			}
-			i++
-		}
-		prev = cur
-	}
-	if got := b.Thin(0); got != nil {
-		t.Fatalf("Thin(0) returned %d events, want none", len(got))
-	}
-	if got := NewBursts(0, 8, BurstShape{}, 100, 0.1, 1).Thin(0.1); got != nil {
-		t.Fatal("empty grid produced bursts")
+			for _, rate := range tc.rates[1:] {
+				cur := tc.f.Thin(rate)
+				if len(cur) > len(prev) {
+					t.Fatalf("rate %g kept more events (%d) than the rate above it (%d)", rate, len(cur), len(prev))
+				}
+				i := 0
+				for _, e := range cur {
+					for i < len(prev) && prev[i] != e {
+						i++
+					}
+					if i == len(prev) {
+						t.Fatalf("rate %g event at t=%.3f board=%v not nested in the higher-rate set", rate, e.Time, e.Board)
+					}
+					i++
+				}
+				prev = cur
+			}
+			if got := tc.f.Thin(0); got != nil {
+				t.Fatalf("Thin(0) returned %d events, want none", len(got))
+			}
+			if got := tc.empty.Thin(tc.rates[0]); got != nil {
+				t.Fatalf("empty process produced %d events", len(got))
+			}
+		})
 	}
 }
 
@@ -126,6 +138,21 @@ func TestBurstEvictsOnceAndDefersRescheduling(t *testing.T) {
 	if placed != 2 {
 		t.Fatalf("job placed %d times, want 2 (initial + one post-burst restart):\n%s",
 			placed, strings.Join(m.Decisions, "\n"))
+	}
+}
+
+// Independent failures cycle through the order faults.SampleFailedBoards
+// powers off a prefix of, so the boards a resilience sweep fails first are
+// the first to fail in the scheduler. A non-square grid catches a swapped
+// axis.
+func TestBoardSequenceIsSampledBoardOrder(t *testing.T) {
+	h := topo.NewHxMesh(2, 2, 5, 3, topo.DefaultLinkParams())
+	c := simcore.Of(h.Network)
+	seq := BoardSequence(h, 7)
+	for _, n := range []int{1, 6, 15} {
+		if got := faults.SampleBoards(h, c, n, 7).FailedBoards(); !reflect.DeepEqual(got, seq[:n]) {
+			t.Fatalf("SampleBoards(%d) failed %v, want the sequence prefix %v", n, got, seq[:n])
+		}
 	}
 }
 

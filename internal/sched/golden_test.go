@@ -19,7 +19,7 @@ func TestGoldenTrace(t *testing.T) {
 	if len(trace) != 50 {
 		t.Fatalf("trace has %d jobs, want 50", len(trace))
 	}
-	fails := NewFailures(gridBoardSequence(4, 4, 9), 40, 30, 9).Thin(30)
+	fails := mtbfFailures(4, 4, 40, 30, 9)
 	if len(fails) != 18 {
 		t.Fatalf("failure process has %d events, want 18", len(fails))
 	}

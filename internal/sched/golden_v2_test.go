@@ -19,7 +19,7 @@ import (
 // quiet a diff you cannot explain.
 func TestGoldenBurstDefragReservationTrace(t *testing.T) {
 	trace := Synthetic(TraceConfig{Jobs: 50, ArrivalRate: 4, MeanService: 3, MaxBoards: 12, CommFrac: 0.3}, 2024)
-	ind := NewFailures(gridBoardSequence(4, 4, 9), 40, 30, 9).Thin(30)
+	ind := mtbfFailures(4, 4, 40, 30, 9)
 	bursts := NewBursts(4, 4, BurstShape{W: 2, H: 1}, 40, 0.08, 9)
 	if bursts.Sampled() != 3 {
 		t.Fatalf("burst process sampled %d bursts, want 3", bursts.Sampled())

@@ -475,23 +475,23 @@ func (s *sim) setPlacement(j *jobState, p *alloc.Placement) {
 	}
 }
 
-// priceSlowdown is the admission-time slowdown of a placement at its
-// contention factor (1 when interference is off). The elastic width ratio
-// is the caller's (it depends on the boards actually allocated).
-func (s *sim) priceSlowdown(p *alloc.Placement, tj TraceJob, exclude int32) (slow, gamma float64) {
-	gamma = s.gammaFor(p, tj, exclude)
-	return s.slowdown(p, tj, gamma), gamma
+// price is job idx's slowdown on placement p, stretched at p's contention
+// factor against the other running jobs (a factor of 1 when interference
+// is off).
+func (s *sim) price(idx int32, j *jobState, p *alloc.Placement) float64 {
+	return s.stretched(j, p, s.gammaFor(p, j.tj, idx))
 }
 
-// slowdown prices a placement at contention factor gamma: 1 without a
-// Slowdown model, and never below 1 with one.
-func (s *sim) slowdown(p *alloc.Placement, tj TraceJob, gamma float64) float64 {
-	if s.cfg.Slowdown == nil {
-		return 1
+// stretched is job j's slowdown on placement p at contention factor gamma:
+// 1 without a Slowdown model and never below 1 with one, times the width
+// ratio while an elastic job runs on fewer boards than it requested.
+func (s *sim) stretched(j *jobState, p *alloc.Placement, gamma float64) float64 {
+	slow := 1.0
+	if s.cfg.Slowdown != nil {
+		slow = max(s.cfg.Slowdown.ContendedSlowdown(p, j.tj, gamma), 1)
 	}
-	slow := s.cfg.Slowdown.ContendedSlowdown(p, tj, gamma)
-	if slow < 1 {
-		slow = 1
+	if wf := float64(j.tj.Boards) / float64(boards(p)); wf > 1 {
+		slow *= wf
 	}
 	return slow
 }
@@ -522,16 +522,11 @@ func (s *sim) reprice(t float64) {
 		j := &s.jobs[idx]
 		gamma := gammas[k]
 		k++
-		slow := s.slowdown(j.p, j.tj, gamma)
-		if wf := float64(j.tj.Boards) / float64(j.allocBoards); wf > 1 {
-			slow *= wf
-		}
+		slow := s.stretched(j, j.p, gamma)
 		if slow == j.slowdown {
-			j.gamma = gamma
 			continue
 		}
 		s.rebaseline(idx, j, t, slow)
-		j.gamma = gamma
 		s.met.Restretches++
 		changed = true
 		s.logf("t=%.4f stretch job=%d gamma=%.4f slow=%.4f", t, j.tj.ID, gamma, slow)

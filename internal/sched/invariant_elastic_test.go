@@ -17,8 +17,7 @@ func TestInvariantsUnderContentionElasticCombos(t *testing.T) {
 		Jobs: 450, ArrivalRate: 3, MeanService: 2.5, MaxBoards: 24,
 		CommFrac: 0.4, ElasticFrac: 0.4, PriorityFrac: 0.3,
 	}, 77)
-	seq := gridBoardSequence(x, y, 5)
-	fails := NewFailures(seq, horizon, 8, 5).Thin(8)
+	fails := mtbfFailures(x, y, horizon, 8, 5)
 
 	combos := []struct {
 		name                       string

@@ -18,8 +18,7 @@ func TestInvariantsUnderAllPolicyCombos(t *testing.T) {
 	const x, y = 6, 6
 	const horizon = 300.0
 	trace := Synthetic(TraceConfig{Jobs: 900, ArrivalRate: 3, MeanService: 2.5, MaxBoards: 24, CommFrac: 0.2}, 77)
-	seq := gridBoardSequence(x, y, 5)
-	ind := NewFailures(seq, horizon, 8, 5).Thin(8)
+	ind := mtbfFailures(x, y, horizon, 8, 5)
 	bursts := NewBursts(x, y, BurstShape{W: 2, H: 1}, horizon, 0.1, 5).Thin(0.1)
 	fails := MergeFailures(ind, bursts)
 	if len(bursts) == 0 || len(ind) == 0 {

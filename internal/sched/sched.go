@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"container/heap"
 	"fmt"
 	"math"
 	"sort"
@@ -230,67 +231,41 @@ type event struct {
 	board [2]int
 }
 
-func (e event) less(o event) bool {
-	if e.t != o.t {
-		return e.t < o.t
-	}
-	if e.kind != o.kind {
-		return e.kind < o.kind
-	}
-	return e.seq < o.seq
-}
-
-// eventHeap is a simple binary min-heap ordered by (t, kind, seq).
+// eventHeap is the event queue, a container/heap min-heap ordered by
+// (t, kind, seq). Every push takes a fresh seq, so the order is total and
+// the pop sequence does not depend on the heap's internal layout.
 type eventHeap struct {
 	h   []event
 	seq int64
 }
 
+func (q *eventHeap) Len() int { return len(q.h) }
+
+func (q *eventHeap) Less(a, b int) bool {
+	x, y := &q.h[a], &q.h[b]
+	if x.t != y.t {
+		return x.t < y.t
+	}
+	if x.kind != y.kind {
+		return x.kind < y.kind
+	}
+	return x.seq < y.seq
+}
+
+func (q *eventHeap) Swap(a, b int) { q.h[a], q.h[b] = q.h[b], q.h[a] }
+func (q *eventHeap) Push(e any)    { q.h = append(q.h, e.(event)) }
+
+func (q *eventHeap) Pop() any {
+	e := q.h[len(q.h)-1]
+	q.h = q.h[:len(q.h)-1]
+	return e
+}
+
+// push queues e after every earlier push at its (t, kind).
 func (q *eventHeap) push(e event) {
 	e.seq = q.seq
 	q.seq++
-	q.h = append(q.h, e)
-	i := len(q.h) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !q.h[i].less(q.h[p]) {
-			break
-		}
-		q.h[i], q.h[p] = q.h[p], q.h[i]
-		i = p
-	}
-}
-
-// peek returns the next event without popping it (ok=false when empty).
-func (q *eventHeap) peek() (event, bool) {
-	if len(q.h) == 0 {
-		return event{}, false
-	}
-	return q.h[0], true
-}
-
-func (q *eventHeap) pop() event {
-	top := q.h[0]
-	last := len(q.h) - 1
-	q.h[0] = q.h[last]
-	q.h = q.h[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		if l >= len(q.h) {
-			break
-		}
-		c := l
-		if r < len(q.h) && q.h[r].less(q.h[l]) {
-			c = r
-		}
-		if !q.h[c].less(q.h[i]) {
-			break
-		}
-		q.h[i], q.h[c] = q.h[c], q.h[i]
-		i = c
-	}
-	return top
+	heap.Push(q, e)
 }
 
 // jobState is the scheduler's mutable per-job record.
@@ -319,11 +294,6 @@ type jobState struct {
 	// overhead baked into the current placement's schedule, excluded from
 	// checkpoint progress on eviction.
 	overheadPending, runOverheadH float64
-	// allocBoards is the board count of the current placement (elastic
-	// jobs may run below tj.Boards, paying the width ratio in slowdown);
-	// gamma is the contention factor priced into the current slowdown.
-	allocBoards int
-	gamma       float64
 	// sig is the current placement's contention-pricing signature
 	// (jobSignature), kept while interference is on so pricing never
 	// re-formats it; setPlacement maintains it.
@@ -397,7 +367,9 @@ func Run(x, y int, trace []TraceJob, failures []FailEvent, cfg Config) (*Metrics
 	}
 	s.jobs = make([]jobState, len(trace))
 	for i, tj := range trace {
-		u, v := shapeForTrace(tj)
+		// Jobs are shaped as square as possible (§IV-B default, shared
+		// with the static allocation study).
+		u, v := workload.ShapeFor(tj.Boards)
 		s.jobs[i] = jobState{tj: tj, u: u, v: v, remaining: tj.Service}
 		if tj.Arrival < cfg.HorizonH {
 			s.events.push(event{t: tj.Arrival, kind: evArrive, idx: int32(i)})
@@ -409,8 +381,8 @@ func Run(x, y int, trace []TraceJob, failures []FailEvent, cfg Config) (*Metrics
 		}
 	}
 
-	for len(s.events.h) > 0 {
-		ev := s.events.pop()
+	for s.events.Len() > 0 {
+		ev := heap.Pop(&s.events).(event)
 		if ev.t >= cfg.HorizonH {
 			break
 		}
@@ -447,12 +419,6 @@ func policyOptions(p Policy) alloc.Options {
 		opt.Transpose, opt.AspectRatio, opt.MaxAspect = true, true, 8
 	}
 	return opt
-}
-
-// shapeForTrace shapes a job as square as possible (§IV-B default, shared
-// with the static allocation study).
-func shapeForTrace(tj TraceJob) (u, v int) {
-	return workload.ShapeFor(tj.Boards)
 }
 
 func (s *sim) integrateTo(t float64) {
@@ -524,9 +490,9 @@ func (s *sim) trySchedule(t float64) {
 			}
 			continue
 		}
-		p := s.findPlacement(s.grid, idx, j)
+		p := s.findPlacement(s.grid, idx, j.u, j.v)
 		if p == nil && s.cfg.Elastic {
-			p = s.findShrunkPlacement(idx, j)
+			p = s.findShrunkPlacement(idx, j, j.tj.MinBoards)
 		}
 		if p == nil {
 			p = s.tryPreempt(idx, j, t)
@@ -565,14 +531,12 @@ func (s *sim) start(idx int32, j *jobState, p *alloc.Placement, t float64) {
 	s.setPlacement(j, p)
 	j.startT = t
 	j.wait += t - j.queuedAt
-	j.allocBoards = p.U() * p.V()
-	j.slowdown, j.gamma = s.priceSlowdown(p, j.tj, idx)
-	if wf := float64(j.tj.Boards) / float64(j.allocBoards); wf > 1 {
-		// Elastic shrink: the job runs below its requested width and pays
-		// the ratio on top of the placement slowdown.
-		j.slowdown *= wf
+	j.slowdown = s.price(idx, j, p)
+	if n := boards(p); n < j.tj.Boards {
+		// Elastic shrink: the job runs below its requested width, and its
+		// price includes the width ratio.
 		s.met.Shrinks++
-		s.logf("t=%.4f shrink job=%d boards=%d->%d", t, j.tj.ID, j.tj.Boards, j.allocBoards)
+		s.logf("t=%.4f shrink job=%d boards=%d->%d", t, j.tj.ID, j.tj.Boards, n)
 	}
 	j.runOverheadH = j.overheadPending
 	j.overheadPending = 0
@@ -583,18 +547,12 @@ func (s *sim) start(idx int32, j *jobState, p *alloc.Placement, t float64) {
 		t, j.tj.ID, p.U(), p.V(), p.Rows, p.Cols, j.slowdown, j.remaining)
 }
 
-// findPlacement runs the policy's placement search for one job on g and
-// returns the uncommitted winner (nil when nothing fits). Separating the
-// search from the commit lets reservation projections run the identical
-// search on shadow grids and lets backfill veto a placement before it
-// lands.
-func (s *sim) findPlacement(g *alloc.Grid, idx int32, j *jobState) *alloc.Placement {
-	return s.findPlacementShape(g, idx, j.u, j.v)
-}
-
-// findPlacementShape is findPlacement for an explicit shape (elastic
-// shrink admissions search smaller shapes than the job's request).
-func (s *sim) findPlacementShape(g *alloc.Grid, idx int32, u, v int) *alloc.Placement {
+// findPlacement runs the policy's placement search for job idx at shape
+// u×v on g (the job's request, or a shrunk elastic width) and returns the
+// uncommitted winner (nil when nothing fits). Separating the search from
+// the commit lets reservation projections run the identical search on
+// shadow grids and lets backfill veto a placement before it lands.
+func (s *sim) findPlacement(g *alloc.Grid, idx int32, u, v int) *alloc.Placement {
 	cands := g.PlaceCandidates(idx, u, v, s.opts)
 	if len(cands) == 0 {
 		return nil
@@ -672,7 +630,7 @@ func (s *sim) reserve(now float64, idx int32, j *jobState) {
 	shadow := s.grid.Clone()
 	for _, r := range rels {
 		shadow.Release(r.idx)
-		p := s.findPlacement(shadow, idx, j)
+		p := s.findPlacement(shadow, idx, j.u, j.v)
 		if p == nil {
 			continue
 		}
@@ -680,11 +638,8 @@ func (s *sim) reserve(now float64, idx int32, j *jobState) {
 		s.resTime = r.t
 		if s.resBoards == nil {
 			s.resBoards = make([]bool, s.grid.X*s.grid.Y)
-		} else {
-			for i := range s.resBoards {
-				s.resBoards[i] = false
-			}
 		}
+		clear(s.resBoards)
 		for _, row := range p.Rows {
 			for _, col := range p.Cols {
 				s.resBoards[row*s.grid.X+col] = true
@@ -703,12 +658,11 @@ func (s *sim) reserve(now float64, idx int32, j *jobState) {
 // is on — an isolation estimate would optimistically admit backfills whose
 // contention-stretched runtimes overlap the reservation.
 func (s *sim) tryBackfill(idx int32, j *jobState, t float64) bool {
-	p := s.findPlacement(s.grid, idx, j)
+	p := s.findPlacement(s.grid, idx, j.u, j.v)
 	if p == nil {
 		return false
 	}
-	slow, _ := s.priceSlowdown(p, j.tj, idx)
-	finish := t + j.overheadPending + j.remaining*slow
+	finish := t + j.overheadPending + j.remaining*s.price(idx, j, p)
 	if finish > s.resTime+1e-9 && s.overlapsReservation(p) {
 		return false
 	}
@@ -764,32 +718,27 @@ func (s *sim) onFail(ev event) {
 	}
 	s.met.Failures++
 	s.emitInstant(traceTidCluster, "board-fail", ev.t)
-	if s.cfg.Elastic {
-		if owner := s.grid.Owner(bx, by); owner >= 0 && s.tryFailureShrink(owner, bx, by, ev.t) {
-			// The trim freed the failed board (with the rest of its row or
-			// column); mark it down without evicting anyone.
-			s.grid.Fail(bx, by)
-			if s.cfg.RepairH > 0 {
-				s.events.push(event{t: ev.t + s.cfg.RepairH, kind: evRepair, board: ev.board})
-			}
-			s.logf("t=%.4f fail board=(%d,%d) shrink=%d", ev.t, bx, by, s.jobs[owner].tj.ID)
-			s.rescheduleAfterFail(ev.t)
-			return
-		}
-	}
+	// An elastic owner may ride the failure out by trimming the board's
+	// row or column, which frees the board before it goes down.
+	owner := s.grid.Owner(bx, by)
+	trimmed := owner >= 0 && s.tryFailureShrink(owner, bx, by, ev.t)
 	victim := s.grid.Fail(bx, by)
 	if s.cfg.RepairH > 0 {
 		s.events.push(event{t: ev.t + s.cfg.RepairH, kind: evRepair, board: ev.board})
 	}
-	if victim < 0 {
+	switch {
+	case trimmed:
+		s.logf("t=%.4f fail board=(%d,%d) shrink=%d", ev.t, bx, by, s.jobs[owner].tj.ID)
+	case victim < 0:
+		// Capacity shrank, but the queue may reshuffle shapes.
 		s.logf("t=%.4f fail board=(%d,%d)", ev.t, bx, by)
-		s.rescheduleAfterFail(ev.t) // capacity shrank but the queue may reshuffle shapes
-		return
+	default:
+		j := &s.jobs[victim]
+		lost := s.rollback(j, ev.t)
+		s.met.Evictions++
+		s.logf("t=%.4f fail board=(%d,%d) evict=%d lost=%.4fh", ev.t, bx, by, j.tj.ID, lost)
+		s.enqueue(victim, ev.t, true)
 	}
-	j := &s.jobs[victim]
-	lost := s.evict(victim, j, ev.t)
-	s.logf("t=%.4f fail board=(%d,%d) evict=%d lost=%.4fh", ev.t, bx, by, j.tj.ID, lost)
-	s.enqueue(victim, ev.t, true)
 	s.rescheduleAfterFail(ev.t)
 }
 
@@ -801,7 +750,7 @@ func (s *sim) onFail(ev event) {
 // reservation is dropped either way (its projection predates the failure);
 // the deferred pass recomputes it.
 func (s *sim) rescheduleAfterFail(t float64) {
-	if e, ok := s.events.peek(); ok && e.kind == evFail && e.t == t {
+	if q := s.events.h; len(q) > 0 && q[0].kind == evFail && q[0].t == t {
 		s.pendingFailSched = true
 		s.resJob = -1
 		return
@@ -810,27 +759,31 @@ func (s *sim) rescheduleAfterFail(t float64) {
 	s.trySchedule(t)
 }
 
-// rollback rolls a running job back to its last checkpoint, accounting the
-// work past it as lost, and returns the lost ideal-hours. The caller frees
-// the job's boards (Fail already did for evictions; defrag releases them
-// explicitly) and requeues it.
-func (s *sim) rollback(idx int32, j *jobState, t float64) float64 {
-	// Migration overhead at the start of the run was checkpoint transfer,
-	// not work; exclude it from progress.
+// checkpointed returns the ideal work hours a running job has done on its
+// current placement by time t (progress) and the part of them its last
+// checkpoint captured (ckpt ≤ progress). Migration overhead at the start
+// of the run was checkpoint transfer, not work, and counts as neither.
+func (s *sim) checkpointed(j *jobState, t float64) (progress, ckpt float64) {
 	elapsed := t - j.startT - j.runOverheadH
 	if elapsed < 0 {
 		elapsed = 0
 	}
-	progress := elapsed / j.slowdown // ideal work hours achieved
-	ckpt := progress
+	progress = elapsed / j.slowdown
+	ckpt = progress
 	if s.cfg.CheckpointH > 0 {
 		// Checkpoints fire on wall-clock intervals; work captured by the
 		// last one is the checkpointed wall time over the slowdown.
-		ckpt = math.Floor(elapsed/s.cfg.CheckpointH) * s.cfg.CheckpointH / j.slowdown
+		ckpt = min(math.Floor(elapsed/s.cfg.CheckpointH)*s.cfg.CheckpointH/j.slowdown, progress)
 	}
-	if ckpt > progress {
-		ckpt = progress
-	}
+	return progress, ckpt
+}
+
+// rollback rolls a running job back to its last checkpoint, accounting the
+// work past it as lost, and returns the lost ideal-hours. The caller frees
+// the job's boards (Fail already did for evictions; defrag and preemption
+// release them explicitly) and requeues it.
+func (s *sim) rollback(j *jobState, t float64) float64 {
+	progress, ckpt := s.checkpointed(j, t)
 	if s.cfg.Trace != nil {
 		s.emitSpan(j.tj.ID, "evicted", j.startT, t)
 		if s.cfg.CheckpointH > 0 && ckpt > 0 {
@@ -851,14 +804,6 @@ func (s *sim) rollback(idx int32, j *jobState, t float64) float64 {
 	j.p = nil
 	s.usefulH += ckpt * float64(j.tj.Boards)
 	s.met.LostBoardH += lost * float64(j.tj.Boards)
-	return lost
-}
-
-// evict is rollback for a board-failure victim (the grid already freed the
-// job's boards as part of Fail's eviction).
-func (s *sim) evict(idx int32, j *jobState, t float64) float64 {
-	lost := s.rollback(idx, j, t)
-	s.met.Evictions++
 	return lost
 }
 
@@ -913,7 +858,7 @@ func (s *sim) defrag(t, frag float64, running []int32) {
 	})
 	for _, idx := range running {
 		j := &s.jobs[idx]
-		s.rollback(idx, j, t)
+		s.rollback(j, t)
 		s.grid.Release(idx)
 		j.overheadPending = s.cfg.DefragCostH
 		j.queued = true
@@ -950,18 +895,8 @@ func (s *sim) finish() {
 			continue
 		}
 		s.met.Backlog++
-		elapsed := h - j.startT - j.runOverheadH
-		if elapsed < 0 {
-			elapsed = 0
-		}
-		ckpt := elapsed / j.slowdown
-		if s.cfg.CheckpointH > 0 {
-			ckpt = math.Floor(elapsed/s.cfg.CheckpointH) * s.cfg.CheckpointH / j.slowdown
-		}
-		if max := j.tj.Service - j.done; ckpt > max {
-			ckpt = max
-		}
-		s.usefulH += ckpt * float64(j.tj.Boards)
+		_, ckpt := s.checkpointed(j, h)
+		s.usefulH += min(ckpt, j.tj.Service-j.done) * float64(j.tj.Boards)
 	}
 	if s.workingH > 0 {
 		s.met.Utilization = s.allocH / s.workingH

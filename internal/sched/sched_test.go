@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"hammingmesh/internal/alloc"
+	"hammingmesh/internal/faults"
 )
 
 func TestSyntheticDeterministicAndSorted(t *testing.T) {
@@ -70,39 +71,12 @@ func TestParseTrace(t *testing.T) {
 	}
 }
 
-func TestFailuresNestedAcrossMTBF(t *testing.T) {
-	seq := gridBoardSequence(8, 8, 3)
-	f := NewFailures(seq, 500, 20, 3)
-	if !f.Validate() {
-		t.Fatal("failure events not sorted")
-	}
-	prev := f.Thin(20) // the sampling rate: everything
-	if len(prev) != len(f.events) {
-		t.Fatalf("Thin at the sampling MTBF kept %d of %d events", len(prev), len(f.events))
-	}
-	for _, mtbf := range []float64{50, 100, 400, 2000} {
-		cur := f.Thin(mtbf)
-		if len(cur) > len(prev) {
-			t.Fatalf("mtbf %.0f kept more events (%d) than a shorter mtbf (%d)", mtbf, len(cur), len(prev))
-		}
-		// Nesting: every kept event appears in the shorter-MTBF set.
-		i := 0
-		for _, e := range cur {
-			for i < len(prev) && prev[i] != e {
-				i++
-			}
-			if i == len(prev) {
-				t.Fatalf("mtbf %.0f event at t=%.3f not nested in shorter-MTBF set", mtbf, e.Time)
-			}
-		}
-		prev = cur
-	}
-	if got := f.Thin(0); got != nil {
-		t.Fatalf("Thin(0) returned %d events, want none", len(got))
-	}
-	if got := NewFailures(nil, 100, 50, 1).Thin(50); got != nil {
-		t.Fatal("empty board sequence produced failures")
-	}
+// mtbfFailures is the independent board-failure process the tests replay:
+// an x×y grid's seeded board order, failing at per-board MTBF mtbfH over
+// [0, horizonH).
+func mtbfFailures(x, y int, horizonH, mtbfH float64, seed int64) []FailEvent {
+	rate := float64(x*y) / mtbfH
+	return NewFailures(faults.BoardOrder(x, y, seed, orderSalt), horizonH, rate, seed).Thin(rate)
 }
 
 func TestRunCompletesLightTrace(t *testing.T) {
@@ -204,8 +178,7 @@ func TestRejectNeverFits(t *testing.T) {
 // Runs are deterministic: the same inputs give the same decision log.
 func TestRunDeterministic(t *testing.T) {
 	trace := Synthetic(TraceConfig{Jobs: 80, ArrivalRate: 4, MeanService: 3, MaxBoards: 20, CommFrac: 0.25}, 11)
-	seq := gridBoardSequence(6, 6, 4)
-	fails := NewFailures(seq, 60, 40, 4).Thin(40)
+	fails := mtbfFailures(6, 6, 60, 40, 4)
 	cfg := Config{Policy: FragAware, CheckpointH: 1.5, RepairH: 8, HorizonH: 60,
 		Slowdown: NewCommSlowdown(2, 2), RecordDecisions: true}
 	a, err := Run(6, 6, trace, fails, cfg)

@@ -8,21 +8,29 @@
 // curves (the dynamic counterpart of Fig. 10) plus job wait and slowdown
 // percentiles and the goodput lost to restarts.
 //
-// The layers:
+// The files:
 //
 //   - trace.go: job traces — synthetic generators (Poisson arrivals,
 //     heavy-tailed Pareto durations, DNN-style job sizes drawn from the
 //     workload package's Alibaba-like distribution) and a JSON loader.
-//   - failures.go: the board-failure background process — Poisson events at
-//     the aggregate rate boards/MTBF, with board identities from the
-//     faults.SampleBoards nested sequence and thinning that keeps failure
-//     sets nested across MTBF values under one seed.
+//   - tracecsv.go: a CSV loader for Alibaba PAI / Microsoft Philly-style
+//     traces (header aliases, GPU counts onto boards, seconds to hours).
+//   - failures.go: the background outage process — Poisson outage times
+//     thinned per rate so that outage sets are nested across rates under
+//     one seed, each outage taking out a board region: independent board
+//     failures are 1×1 outages cycling through the faults.BoardOrder
+//     sequence, correlated bursts W×H rack/row regions at seeded anchors.
 //   - slowdown.go: placement-dependent runtime scaling — the communication
 //     share of a job slows by the alltoall bandwidth of its virtual
 //     sub-HxMesh shape (flowsim estimate, cached per shape) and by the
 //     upper-layer traffic fraction of the concrete placement.
+//   - interference.go: joint contention pricing of all running placements
+//     on the shared upper-layer fat-trees (Config.Interference).
 //   - sched.go: the discrete-event loop and placement policies (first-fit,
-//     best-fit contiguous, fragmentation-aware).
+//     best-fit contiguous, fragmentation-aware), EASY reservations,
+//     checkpoint rollback and defragmentation.
+//   - elastic.go: malleable jobs (shrunk admission, regrow, failure trims;
+//     Config.Elastic) and priority preemption (Config.Preempt).
 //
 // Everything is deterministic in the explicit seeds: the same (trace,
 // failure process, config) triple replays the exact same decision sequence,

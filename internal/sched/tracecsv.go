@@ -134,6 +134,20 @@ func ParseTraceCSV(r io.Reader, opts CSVOptions) ([]TraceJob, error) {
 		}
 		return f, true, nil
 	}
+	// count is num for a size or priority column: the value must be a
+	// whole number below 2^53 in magnitude (where a float64 still holds
+	// every integer exactly), never truncated.
+	count := func(rec []string, c csvCol, row int) (int, bool, error) {
+		f, ok, err := num(rec, c, row)
+		if err != nil || !ok {
+			return 0, false, err
+		}
+		if f != math.Trunc(f) || math.Abs(f) >= 1<<53 {
+			v, _ := field(rec, c)
+			return 0, false, fmt.Errorf("sched: CSV row %d: %s %q is not a whole number below 2^53", row, header[cols[c]], v)
+		}
+		return int(f), true, nil
+	}
 
 	var jobs []TraceJob
 	row := 1
@@ -165,14 +179,14 @@ func ParseTraceCSV(r io.Reader, opts CSVOptions) ([]TraceJob, error) {
 		} else {
 			return nil, fmt.Errorf("sched: CSV row %d: missing arrival", row)
 		}
-		if f, ok, err := num(rec, colBoards, row); err != nil {
+		if n, ok, err := count(rec, colBoards, row); err != nil {
 			return nil, err
 		} else if ok {
-			tj.Boards = int(f)
-		} else if f, ok, err := num(rec, colGPUs, row); err != nil {
+			tj.Boards = n
+		} else if n, ok, err := count(rec, colGPUs, row); err != nil {
 			return nil, err
 		} else if ok {
-			tj.Boards = (int(f) + apb - 1) / apb
+			tj.Boards = (n + apb - 1) / apb
 		} else {
 			return nil, fmt.Errorf("sched: CSV row %d: missing size", row)
 		}
@@ -192,19 +206,19 @@ func ParseTraceCSV(r io.Reader, opts CSVOptions) ([]TraceJob, error) {
 		} else if ok {
 			tj.CommFrac = f
 		}
-		if f, ok, err := num(rec, colMinBoards, row); err != nil {
+		if n, ok, err := count(rec, colMinBoards, row); err != nil {
 			return nil, err
 		} else if ok {
-			tj.MinBoards = int(f)
-		} else if f, ok, err := num(rec, colMinGPUs, row); err != nil {
+			tj.MinBoards = n
+		} else if n, ok, err := count(rec, colMinGPUs, row); err != nil {
 			return nil, err
 		} else if ok {
-			tj.MinBoards = (int(f) + apb - 1) / apb
+			tj.MinBoards = (n + apb - 1) / apb
 		}
-		if f, ok, err := num(rec, colPriority, row); err != nil {
+		if n, ok, err := count(rec, colPriority, row); err != nil {
 			return nil, err
 		} else if ok {
-			tj.Priority = int(f)
+			tj.Priority = n
 		}
 		jobs = append(jobs, tj)
 	}

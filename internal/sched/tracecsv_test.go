@@ -29,6 +29,12 @@ var csvBadTraces = map[string]string{
 	"zero svc":   "arrival_h,boards,service_h\n0,4,0\n",
 	"min>boards": "arrival_h,boards,service_h,min_boards\n0,4,1,8\n",
 	"neg prio":   "arrival_h,boards,service_h,priority\n0,4,1,-1\n",
+	// Counts are whole numbers, never truncated, and must fit.
+	"frac boards": "arrival_h,boards,service_h\n0,2.7,1\n",
+	"frac gpus":   "arrival_h,gpus,service_h\n0,9.9,1\n",
+	"frac min":    "arrival_h,boards,service_h,min_boards\n0,4,1,1.5\n",
+	"frac prio":   "arrival_h,boards,service_h,priority\n0,4,1,2.9\n",
+	"huge boards": "arrival_h,boards,service_h\n0,1e300,1\n",
 }
 
 func TestParseTraceCSVHours(t *testing.T) {
@@ -83,6 +89,17 @@ func TestParseTraceCSVErrors(t *testing.T) {
 	for name, csv := range csvBadTraces {
 		if _, err := ParseTraceCSV(strings.NewReader(csv), CSVOptions{}); err == nil {
 			t.Errorf("%s: want error, got nil", name)
+		}
+	}
+}
+
+// A count that is not a whole number, or too large to be one, is refused
+// with an error naming its row, as the JSON loader refuses it.
+func TestParseTraceCSVRefusesNonWholeCounts(t *testing.T) {
+	for _, name := range []string{"frac boards", "frac gpus", "frac min", "frac prio", "huge boards"} {
+		_, err := ParseTraceCSV(strings.NewReader(csvBadTraces[name]), CSVOptions{})
+		if err == nil || !strings.Contains(err.Error(), "CSV row 2: ") {
+			t.Errorf("%s: got error %v, want one naming row 2", name, err)
 		}
 	}
 }

@@ -13,12 +13,11 @@
 package serve
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 
 	"hammingmesh/internal/core"
+	"hammingmesh/internal/journal"
 	"hammingmesh/internal/runner"
 	"hammingmesh/internal/sched"
 )
@@ -156,12 +155,9 @@ func (c *Canon) CanonicalJSON() []byte {
 	return b
 }
 
-// Key is the content address: the SHA-256 of the canonical JSON, hex
-// encoded.
-func (c *Canon) Key() string {
-	sum := sha256.Sum256(c.CanonicalJSON())
-	return hex.EncodeToString(sum[:])
-}
+// Key is the content address: the hex SHA-256 of the canonical JSON
+// (journal.KeyOf, the address the checkpoint layers share).
+func (c *Canon) Key() string { return journal.KeyOf(c) }
 
 // DefaultBytes is the per-flow transfer size filled in for packet-level
 // kinds when the request leaves Bytes at zero.
