@@ -145,7 +145,7 @@ func BenchmarkTable2GlobalBW(b *testing.B) {
 			}
 			cfg := netsim.DefaultConfig()
 			if name == "dragonfly" {
-				cfg.UGAL = netsim.UGALConfig{Enable: true, Candidates: 2}
+				cfg.UGAL = true
 			}
 			tab := c.Table
 			if comp != c.Comp {
@@ -449,35 +449,26 @@ func BenchmarkFig6Tapering(b *testing.B) {
 	}
 }
 
-// BenchmarkFig15DNNCostSavings regenerates the Fig. 15 savings matrix.
+// BenchmarkFig15DNNCostSavings regenerates the Fig. 15 savings matrix
+// (`hxdnn` prints the same values, with the dragonfly column).
 func BenchmarkFig15DNNCostSavings(b *testing.B) {
-	costs := map[string]float64{
-		"fattree": 25.3, "fattree50": 17.6, "fattree75": 13.2, "dragonfly": 27.9,
-		"hyperx": 10.8, "hx2mesh": 5.4, "hx4mesh": 2.7, "torus": 2.5,
-	}
 	for i := 0; i < b.N; i++ {
-		perfs := dnn.StandardPerf()
-		type cell struct {
-			model, vs string
-			val       float64
-		}
-		var table []cell
+		models := dnn.Models()
+		var lines []string
 		for _, hx := range []string{"hx2mesh", "hx4mesh"} {
-			hxPerf, _ := dnn.PerfByName(hx)
-			for _, m := range dnn.Models() {
-				for _, p := range perfs {
-					if p.Name == hx || p.Name == "dragonfly" {
-						continue
+			vs, rows := dnn.CostSavings(hx)
+			for mi, m := range models {
+				for j, name := range vs {
+					if name != "dragonfly" {
+						lines = append(lines, fmt.Sprintf("  %-12s %-24s %5.1fx", m.Name, hx+" vs "+name, rows[mi][j]))
 					}
-					table = append(table, cell{m.Name, hx + " vs " + p.Name,
-						dnn.CostSaving(m, costs[hx], costs[p.Name], hxPerf, p)})
 				}
 			}
 		}
 		once("fig15", func() {
 			fmt.Println("\nFig. 15 — relative cost savings (>1 favors the HxMesh)")
-			for _, c := range table {
-				fmt.Printf("  %-12s %-24s %5.1fx\n", c.model, c.vs, c.val)
+			for _, l := range lines {
+				fmt.Println(l)
 			}
 		})
 	}
@@ -859,7 +850,11 @@ func BenchmarkAlltoallSweepFaulted(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	fc := c.WithFaults(c.SampleLinkFaults(0.10, 7))
+	fs, err := c.SampleFaults(0.10, 0, 7)
+	if err != nil {
+		b.Fatal(err)
+	}
+	fc := c.WithFaults(fs)
 	if _, err := pool.AlltoallPacketShare(fc, netsim.DefaultConfig(), 8<<10, shifts, 7); err != nil {
 		b.Fatal(err)
 	}

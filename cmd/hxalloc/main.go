@@ -273,7 +273,9 @@ func parseFloats(s, flagName string) []float64 {
 		if err != nil || v < 0 || !finite(v) {
 			fatalf("bad %s entry %q", flagName, part)
 		}
-		out = append(out, v)
+		// v is at least 0; Abs clears the sign of a -0, which computes
+		// like 0 but would print as -0 and move the sweep fingerprint.
+		out = append(out, math.Abs(v))
 	}
 	return out
 }

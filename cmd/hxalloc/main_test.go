@@ -189,6 +189,16 @@ func TestHxallocSchedJournalCrashResume(t *testing.T) {
 		"-policies", "firstfit", "-trials", "3", "-journal", dir)
 	cmdtest.MustContain(t, out, "different sweep")
 
+	// A -0 in a list is the 0 it computes like: it resumes that sweep
+	// and prints its table.
+	negZero := cmdtest.Run(t, bin, "-mode", "sched", "-grid", "4x4",
+		"-jobs", "30", "-horizon", "20", "-mtbf", "-0,40", "-ckpt", "2",
+		"-policies", "firstfit", "-trials", "2", "-journal", dir)
+	cmdtest.MustContain(t, negZero, "journal: resuming")
+	if got := sweepTable(negZero); got != want {
+		t.Fatalf("-mtbf -0,40 printed:\n%s\nwant the -mtbf 0,40 table:\n%s", got, want)
+	}
+
 	// So does one written under a different slowdown model: -switch-group
 	// reaches the sweep only through it when interference is off. The
 	// original command still resumes.

@@ -46,7 +46,6 @@ const readHeaderTimeout = 10 * time.Second
 func main() {
 	addr := flag.String("addr", "127.0.0.1:8080", "listen address (use :0 for an ephemeral port, printed on startup)")
 	workers := flag.Int("workers", 0, "runner pool workers (0 = GOMAXPROCS; results are worker-count invariant)")
-	seed := flag.Int64("seed", 1, "base seed of the runner pool's deterministic per-job seeds")
 	cacheBytes := flag.Int64("cache-bytes", serve.DefaultCacheBytes, "result cache budget in bytes")
 	clusterBytes := flag.Int64("cluster-cache-bytes", 0, "cluster cache budget in bytes (0 = unbounded)")
 	queueLen := flag.Int("queue", serve.DefaultQueueLen, "bound on requests waiting to compute; beyond it requests get 429")
@@ -56,7 +55,9 @@ func main() {
 	journalCrash := flag.String("journal-crash", "", "crash-injection plan <point>:<n> — die mid-write at that journal boundary (testing; see internal/journal)")
 	flag.Parse()
 
-	pool := runner.NewSeeded(*workers, *seed)
+	// Each kind seeds from its request, so the pool's base seed reaches
+	// no result.
+	pool := runner.New(*workers)
 	if *clusterBytes > 0 {
 		pool.SetClusterBudget(*clusterBytes)
 	}

@@ -1,9 +1,7 @@
 // Command hxdnn reproduces the DNN workload study of §V-B and Fig. 15:
 // per-topology iteration times of ResNet-152, CosmoFlow, GPT-3, GPT-3 MoE
 // and DLRM, and the relative cost savings of Hx2Mesh and Hx4Mesh against
-// every other topology. The per-model rows are independent, so they are
-// submitted to the experiment runner and evaluated on -parallel workers
-// (results are collected in submission order, so output is unchanged).
+// every other topology.
 //
 // Usage:
 //
@@ -14,42 +12,16 @@ package main
 import (
 	"flag"
 	"fmt"
-	"os"
-	"runtime"
 
-	"hammingmesh/internal/cost"
 	"hammingmesh/internal/dnn"
-	"hammingmesh/internal/runner"
 )
 
 func main() {
 	paper := flag.Bool("paper", false, "include the paper's reported runtimes")
-	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "worker pool size for the model sweep")
 	flag.Parse()
 
 	perfs := dnn.StandardPerf()
 	models := dnn.Models()
-	pool := runner.New(*parallel)
-
-	// One job per model: a row of per-topology iteration times.
-	rowJobs := make([]runner.Job, len(models))
-	for i, m := range models {
-		rowJobs[i] = runner.Job{
-			Name: m.Name,
-			Run: func(ctx *runner.Ctx) (any, error) {
-				row := make([]float64, len(perfs))
-				for j, p := range perfs {
-					row[j] = dnn.IterationMS(m, p)
-				}
-				return row, nil
-			},
-		}
-	}
-	rows := pool.Run(rowJobs)
-	if err := runner.FirstErr(rows); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
 
 	fmt.Println("modeled iteration time [ms] (small-cluster effective bandwidths):")
 	fmt.Printf("%-12s", "model")
@@ -57,10 +29,10 @@ func main() {
 		fmt.Printf(" %10s", p.Name)
 	}
 	fmt.Println()
-	for i, m := range models {
+	for _, m := range models {
 		fmt.Printf("%-12s", m.Name)
-		for _, v := range rows[i].Value.([]float64) {
-			fmt.Printf(" %10.2f", v)
+		for _, p := range perfs {
+			fmt.Printf(" %10.2f", dnn.IterationMS(m, p))
 		}
 		fmt.Println()
 	}
@@ -79,68 +51,20 @@ func main() {
 		}
 	}
 
-	// Fig. 15: cost savings of Hx2Mesh and Hx4Mesh vs the others, again one
-	// job per model row.
-	prices := cost.PaperPrices()
-	costs := map[string]float64{}
-	for _, inv := range cost.SmallCluster() {
-		costs[invKey(inv.Name)] = inv.Cost(prices)
-	}
 	for _, hx := range []string{"hx2mesh", "hx4mesh"} {
-		hxPerf, _ := dnn.PerfByName(hx)
-		saveJobs := make([]runner.Job, len(models))
-		for i, m := range models {
-			saveJobs[i] = runner.Job{
-				Name: hx + "/" + m.Name,
-				Run: func(ctx *runner.Ctx) (any, error) {
-					var row []float64
-					for _, p := range perfs {
-						if p.Name == hx {
-							continue
-						}
-						row = append(row, dnn.CostSaving(m, costs[hx], costs[p.Name], hxPerf, p))
-					}
-					return row, nil
-				},
-			}
-		}
-		saved := pool.Run(saveJobs)
-		if err := runner.FirstErr(saved); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		vs, rows := dnn.CostSavings(hx)
 		fmt.Printf("\nFig. 15 — relative cost saving of %s vs others (>1 favors %s):\n", hx, hx)
 		fmt.Printf("%-12s", "model")
-		for _, p := range perfs {
-			if p.Name == hx {
-				continue
-			}
-			fmt.Printf(" %10s", p.Name)
+		for _, name := range vs {
+			fmt.Printf(" %10s", name)
 		}
 		fmt.Println()
 		for i, m := range models {
 			fmt.Printf("%-12s", m.Name)
-			for _, s := range saved[i].Value.([]float64) {
+			for _, s := range rows[i] {
 				fmt.Printf(" %10.1f", s)
 			}
 			fmt.Println()
 		}
 	}
-}
-
-// invKey maps inventory names to perf names.
-func invKey(name string) string {
-	switch name {
-	case "nonblocking fat tree":
-		return "fattree"
-	case "50% tapered fat tree":
-		return "fattree50"
-	case "75% tapered fat tree":
-		return "fattree75"
-	case "2D hyperx":
-		return "hyperx"
-	case "2D torus":
-		return "torus"
-	}
-	return name
 }

@@ -86,7 +86,7 @@ func main() {
 		}
 	}
 
-	pool := runner.NewSeeded(*parallel, *seed)
+	pool := runner.New(*parallel)
 	c, err := pool.Cluster(*topoName, core.ClusterSize(*size))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

@@ -43,7 +43,7 @@ func main() {
 	// 2. A dead board: its four accelerators drop out, the survivors keep
 	// talking, and a flow aimed at the dead board fails with a typed error
 	// instead of a panic.
-	bfs, err := c.SampleBoardFaults(1, 7)
+	bfs, err := c.SampleFaults(0, 1, 7)
 	if err != nil {
 		log.Fatal(err)
 	}

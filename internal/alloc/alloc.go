@@ -240,27 +240,30 @@ func (g *Grid) place(avail []colSet, u, v int) (rows []int, cols colSet, ok bool
 	return nil, nil, false
 }
 
+// GroupBoards is the number of consecutive boards under one first-level
+// switch of a dimension's two-level fat tree: a 64-port switch has 32
+// down-ports, two per board (§III). The window search, the locality score
+// and the Fig. 9 accounting group boards by it.
+const GroupBoards = 16
+
+// MaxAspect caps the aspect ratio of a reshaped job (§IV-A).
+const MaxAspect = 8
+
 // Options toggles the §IV-A optimization heuristics.
 type Options struct {
 	// Transpose retries a failed u×v request as v×u.
 	Transpose bool
 	// AspectRatio allows reshaping the job to any u'×v' with
-	// u'·v' = u·v and max aspect ratio at most MaxAspect (8 in the paper).
+	// u'·v' = u·v and aspect ratio at most MaxAspect.
 	AspectRatio bool
-	MaxAspect   int
 	// Locality evaluates all candidate shapes and picks the one with the
 	// lowest upper-layer alltoall traffic (§IV-A Locality).
 	Locality bool
-	// TreeGroupBoards is the number of boards covered by one first-level
-	// switch of the per-dimension fat trees, used by the locality score
-	// and the Fig. 9 accounting. Zero means 16 (32 L1 down-ports at two
-	// ports per board).
-	TreeGroupBoards int
 }
 
-// DefaultOptions enables everything with the paper's parameters.
+// DefaultOptions enables every heuristic.
 func DefaultOptions() Options {
-	return Options{Transpose: true, AspectRatio: true, MaxAspect: 8, Locality: true, TreeGroupBoards: 16}
+	return Options{Transpose: true, AspectRatio: true, Locality: true}
 }
 
 // shapesFor is shapes memoized on the grid per (u, v, options). The memo
@@ -298,17 +301,13 @@ func shapes(u, v int, opt Options) [][2]int {
 	}
 	if opt.AspectRatio {
 		n := u * v
-		maxAspect := opt.MaxAspect
-		if maxAspect <= 0 {
-			maxAspect = 8
-		}
 		var facs [][2]int
 		for a := 1; a*a <= n; a++ {
 			if n%a != 0 {
 				continue
 			}
 			b := n / a
-			if b/a <= maxAspect {
+			if b/a <= MaxAspect {
 				facs = append(facs, [2]int{a, b})
 				if a != b {
 					facs = append(facs, [2]int{b, a})
@@ -355,14 +354,10 @@ func (g *Grid) PlaceCandidates(job int32, u, v int, opt Options) []*Placement {
 	if job < 0 {
 		panic(fmt.Sprintf("alloc: invalid job id %d", job))
 	}
-	groupBoards := opt.TreeGroupBoards
-	if groupBoards <= 0 {
-		groupBoards = 16
-	}
 	avail := g.availRows()
 	var out []*Placement
 	for _, s := range g.shapesFor(u, v, opt) {
-		if p, ok := g.placeShape(avail, job, s[0], s[1], groupBoards); ok {
+		if p, ok := g.placeShape(avail, job, s[0], s[1]); ok {
 			out = append(out, p)
 		}
 	}
@@ -371,7 +366,7 @@ func (g *Grid) PlaceCandidates(job int32, u, v int, opt Options) []*Placement {
 
 // placeShape runs the greedy row-intersection search for one concrete
 // shape and builds the (uncommitted) placement.
-func (g *Grid) placeShape(avail []colSet, job int32, u, v, groupBoards int) (*Placement, bool) {
+func (g *Grid) placeShape(avail []colSet, job int32, u, v int) (*Placement, bool) {
 	rows, cols, ok := g.place(avail, u, v)
 	if !ok {
 		return nil, false
@@ -380,7 +375,7 @@ func (g *Grid) placeShape(avail []colSet, job int32, u, v, groupBoards int) (*Pl
 	// The intersection may hold more than v columns; pick the v columns
 	// that minimize spread (consecutive window with the fewest L1-group
 	// crossings), a cheap locality refinement.
-	start := bestWindow(g.sc.cols, v, groupBoards)
+	start := bestWindow(g.sc.cols, v, GroupBoards)
 	// Rows and Cols share one allocation; the capped Rows cannot grow
 	// into Cols.
 	buf := make([]int, u+v)
@@ -409,16 +404,12 @@ func (g *Grid) Allocate(job int32, u, v int, opt Options) (*Placement, bool) {
 	if job < 0 {
 		panic(fmt.Sprintf("alloc: invalid job id %d", job))
 	}
-	groupBoards := opt.TreeGroupBoards
-	if groupBoards <= 0 {
-		groupBoards = 16
-	}
 	if !opt.Locality {
 		// First feasible shape wins: stop searching at the first fit
 		// instead of enumerating every candidate.
 		avail := g.availRows()
 		for _, s := range g.shapesFor(u, v, opt) {
-			if p, ok := g.placeShape(avail, job, s[0], s[1], groupBoards); ok {
+			if p, ok := g.placeShape(avail, job, s[0], s[1]); ok {
 				g.commit(p)
 				return p, true
 			}
@@ -429,9 +420,9 @@ func (g *Grid) Allocate(job int32, u, v int, opt Options) (*Placement, bool) {
 	if len(cands) == 0 {
 		return nil, false
 	}
-	best, bestScore := cands[0], UpperLayerFraction(cands[0], TrafficAlltoall, groupBoards)
+	best, bestScore := cands[0], UpperLayerFraction(cands[0], TrafficAlltoall, GroupBoards)
 	for _, p := range cands[1:] {
-		if score := UpperLayerFraction(p, TrafficAlltoall, groupBoards); score < bestScore {
+		if score := UpperLayerFraction(p, TrafficAlltoall, GroupBoards); score < bestScore {
 			best, bestScore = p, score
 		}
 	}

@@ -85,7 +85,7 @@ func TestAspectRatioHeuristic(t *testing.T) {
 	if _, ok := g.Allocate(0, 4, 4, Options{Transpose: true}); ok {
 		t.Fatal("4x4 should not fit in 8x2")
 	}
-	p, ok := g.Allocate(0, 4, 4, Options{Transpose: true, AspectRatio: true, MaxAspect: 8})
+	p, ok := g.Allocate(0, 4, 4, Options{Transpose: true, AspectRatio: true})
 	if !ok {
 		t.Fatal("aspect-ratio heuristic did not reshape 4x4 to 2x8")
 	}
@@ -156,7 +156,7 @@ func TestLocalityReducesUpperTraffic(t *testing.T) {
 		for i := 0; i < 600; i++ { // fragment with scattered 1x1 jobs
 			g.owner[rng.Intn(len(g.owner))] = 999
 		}
-		opt := Options{Transpose: true, AspectRatio: true, MaxAspect: 8, Locality: locality, TreeGroupBoards: 16}
+		opt := Options{Transpose: true, AspectRatio: true, Locality: locality}
 		var ps []*Placement
 		for j := int32(0); j < 40; j++ {
 			if p, ok := g.Allocate(j, 4, 4, opt); ok {

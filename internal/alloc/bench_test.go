@@ -15,9 +15,9 @@ func BenchmarkPlaceCandidates(b *testing.B) {
 		name string
 		opt  Options
 	}{
-		{"firstfit", Options{TreeGroupBoards: 16}},
-		{"fragaware", Options{Transpose: true, AspectRatio: true, MaxAspect: 8, TreeGroupBoards: 16}},
-		{"bestfit", Options{Transpose: true, AspectRatio: true, MaxAspect: 8, Locality: true, TreeGroupBoards: 16}},
+		{"firstfit", Options{}},
+		{"fragaware", Options{Transpose: true, AspectRatio: true}},
+		{"bestfit", Options{Transpose: true, AspectRatio: true, Locality: true}},
 	}
 	shapes := [][2]int{{1, 1}, {1, 2}, {2, 2}, {2, 4}, {4, 4}, {4, 8}}
 	for _, n := range []int{8, 32} {

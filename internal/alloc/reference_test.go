@@ -75,17 +75,13 @@ func refShapes(u, v int, opt Options) [][2]int {
 	}
 	if opt.AspectRatio {
 		n := u * v
-		maxAspect := opt.MaxAspect
-		if maxAspect <= 0 {
-			maxAspect = 8
-		}
 		var facs [][2]int
 		for a := 1; a*a <= n; a++ {
 			if n%a != 0 {
 				continue
 			}
 			b := n / a
-			if b/a <= maxAspect {
+			if b/a <= MaxAspect {
 				facs = append(facs, [2]int{a, b})
 				if a != b {
 					facs = append(facs, [2]int{b, a})
@@ -128,13 +124,6 @@ func refBestWindow(idx []int, w, groupBoards int) []int {
 	return append([]int{}, idx[bestStart:bestStart+w]...)
 }
 
-func refGroupBoards(opt Options) int {
-	if opt.TreeGroupBoards <= 0 {
-		return 16
-	}
-	return opt.TreeGroupBoards
-}
-
 func refPlaceCandidates(g *Grid, job int32, u, v int, opt Options) []*Placement {
 	var out []*Placement
 	for _, s := range refShapes(u, v, opt) {
@@ -148,7 +137,7 @@ func refPlaceCandidates(g *Grid, job int32, u, v int, opt Options) []*Placement 
 				idx = append(idx, i)
 			}
 		}
-		idx = refBestWindow(idx, s[1], refGroupBoards(opt))
+		idx = refBestWindow(idx, s[1], GroupBoards)
 		out = append(out, &Placement{Job: job, Rows: append([]int{}, rows...), Cols: idx})
 	}
 	return out
@@ -163,10 +152,9 @@ func refAllocate(g *Grid, job int32, u, v int, opt Options) (*Placement, bool) {
 	}
 	best := cands[0]
 	if opt.Locality {
-		group := refGroupBoards(opt)
-		bestScore := UpperLayerFraction(best, TrafficAlltoall, group)
+		bestScore := UpperLayerFraction(best, TrafficAlltoall, GroupBoards)
 		for _, p := range cands[1:] {
-			if score := UpperLayerFraction(p, TrafficAlltoall, group); score < bestScore {
+			if score := UpperLayerFraction(p, TrafficAlltoall, GroupBoards); score < bestScore {
 				best, bestScore = p, score
 			}
 		}
@@ -200,17 +188,16 @@ func samePlacements(a, b []*Placement) error {
 // (firstfit: none; fragaware: transpose + aspect ratio; bestfit: all).
 func randomOptions(rng *rand.Rand) Options {
 	return Options{
-		Transpose:       rng.Intn(2) == 0,
-		AspectRatio:     rng.Intn(2) == 0,
-		MaxAspect:       rng.Intn(10),
-		Locality:        rng.Intn(2) == 0,
-		TreeGroupBoards: []int{0, 2, 4, 16}[rng.Intn(4)],
+		Transpose:   rng.Intn(2) == 0,
+		AspectRatio: rng.Intn(2) == 0,
+		Locality:    rng.Intn(2) == 0,
 	}
 }
 
 // TestPlacementSearchMatchesReference runs random searches on random grid
 // states (free, failed and job-owned boards; 8 and 70 columns, so both
-// single- and multi-word column sets) and on clones of them, interleaved
+// single- and multi-word column sets, and rows inside one GroupBoards
+// group and across five) and on clones of them, interleaved
 // with the mutations a scheduler makes, and checks that the scratch-reusing
 // PlaceCandidates, Allocate and FitsDims return the reference search's
 // placements in the reference order.

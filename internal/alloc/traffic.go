@@ -15,13 +15,14 @@ const (
 // UpperLayerFraction computes, for a placement, the fraction of
 // dimension-network traversals that must cross the upper level of a
 // two-level per-dimension fat tree whose first-level switches each cover
-// groupBoards consecutive boards. Board pairs in the same L1 group stay in
-// the first level; pairs in different groups cross the upper level. Pairs
-// on different rows and columns traverse two dimension networks via an
-// intermediate board (§IV-C2), contributing two traversals.
+// groupBoards consecutive boards (zero means GroupBoards). Board pairs in
+// the same L1 group stay in the first level; pairs in different groups
+// cross the upper level. Pairs on different rows and columns traverse two
+// dimension networks via an intermediate board (§IV-C2), contributing two
+// traversals.
 func UpperLayerFraction(p *Placement, kind TrafficKind, groupBoards int) float64 {
 	if groupBoards <= 0 {
-		groupBoards = 16
+		groupBoards = GroupBoards
 	}
 	crossings, traversals := 0, 0
 	cross := func(a, b int) {

@@ -31,10 +31,10 @@ func DisjointHamiltonianRings(r, c int) ([]Coord, []Coord, error) {
 		return nil, nil, fmt.Errorf("collective: torus %dx%d too small for disjoint rings (need ≥3 per dimension)", r, c)
 	}
 	if r%c == 0 && gcd(r, c-1) == 1 {
-		return disjointRings(r, c, false)
+		return disjointRings(r, c)
 	}
 	if c%r == 0 && gcd(c, r-1) == 1 {
-		r1, r2, err := disjointRings(c, r, false)
+		r1, r2, err := disjointRings(c, r)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -58,7 +58,7 @@ func transpose(ring []Coord) []Coord {
 	return out
 }
 
-func disjointRings(r, c int, _ bool) ([]Coord, []Coord, error) {
+func disjointRings(r, c int) ([]Coord, []Coord, error) {
 	n := r * c
 	// Ring one: row-major with per-row column offset −x1 (mod c). Within a
 	// row, consecutive nodes are column neighbors; between rows the last
@@ -71,7 +71,7 @@ func disjointRings(r, c int, _ bool) ([]Coord, []Coord, error) {
 	// Collect ring-one edges.
 	used := make(map[edge]bool, n)
 	for i := 0; i < n; i++ {
-		used[normEdge(ring1[i], ring1[(i+1)%n], r, c)] = true
+		used[normEdge(ring1[i], ring1[(i+1)%n])] = true
 	}
 	// Remaining 2-regular graph: traverse it from (0,0).
 	ring2 := make([]Coord, 0, n)
@@ -92,7 +92,7 @@ func disjointRings(r, c int, _ bool) ([]Coord, []Coord, error) {
 		prev, at, havePrev = at, next, true
 	}
 	// Closing edge of ring two must exist and be unused by ring one.
-	if !adjacent(ring2[n-1], ring2[0], r, c) || used[normEdge(ring2[n-1], ring2[0], r, c)] {
+	if !adjacent(ring2[n-1], ring2[0], r, c) || used[normEdge(ring2[n-1], ring2[0])] {
 		return nil, nil, fmt.Errorf("collective: leftover traversal of %dx%d does not close a cycle", r, c)
 	}
 	return ring1, ring2, nil
@@ -102,12 +102,10 @@ func mod(a, m int) int { return ((a % m) + m) % m }
 
 type edge struct{ a, b Coord }
 
-func normEdge(p, q Coord, r, c int) edge {
+func normEdge(p, q Coord) edge {
 	if p.Row > q.Row || (p.Row == q.Row && p.Col > q.Col) {
 		p, q = q, p
 	}
-	_ = r
-	_ = c
 	return edge{p, q}
 }
 
@@ -136,7 +134,7 @@ func nextFree(at, prev Coord, havePrev bool, used map[edge]bool, visited map[Coo
 		if visited[q] {
 			continue
 		}
-		if used[normEdge(at, q, r, c)] {
+		if used[normEdge(at, q)] {
 			continue
 		}
 		return q, true
@@ -168,7 +166,7 @@ func VerifyDisjointHamiltonian(ring1, ring2 []Coord, r, c int) error {
 			if !adjacent(p, q, r, c) {
 				return fmt.Errorf("ring %d: %v and %v not torus neighbors", ri+1, p, q)
 			}
-			edges[normEdge(p, q, r, c)]++
+			edges[normEdge(p, q)]++
 		}
 	}
 	for e, cnt := range edges {

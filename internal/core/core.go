@@ -72,6 +72,7 @@ func NewHyperX(x, y int) *Cluster {
 func NewFatTree(endpoints int, taper float64) *Cluster {
 	lp := topo.DefaultLinkParams()
 	n := topo.NewFatTree(endpoints, topo.TaperedTree(taper), lp)
+	n.Meta.Taper = taper // as an HxMesh records its dimension trees' taper
 	return newCluster(n, nil, nil, lp)
 }
 
@@ -116,25 +117,12 @@ func (c *Cluster) WithFaults(fs *faults.FaultSet) *Cluster {
 	return &out
 }
 
-// SampleLinkFaults builds a connectivity-preserving fault set failing the
-// given fraction of the cluster's cables under the seed (see
-// faults.SampleLinksConnected for the nesting guarantee).
-func (c *Cluster) SampleLinkFaults(frac float64, seed int64) *faults.FaultSet {
-	return faults.SampleLinksConnected(c.Comp, frac, seed)
-}
-
-// SampleBoardFaults builds a fault set failing n whole boards; it is only
-// available on HxMesh-family clusters.
-func (c *Cluster) SampleBoardFaults(n int, seed int64) (*faults.FaultSet, error) {
-	if c.Hx == nil {
-		return nil, fmt.Errorf("core: board faults need an HxMesh-family cluster, got %s", c.Net.Meta.Family)
-	}
-	return faults.SampleBoards(c.Hx, c.Comp, n, seed), nil
-}
-
-// SampleFaults builds a combined scenario — boards powered off first, then
-// a connectivity-preserving fraction of cable failures on top — under one
-// seed (the cmd tools' -fail-links/-fail-boards/-fail-seed flags).
+// SampleFaults builds a seeded fault scenario: `boards` whole boards
+// powered off first (HxMesh-family clusters only), then a
+// connectivity-preserving fraction of cable failures on top (the cmd
+// tools' -fail-links/-fail-boards/-fail-seed flags). Both samples are
+// nested in their size for a fixed seed (see
+// faults.Builder.AcceptedConnectedLinks).
 func (c *Cluster) SampleFaults(linkFrac float64, boards int, seed int64) (*faults.FaultSet, error) {
 	if boards > 0 && c.Hx == nil {
 		return nil, fmt.Errorf("core: board faults need an HxMesh-family cluster, got %s", c.Net.Meta.Family)
@@ -144,7 +132,7 @@ func (c *Cluster) SampleFaults(linkFrac float64, boards int, seed int64) (*fault
 		b.SampleFailedBoards(c.Hx, boards, seed)
 	}
 	if linkFrac > 0 {
-		b.SampleConnectedLinks(linkFrac, seed)
+		b.AcceptedConnectedLinks(linkFrac, seed)
 	}
 	return b.Build(), nil
 }

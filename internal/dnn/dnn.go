@@ -9,6 +9,8 @@
 // analytically (e.g., DLRM's 1 MB alltoalls and 2.96 MB allreduce).
 package dnn
 
+import "hammingmesh/internal/cost"
+
 // PhaseKind is the communication type of one phase.
 type PhaseKind uint8
 
@@ -100,6 +102,49 @@ func CostSaving(m Model, costHx, costOther float64, perfHx, perfOther NetPerf) f
 		return 0
 	}
 	return (costOther / costHx) * (ovOther / ovHx)
+}
+
+// CostSavings is the Fig. 15 matrix of the HxMesh named hx ("hx2mesh" or
+// "hx4mesh") on the small cluster: the topologies it is compared against
+// (StandardPerf order without hx) and, per model of Models, the
+// CostSaving against each of them. Every network is priced from its
+// Table II inventory (cost.SmallCluster at cost.PaperPrices).
+func CostSavings(hx string) (vs []string, rows [][]float64) {
+	costs, prices := map[string]float64{}, cost.PaperPrices()
+	for _, inv := range cost.SmallCluster() {
+		name := inv.Name
+		if n, ok := inventoryPerf[name]; ok {
+			name = n
+		}
+		costs[name] = inv.Cost(prices)
+	}
+	perfs := StandardPerf()
+	hxPerf, _ := PerfByName(hx)
+	for _, p := range perfs {
+		if p.Name != hx {
+			vs = append(vs, p.Name)
+		}
+	}
+	for _, m := range Models() {
+		var row []float64
+		for _, p := range perfs {
+			if p.Name != hx {
+				row = append(row, CostSaving(m, costs[hx], costs[p.Name], hxPerf, p))
+			}
+		}
+		rows = append(rows, row)
+	}
+	return vs, rows
+}
+
+// inventoryPerf maps the Table II inventory names that differ from their
+// StandardPerf names.
+var inventoryPerf = map[string]string{
+	"nonblocking fat tree": "fattree",
+	"50% tapered fat tree": "fattree50",
+	"75% tapered fat tree": "fattree75",
+	"2D hyperx":            "hyperx",
+	"2D torus":             "torus",
 }
 
 // Models returns the five workloads with the paper's published compute

@@ -1,6 +1,8 @@
 package dnn
 
 import (
+	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -87,6 +89,31 @@ func TestCostSavingFormula(t *testing.T) {
 	s = CostSaving(g, 2.7, 25.3, perf(t, "hx4mesh"), perf(t, "fattree"))
 	if s < 0.7 || s > 3.5 {
 		t.Errorf("GPT-3 Hx4-vs-FT saving = %.1f, want ≈1.5 (0.7..3.5)", s)
+	}
+}
+
+// Fig. 15: every topology but the HxMesh itself gets a column, priced from
+// its inventory (every column finds a cost), and the saving of Hx2Mesh
+// over Hx4Mesh is the reciprocal of the reverse saving.
+func TestCostSavingsMatrix(t *testing.T) {
+	vs2, rows2 := CostSavings("hx2mesh")
+	vs4, rows4 := CostSavings("hx4mesh")
+	if len(vs2) != len(StandardPerf())-1 || len(rows2) != len(Models()) {
+		t.Fatalf("hx2mesh matrix %d columns x %d rows", len(vs2), len(rows2))
+	}
+	i4, i2 := slices.Index(vs2, "hx4mesh"), slices.Index(vs4, "hx2mesh")
+	if i4 < 0 || i2 < 0 || slices.Contains(vs2, "hx2mesh") {
+		t.Fatalf("columns %v and %v", vs2, vs4)
+	}
+	for m := range rows2 {
+		for j, s := range rows2[m] {
+			if !(s > 0) {
+				t.Fatalf("model %d vs %s: saving %v", m, vs2[j], s)
+			}
+		}
+		if p := rows2[m][i4] * rows4[m][i2]; math.Abs(p-1) > 1e-12 {
+			t.Errorf("model %d: hx2mesh-vs-hx4mesh x hx4mesh-vs-hx2mesh = %v, want 1", m, p)
+		}
 	}
 }
 

@@ -246,35 +246,22 @@ func LinkCount(c *simcore.Compiled, frac float64) int {
 	return n
 }
 
-// SampleLinksConnected fails up to a fraction of the cables while keeping
-// every surviving endpoint pair connected: candidates from the seed's
-// nested sequence that would disconnect the endpoint set are skipped (the
-// operator replaces exactly the cables whose loss would partition the
-// fabric — the degraded-but-operational regime the resilience sweeps
-// measure). Deterministic in (c, frac, seed), and still nested: lower
-// fractions take prefixes of the same accepted sequence.
-func SampleLinksConnected(c *simcore.Compiled, frac float64, seed int64) *FaultSet {
-	return NewBuilder(c).SampleConnectedLinks(frac, seed).Build()
-}
-
-// SampleConnectedLinks adds seeded link failures on top of the failures
+// AcceptedConnectedLinks adds seeded link failures on top of the failures
 // already in the builder (e.g. dead boards), failing up to frac of all
 // cables while keeping the builder's surviving endpoints mutually
-// connected. Cables already down (including those of failed nodes) are
-// skipped without consuming the budget; the accepted sequence is nested in
-// frac for a fixed seed and prior failures.
-func (b *Builder) SampleConnectedLinks(frac float64, seed int64) *Builder {
-	b.AcceptedConnectedLinks(frac, seed)
-	return b
-}
-
-// AcceptedConnectedLinks is SampleConnectedLinks returning the accepted
-// cable ids in acceptance order. Because acceptance is validated
-// incrementally, *every prefix* of the returned sequence is itself a
-// connectivity-preserving fault set on top of the builder's prior
-// failures — resilience sweeps validate the sequence once at the highest
-// fraction and replay prefixes for the lower ones instead of re-running
-// the per-cable BFS per point.
+// connected, and returns the accepted cable ids in acceptance order.
+// Candidates from the seed's nested cable sequence that would disconnect
+// the endpoint set are skipped (the operator replaces exactly the cables
+// whose loss would partition the fabric — the degraded-but-operational
+// regime the resilience sweeps measure), and cables already down
+// (including those of failed nodes) are skipped without consuming the
+// budget. Deterministic in (builder state, frac, seed), and nested: lower
+// fractions take prefixes of the same accepted sequence. Because
+// acceptance is validated incrementally, *every prefix* of the returned
+// sequence is itself a connectivity-preserving fault set on top of the
+// builder's prior failures — resilience sweeps validate the sequence once
+// at the highest fraction and replay prefixes for the lower ones instead
+// of re-running the per-cable BFS per point.
 func (b *Builder) AcceptedConnectedLinks(frac float64, seed int64) []int32 {
 	want := LinkCount(b.c, frac)
 	accepted := make([]int32, 0, want)
@@ -297,11 +284,6 @@ func (b *Builder) AcceptedConnectedLinks(frac float64, seed int64) []int32 {
 		}
 	}
 	return accepted
-}
-
-// SampleBoards fails n distinct boards of the HxMesh chosen by the seed.
-func SampleBoards(h *topo.HxMesh, c *simcore.Compiled, n int, seed int64) *FaultSet {
-	return NewBuilder(c).SampleFailedBoards(h, n, seed).Build()
 }
 
 // SampleFailedBoards fails n distinct seeded boards: the first n of the

@@ -43,6 +43,13 @@ func TestZeroFaultSetReproducesGolden(t *testing.T) {
 	}
 }
 
+// connectedLinks samples link failures on the pristine network.
+func connectedLinks(c *simcore.Compiled, frac float64, seed int64) *FaultSet {
+	b := NewBuilder(c)
+	b.AcceptedConnectedLinks(frac, seed)
+	return b.Build()
+}
+
 // Property: for random seeded fault sets below the disconnection threshold
 // (the connectivity-preserving sampler), every surviving endpoint pair
 // stays mutually reachable on the masked fabric, and the failed sets are
@@ -54,7 +61,7 @@ func TestPropertyConnectedSamplerKeepsPairsReachable(t *testing.T) {
 	for seed := int64(1); seed <= 12; seed++ {
 		var prev simcore.PortMask
 		for _, frac := range fracs {
-			fs := SampleLinksConnected(c, frac, seed)
+			fs := connectedLinks(c, frac, seed)
 			mask := fs.Mask()
 			tab := routing.NewTableMask(c, mask)
 			for _, dst := range c.Endpoints {
@@ -76,7 +83,7 @@ func TestPropertyConnectedSamplerKeepsPairsReachable(t *testing.T) {
 			}
 			prev = mask
 			// Determinism: resampling with the same inputs is identical.
-			again := SampleLinksConnected(c, frac, seed).Mask()
+			again := connectedLinks(c, frac, seed).Mask()
 			for i := range mask {
 				if mask[i] != again[i] {
 					t.Fatalf("seed %d frac %.2f: sampler not deterministic", seed, frac)
@@ -201,7 +208,7 @@ func TestFailBoardRegionClipsAndKills(t *testing.T) {
 func TestSampleLinksNestedAndCounted(t *testing.T) {
 	h := topo.NewHxMesh(2, 2, 4, 4, topo.DefaultLinkParams())
 	c := simcore.Of(h.Network)
-	lo, hi := SampleLinksConnected(c, 0.05, 9), SampleLinksConnected(c, 0.15, 9)
+	lo, hi := connectedLinks(c, 0.05, 9), connectedLinks(c, 0.15, 9)
 	if lo.FailedLinks() != LinkCount(c, 0.05) || hi.FailedLinks() != LinkCount(c, 0.15) {
 		t.Fatalf("failed link counts %d/%d, want %d/%d",
 			lo.FailedLinks(), hi.FailedLinks(), LinkCount(c, 0.05), LinkCount(c, 0.15))

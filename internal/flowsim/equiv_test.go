@@ -25,7 +25,7 @@ func equivCases() []equivCase {
 	fracs := []float64{0, 0.05, 0.1}
 	return []equivCase{
 		{"hx2mesh", topo.NewHxMesh(2, 2, 4, 4, lp).Network, Config{Seed: 3}, fracs},
-		{"hx4mesh", topo.NewHxMesh(4, 4, 2, 2, lp).Network, Config{Seed: 5, PathsPerFlow: 6}, fracs},
+		{"hx4mesh", topo.NewHxMesh(4, 4, 2, 2, lp).Network, Config{Seed: 5}, fracs},
 		{"dragonfly", topo.NewDragonfly(topo.DragonflyConfig{A: 4, P: 2, H: 2, G: 8, LP: lp}), Config{Seed: 7, ValiantPaths: 4}, fracs},
 		// 128 endpoints: the 64-endpoint builds fit one switch, leaving only
 		// endpoint-bridge cables the connectivity-preserving sampler refuses.
@@ -45,7 +45,9 @@ func TestIncrementalMatchesReference(t *testing.T) {
 		for _, frac := range tc.fracs {
 			table := routing.NewTable(comp)
 			if frac > 0 {
-				fs := faults.SampleLinksConnected(comp, frac, 41)
+				b := faults.NewBuilder(comp)
+				b.AcceptedConnectedLinks(frac, 41)
+				fs := b.Build()
 				if fs.Zero() {
 					t.Fatalf("%s frac %.2f: sampler failed no links", tc.name, frac)
 				}

@@ -47,11 +47,12 @@ type Flow struct {
 	Src, Dst topo.NodeID
 }
 
+// pathsPerFlow is the number of sampled shortest paths a flow's traffic
+// is spread over (ECMP-style).
+const pathsPerFlow = 4
+
 // Config controls path sampling.
 type Config struct {
-	// PathsPerFlow is the number of sampled shortest paths a flow's
-	// traffic is spread over (ECMP-style). Zero means 4.
-	PathsPerFlow int
 	// ValiantPaths adds that many non-minimal subflows per flow, each via
 	// a random intermediate switch (UGAL-style load balancing; the paper
 	// runs UGAL-L on Dragonfly, where minimal-only routing collapses
@@ -150,9 +151,6 @@ func New(c *simcore.Compiled, table *routing.Table, cfg Config) *Solver {
 	if table == nil {
 		table = routing.NewTable(c)
 	}
-	if cfg.PathsPerFlow <= 0 {
-		cfg.PathsPerFlow = 4
-	}
 	nLinks := c.NumPorts()
 	return &Solver{
 		comp: c, table: table, cfg: cfg, mask: table.Mask(),
@@ -225,7 +223,7 @@ func (s *Solver) buildSubflows(flows []Flow) error {
 			return fmt.Errorf("flowsim: flow %d is a self-flow", fi)
 		}
 		s.flowHashes = s.flowHashes[:0]
-		for k := 0; k < s.cfg.PathsPerFlow; k++ {
+		for k := 0; k < pathsPerFlow; k++ {
 			// A flow whose destination was cut off on a degraded fabric is
 			// a typed error, not a zero-link subflow with infinite rate.
 			var err error

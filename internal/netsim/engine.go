@@ -109,8 +109,8 @@ type Config struct {
 	// MaxEvents aborts runaway simulations. Zero means 500 million. With
 	// Shards > 1 it is a single global budget shared by all shards.
 	MaxEvents int64
-	// UGAL enables non-minimal adaptive routing (see UGALConfig).
-	UGAL UGALConfig
+	// UGAL enables UGAL-L non-minimal adaptive routing (see chooseUGAL).
+	UGAL bool
 	// Deprecated: New ignores Queue; every run uses the calendar queue.
 	Queue QueueKind
 	// Shards runs the conservative-parallel engine on that many shards
@@ -310,8 +310,8 @@ type Sim struct {
 	// single-threaded, and shard-local counts (parallel.go) are summed
 	// after the final barrier. qLive/qPeak track serial event-queue
 	// occupancy only (shards own private queues).
-	stArrive, stFree, stDeliver, stWindows, stStalls int64
-	qLive, qPeak                                     int64
+	stArrive, stFree, stDeliver, stWindows int64
+	qLive, qPeak                           int64
 }
 
 // exec is the event-execution context: the simulator plus the sink
@@ -379,7 +379,7 @@ func New(c *simcore.Compiled, table *routing.Table, cfg Config) *Sim {
 		// Inherently serial configurations fall back to the serial engine
 		// (see the package doc); lookahead must be positive for windows to
 		// make progress.
-		if n > 1 && cfg.Mode == IdealBuffers && !cfg.UGAL.Enable &&
+		if n > 1 && cfg.Mode == IdealBuffers && !cfg.UGAL &&
 			cfg.Choice != RandomCandidate && lookaheadOf(c, cfg) > 0 {
 			s.par = newParState(s, n)
 		}
@@ -463,7 +463,7 @@ func (s *Sim) Reset(flows []Flow) error {
 	}
 	s.cal.reset()
 	s.injSeq = 0
-	s.stArrive, s.stFree, s.stDeliver, s.stWindows, s.stStalls = 0, 0, 0, 0, 0
+	s.stArrive, s.stFree, s.stDeliver, s.stWindows = 0, 0, 0, 0
 	s.qLive, s.qPeak = 0, 0
 	if s.par != nil {
 		s.par.reset()
@@ -593,7 +593,7 @@ func (s *Sim) newInjection(fi int32, t float64) event {
 	}
 	s.flowSent[fi] += size
 	pkt := packet{flow: fi, size: int32(size), relVC: -1, ugal: ugalState{mid: -1}}
-	if s.cfg.UGAL.Enable {
+	if s.cfg.UGAL {
 		pkt.ugal.mid = s.chooseUGAL(int32(f.Src), int32(f.Dst), s.rng)
 	}
 	// Injections are created in the same order serially and in parallel

@@ -72,7 +72,7 @@ func TestRegressionAlltoallGolden(t *testing.T) {
 func TestRegressionUGALGolden(t *testing.T) {
 	df := topo.NewDragonfly(topo.DragonflyConfig{A: 4, P: 2, H: 2, G: 8, LP: topo.DefaultLinkParams()})
 	cfg := DefaultConfig()
-	cfg.UGAL = UGALConfig{Enable: true, Candidates: 2}
+	cfg.UGAL = true
 	res, err := NewNet(df, nil, cfg).Run(ShiftFlows(df.Endpoints, 5, 32<<10))
 	if err != nil {
 		t.Fatal(err)

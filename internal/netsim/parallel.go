@@ -301,7 +301,6 @@ func (s *Sim) finishParallel() error {
 		sh := &s.par.shards[i]
 		s.stArrive += sh.nArrive
 		s.stFree += sh.nFree
-		s.stStalls += sh.stalls
 	}
 	return nil
 }

@@ -53,7 +53,9 @@ func TestShardInvariance(t *testing.T) {
 			eps := fb.eps
 			name := fb.name + "/pristine"
 			if faulted {
-				fs := faults.SampleLinksConnected(c, 0.10, 9)
+				b := faults.NewBuilder(c)
+				b.AcceptedConnectedLinks(0.10, 9)
+				fs := b.Build()
 				table = routing.NewTableMask(c, fs.Mask())
 				eps = fs.SurvivingEndpoints()
 				name = fb.name + "/faulted"
@@ -124,7 +126,7 @@ func TestShardFallbackMatchesSerial(t *testing.T) {
 	flows := ShiftFlows(df.Endpoints, 5, 32<<10)
 	cases := map[string]func(*Config){
 		"creditfc": func(cfg *Config) { cfg.Mode = CreditFC },
-		"ugal":     func(cfg *Config) { cfg.UGAL = UGALConfig{Enable: true, Candidates: 2} },
+		"ugal":     func(cfg *Config) { cfg.UGAL = true },
 		"random":   func(cfg *Config) { cfg.Choice = RandomCandidate },
 	}
 	for name, mod := range cases {

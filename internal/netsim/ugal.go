@@ -6,18 +6,9 @@ import (
 	"hammingmesh/internal/topo"
 )
 
-// UGALConfig enables UGAL-style non-minimal adaptive routing (Kim et al.;
-// the paper runs UGAL-L for Dragonfly in SST). At injection, the source
-// compares the queue backlog of its best minimal candidate against the
-// backlog toward a random intermediate node (Valiant detour); the packet
-// takes the detour when the minimal path is at least ugalBias (2) times
-// more backlogged, weighted by the extra hops.
-type UGALConfig struct {
-	Enable bool
-	// Candidates is the number of random intermediates considered per
-	// packet. Zero means 1.
-	Candidates int
-}
+// ugalCandidates is the number of random intermediates considered per
+// packet.
+const ugalCandidates = 2
 
 // ugalBias scales the minimal-path backlog before comparison: the classic
 // UGAL setting, counting the minimal path at half weight since the detour
@@ -32,22 +23,20 @@ type ugalState struct {
 }
 
 // chooseUGAL decides the intermediate node for a packet injected at src
-// toward dst, or -1 for minimal routing. It compares the backlog of the
-// best minimal output against the backlog of the best output toward a
-// random intermediate switch.
+// toward dst, or -1 for minimal routing (UGAL-style non-minimal adaptive
+// routing, Kim et al.; the paper runs UGAL-L for Dragonfly in SST). It
+// compares the backlog of the best minimal output against the backlog of
+// the best output toward each of ugalCandidates random intermediate
+// switches (Valiant detours); the packet takes a detour when the minimal
+// path is at least ugalBias (2) times more backlogged.
 func (s *Sim) chooseUGAL(src, dst int32, rng *rand.Rand) int32 {
-	cfg := s.cfg.UGAL
-	if !cfg.Enable {
+	if !s.cfg.UGAL {
 		return -1
-	}
-	cands := cfg.Candidates
-	if cands <= 0 {
-		cands = 1
 	}
 	minQ := s.bestQueue(src, dst)
 	bestMid := int32(-1)
 	bestQ := minQ * ugalBias
-	for k := 0; k < cands; k++ {
+	for k := 0; k < ugalCandidates; k++ {
 		// On a degraded fabric, sample intermediates weighted by their
 		// live-port counts instead of uniformly: dead switches (weight 0)
 		// are never proposed and heavily masked regions are proposed

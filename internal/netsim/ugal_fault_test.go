@@ -36,7 +36,7 @@ func TestUGALFaultAwareSampling(t *testing.T) {
 	fs := b.Build()
 	tab := routing.NewTableMask(c, fs.Mask())
 	cfg := DefaultConfig()
-	cfg.UGAL = UGALConfig{Enable: true, Candidates: 2}
+	cfg.UGAL = true
 	s := New(c, tab, cfg)
 
 	rng := rand.New(rand.NewSource(3))
@@ -111,10 +111,12 @@ func TestUGALFaultAwareSampling(t *testing.T) {
 func TestUGALOnDegradedFabric(t *testing.T) {
 	df := topo.NewDragonfly(topo.DragonflyConfig{A: 4, P: 2, H: 2, G: 8, LP: topo.DefaultLinkParams()})
 	c := simcore.Of(df)
-	fs := faults.SampleLinksConnected(c, 0.10, 5)
+	b := faults.NewBuilder(c)
+	b.AcceptedConnectedLinks(0.10, 5)
+	fs := b.Build()
 	tab := routing.NewTableMask(c, fs.Mask())
 	cfg := DefaultConfig()
-	cfg.UGAL = UGALConfig{Enable: true, Candidates: 2}
+	cfg.UGAL = true
 	res, err := New(c, tab, cfg).Run(ShiftFlows(df.Endpoints, 5, 32<<10))
 	if err != nil {
 		t.Fatal(err)

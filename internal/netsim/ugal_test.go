@@ -30,7 +30,7 @@ func TestUGALBeatsMinimalOnAdversarial(t *testing.T) {
 
 	run := func(ugal bool) float64 {
 		cfg := DefaultConfig()
-		cfg.UGAL = UGALConfig{Enable: ugal, Candidates: 2}
+		cfg.UGAL = ugal
 		res, err := NewNet(n, nil, cfg).Run(flows)
 		if err != nil {
 			t.Fatal(err)
@@ -52,7 +52,7 @@ func TestUGALHarmlessOnUniform(t *testing.T) {
 	flows := PermutationFlows(n.Endpoints, 64<<10, rng)
 	run := func(ugal bool) float64 {
 		cfg := DefaultConfig()
-		cfg.UGAL = UGALConfig{Enable: ugal}
+		cfg.UGAL = ugal
 		res, err := NewNet(n, nil, cfg).Run(flows)
 		if err != nil {
 			t.Fatal(err)

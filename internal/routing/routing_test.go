@@ -314,13 +314,15 @@ func TestScanMatchesReference(t *testing.T) {
 	for _, sw := range c.Switches[:4] {
 		asym.FailPortDir(c.PortID(int32(sw), 2))
 	}
+	links10 := faults.NewBuilder(c)
+	links10.AcceptedConnectedLinks(0.1, 3)
 	fabrics := []struct {
 		name string
 		mask simcore.PortMask
 	}{
 		{"pristine", nil},
 		{"one-port", onePort},
-		{"links10", faults.SampleLinksConnected(c, 0.1, 3).Mask()},
+		{"links10", links10.Build().Mask()},
 		{"asymmetric", asym.Build().Mask()},
 	}
 	type pair struct {

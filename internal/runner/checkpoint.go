@@ -21,11 +21,8 @@ import (
 // crash replays the completed points — the journal layer truncates any
 // torn tail — and the sweep re-runs only what is missing.
 type Checkpoint struct {
-	log      *journal.Log
-	sweepKey string
-	done     map[string][]byte
-	// Stats is the journal recovery report of the open (tests, CLIs).
-	Stats journal.Stats
+	log  *journal.Log
+	done map[string][]byte
 }
 
 // Checkpoint record types.
@@ -41,9 +38,9 @@ const (
 // with different parameters fails loudly instead of splicing foreign
 // points into the grid.
 func OpenCheckpoint(dir, sweepKey string, o journal.Options) (*Checkpoint, error) {
-	ck := &Checkpoint{sweepKey: sweepKey, done: make(map[string][]byte)}
+	ck := &Checkpoint{done: make(map[string][]byte)}
 	var storedKey string
-	log, stats, err := journal.Open(dir, o, func(rec []byte) error {
+	log, _, err := journal.Open(dir, o, func(rec []byte) error {
 		if len(rec) < 1 {
 			return fmt.Errorf("runner: checkpoint record with no type byte")
 		}
@@ -64,7 +61,7 @@ func OpenCheckpoint(dir, sweepKey string, o journal.Options) (*Checkpoint, error
 	if err != nil {
 		return nil, err
 	}
-	ck.log, ck.Stats = log, stats
+	ck.log = log
 	if storedKey == "" {
 		// Fresh (or crashed-before-meta) journal: bind it now.
 		if err := log.Append(append([]byte{ckptMeta}, sweepKey...)); err != nil {
@@ -162,8 +159,8 @@ func RunSweepCLI[T any](tool, dir, crashSpec, fingerprint string, sweep func(con
 // produce.
 //
 // The full jobs slice is always submitted (replayed entries as no-ops),
-// so Ctx.Index and the per-job seeds are identical between a fresh run
-// and a resumed one — part of the byte-identical-resume contract.
+// so the per-job seeds are identical between a fresh run and a resumed
+// one — part of the byte-identical-resume contract.
 // A nil ck degrades to plain RunCtx.
 func RunJournaled[T any](p *Pool, ctx context.Context, jobs []Job, ck *Checkpoint) ([]Result, error) {
 	if ck == nil {

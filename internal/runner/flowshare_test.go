@@ -16,7 +16,11 @@ func TestAlltoallFlowShareWorkerInvariance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	degraded := base.WithFaults(base.SampleLinkFaults(0.1, 5))
+	fs, err := base.SampleFaults(0.1, 0, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	degraded := base.WithFaults(fs)
 	for _, tc := range []struct {
 		name string
 		c    *core.Cluster

@@ -8,6 +8,7 @@ import (
 	"hammingmesh/internal/faults"
 	"hammingmesh/internal/journal"
 	"hammingmesh/internal/netsim"
+	"hammingmesh/internal/topo"
 )
 
 // The resilience sweep's defaults, shared by hxsim -pattern resilience and
@@ -68,26 +69,28 @@ type resilienceTrial struct {
 
 // ResilienceFingerprint canonicalizes a resilience sweep's full parameter
 // set into a content hash for checkpoint binding (see
-// SchedSweepConfig.Fingerprint). Config fields that never change results
-// are excluded: Metrics and Trace (obs contract) and Shards (results are
-// shard-count invariant), so a sweep journaled at one -sim-shards resumes
-// at any other.
+// SchedSweepConfig.Fingerprint). The cluster enters as its network's name
+// and construction parameters, which tell every registry topology and
+// size apart. Config fields that never change results are excluded:
+// Metrics and Trace (obs contract) and Shards (results are shard-count
+// invariant), so a sweep journaled at one -sim-shards resumes at any
+// other.
 func ResilienceFingerprint(c *core.Cluster, cfg netsim.Config, bytes int64, fracs []float64, trials, shifts int, seed int64, boards int) string {
 	cfg.Metrics, cfg.Trace, cfg.Shards = nil, nil, 0
 	return journal.KeyOf(struct {
-		Kind   string
-		Family string
-		Nodes  int
-		Net    netsim.Config
-		Bytes  int64
-		Fracs  []float64
-		Trials int
-		Shifts int
-		Seed   int64
-		Boards int
+		Kind    string
+		Network string
+		Meta    topo.Meta
+		Net     netsim.Config
+		Bytes   int64
+		Fracs   []float64
+		Trials  int
+		Shifts  int
+		Seed    int64
+		Boards  int
 	}{
-		Kind: "resilience-sweep", Family: string(c.Net.Meta.Family),
-		Nodes: c.Comp.NumEndpoints(), Net: cfg, Bytes: bytes, Fracs: fracs,
+		Kind: "resilience-sweep", Network: c.Net.Name, Meta: c.Net.Meta,
+		Net: cfg, Bytes: bytes, Fracs: fracs,
 		Trials: trials, Shifts: shifts, Seed: seed, Boards: boards,
 	})
 }

@@ -18,7 +18,6 @@ import (
 	"container/list"
 	"context"
 	"fmt"
-	"math/rand"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -39,23 +38,16 @@ type Job struct {
 
 // Ctx carries the per-job deterministic execution context.
 type Ctx struct {
-	// Index is the job's position in the submitted slice.
-	Index int
 	// Seed is a deterministic per-job seed derived from the pool's base
 	// seed and the job index (independent of worker count).
 	Seed int64
-	// RNG is a private generator seeded with Seed.
-	RNG *rand.Rand
-	// Pool gives jobs access to the shared cluster cache.
-	Pool *Pool
 }
 
 // Result is the outcome of one job, in submission order.
 type Result struct {
-	Name    string
-	Value   any
-	Err     error
-	Elapsed time.Duration
+	Name  string
+	Value any
+	Err   error
 }
 
 // Pool is a fixed-size worker pool with a shared cluster cache. A Pool is
@@ -283,23 +275,20 @@ func (p *Pool) RunCtx(ctx context.Context, jobs []Job) []Result {
 			defer wg.Done()
 			for i := range next {
 				job := jobs[i]
-				seed := JobSeed(p.baseSeed, i)
-				ctx := &Ctx{Index: i, Seed: seed, RNG: rand.New(rand.NewSource(seed)), Pool: p}
 				if o {
 					p.queued.Add(-1)
 					p.active.Add(1)
 				}
 				start := time.Now()
-				v, err := job.Run(ctx)
-				elapsed := time.Since(start)
-				results[i] = Result{Name: job.Name, Value: v, Err: err, Elapsed: elapsed}
+				v, err := job.Run(&Ctx{Seed: JobSeed(p.baseSeed, i)})
+				results[i] = Result{Name: job.Name, Value: v, Err: err}
 				if o {
 					p.active.Add(-1)
 					p.jobsTotal.Inc()
 					if err != nil {
 						p.jobErrors.Inc()
 					}
-					p.jobSeconds.Observe(elapsed.Seconds())
+					p.jobSeconds.Observe(time.Since(start).Seconds())
 				}
 			}
 		}()

@@ -18,7 +18,7 @@ func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
 			jobs[i] = Job{
 				Name: fmt.Sprintf("job%d", i),
 				Run: func(ctx *Ctx) (any, error) {
-					return float64(ctx.Seed%1000) + ctx.RNG.Float64(), nil
+					return float64(ctx.Seed), nil
 				},
 			}
 		}
@@ -48,7 +48,7 @@ func TestClusterCacheShared(t *testing.T) {
 		jobs[i] = Job{
 			Name: fmt.Sprintf("c%d", i),
 			Run: func(ctx *Ctx) (any, error) {
-				return ctx.Pool.Cluster("hx2mesh", core.Tiny)
+				return p.Cluster("hx2mesh", core.Tiny)
 			},
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"math"
 	"slices"
 
+	"hammingmesh/internal/alloc"
 	"hammingmesh/internal/core"
 	"hammingmesh/internal/journal"
 	"hammingmesh/internal/obs"
@@ -105,7 +106,7 @@ type SchedSpec struct {
 func DefaultSchedSpec() SchedSpec {
 	return SchedSpec{
 		Jobs: 200, ArrivalPerH: 4, ServiceH: 3, CommFrac: 0.3, ElasticFrac: 0.3, PriorityFrac: 0.2,
-		HorizonH: 60, RepairH: 10, DefragCostH: 0.1, SwitchGroup: 16, Taper: 1,
+		HorizonH: 60, RepairH: 10, DefragCostH: 0.1, SwitchGroup: alloc.GroupBoards, Taper: 1,
 		MTBFs: []float64{0, 500, 120, 40}, CkptsH: []float64{2}, BurstRates: []float64{0},
 		DefragThresholds: []float64{0},
 		Policies:         []sched.Policy{sched.FirstFit, sched.BestFit, sched.FragAware},

@@ -83,7 +83,7 @@ func TestSchedTraceReplaysScoredPoint(t *testing.T) {
 func TestSchedSpecFingerprintPinned(t *testing.T) {
 	s := DefaultSchedSpec()
 	s.Jobs, s.HorizonH, s.MTBFs, s.CkptsH, s.Trials = 120, 40, []float64{0, 120, 40, 12}, []float64{2}, 3
-	const want = "a3433fdb2066d32774dd21e4cd670488a3da6ed4136a87266cc356662bdd1af2"
+	const want = "24eb1c77db0811ff80706bac072cbf7f6b7dab9f4d43ad3527c577a3fc1c38c4"
 	c := core.NewHxMesh(2, 2, 8, 8)
 	if got := s.Config(c).Fingerprint(c); got != want {
 		t.Fatalf("fingerprint %s, want %s", got, want)

@@ -150,8 +150,8 @@ func TestBoardSequenceIsSampledBoardOrder(t *testing.T) {
 	c := simcore.Of(h.Network)
 	seq := BoardSequence(h, 7)
 	for _, n := range []int{1, 6, 15} {
-		if got := faults.SampleBoards(h, c, n, 7).FailedBoards(); !reflect.DeepEqual(got, seq[:n]) {
-			t.Fatalf("SampleBoards(%d) failed %v, want the sequence prefix %v", n, got, seq[:n])
+		if got := faults.NewBuilder(c).SampleFailedBoards(h, n, 7).Build().FailedBoards(); !reflect.DeepEqual(got, seq[:n]) {
+			t.Fatalf("SampleFailedBoards(%d) failed %v, want the sequence prefix %v", n, got, seq[:n])
 		}
 	}
 }

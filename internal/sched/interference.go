@@ -56,17 +56,14 @@ type JobTraffic struct {
 type Interference struct {
 	// BoardA, BoardB are accelerators per board dimension (zeros mean 2×2).
 	BoardA, BoardB int
-	// GroupBoards is the L1 fat-tree group width (zero means 16, matching
-	// alloc and CommSlowdown). Grids no wider than one group have no
-	// shared upper layer and every γ is 1.
+	// GroupBoards is the L1 fat-tree group width (zero means
+	// alloc.GroupBoards, as in CommSlowdown). Grids no wider than one
+	// group have no shared upper layer and every γ is 1.
 	GroupBoards int
 	// Taper scales the group uplink capacity (zero means 1 = full
 	// bandwidth; the paper's economical builds taper 2:1..3:1, i.e. 0.5
 	// or 0.33).
 	Taper float64
-	// MemoCap bounds the joint-pricing memo (zero means 4096); when full
-	// the memo is cleared whole, keeping behaviour deterministic.
-	MemoCap int
 
 	mu    sync.Mutex
 	nets  map[[2]int]*contentionNet
@@ -132,7 +129,11 @@ func (cn *contentionNet) appendPath(ports []int32, src, dst topo.NodeID) []int32
 	return append(ports, down)
 }
 
-func (in *Interference) defaults() (a, b, group int, taper float64, memoCap int) {
+// memoCap bounds the joint-pricing memo and each net's solo-share memo;
+// a full memo is cleared whole, keeping behaviour deterministic.
+const memoCap = 4096
+
+func (in *Interference) defaults() (a, b, group int, taper float64) {
 	a, b = in.BoardA, in.BoardB
 	if a <= 0 {
 		a = 2
@@ -142,15 +143,11 @@ func (in *Interference) defaults() (a, b, group int, taper float64, memoCap int)
 	}
 	group = in.GroupBoards
 	if group <= 0 {
-		group = 16
+		group = alloc.GroupBoards
 	}
 	taper = in.Taper
 	if taper <= 0 {
 		taper = 1
-	}
-	memoCap = in.MemoCap
-	if memoCap <= 0 {
-		memoCap = 4096
 	}
 	return
 }
@@ -162,7 +159,7 @@ func (in *Interference) net(X, Y int) *contentionNet {
 	if cn, ok := in.nets[key]; ok {
 		return cn
 	}
-	a, b, group, taper, _ := in.defaults()
+	a, b, group, taper := in.defaults()
 	cable := topo.DefaultLinkParams().GBps
 	const unconstrained = 1e12
 	n := &topo.Network{Name: fmt.Sprintf("sched-contention-%dx%d-g%d", X, Y, group)}
@@ -248,7 +245,7 @@ func jobSignature(j JobTraffic) string {
 // additions of w, the same sums a per-pair accumulator over the board-pair
 // loop produces.
 func (in *Interference) addDemands(cn *contentionNet, pr *pricer, j JobTraffic, tenant int32) {
-	a, b, _, _, _ := in.defaults()
+	a, b, _, _ := in.defaults()
 	p := j.Placement
 	nBoards := p.U() * p.V()
 	if nBoards <= 1 || j.CommFrac <= 0 {
@@ -324,7 +321,7 @@ func (in *Interference) gammas(X, Y int, jobs []JobTraffic, sigs []string) []flo
 	if len(jobs) == 0 {
 		return out
 	}
-	_, _, group, _, memoCap := in.defaults()
+	_, _, group, _ := in.defaults()
 	if X <= group && Y <= group {
 		return out // no shared upper layer anywhere on this grid
 	}
@@ -397,7 +394,7 @@ func (in *Interference) gammas(X, Y int, jobs []JobTraffic, sigs []string) []flo
 			in.memo[string(key)] = joint
 		}
 		for _, t := range soloMiss {
-			if cn.solo == nil || len(cn.solo) >= 4096 {
+			if cn.solo == nil || len(cn.solo) >= memoCap {
 				cn.solo = make(map[string]float64)
 			}
 			cn.solo[sigs[order[t]]] = solo[t]

@@ -175,9 +175,9 @@ func randomJobSets(n int, seed int64) [][]JobTraffic {
 }
 
 func TestInterferenceConcurrentPricingMatchesSerial(t *testing.T) {
-	// Workers sharing one model (and a memo small enough to be cleared
-	// while they run) must each get the bits a fresh model computes
-	// serially, whichever worker solves a set first.
+	// Workers sharing one model, whose memos they empty every few
+	// pricings while the others price, must each get the bits a fresh
+	// model computes serially, whichever worker solves a set first.
 	sets := randomJobSets(24, 7)
 	newModel := func() *Interference { return &Interference{BoardA: 2, BoardB: 2, GroupBoards: 2, Taper: 0.25} }
 	want := make([][]float64, len(sets))
@@ -185,7 +185,14 @@ func TestInterferenceConcurrentPricingMatchesSerial(t *testing.T) {
 		want[i] = newModel().Gammas(8, 8, set)
 	}
 	shared := newModel()
-	shared.MemoCap = 5
+	emptyMemos := func() {
+		shared.mu.Lock()
+		clear(shared.memo)
+		for _, cn := range shared.nets {
+			clear(cn.solo)
+		}
+		shared.mu.Unlock()
+	}
 	const workers = 4
 	errs := make(chan error, workers)
 	var wg sync.WaitGroup
@@ -197,6 +204,9 @@ func TestInterferenceConcurrentPricingMatchesSerial(t *testing.T) {
 				for k := range sets {
 					i := (k + w*len(sets)/workers) % len(sets)
 					got := shared.Gammas(8, 8, sets[i])
+					if (k+w)%5 == 0 {
+						emptyMemos()
+					}
 					for j := range got {
 						if got[j] != want[i][j] {
 							errs <- fmt.Errorf("worker %d set %d: γ[%d] = %v, serial %v", w, i, j, got[j], want[i][j])

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"hammingmesh/internal/alloc"
@@ -45,7 +44,7 @@ func (m *refSlowdown) contendedSlowdown(p *alloc.Placement, job TraceJob, gamma 
 	if gamma < 1 {
 		gamma = 1
 	}
-	_, _, group, _, _, penalty := m.cfg.defaults()
+	_, _, group, penalty := m.cfg.defaults()
 	share := m.shapeShare(p.U(), p.V())
 	ref := m.shapeShare(1, 1)
 	if share <= 0 {
@@ -75,7 +74,7 @@ func (m *refSlowdown) shapeShare(u, v int) float64 {
 }
 
 func (m *refSlowdown) computeShare(u, v int) float64 {
-	a, b, _, maxAccels, _, _ := m.cfg.defaults()
+	a, b, _, _ := m.cfg.defaults()
 	if u*v <= 1 {
 		return 1
 	}
@@ -86,13 +85,13 @@ func (m *refSlowdown) computeShare(u, v int) float64 {
 }
 
 func (m *refSlowdown) flowShare(u, v int) float64 {
-	a, b, _, _, shifts, _ := m.cfg.defaults()
+	a, b, _, _ := m.cfg.defaults()
 	h := topo.NewHxMesh(a, b, u, v, topo.DefaultLinkParams())
 	c := simcore.Compile(h.Network)
 	table := routing.NewTable(c)
 	s := flowsim.New(c, table, flowsim.Config{Seed: 1})
 	inj := 4 * topo.DefaultLinkParams().GBps
-	share, err := s.AlltoallShareOver(c.Endpoints, shifts, inj, 1)
+	share, err := s.AlltoallShareOver(c.Endpoints, shapeShifts, inj, 1)
 	if err != nil {
 		return analysis.AlltoallShareMesh(a, b, u, v)
 	}
@@ -101,7 +100,7 @@ func (m *refSlowdown) flowShare(u, v int) float64 {
 
 func (m *refSlowdown) boundaryScale() float64 {
 	m.refOnce.Do(func() {
-		a, b, _, maxAccels, _, _ := m.cfg.defaults()
+		a, b, _, _ := m.cfg.defaults()
 		s := 1
 		for (s+1)*(s+1)*a*b <= maxAccels {
 			s++
@@ -121,11 +120,6 @@ func (m *refSlowdown) boundaryScale() float64 {
 	return m.refScale
 }
 
-// memoShifts hands each run of the memo test a Shifts value no other run
-// or test in the process uses, so every -count repetition solves its
-// shapes instead of only hitting the memo.
-var memoShifts atomic.Int64
-
 // Shares read from the process-wide memo equal a fresh per-model solve
 // bit for bit, for flow-solved shapes, analytic shapes and the anchor,
 // read through models that differ in the options the memo key leaves out,
@@ -134,15 +128,23 @@ func TestShapeMemoMatchesPerModelReference(t *testing.T) {
 	if testing.Short() {
 		t.Skip("flow-solver shape estimates are slow")
 	}
-	type grid struct{ a, b, maxAccels int }
-	grids := []grid{{2, 2, 64}, {2, 2, 0}, {4, 4, 64}, {4, 4, 0}}
-	shifts := 4 + int(memoShifts.Add(1)) // above the default of 4
+	// An empty memo makes every -count repetition solve its shapes
+	// instead of only hitting the entries of the run before.
+	shapeShares.Clear()
+	// anchor is the side of the largest flow-solved square (1,024
+	// accelerators); the shapes above it price by the analytic bound.
+	type grid struct{ a, b, anchor int }
+	grids := []grid{{2, 2, 16}, {4, 4, 8}}
 	const maxSide = 6
-	var shapes [][2]int
-	for u := 1; u <= maxSide; u++ {
-		for v := 1; v <= maxSide; v++ {
-			shapes = append(shapes, [2]int{u, v})
+	shapes := make([][][2]int, len(grids)) // per grid, all of one length
+	for g, gr := range grids {
+		for u := 1; u <= maxSide; u++ {
+			for v := 1; v <= maxSide; v++ {
+				shapes[g] = append(shapes[g], [2]int{u, v})
+			}
 		}
+		s := gr.anchor
+		shapes[g] = append(shapes[g], [2]int{s, s}, [2]int{s, s + 1}, [2]int{s + 1, s + 1})
 	}
 	job := TraceJob{Boards: 1, Service: 1, CommFrac: 0.5}
 
@@ -151,8 +153,8 @@ func TestShapeMemoMatchesPerModelReference(t *testing.T) {
 	want := make([][]float64, len(grids))
 	wantSlow := make([][]float64, len(grids))
 	for g, gr := range grids {
-		ref := &refSlowdown{cfg: CommSlowdown{BoardA: gr.a, BoardB: gr.b, MaxAccels: gr.maxAccels, Shifts: shifts}}
-		for _, sh := range shapes {
+		ref := &refSlowdown{cfg: CommSlowdown{BoardA: gr.a, BoardB: gr.b}}
+		for _, sh := range shapes[g] {
 			want[g] = append(want[g], ref.shapeShare(sh[0], sh[1]))
 			wantSlow[g] = append(wantSlow[g], ref.contendedSlowdown(contiguousPlacement(sh[0], sh[1]), job, 1))
 		}
@@ -172,13 +174,13 @@ func TestShapeMemoMatchesPerModelReference(t *testing.T) {
 			defer wg.Done()
 			models := make([]*CommSlowdown, len(grids))
 			for g, gr := range grids {
-				models[g] = &CommSlowdown{BoardA: gr.a, BoardB: gr.b, MaxAccels: gr.maxAccels, Shifts: shifts,
-					UpperPenalty: penalties[w], GroupBoards: groups[w]}
+				models[g] = &CommSlowdown{BoardA: gr.a, BoardB: gr.b, UpperPenalty: penalties[w], GroupBoards: groups[w]}
 			}
-			order := rand.New(rand.NewSource(int64(w))).Perm(len(grids) * len(shapes))
+			n := len(shapes[0])
+			order := rand.New(rand.NewSource(int64(w))).Perm(len(grids) * n)
 			for _, i := range order {
-				g, s := i/len(shapes), i%len(shapes)
-				u, v := shapes[s][0], shapes[s][1]
+				g, s := i/n, i%n
+				u, v := shapes[g][s][0], shapes[g][s][1]
 				if got := models[g].shapeShare(u, v); got != want[g][s] {
 					errs <- fmt.Errorf("worker %d grid %+v shape %dx%d: share %v, reference %v", w, grids[g], u, v, got, want[g][s])
 					return
@@ -196,8 +198,8 @@ func TestShapeMemoMatchesPerModelReference(t *testing.T) {
 	// up; with the reference's default options it prices like the
 	// reference, which does.
 	for g, gr := range grids {
-		m := &CommSlowdown{BoardA: gr.a, BoardB: gr.b, MaxAccels: gr.maxAccels, Shifts: shifts}
-		for s, sh := range shapes {
+		m := &CommSlowdown{BoardA: gr.a, BoardB: gr.b}
+		for s, sh := range shapes[g] {
 			if got := m.ContendedSlowdown(contiguousPlacement(sh[0], sh[1]), job, 1); got != wantSlow[g][s] {
 				t.Fatalf("grid %+v shape %dx%d: slowdown %v, reference %v", gr, sh[0], sh[1], got, wantSlow[g][s])
 			}

@@ -411,14 +411,13 @@ func Run(x, y int, trace []TraceJob, failures []FailEvent, cfg Config) (*Metrics
 // FirstFit places the requested shape greedily, the other policies search
 // the full §IV-A reshaping space.
 func policyOptions(p Policy) alloc.Options {
-	opt := alloc.Options{TreeGroupBoards: 16}
 	switch p {
 	case BestFit:
-		opt.Transpose, opt.AspectRatio, opt.MaxAspect, opt.Locality = true, true, 8, true
+		return alloc.DefaultOptions()
 	case FragAware:
-		opt.Transpose, opt.AspectRatio, opt.MaxAspect = true, true, 8
+		return alloc.Options{Transpose: true, AspectRatio: true}
 	}
-	return opt
+	return alloc.Options{}
 }
 
 func (s *sim) integrateTo(t float64) {
@@ -561,10 +560,9 @@ func (s *sim) findPlacement(g *alloc.Grid, idx int32, u, v int) *alloc.Placement
 	case BestFit:
 		// Most contiguous wins: lowest upper-layer alltoall traffic
 		// fraction (the Fig. 9 locality metric).
-		group := s.opts.TreeGroupBoards
-		best, bestScore := cands[0], alloc.UpperLayerFraction(cands[0], alloc.TrafficAlltoall, group)
+		best, bestScore := cands[0], alloc.UpperLayerFraction(cands[0], alloc.TrafficAlltoall, alloc.GroupBoards)
 		for _, p := range cands[1:] {
-			if score := alloc.UpperLayerFraction(p, alloc.TrafficAlltoall, group); score < bestScore {
+			if score := alloc.UpperLayerFraction(p, alloc.TrafficAlltoall, alloc.GroupBoards); score < bestScore {
 				best, bestScore = p, score
 			}
 		}
@@ -573,11 +571,10 @@ func (s *sim) findPlacement(g *alloc.Grid, idx int32, u, v int) *alloc.Placement
 		// Fragmentation-aware: the candidate that strands the fewest free
 		// boards in its rows (best-fit by row occupancy), ties broken
 		// toward locality.
-		group := s.opts.TreeGroupBoards
-		best, bestFrag, bestLoc := cands[0], fragScore(g, cands[0]), alloc.UpperLayerFraction(cands[0], alloc.TrafficAlltoall, group)
+		best, bestFrag, bestLoc := cands[0], fragScore(g, cands[0]), alloc.UpperLayerFraction(cands[0], alloc.TrafficAlltoall, alloc.GroupBoards)
 		for _, p := range cands[1:] {
 			frag := fragScore(g, p)
-			loc := alloc.UpperLayerFraction(p, alloc.TrafficAlltoall, group)
+			loc := alloc.UpperLayerFraction(p, alloc.TrafficAlltoall, alloc.GroupBoards)
 			if frag < bestFrag || (frag == bestFrag && loc < bestLoc) {
 				best, bestFrag, bestLoc = p, frag, loc
 			}

@@ -15,9 +15,9 @@ import (
 // the network properties of a physical u×v HxMesh (§III-E), so the shape
 // term is the alltoall share of that virtual mesh — estimated with the
 // flow-level solver once per distinct shape per process, and shared by
-// every model with the same board, MaxAccels and Shifts (large shapes use
-// the closed-form §III-A finite-mesh bound, calibrated to the flow
-// estimate at the MaxAccels boundary so the two regimes meet continuously).
+// every model with the same board (shapes above maxAccels use the
+// closed-form §III-A finite-mesh bound, calibrated to the flow estimate at
+// the maxAccels boundary so the two regimes meet continuously).
 // On top of the shape term, the concrete placement pays for its spread: the
 // fraction of dimension-network traversals crossing the upper fat-tree
 // layer (the Fig. 9 quantity) scales the communication cost by
@@ -34,7 +34,7 @@ type CommSlowdown struct {
 	// Hx2Mesh, 4×4 for Hx4Mesh). Zeros mean 2×2.
 	BoardA, BoardB int
 	// GroupBoards is the L1 fat-tree group width for the upper-layer
-	// fraction (zero means 16, as in alloc).
+	// fraction (zero means alloc.GroupBoards).
 	GroupBoards int
 	// UpperPenalty scales the upper-layer crossing cost. Zero means the
 	// default of 1; a negative value explicitly disables the penalty
@@ -42,14 +42,16 @@ type CommSlowdown struct {
 	// "unset" and "off" distinguishable — the zero value of an options
 	// struct must mean "default", never silently forbid a setting.
 	UpperPenalty float64
-	// MaxAccels caps the size of the virtual mesh the flow solver
-	// evaluates; larger shapes use the calibrated analytic bound. Zero
-	// means 1024.
-	MaxAccels int
-	// Shifts is the number of sampled alltoall shifts per shape estimate
-	// (zero means 4).
-	Shifts int
 }
+
+const (
+	// maxAccels caps the size of the virtual mesh the flow solver
+	// evaluates; larger shapes use the calibrated analytic bound.
+	maxAccels = 1024
+	// shapeShifts is the number of sampled alltoall shifts per shape
+	// estimate.
+	shapeShifts = 4
+)
 
 // NewCommSlowdown returns the default communication-slowdown model for an
 // a×b-accelerator board.
@@ -57,7 +59,7 @@ func NewCommSlowdown(a, b int) *CommSlowdown {
 	return &CommSlowdown{BoardA: a, BoardB: b}
 }
 
-func (m *CommSlowdown) defaults() (a, b, group, maxAccels, shifts int, penalty float64) {
+func (m *CommSlowdown) defaults() (a, b, group int, penalty float64) {
 	a, b = m.BoardA, m.BoardB
 	if a <= 0 {
 		a = 2
@@ -67,15 +69,7 @@ func (m *CommSlowdown) defaults() (a, b, group, maxAccels, shifts int, penalty f
 	}
 	group = m.GroupBoards
 	if group <= 0 {
-		group = 16
-	}
-	maxAccels = m.MaxAccels
-	if maxAccels <= 0 {
-		maxAccels = 1024
-	}
-	shifts = m.Shifts
-	if shifts <= 0 {
-		shifts = 4
+		group = alloc.GroupBoards
 	}
 	// Zero means unset (default 1); negative is the explicit "disabled"
 	// sentinel. Coercing every non-positive value to 1 — the old behaviour
@@ -105,7 +99,7 @@ func (m *CommSlowdown) ContendedSlowdown(p *alloc.Placement, job TraceJob, gamma
 	if gamma < 1 {
 		gamma = 1
 	}
-	_, _, group, _, _, penalty := m.defaults()
+	_, _, group, penalty := m.defaults()
 	share := m.shapeShare(p.U(), p.V())
 	if share <= 0 {
 		share = 1e-3 // defensive; flowsim shares are strictly positive
@@ -119,10 +113,11 @@ func (m *CommSlowdown) ContendedSlowdown(p *alloc.Placement, job TraceJob, gamma
 }
 
 // shapeKey is everything a shape share depends on once defaults are
-// filled in. GroupBoards and UpperPenalty price the spread, not the shape,
-// so models differing only in them share entries.
+// filled in: the board dimensions and the shape. GroupBoards and
+// UpperPenalty price the spread, not the shape, so models differing only
+// in them share entries.
 type shapeKey struct {
-	a, b, maxAccels, shifts, u, v int
+	a, b, u, v int
 }
 
 type shapeSlot struct {
@@ -143,8 +138,8 @@ type shapeSlot struct {
 // which caller or goroutine solves a shape first cannot change a bit, and
 // no caller or test can observe another's entries except through timing.
 // It is bounded by the distinct (board type, shape) pairs: at most X·Y
-// entries per board type and setting of MaxAccels and Shifts, 4,096 on the
-// large grid, each a float and a sync.Once. A memo threaded from
+// entries per board type, 4,096 on the large grid, each a float and a
+// sync.Once. A memo threaded from
 // runner.Pool instead would add an exported type, a field, and wiring in
 // serve and runner for the same effect.
 var shapeShares sync.Map
@@ -153,8 +148,8 @@ var shapeShares sync.Map
 // injection) of a virtual u×v sub-HxMesh, computing it on first use.
 // Concurrent callers for the same shape share one computation.
 func (m *CommSlowdown) shapeShare(u, v int) float64 {
-	a, b, _, maxAccels, shifts, _ := m.defaults()
-	return shapeKey{a: a, b: b, maxAccels: maxAccels, shifts: shifts, u: u, v: v}.share()
+	a, b, _, _ := m.defaults()
+	return shapeKey{a: a, b: b, u: u, v: v}.share()
 }
 
 func (k shapeKey) share() float64 {
@@ -173,9 +168,9 @@ func (k shapeKey) computeShare() float64 {
 		// bandwidth; the shape term is the reference itself.
 		return 1
 	}
-	if k.u*k.v*k.a*k.b > k.maxAccels {
+	if k.u*k.v*k.a*k.b > maxAccels {
 		// Large shapes: the closed-form finite-mesh bound, calibrated so
-		// it meets the flow estimate at the MaxAccels boundary. The old
+		// it meets the flow estimate at the maxAccels boundary. The old
 		// code returned the shape-independent asymptotic AlltoallShare(a,b)
 		// here, pricing every large placement identically — exactly where
 		// spread matters most.
@@ -191,7 +186,7 @@ func (k shapeKey) flowShare() float64 {
 	c := simcore.Compile(h.Network) // throwaway: skip the interning cache
 	s := flowsim.New(c, nil, flowsim.Config{Seed: 1})
 	inj := 4 * topo.DefaultLinkParams().GBps
-	share, err := s.AlltoallShareOver(c.Endpoints, k.shifts, inj, 1)
+	share, err := s.AlltoallShareOver(c.Endpoints, shapeShifts, inj, 1)
 	if err != nil {
 		// The virtual mesh is always connected; treat a solver failure as
 		// the analytic bound rather than poisoning the schedule.
@@ -201,13 +196,13 @@ func (k shapeKey) flowShare() float64 {
 }
 
 // boundaryScale calibrates the analytic bound against the flow solver: the
-// largest square shape still below MaxAccels anchors the ratio
+// largest square shape still below maxAccels anchors the ratio
 // flowShare/analyticBound, so the two regimes agree (up to the solver's
 // sampling noise) where they hand over. The anchor's flow share is the
 // memoized share of that square, which computeShare flow-solves.
 func (k shapeKey) boundaryScale() float64 {
 	s := 1
-	for (s+1)*(s+1)*k.a*k.b <= k.maxAccels {
+	for (s+1)*(s+1)*k.a*k.b <= maxAccels {
 		s++
 	}
 	if s < 2 {

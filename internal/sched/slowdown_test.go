@@ -36,38 +36,38 @@ func spreadPlacement(u, v, stride int) *alloc.Placement {
 	return &alloc.Placement{Job: 0, Rows: rows, Cols: cols}
 }
 
-// Regression for the shape-blind large-placement fallback: above MaxAccels
+// Regression for the shape-blind large-placement fallback: above maxAccels
 // the share must still depend on (u, v), and the analytic regime must meet
 // the flow regime continuously at the boundary.
 func TestComputeShareBoundaryContinuity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("flow-solver shape estimates are slow")
 	}
-	// MaxAccels 64 on 2×2 boards: 4×4 (64 accels) is the last flow-solved
-	// square; 5×5 upward uses the calibrated analytic bound.
-	m := &CommSlowdown{BoardA: 2, BoardB: 2, MaxAccels: 64}
-	inside := m.shapeShare(4, 4)  // flow estimate at the anchor
-	outside := m.shapeShare(5, 5) // first analytic shape
+	// On 4×4 boards 8×8 (1,024 accels) is the last flow-solved square;
+	// 9×9 upward uses the calibrated analytic bound.
+	m := &CommSlowdown{BoardA: 4, BoardB: 4}
+	inside := m.shapeShare(8, 8)  // flow estimate at the anchor
+	outside := m.shapeShare(9, 9) // first analytic shape
 	if inside <= 0 || outside <= 0 {
 		t.Fatalf("non-positive shares: inside=%v outside=%v", inside, outside)
 	}
 	if outside >= inside {
-		t.Fatalf("share must keep falling across the boundary: share(4,4)=%v share(5,5)=%v", inside, outside)
+		t.Fatalf("share must keep falling across the boundary: share(8,8)=%v share(9,9)=%v", inside, outside)
 	}
 	// Continuity: the calibrated bound evaluated AT the anchor shape equals
 	// the flow estimate exactly (that is what the calibration pins), so the
 	// first analytic step is within the bound's own step size.
 	if rel := (inside - outside) / inside; rel > 0.35 {
-		t.Fatalf("discontinuity at MaxAccels boundary: share(4,4)=%v share(5,5)=%v (rel drop %v)", inside, outside, rel)
+		t.Fatalf("discontinuity at maxAccels boundary: share(8,8)=%v share(9,9)=%v (rel drop %v)", inside, outside, rel)
 	}
 	// Shape dependence above the cap — the old code returned one constant.
-	s66 := m.shapeShare(6, 6)
-	s88 := m.shapeShare(8, 8)
-	if s66 == outside || s88 == s66 {
-		t.Fatalf("large-shape shares are shape-blind: share(5,5)=%v share(6,6)=%v share(8,8)=%v", outside, s66, s88)
+	s10 := m.shapeShare(10, 10)
+	s12 := m.shapeShare(12, 12)
+	if s10 == outside || s12 == s10 {
+		t.Fatalf("large-shape shares are shape-blind: share(9,9)=%v share(10,10)=%v share(12,12)=%v", outside, s10, s12)
 	}
-	if !(s88 < s66 && s66 < outside) {
-		t.Fatalf("large-shape shares not decreasing: %v, %v, %v", outside, s66, s88)
+	if !(s12 < s10 && s10 < outside) {
+		t.Fatalf("large-shape shares not decreasing: %v, %v, %v", outside, s10, s12)
 	}
 }
 

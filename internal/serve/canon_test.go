@@ -24,68 +24,84 @@ func keyOf(t *testing.T, js string) string {
 	return cn.Key()
 }
 
-// Semantically equal requests — reordered JSON keys, explicit-vs-default
-// values, zero-valued or kind-inert options — must share one content
-// address.
+// equalRequests are pairs of semantically equal requests — reordered JSON
+// keys, explicit-vs-default values, zero-valued or kind-inert options,
+// negative zeros — that must share one content address.
+var equalRequests = []struct{ name, a, b string }{
+	{"reordered+explicit-defaults",
+		`{"kind":"alltoall_flow"}`,
+		`{"size":"tiny","shifts":8,"topo":"hx2mesh","seed":1,"kind":"alltoall_flow"}`},
+	{"inert-worker-shard-count",
+		`{"kind":"alltoall_packet","bytes":65536}`,
+		`{"kind":"alltoall_packet","bytes":65536,"workers":8,"shards":4}`},
+	{"inert-for-kind (bytes/credit on the flow path)",
+		`{"kind":"alltoall_flow","seed":3}`,
+		`{"kind":"alltoall_flow","seed":3,"bytes":123,"credit":true}`},
+	{"inert-fail-seed-without-faults",
+		`{"kind":"permutation"}`,
+		`{"kind":"permutation","fail_seed":99}`},
+	{"inert-seed-for-allreduce",
+		`{"kind":"allreduce"}`,
+		`{"kind":"allreduce","seed":42,"bytes":262144}`},
+	{"sched-defaults",
+		`{"kind":"sched","topo":"hx2mesh"}`,
+		`{"kind":"sched","policies":["firstfit"],"mtbfs":[0,40],"ckpts_h":[2],"jobs":120,"horizon_h":40,"trials":2}`},
+	{"sched-explicit-default-upper-penalty",
+		`{"kind":"sched"}`,
+		`{"kind":"sched","upper_penalty":1}`},
+	{"sched-explicit-off-v3-knobs",
+		`{"kind":"sched"}`,
+		`{"kind":"sched","interference":false,"elastic":false,"preempt":false}`},
+	{"zero-seed-is-default",
+		`{"kind":"resilience","seed":0,"fail_seed":0}`,
+		`{"kind":"resilience","seed":1,"fail_seed":1,"fail_links":0.2,"steps":5,"trials":3,"shifts":4}`},
+	{"negative-zero-fail-links",
+		`{"kind":"alltoall_flow","fail_links":-0}`,
+		`{"kind":"alltoall_flow"}`},
+	{"negative-zero-mtbf",
+		`{"kind":"sched","mtbfs":[-0,40]}`,
+		`{"kind":"sched"}`},
+	{"negative-zero-checkpoint",
+		`{"kind":"sched","ckpts_h":[-0.0]}`,
+		`{"kind":"sched","ckpts_h":[0]}`},
+	{"negative-zero-upper-penalty",
+		`{"kind":"sched","upper_penalty":-0}`,
+		`{"kind":"sched","upper_penalty":0}`},
+}
+
 func TestCanonEqualSemanticsSameKey(t *testing.T) {
-	cases := []struct{ name, a, b string }{
-		{"reordered+explicit-defaults",
-			`{"kind":"alltoall_flow"}`,
-			`{"size":"tiny","shifts":8,"topo":"hx2mesh","seed":1,"kind":"alltoall_flow"}`},
-		{"inert-worker-shard-count",
-			`{"kind":"alltoall_packet","bytes":65536}`,
-			`{"kind":"alltoall_packet","bytes":65536,"workers":8,"shards":4}`},
-		{"inert-for-kind (bytes/credit on the flow path)",
-			`{"kind":"alltoall_flow","seed":3}`,
-			`{"kind":"alltoall_flow","seed":3,"bytes":123,"credit":true}`},
-		{"inert-fail-seed-without-faults",
-			`{"kind":"permutation"}`,
-			`{"kind":"permutation","fail_seed":99}`},
-		{"inert-seed-for-allreduce",
-			`{"kind":"allreduce"}`,
-			`{"kind":"allreduce","seed":42,"bytes":262144}`},
-		{"sched-defaults",
-			`{"kind":"sched","topo":"hx2mesh"}`,
-			`{"kind":"sched","policies":["firstfit"],"mtbfs":[0,40],"ckpts_h":[2],"jobs":120,"horizon_h":40,"trials":2}`},
-		{"sched-explicit-default-upper-penalty",
-			`{"kind":"sched"}`,
-			`{"kind":"sched","upper_penalty":1}`},
-		{"sched-explicit-off-v3-knobs",
-			`{"kind":"sched"}`,
-			`{"kind":"sched","interference":false,"elastic":false,"preempt":false}`},
-		{"zero-seed-is-default",
-			`{"kind":"resilience","seed":0,"fail_seed":0}`,
-			`{"kind":"resilience","seed":1,"fail_seed":1,"fail_links":0.2,"steps":5,"trials":3,"shifts":4}`},
-	}
-	for _, tc := range cases {
+	for _, tc := range equalRequests {
 		if ka, kb := keyOf(t, tc.a), keyOf(t, tc.b); ka != kb {
 			t.Errorf("%s: keys differ\n  %s -> %s\n  %s -> %s", tc.name, tc.a, ka, tc.b, kb)
 		}
 	}
 }
 
+// distinctRequests differ from the first one (and from each other) in one
+// meaningful field each.
+var distinctRequests = []string{
+	`{"kind":"alltoall_packet","topo":"hx2mesh","size":"tiny"}`,
+	`{"kind":"alltoall_flow","topo":"hx2mesh","size":"tiny"}`,
+	`{"kind":"alltoall_packet","topo":"torus","size":"tiny"}`,
+	`{"kind":"alltoall_packet","topo":"hx2mesh","size":"small"}`,
+	`{"kind":"alltoall_packet","topo":"hx2mesh","size":"tiny","bytes":65536}`,
+	`{"kind":"alltoall_packet","topo":"hx2mesh","size":"tiny","shifts":2}`,
+	`{"kind":"alltoall_packet","topo":"hx2mesh","size":"tiny","seed":2}`,
+	`{"kind":"alltoall_packet","topo":"hx2mesh","size":"tiny","credit":true}`,
+	`{"kind":"alltoall_packet","topo":"hx2mesh","size":"tiny","fail_links":0.05}`,
+	`{"kind":"alltoall_packet","topo":"hx2mesh","size":"tiny","fail_links":0.05,"fail_seed":2}`,
+	`{"kind":"sched"}`,
+	`{"kind":"sched","interference":true}`,
+	`{"kind":"sched","elastic":true}`,
+	`{"kind":"sched","preempt":true}`,
+	`{"kind":"sched","upper_penalty":0}`,
+	`{"kind":"sched","upper_penalty":0.5}`,
+}
+
 // Any meaningful field change must change the content address.
 func TestCanonMeaningfulChangeNewKey(t *testing.T) {
-	base := `{"kind":"alltoall_packet","topo":"hx2mesh","size":"tiny"}`
-	mutants := []string{
-		`{"kind":"alltoall_flow","topo":"hx2mesh","size":"tiny"}`,
-		`{"kind":"alltoall_packet","topo":"torus","size":"tiny"}`,
-		`{"kind":"alltoall_packet","topo":"hx2mesh","size":"small"}`,
-		`{"kind":"alltoall_packet","topo":"hx2mesh","size":"tiny","bytes":65536}`,
-		`{"kind":"alltoall_packet","topo":"hx2mesh","size":"tiny","shifts":2}`,
-		`{"kind":"alltoall_packet","topo":"hx2mesh","size":"tiny","seed":2}`,
-		`{"kind":"alltoall_packet","topo":"hx2mesh","size":"tiny","credit":true}`,
-		`{"kind":"alltoall_packet","topo":"hx2mesh","size":"tiny","fail_links":0.05}`,
-		`{"kind":"alltoall_packet","topo":"hx2mesh","size":"tiny","fail_links":0.05,"fail_seed":2}`,
-		`{"kind":"sched"}`,
-		`{"kind":"sched","interference":true}`,
-		`{"kind":"sched","elastic":true}`,
-		`{"kind":"sched","preempt":true}`,
-		`{"kind":"sched","upper_penalty":0}`,
-		`{"kind":"sched","upper_penalty":0.5}`,
-	}
-	seen := map[string]string{keyOf(t, base): base}
-	for _, m := range mutants {
+	seen := map[string]string{}
+	for _, m := range distinctRequests {
 		k := keyOf(t, m)
 		if prev, dup := seen[k]; dup {
 			t.Errorf("distinct requests share a key:\n  %s\n  %s", prev, m)
@@ -166,22 +182,27 @@ func TestCanonProperty(t *testing.T) {
 		}
 
 		// Idempotence: canonical values survive a second pass unchanged.
-		up := cn.UpperPenalty
-		again, err := Canonicalize(Request{
-			Kind: cn.Kind, Topo: cn.Topo, Size: cn.Size, Bytes: cn.Bytes,
-			Shifts: cn.Shifts, Perms: cn.Perms, Seed: cn.Seed, Credit: cn.Credit,
-			FailLinks: cn.FailLinks, FailBoards: cn.FailBoards, FailSeed: cn.FailSeed,
-			Trials: cn.Trials, Steps: cn.Steps, Jobs: cn.Jobs, HorizonH: cn.HorizonH,
-			MTBFs: cn.MTBFs, CkptsH: cn.CkptsH, Policies: cn.Policies, Reserve: cn.Reserve,
-			Interference: cn.Interference, Elastic: cn.Elastic, Preempt: cn.Preempt,
-			UpperPenalty: &up,
-		})
+		again, err := Canonicalize(requestOf(cn))
 		if err != nil {
 			t.Fatalf("re-canonicalize %+v: %v", cn, err)
 		}
 		if again.Key() != cn.Key() {
 			t.Fatalf("canonicalization not idempotent for %+v", r)
 		}
+	}
+}
+
+// requestOf rebuilds the request a canonical form describes.
+func requestOf(cn *Canon) Request {
+	up := cn.UpperPenalty
+	return Request{
+		Kind: cn.Kind, Topo: cn.Topo, Size: cn.Size, Bytes: cn.Bytes,
+		Shifts: cn.Shifts, Perms: cn.Perms, Seed: cn.Seed, Credit: cn.Credit,
+		FailLinks: cn.FailLinks, FailBoards: cn.FailBoards, FailSeed: cn.FailSeed,
+		Trials: cn.Trials, Steps: cn.Steps, Jobs: cn.Jobs, HorizonH: cn.HorizonH,
+		MTBFs: cn.MTBFs, CkptsH: cn.CkptsH, Policies: cn.Policies, Reserve: cn.Reserve,
+		Interference: cn.Interference, Elastic: cn.Elastic, Preempt: cn.Preempt,
+		UpperPenalty: &up,
 	}
 }
 

@@ -39,10 +39,10 @@ type jobJournal struct {
 // openJobJournal opens dir, replays it, and reports the recovered state:
 // results holds every journaled (key, body); pending holds accepted
 // requests with no journaled result, in accept order.
-func openJobJournal(dir string, o journal.Options) (jj *jobJournal, pending map[string]*Canon, results map[string][]byte, stats journal.Stats, err error) {
+func openJobJournal(dir string, o journal.Options) (jj *jobJournal, pending map[string]*Canon, results map[string][]byte, err error) {
 	pending = make(map[string]*Canon)
 	results = make(map[string][]byte)
-	log, stats, err := journal.Open(dir, o, func(rec []byte) error {
+	log, _, err := journal.Open(dir, o, func(rec []byte) error {
 		if len(rec) == 0 {
 			return fmt.Errorf("serve: empty journal record")
 		}
@@ -70,9 +70,9 @@ func openJobJournal(dir string, o journal.Options) (jj *jobJournal, pending map[
 		}
 	})
 	if err != nil {
-		return nil, nil, nil, stats, err
+		return nil, nil, nil, err
 	}
-	return &jobJournal{log: log}, pending, results, stats, nil
+	return &jobJournal{log: log}, pending, results, nil
 }
 
 func (j *jobJournal) accept(cn *Canon) error {

@@ -73,7 +73,7 @@ func TestServeJournalReplaysUnservedAccepts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	jj, pending, results, _, err := openJobJournal(dir, o)
+	jj, pending, results, err := openJobJournal(dir, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestServeCloseDrainsAdmittedRequests(t *testing.T) {
 
 	// The journal was sealed by Close, so every result found in it was
 	// appended before Close returned.
-	_, pending, results, _, err := openJobJournal(dir, o)
+	_, pending, results, err := openJobJournal(dir, o)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -230,7 +230,7 @@ func Canonicalize(r Request) (*Canon, error) {
 		if r.FailBoards > 0 && !schedTopos[c.Topo] {
 			return fmt.Errorf("serve: fail_boards needs an HxMesh-family topo, got %q", c.Topo)
 		}
-		c.FailLinks = r.FailLinks
+		c.FailLinks = posZero(r.FailLinks)
 		c.FailBoards = r.FailBoards
 		if faulted {
 			c.FailSeed = failSeed
@@ -300,19 +300,21 @@ func Canonicalize(r Request) (*Canon, error) {
 		if len(c.MTBFs) == 0 {
 			c.MTBFs = []float64{0, 40}
 		}
-		for _, m := range c.MTBFs {
+		for i, m := range c.MTBFs {
 			if m < 0 {
 				return nil, fmt.Errorf("serve: negative MTBF %v", m)
 			}
+			c.MTBFs[i] = posZero(m)
 		}
 		c.CkptsH = append([]float64(nil), r.CkptsH...)
 		if len(c.CkptsH) == 0 {
 			c.CkptsH = []float64{2}
 		}
-		for _, k := range c.CkptsH {
+		for i, k := range c.CkptsH {
 			if k < 0 {
 				return nil, fmt.Errorf("serve: negative checkpoint interval %v", k)
 			}
+			c.CkptsH[i] = posZero(k)
 		}
 		c.Policies = append([]string(nil), r.Policies...)
 		if len(c.Policies) == 0 {
@@ -334,10 +336,20 @@ func Canonicalize(r Request) (*Canon, error) {
 			if *r.UpperPenalty < 0 {
 				return nil, fmt.Errorf("serve: negative upper_penalty %v", *r.UpperPenalty)
 			}
-			c.UpperPenalty = *r.UpperPenalty
+			c.UpperPenalty = posZero(*r.UpperPenalty)
 		}
 	}
 	return c, nil
+}
+
+// posZero maps a negative zero to +0 and leaves every other value alone.
+// A JSON -0 passes the "not negative" checks and computes like 0, but
+// marshals as -0, which would give an equal request its own address.
+func posZero(v float64) float64 {
+	if v == 0 {
+		return 0
+	}
+	return v
 }
 
 func defInt(v, def int) int {

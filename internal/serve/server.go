@@ -152,7 +152,7 @@ func New(cfg Config) (*Server, error) {
 	if cfg.JournalDir != "" {
 		o := cfg.JournalOptions
 		o.Obs = reg
-		jj, pending, results, _, err := openJobJournal(cfg.JournalDir, o)
+		jj, pending, results, err := openJobJournal(cfg.JournalDir, o)
 		if err != nil {
 			return nil, fmt.Errorf("serve: open job journal: %w", err)
 		}

@@ -30,13 +30,7 @@ func Fig8Stacks() []HeuristicStack {
 }
 
 func (h HeuristicStack) options() alloc.Options {
-	return alloc.Options{
-		Transpose:       h.Transpose,
-		AspectRatio:     h.Aspect,
-		MaxAspect:       8,
-		Locality:        h.Locality,
-		TreeGroupBoards: 16,
-	}
+	return alloc.Options{Transpose: h.Transpose, AspectRatio: h.Aspect, Locality: h.Locality}
 }
 
 // UtilizationResult is one allocation experiment outcome.
@@ -45,7 +39,6 @@ type UtilizationResult struct {
 	UpperA2A    float64 // upper-layer traffic fraction, alltoall (Fig. 9)
 	UpperAllred float64 // upper-layer traffic fraction, allreduce (Fig. 9)
 	JobsPlaced  int
-	JobsAttempt int
 }
 
 // RunMix allocates one job mix (sizes in boards) on an x×y grid with the
@@ -65,7 +58,7 @@ func RunMix(x, y int, mix []int, h HeuristicStack, failures int, rng *rand.Rand)
 	}
 	opt := h.options()
 	var placements []*alloc.Placement
-	res := UtilizationResult{JobsAttempt: len(jobs)}
+	var res UtilizationResult
 	for ji, size := range jobs {
 		u, v := ShapeFor(size)
 		if u == 0 {
@@ -77,8 +70,8 @@ func RunMix(x, y int, mix []int, h HeuristicStack, failures int, rng *rand.Rand)
 		}
 	}
 	res.Utilization = g.Utilization()
-	res.UpperA2A = alloc.SystemUpperLayerFraction(placements, alloc.TrafficAlltoall, 16)
-	res.UpperAllred = alloc.SystemUpperLayerFraction(placements, alloc.TrafficAllreduce, 16)
+	res.UpperA2A = alloc.SystemUpperLayerFraction(placements, alloc.TrafficAlltoall, alloc.GroupBoards)
+	res.UpperAllred = alloc.SystemUpperLayerFraction(placements, alloc.TrafficAllreduce, alloc.GroupBoards)
 	return res
 }
 

@@ -21,7 +21,8 @@
 # Environment:
 #   SIZE=tiny     cluster size for the hxsim steps (tiny = CI scale;
 #                 use small/large for the paper-scale numbers)
-#   FORCE=1       ignore .done markers and regenerate everything
+#   FORCE=1       ignore .done markers, clear the sweep journals and
+#                 regenerate everything
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -51,6 +52,18 @@ step() {
   : > "$outdir/$name.done"
 }
 
+# journaled_step <name> <journal> <cmd...>: a step whose command resumes
+# from the journal directory <journal>. FORCE=1 clears the journal first:
+# a regenerated step starts from scratch, and a journal bound to another
+# build's sweep fingerprint would be refused.
+journaled_step() {
+  local name="$1" journal="$2"; shift 2
+  if [ "${FORCE:-0}" = "1" ]; then
+    rm -rf "$journal"
+  fi
+  step "$name" "$@" -journal "$journal"
+}
+
 step fig7_board_cdf      "$bindir/hxalloc" -cdf
 step fig8_alloc_8x8      "$bindir/hxalloc" -grid 8x8 -mixes 25
 
@@ -67,13 +80,13 @@ step fig13_allreduce     "$bindir/hxsim" -topo hx2mesh -size "$size" \
 # in-flight points. The journal directories live next to the outputs and
 # are bound to the sweep parameters, so changing a flag below refuses the
 # stale journal instead of splicing old points in.
-step resilience_sweep    "$bindir/hxsim" -topo hx2mesh -size "$size" \
-  -pattern resilience -trials 3 -shifts 4 -bytes 65536 \
-  -journal "$outdir/.journal-resilience"
-step sched_goodput_grid  "$bindir/hxalloc" -mode sched -grid 8x8 \
+journaled_step resilience_sweep "$outdir/.journal-resilience" \
+  "$bindir/hxsim" -topo hx2mesh -size "$size" \
+  -pattern resilience -trials 3 -shifts 4 -bytes 65536
+journaled_step sched_goodput_grid "$outdir/.journal-sched" \
+  "$bindir/hxalloc" -mode sched -grid 8x8 \
   -jobs 120 -horizon 40 -mtbf 0,120,40,12 -ckpt 2 \
-  -policies firstfit,bestfit,fragaware -trials 3 \
-  -journal "$outdir/.journal-sched"
+  -policies firstfit,bestfit,fragaware -trials 3
 
 echo
 echo "all paper numbers in $outdir/ (rerun to resume; FORCE=1 to regenerate)"
