@@ -712,6 +712,36 @@ func BenchmarkPacketSimShards(b *testing.B) {
 	}
 }
 
+// BenchmarkResilienceSweep times paper-small's resilience step in
+// process: the §III-E link-failure sweep on the small (≈1k-accelerator)
+// Hx2Mesh, 5 failure fractions × 3 trials × 4 shifts of 64 KiB per peer,
+// as `hxsim -topo hx2mesh -size small -pattern resilience -trials 3
+// -shifts 4 -bytes 65536` runs it. Every degraded trial builds its own
+// masked routing table, so each iteration pays the cold distance-vector
+// warm-up the CLI pays, next to the packet simulations. Small even under
+// -short: the degraded-fabric warm-up is the point.
+func BenchmarkResilienceSweep(b *testing.B) {
+	pool := runner.New(benchWorkers())
+	c, err := pool.Cluster("hx2mesh", core.Small)
+	if err != nil {
+		b.Fatal(err)
+	}
+	fracs := runner.ResilienceFracs(0, runner.DefaultResilienceSteps)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pts, err := pool.ResilienceSweep(c, netsim.DefaultConfig(), 64<<10, fracs, 3, 4, 1, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		last := pts[len(pts)-1]
+		b.ReportMetric(100*last.Share, "%inject")
+		once("resilience", func() {
+			fmt.Printf("  resilience sweep hx2mesh/small: %.1f%% of injection at %.0f%% failed links, %d workers\n",
+				100*last.Share, 100*last.FailFrac, pool.Workers())
+		})
+	}
+}
+
 // benchWorkers returns the worker count for runner-based sweeps. It honors
 // go test's standard -parallel flag (go test -bench ... -parallel N), so
 // the runner's scaling can be measured directly:

@@ -6,8 +6,8 @@ import (
 )
 
 // calendarQueue is the engine's event queue: a bucketed calendar queue
-// over a ring of small sorted slices, with a heap fallback for events
-// beyond the ring.
+// over a ring of slices that are sorted once, when first read, with a
+// heap fallback for events beyond the ring.
 //
 // A discrete-event packet simulation has a bounded event horizon: every
 // event scheduled at time t fires before t + maxDelay, where maxDelay is
@@ -17,11 +17,10 @@ import (
 // covers the absolute time slice [i*width, (i+1)*width), the ring covers
 // nb consecutive slices starting at base, and push/pop find the bucket
 // with one multiply instead of an O(log n) sift across the whole queue.
-// Within a bucket, events sit in a sorted slice (calBucket), so pop
-// order stays the engine's canonical total order exactly while pops pay
-// no comparisons at all; same-slice bursts — e.g. all W*flows initial
-// injections at t=0, which Sim.Run sorts before pushing — arrive in
-// canonical order and insert at the tail.
+// Within a bucket (calBucket), pushes append until the bucket is first
+// read, which sorts it once; from then on it is a sorted slice that
+// takes later pushes by binary insertion. Pop order is the engine's
+// canonical total order exactly, and pops pay no comparisons at all.
 //
 // Events beyond the ring go to an overflow heap and are drained into the
 // ring as base advances past empty slices; a bitmask over non-empty
@@ -35,7 +34,7 @@ import (
 //
 // When occupancy exceeds calGrowPerBucket events per bucket the ring
 // doubles its bucket count (halving width, at constant span), keeping
-// per-bucket heaps shallow as runs grow. All storage — bucket heaps,
+// per-bucket slices short as runs grow. All storage — bucket slices,
 // occupancy words, the overflow heap — survives reset, so steady-state
 // sweeps allocate nothing.
 type calendarQueue struct {
@@ -53,28 +52,58 @@ type calendarQueue struct {
 	over eventQueue // events at or beyond base+nb slices
 }
 
-// calBucket is one calendar slot: its events kept in canonical order as a
-// sorted slice with a consumed prefix, rather than a heap. Pops read the
-// front and pay no comparisons; pushes binary-search the insert point.
-// The dominant push patterns — the initial same-slice injection burst
-// (sorted by Sim.Run) and overflow drains — arrive already in canonical
-// order, so the insertion memmove is almost always empty and the slot
-// degenerates to an append-only array, while the grow policy keeps
-// mid-run slots near calGrowPerBucket events so out-of-order inserts
-// stay tiny.
+// calBucket is one calendar slot: its events in a slice with a consumed
+// prefix, kept in canonical order from its first read on. Until then a
+// bucket only appends, noting with one compare per append whether an
+// event arrived ahead of the one before it; the first read (a pop or a
+// peek) sorts the slice once, or skips the sort when every append
+// arrived in order, as overflow drains, grow's re-bucketing and the t=0
+// injections of flows listed in source order do. Pops read the front
+// and pay no comparisons. A push into a bucket that has been read
+// binary-searches its insert point and shifts the shorter side of it,
+// the events after it or, into the consumed prefix, the ones before.
+// Canonical keys are unique, so the pop order does not depend on how an
+// event got into place. This is the ladder queue's deferred bucket sort
+// (Tang, Goh and Thng, ACM TOMACS 15(3), 2005). Inserting every push in
+// place instead moved 115 events per push (530 M over 4.6 M pushes) on
+// paper-small's resilience sweep, whose same-time buckets reach
+// thousands of events pushed out of canonical order.
 type calBucket struct {
 	ev   []event
 	head int
+	// sorted is set by the first read; until then ev is in push order
+	// and head is 0. unordered records an append that preceded the
+	// event before it.
+	sorted, unordered bool
 }
 
-func (b *calBucket) first() *event { return &b.ev[b.head] }
+// first returns the bucket's canonically earliest event, sorting the
+// bucket on its first read. The bucket must be non-empty.
+func (b *calBucket) first() *event {
+	if !b.sorted {
+		if b.unordered {
+			sortEvents(b.ev)
+			b.unordered = false
+		}
+		b.sorted = true
+	}
+	return &b.ev[b.head]
+}
 
 func (b *calBucket) reset() {
 	b.ev = b.ev[:0]
 	b.head = 0
+	b.sorted, b.unordered = false, false
 }
 
 func (b *calBucket) push(e event) {
+	if !b.sorted {
+		if n := len(b.ev); n > 0 && eventBefore(&e, &b.ev[n-1]) {
+			b.unordered = true
+		}
+		b.ev = append(b.ev, e)
+		return
+	}
 	lo, hi := b.head, len(b.ev)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
@@ -83,6 +112,14 @@ func (b *calBucket) push(e event) {
 		} else {
 			hi = mid
 		}
+	}
+	if b.head > 0 && lo-b.head < len(b.ev)-lo {
+		// Shift the shorter side: the events before the insert point
+		// move one slot into the consumed prefix.
+		copy(b.ev[b.head-1:], b.ev[b.head:lo])
+		b.head--
+		b.ev[lo-1] = e
+		return
 	}
 	b.ev = append(b.ev, event{})
 	copy(b.ev[lo+1:], b.ev[lo:])
@@ -292,14 +329,14 @@ func (q *calendarQueue) popIfInto(bound float64, out *event) bool {
 		i = q.locate()
 	}
 	b := &q.buckets[i]
-	if b.ev[b.head].t >= bound {
+	e := b.first()
+	if e.t >= bound {
 		return false
 	}
-	*out = b.ev[b.head]
+	*out = *e
 	b.head++
 	if b.head == len(b.ev) {
-		b.ev = b.ev[:0]
-		b.head = 0
+		b.reset()
 		q.occ[i>>6] &^= 1 << (uint(i) & 63)
 	}
 	q.n--
@@ -317,4 +354,119 @@ func (q *calendarQueue) popIf(bound float64) (event, bool) {
 // pop removes and returns the canonically earliest event.
 func (q *calendarQueue) pop() (event, bool) {
 	return q.popIf(math.Inf(1))
+}
+
+// sortEvents sorts a into canonical order in place. It is an introsort:
+// quicksort over insertion sort for short ranges, with a
+// heapsort fallback once the recursion runs deeper than 2·log2(n), so it
+// allocates nothing and never exceeds O(n log n) compares. Events are
+// compared through pointers; a generic sort's by-value comparator copied
+// two 40-byte events per compare and was slower on the small mid-run
+// buckets that make up most sorts.
+func sortEvents(a []event) {
+	sortEventsDepth(a, 2*bits.Len(uint(len(a))))
+}
+
+func sortEventsDepth(a []event, depth int) {
+	for len(a) > 12 {
+		if depth == 0 {
+			heapSortEvents(a)
+			return
+		}
+		depth--
+		p := partitionEvents(a)
+		// Recurse into the shorter side and loop on the longer one, so
+		// the stack stays O(log n) deep.
+		if p < len(a)-p {
+			sortEventsDepth(a[:p], depth)
+			a = a[p+1:]
+		} else {
+			sortEventsDepth(a[p+1:], depth)
+			a = a[:p]
+		}
+	}
+	insertionSortEvents(a)
+}
+
+// partitionEvents moves a pivot to its sorted position and returns that
+// position: every event before it sorts before it, every event after it
+// sorts after it (keys are unique, so none ties with it). The pivot is
+// the median of the events a quarter, a half and three quarters in. A
+// bucket is often a few ascending runs appended one after another, so
+// its first and last events sit near the ends of the key range, and the
+// textbook median of first, middle and last would pick a pivot near one
+// end.
+func partitionEvents(a []event) int {
+	n := len(a)
+	i, m, k := n/4, n/2, 3*n/4
+	if eventBefore(&a[m], &a[i]) {
+		i, m = m, i
+	}
+	if eventBefore(&a[k], &a[m]) {
+		m = k
+		if eventBefore(&a[m], &a[i]) {
+			m = i
+		}
+	}
+	a[0], a[m] = a[m], a[0]
+	i, j := 1, n-1
+	for {
+		for i <= j && eventBefore(&a[i], &a[0]) {
+			i++
+		}
+		for i <= j && eventBefore(&a[0], &a[j]) {
+			j--
+		}
+		if i >= j {
+			break
+		}
+		a[i], a[j] = a[j], a[i]
+		i++
+		j--
+	}
+	a[0], a[j] = a[j], a[0]
+	return j
+}
+
+func insertionSortEvents(a []event) {
+	for i := 1; i < len(a); i++ {
+		if !eventBefore(&a[i], &a[i-1]) {
+			continue
+		}
+		e := a[i]
+		j := i
+		for ; j > 0 && eventBefore(&e, &a[j-1]); j-- {
+			a[j] = a[j-1]
+		}
+		a[j] = e
+	}
+}
+
+func heapSortEvents(a []event) {
+	n := len(a)
+	for i := n/2 - 1; i >= 0; i-- {
+		siftDownEvents(a, i, n)
+	}
+	for end := n - 1; end > 0; end-- {
+		a[0], a[end] = a[end], a[0]
+		siftDownEvents(a, 0, end)
+	}
+}
+
+// siftDownEvents restores the max-heap order of a[:n] below root.
+func siftDownEvents(a []event, root, n int) {
+	for {
+		child := 2*root + 1
+		if child >= n {
+			return
+		}
+		if child+1 < n && eventBefore(&a[child], &a[child+1]) {
+			child++
+		}
+		if !eventBefore(&a[root], &a[child]) {
+			return
+		}
+		a[root], a[child] = a[child], a[root]
+		root = child
+	}
 }

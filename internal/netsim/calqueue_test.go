@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -143,5 +144,182 @@ func TestCalendarPeekAndPopIf(t *testing.T) {
 	}
 	if _, ok := cal.pop(); ok {
 		t.Fatal("queue should be empty")
+	}
+}
+
+// TestCalendarBucketPaths drives each way an event reaches its place in
+// a calendar bucket and checks every pop against the reference heap:
+// appends that arrive in canonical order (the first pop sorts nothing),
+// appends out of order (sorted once, at the first pop), a push into a
+// bucket after its first pop (binary insert), a grow while a bucket is
+// half popped, and an overflow drain. Each step pushes, pops, then checks
+// the state of the bucket holding the time it names.
+func TestCalendarBucketPaths(t *testing.T) {
+	// at returns events at time tm at the given nodes, so their canonical
+	// order is the order of the nodes; seq keeps every key unique.
+	seq := int32(0)
+	at := func(tm float64, nodes ...int32) []event {
+		out := make([]event, len(nodes))
+		for i, node := range nodes {
+			seq++
+			out[i] = makeEvent(tm, evArrive, node, -1, seq, packet{})
+		}
+		return out
+	}
+	upTo := func(n int) []int32 {
+		out := make([]int32, n)
+		for i := range out {
+			out[i] = int32(i)
+		}
+		return out
+	}
+	downFrom := func(n int) []int32 {
+		out := upTo(n)
+		slices.Reverse(out)
+		return out
+	}
+	type step struct {
+		push []event
+		pops int
+		// bucket names the time whose bucket is checked (none when 0),
+		// with its wanted unpopped event count and flags; nb, when
+		// non-zero, is the wanted ring size.
+		bucket            float64
+		n                 int
+		sorted, unordered bool
+		nb                int
+	}
+	burst := calInitBuckets * calGrowPerBucket
+	cases := []struct {
+		name  string
+		span  float64
+		steps []step
+	}{
+		{"in-order appends skip the sort", 100, []step{
+			{push: at(3, upTo(40)...), bucket: 3, n: 40},
+			{pops: 1, bucket: 3, n: 39, sorted: true},
+			{pops: 39},
+		}},
+		{"out-of-order appends sort at the first pop", 100, []step{
+			{push: append(at(3, downFrom(30)...), at(3.05, 5, 2, 9)...), bucket: 3, n: 33, unordered: true},
+			{pops: 1, bucket: 3, n: 32, sorted: true},
+			{pops: 32},
+		}},
+		{"a push after the first pop inserts in place", 100, []step{
+			{push: at(3, 9, 4, 7, 1), bucket: 3, n: 4, unordered: true},
+			{pops: 2, bucket: 3, n: 2, sorted: true},
+			{push: at(3, 2, 8, 5, 20), bucket: 3, n: 6, sorted: true},
+			{pops: 3},
+			{push: at(3.05, 0, 6), bucket: 3, n: 5, sorted: true},
+			{pops: 5},
+		}},
+		{"grow while a bucket is half popped", 100, []step{
+			{push: at(0.1, downFrom(600)...), pops: 300, bucket: 0.1, n: 300, sorted: true},
+			// The burst overfills the ring; grow re-buckets the 300 left,
+			// in order, into a bucket that has not been read.
+			{push: at(50, upTo(burst)...), bucket: 0.1, n: 300, nb: 2 * calInitBuckets},
+			{pops: 300 + burst},
+		}},
+		{"an overflow drain appends in order", 10, []step{
+			{push: append(at(1, 3), at(10.5, downFrom(20)...)...), bucket: 10.5, n: 0},
+			// Popping t=1 advances the cursor, which drains t=10.5 into
+			// the ring in the heap's canonical order.
+			{pops: 1, bucket: 10.5, n: 20},
+			{pops: 20},
+		}},
+	}
+	for _, tc := range cases {
+		var cal calendarQueue
+		var ref eventQueue
+		cal.init(tc.span)
+		for si, st := range tc.steps {
+			for _, e := range st.push {
+				cal.push(e)
+				ref.push(e)
+			}
+			for p := 0; p < st.pops; p++ {
+				want := ref.pop()
+				if got, ok := cal.pop(); !ok || got != want {
+					t.Fatalf("%s, step %d, pop %d: got %+v (ok %v), want %+v", tc.name, si, p, got, ok, want)
+				}
+			}
+			if st.bucket > 0 {
+				b := &cal.buckets[int(st.bucket*cal.invW)&cal.mask]
+				if n := len(b.ev) - b.head; n != st.n || b.sorted != st.sorted || b.unordered != st.unordered {
+					t.Fatalf("%s, step %d: bucket of t=%v holds %d events (sorted %v, unordered %v), want %d (%v, %v)",
+						tc.name, si, st.bucket, n, b.sorted, b.unordered, st.n, st.sorted, st.unordered)
+				}
+			}
+			if st.nb != 0 && cal.nb != st.nb {
+				t.Fatalf("%s, step %d: %d buckets, want %d", tc.name, si, cal.nb, st.nb)
+			}
+		}
+		if cal.len() != 0 || len(ref) != 0 {
+			t.Fatalf("%s: %d events left, the heap has %d", tc.name, cal.len(), len(ref))
+		}
+	}
+}
+
+// TestSortEventsMatchesSortFunc compares the bucket sort, and its
+// heapsort fallback alone, with slices.SortFunc on sorted, reversed,
+// organ-pipe, all-same-time and random inputs, from a single event up to
+// 8,192.
+func TestSortEventsMatchesSortFunc(t *testing.T) {
+	cmp := func(a, b event) int {
+		if eventBefore(&a, &b) {
+			return -1
+		}
+		if eventBefore(&b, &a) {
+			return 1
+		}
+		return 0
+	}
+	rng := rand.New(rand.NewSource(5))
+	for _, n := range []int{1, 2, 12, 13, 50, 1000, 8192} {
+		inputs := map[string][]event{}
+		ascending := make([]event, n)
+		for i := range ascending {
+			ascending[i] = makeEvent(float64(i/4), evArrive, int32(i%4), -1, int32(i), packet{})
+		}
+		inputs["sorted"] = ascending
+		inputs["reversed"] = slices.Clone(ascending)
+		slices.Reverse(inputs["reversed"])
+		pipe := make([]event, 0, n) // even positions ascending, then odd ones descending
+		for i := 0; i < n; i += 2 {
+			pipe = append(pipe, ascending[i])
+		}
+		for i := n - 1 - n%2; i > 0; i -= 2 {
+			pipe = append(pipe, ascending[i])
+		}
+		inputs["organ-pipe"] = pipe
+		same := make([]event, n)
+		for i := range same {
+			same[i] = makeEvent(7, eventKind(rng.Intn(2)), int32(rng.Intn(n)), int32(rng.Intn(8))-1, int32(i), packet{})
+		}
+		inputs["all-same-time"] = same
+		random := make([]event, n)
+		for i := range random {
+			random[i] = makeEvent(float64(rng.Intn(64)), eventKind(rng.Intn(2)), int32(rng.Intn(32)), int32(rng.Intn(8))-1, int32(i), packet{})
+		}
+		inputs["random"] = random
+		for name, in := range inputs {
+			if len(in) != n {
+				t.Fatalf("%s input of %d holds %d events", name, n, len(in))
+			}
+			want := slices.Clone(in)
+			slices.SortFunc(want, cmp)
+			got := slices.Clone(in)
+			sortEvents(got)
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s input of %d events: sortEvents differs from slices.SortFunc", name, n)
+			}
+			// With no recursion depth left, the introsort hands every
+			// range above the insertion-sort size to its heapsort.
+			got = slices.Clone(in)
+			sortEventsDepth(got, 0)
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s input of %d events: the heapsort fallback differs from slices.SortFunc", name, n)
+			}
+		}
 	}
 }

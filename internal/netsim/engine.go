@@ -49,7 +49,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"slices"
 
 	"hammingmesh/internal/obs"
 	"hammingmesh/internal/routing"
@@ -154,10 +153,8 @@ type Result struct {
 	// FlowFinish[i] is the delivery time of the last packet of flow i.
 	FlowFinish []float64
 	// RecvByRank[r] is the number of bytes received by the endpoint of
-	// rank r (node id Endpoints[r]).
+	// rank r (node id Endpoints[r] of the compiled network).
 	RecvByRank []int64
-	// Endpoints lists the endpoint node ids in rank order.
-	Endpoints []topo.NodeID
 	// Deadlocked is set when CreditFC stalls with packets undelivered.
 	Deadlocked bool
 	// Events is the number of processed simulator events.
@@ -282,16 +279,15 @@ type Sim struct {
 	flowSent  []int64
 	flowRecvd []int64
 
+	// dsts collects the flow destinations Reset warms (kept across runs
+	// so steady-state Resets allocate nothing).
+	dsts []topo.NodeID
+
 	// cal is the serial engine's event queue; horizon is the largest
 	// event-scheduling delay of any port (sizes the calendar ring and,
 	// doubled as headroom, its span).
 	cal     calendarQueue
 	horizon float64
-
-	// setup collects Run's initial injections so they can be pushed in
-	// canonical order (kept across runs so steady-state Runs allocate
-	// nothing).
-	setup []event
 
 	// injSeq numbers injected events in creation order (the canonical
 	// tie-breaker of last resort; see event.seq).
@@ -416,13 +412,27 @@ func NewNet(n *topo.Network, table *routing.Table, cfg Config) *Sim {
 // allocate nothing in steady state. The rng deliberately carries over
 // (matching the long-standing multi-run behaviour of AlltoallShareOver);
 // a previously returned Result aliases the reused arrays and is
-// invalidated by the next Reset or Run. A config without a positive
+// invalidated by the next Reset or Run. Reset also warms the routing
+// table's distance vectors of the flows' destinations, in batches
+// (routing.Table.Precompute). A config without a positive
 // packet size (Config.LP.PacketB; the zero Config has none) is refused:
 // its packets would carry no bytes and the run would spin to MaxEvents.
 func (s *Sim) Reset(flows []Flow) error {
 	if s.cfg.LP.PacketB <= 0 {
 		return fmt.Errorf("netsim: packet size %d B, want at least 1 (Config.LP.PacketB)", s.cfg.LP.PacketB)
 	}
+	// The run reads the distance vector of every flow's destination (a
+	// degraded fabric's reachability checks below read them first), so a
+	// cold table builds them all here, 64 per BFS walk, rather than one
+	// lazy BFS per destination. Once they are cached this allocates
+	// nothing.
+	s.dsts = s.dsts[:0]
+	for _, f := range flows {
+		if f.Bytes > 0 {
+			s.dsts = append(s.dsts, f.Dst)
+		}
+	}
+	s.table.Precompute(s.dsts)
 	for fi, f := range flows {
 		if f.Bytes <= 0 {
 			continue
@@ -459,7 +469,6 @@ func (s *Sim) Reset(flows []Flow) error {
 	s.res = Result{
 		FlowFinish: resetSlice(s.res.FlowFinish, len(flows)),
 		RecvByRank: resetSlice(s.res.RecvByRank, s.comp.NumEndpoints()),
-		Endpoints:  s.comp.Endpoints,
 	}
 	s.cal.reset()
 	s.injSeq = 0
@@ -484,35 +493,19 @@ func resetSlice[T int64 | float64](s []T, n int) []T {
 
 // Run simulates the given flows to completion and returns the result. The
 // result's slices are owned by the Sim and invalidated by the next Run or
-// Reset on the same instance.
+// Reset on the same instance. After Reset, every flow injects its first
+// window of packets at t=0, pushed in flow order as they are created:
+// that order fixes their seq values and UGAL's RNG draws, and the t=0
+// calendar bucket sorts the burst once, at its first pop (see calBucket).
 func (s *Sim) Run(flows []Flow) (*Result, error) {
 	if err := s.Reset(flows); err != nil {
 		return nil, err
 	}
-	// The initial injections are created in flow order (fixing their seq
-	// values and UGAL's RNG draws) but pushed in canonical order. Pop
-	// order cannot tell the difference, since keys are unique, but a burst
-	// of same-slice injections pushed out of order costs the calendar
-	// queue a memmove per insert: on Fig. 13's 65,536 ring injections that
-	// took seconds.
-	s.setup = s.setup[:0]
 	for fi, f := range flows {
 		// Empty flows inject nothing and keep FlowFinish 0 from Reset.
 		for w := 0; w < window && s.flowSent[fi] < f.Bytes; w++ {
-			s.setup = append(s.setup, s.newInjection(int32(fi), 0))
+			s.pushInjection(s.newInjection(int32(fi), 0))
 		}
-	}
-	slices.SortFunc(s.setup, func(a, b event) int {
-		if eventBefore(&a, &b) {
-			return -1
-		}
-		if eventBefore(&b, &a) {
-			return 1
-		}
-		return 0
-	})
-	for _, ev := range s.setup {
-		s.pushInjection(ev)
 	}
 
 	if s.par != nil {

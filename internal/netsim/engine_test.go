@@ -250,7 +250,6 @@ func TestResultAccessors(t *testing.T) {
 	r := Result{
 		Makespan: 1000, TotalBytes: 50000,
 		RecvByRank: []int64{0, 50000},
-		Endpoints:  []topo.NodeID{2, 3},
 	}
 	if got := r.AggregateGBps(); got != 50 {
 		t.Errorf("AggregateGBps = %f, want 50", got)

@@ -17,7 +17,6 @@ func cloneResult(r *Result) Result {
 	c := *r
 	c.FlowFinish = append([]float64(nil), r.FlowFinish...)
 	c.RecvByRank = append([]int64(nil), r.RecvByRank...)
-	c.Endpoints = append([]topo.NodeID(nil), r.Endpoints...)
 	return c
 }
 

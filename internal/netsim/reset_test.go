@@ -3,6 +3,9 @@ package netsim
 import (
 	"testing"
 
+	"hammingmesh/internal/faults"
+	"hammingmesh/internal/routing"
+	"hammingmesh/internal/simcore"
 	"hammingmesh/internal/topo"
 )
 
@@ -78,6 +81,36 @@ func TestWideNodeRunNoAlloc(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Errorf("Run across a 40-wide trunk allocates %.1f times per op, want 0", avg)
+	}
+}
+
+// TestMaskedRunNoAlloc: on a degraded fabric, Reset warms every flow
+// destination's distance vector before its reachability checks. The first
+// run builds them (64 per BFS walk); from then on the warm finds each
+// vector cached, and a run allocates nothing at all.
+func TestMaskedRunNoAlloc(t *testing.T) {
+	h := topo.NewHxMesh(2, 2, 4, 4, topo.DefaultLinkParams())
+	c := simcore.Compile(h.Network)
+	b := faults.NewBuilder(c)
+	b.AcceptedConnectedLinks(0.1, 2)
+	tab := routing.NewTableMask(c, b.Build().Mask())
+	sim := New(c, tab, DefaultConfig())
+	flows := ShiftFlows(h.Endpoints, 5, 32<<10)
+	if _, err := sim.Run(flows); err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range flows {
+		if !tab.Reachable(f.Src, f.Dst) {
+			t.Fatalf("flow %d->%d unreachable on a connected fabric", f.Src, f.Dst)
+		}
+	}
+	avg := testing.AllocsPerRun(10, func() {
+		if _, err := sim.Run(flows); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if avg != 0 {
+		t.Errorf("steady-state Run on a masked fabric allocates %.1f times per op, want 0", avg)
 	}
 }
 

@@ -20,9 +20,16 @@
 // The distance vectors are the only cache, held in a dense per-destination
 // slice; AppendCandidates scans a node's ports against one of them, so the
 // packet engine, UGAL and the flow solver's path sampler share one
-// candidate rule. A Table is safe for concurrent use — vectors are
-// published through atomic pointers, which lets the experiment runner
-// share one table across parallel simulations.
+// candidate rule. A vector is built one of two ways, with identical
+// results. Dist builds a missing one lazily, by a single-source BFS,
+// since one destination is all it is given. Precompute and
+// PrecomputeParallel warm a list of destinations ahead of use, 64 per
+// walk of the bit-parallel BFS (simcore.BFSBatchMask); the runner's flow
+// estimator and every packet run (netsim.Sim.Reset) warm this way. Either
+// way a table caches only vectors somebody asked for. A Table is safe for
+// concurrent use — vectors are published through atomic pointers, which
+// lets the experiment runner share one table across parallel
+// simulations.
 //
 // Degraded fabrics (internal/faults) are first-class: NewTableMask builds a
 // table over a port-mask overlay, computing distance vectors and candidates
@@ -33,6 +40,7 @@ package routing
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -54,12 +62,12 @@ func (e *ErrUnreachable) Error() string {
 // escalation policy (§IV-C3): a packet crosses at most two fat trees.
 const MaxVCs = 3
 
-// Table holds per-destination distance vectors, computed lazily and cached
-// in a dense slice indexed by destination node id. Construction is
-// lock-free: workers that race on the same cold destination each compute
-// the vector and the first CompareAndSwap wins (duplicate work is bounded
-// and rare), so distinct destinations build concurrently during parallel
-// sweeps.
+// Table holds per-destination distance vectors, computed on demand (see
+// the package doc) and cached in a dense slice indexed by destination
+// node id. Construction is lock-free: workers that race on the same cold
+// destination each compute the vector and the first CompareAndSwap wins
+// (duplicate work is bounded and rare), so distinct destinations build
+// concurrently during parallel sweeps.
 type Table struct {
 	C *simcore.Compiled
 
@@ -150,30 +158,43 @@ func (t *Table) MemoryBytes() int64 {
 	return 4 * int64(built) * int64(t.C.NumNodes())
 }
 
-// Precompute fills the cache for the given destinations (useful before
-// timing-sensitive simulation loops or before sharing the table across
-// runner workers).
+// Precompute fills the cache for the given destinations ahead of use:
+// before timing-sensitive simulation loops, or before runner workers
+// share the table. Cold destinations are warmed in chunks of
+// simcore.BFSBatch, each chunk by one bit-parallel BFS
+// (simcore.BFSBatchMask) instead of one BFS per destination. Warm
+// destinations and repeats are skipped, so the table caches exactly the
+// vectors asked for, and a call whose destinations are all warm
+// allocates nothing.
 func (t *Table) Precompute(dsts []topo.NodeID) {
+	var chunk [simcore.BFSBatch]topo.NodeID
+	n := 0
 	for _, d := range dsts {
-		t.Dist(d)
+		if t.dist[d].Load() != nil || slices.Contains(chunk[:n], d) {
+			continue
+		}
+		chunk[n] = d
+		n++
+		if n == len(chunk) {
+			t.warm(chunk[:n])
+			n = 0
+		}
+	}
+	if n > 0 {
+		t.warm(chunk[:n])
 	}
 }
 
-// PrecomputeParallel warms the distance vectors of the given destinations,
-// fanned over the given number of goroutines. Vectors build lock-free
-// (distinct destinations never contend), so warming scales with cores; on
-// the 16k-endpoint clusters the serial warm-up dominates the first
-// flow-level solve and this cuts it by the worker count — and pre-warming
-// avoids the bounded-but-wasteful duplicate builds that racing cold sweep
-// jobs would otherwise perform.
+// PrecomputeParallel is Precompute fanned over the given number of
+// goroutines, each warming one chunk of simcore.BFSBatch listed
+// destinations at a time. Chunks build lock-free (distinct destinations
+// never contend), so warming scales with cores; on the 16k-endpoint
+// clusters the serial warm-up dominates the first flow-level solve.
+// Pre-warming also avoids the bounded-but-wasteful duplicate builds that
+// racing cold sweep jobs would otherwise perform.
 func (t *Table) PrecomputeParallel(dsts []topo.NodeID, workers int) {
-	if workers > len(dsts) {
-		workers = len(dsts)
-	}
-	if workers <= 1 {
-		t.Precompute(dsts)
-		return
-	}
+	chunks := (len(dsts) + simcore.BFSBatch - 1) / simcore.BFSBatch
+	workers = max(1, min(workers, chunks))
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(workers)
@@ -181,15 +202,24 @@ func (t *Table) PrecomputeParallel(dsts []topo.NodeID, workers int) {
 		go func() {
 			defer wg.Done()
 			for {
-				i := next.Add(1) - 1
-				if i >= int64(len(dsts)) {
+				lo := int(next.Add(simcore.BFSBatch)) - simcore.BFSBatch
+				if lo >= len(dsts) {
 					return
 				}
-				t.Dist(dsts[i])
+				t.Precompute(dsts[lo:min(lo+simcore.BFSBatch, len(dsts))])
 			}
 		}()
 	}
 	wg.Wait()
+}
+
+// warm builds the vectors of up to simcore.BFSBatch destinations in one
+// batched BFS and publishes each, unless a lazy Dist racing it has
+// already published that destination's.
+func (t *Table) warm(dsts []topo.NodeID) {
+	for i, d := range t.C.BFSBatchMask(dsts, t.mask) {
+		t.dist[dsts[i]].CompareAndSwap(nil, &d)
+	}
 }
 
 // PathLen returns the shortest path length in links between two nodes, or

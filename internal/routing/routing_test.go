@@ -137,18 +137,100 @@ func TestVCPolicyBounded(t *testing.T) {
 	}
 }
 
+// TestPrecompute warms a destination list that is not a multiple of the
+// 64-source batch and repeats some destinations, through Precompute and
+// through PrecomputeParallel at 1 and 3 workers, on the pristine fabric
+// and on 10% connected link failures. The table must then cache exactly
+// the listed destinations, each vector equal to the one a fresh table's
+// lazy Dist builds.
 func TestPrecompute(t *testing.T) {
-	h := topo.NewHxMesh(1, 1, 4, 4, lp())
-	tab := NewTableNet(h.Network)
-	tab.Precompute(h.Endpoints)
-	cached := 0
-	for i := range tab.dist {
-		if tab.dist[i].Load() != nil {
-			cached++
+	h := topo.NewHxMesh(2, 2, 8, 8, lp())
+	c := simcore.Compile(h.Network)
+	links10 := faults.NewBuilder(c)
+	links10.AcceptedConnectedLinks(0.1, 5)
+	rng := rand.New(rand.NewSource(3))
+	dsts := make([]topo.NodeID, 150) // 2 full batches and a partial one, before duplicates
+	for i := range dsts {
+		dsts[i] = topo.NodeID(rng.Intn(c.NumNodes()))
+	}
+	dsts = append(dsts, dsts[7], dsts[70], dsts[149], dsts[7])
+	want := map[topo.NodeID]bool{}
+	for _, d := range dsts {
+		want[d] = true
+	}
+	if len(want)%simcore.BFSBatch == 0 || len(want) == len(dsts) {
+		t.Fatalf("%d distinct of %d destinations: want a partial batch and repeats", len(want), len(dsts))
+	}
+	for _, mask := range []simcore.PortMask{nil, links10.Build().Mask()} {
+		ref := NewTableMask(c, mask)
+		for name, warm := range map[string]func(*Table){
+			"Precompute":            func(tab *Table) { tab.Precompute(dsts) },
+			"PrecomputeParallel(1)": func(tab *Table) { tab.PrecomputeParallel(dsts, 1) },
+			"PrecomputeParallel(3)": func(tab *Table) { tab.PrecomputeParallel(dsts, 3) },
+		} {
+			tab := NewTableMask(c, mask)
+			warm(tab)
+			for i := range tab.dist {
+				d := topo.NodeID(i)
+				p := tab.dist[d].Load()
+				if (p != nil) != want[d] {
+					t.Fatalf("%s (mask %v): vector of node %d cached %v, want %v", name, mask != nil, d, p != nil, want[d])
+				}
+				if p != nil && !slices.Equal(*p, ref.Dist(d)) {
+					t.Fatalf("%s (mask %v): vector of node %d differs from lazy Dist", name, mask != nil, d)
+				}
+			}
+			if got := tab.MemoryBytes(); got != 4*int64(len(want))*int64(c.NumNodes()) {
+				t.Fatalf("%s: MemoryBytes %d after warming %d vectors", name, got, len(want))
+			}
 		}
 	}
-	if cached != len(h.Endpoints) {
-		t.Errorf("precomputed %d vectors, want %d", cached, len(h.Endpoints))
+}
+
+// TestPrecomputeParallelRacesLazyDist warms one cold shared table in
+// chunks while lazy Dist readers race it over the same destinations, the
+// pattern of a sweep whose jobs start before its warm-up ends. Whichever
+// build publishes a vector first, every reader and the final table must
+// see the single-source vector. CI runs it under -race, repeated.
+func TestPrecomputeParallelRacesLazyDist(t *testing.T) {
+	h := topo.NewHxMesh(2, 2, 8, 8, lp())
+	c := simcore.Compile(h.Network)
+	links10 := faults.NewBuilder(c)
+	links10.AcceptedConnectedLinks(0.1, 9)
+	mask := links10.Build().Mask()
+	want := make([][]int32, c.NumNodes())
+	for i := range want {
+		want[i] = c.BFSFromMask(topo.NodeID(i), mask)
+	}
+	all := make([]topo.NodeID, c.NumNodes())
+	for i := range all {
+		all[i] = topo.NodeID(i)
+	}
+	tab := NewTableMask(c, mask)
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		tab.PrecomputeParallel(all, 3)
+	}()
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for k := range all {
+				d := (k*(2*r+1) + r*97) % len(all) // each reader in its own order
+				if !slices.Equal(tab.Dist(topo.NodeID(d)), want[d]) {
+					t.Errorf("reader %d: Dist(%d) differs from the single-source BFS", r, d)
+					return
+				}
+			}
+		}(r)
+	}
+	wg.Wait()
+	for d := range all {
+		if p := tab.dist[d].Load(); p == nil || !slices.Equal(*p, want[d]) {
+			t.Fatalf("vector of node %d missing or wrong after the race", d)
+		}
 	}
 }
 

@@ -30,11 +30,10 @@ import (
 
 // Port is one direction of a cable in compiled (CSR) form.
 type Port struct {
-	To      int32          // peer node index
-	Rev     int32          // global port id of the reverse direction
-	Class   topo.LinkClass // cable technology
-	GBps    float64        // bandwidth, one direction
-	Latency float64        // propagation latency in ns
+	To      int32   // peer node index
+	Rev     int32   // global port id of the reverse direction
+	GBps    float64 // bandwidth, one direction
+	Latency float64 // propagation latency in ns
 }
 
 // Compiled is the flat-array representation of a topo.Network. All fields
@@ -48,9 +47,8 @@ type Compiled struct {
 	Ports   []Port
 	Owner   []int32 // global port id -> owning (sending) node
 
-	// Per-node attributes, densely indexed by node id.
-	Kind  []topo.NodeKind
-	Level []int8
+	// Node kinds, densely indexed by node id.
+	Kind []topo.NodeKind
 
 	// Endpoints in rank order (shared with Net.Endpoints) and the inverse
 	// mapping; RankOf[node] is -1 for switches.
@@ -77,7 +75,6 @@ func Compile(n *topo.Network) *Compiled {
 		Net:       n,
 		PortOff:   make([]int32, nn+1),
 		Kind:      make([]topo.NodeKind, nn),
-		Level:     make([]int8, nn),
 		Endpoints: n.Endpoints,
 		RankOf:    make([]int32, nn),
 	}
@@ -86,7 +83,6 @@ func Compile(n *topo.Network) *Compiled {
 		c.PortOff[i] = int32(total)
 		total += len(n.Nodes[i].Ports)
 		c.Kind[i] = n.Nodes[i].Kind
-		c.Level[i] = n.Nodes[i].Level
 		c.RankOf[i] = -1
 		if n.Nodes[i].Kind == topo.Switch {
 			c.Switches = append(c.Switches, topo.NodeID(i))
@@ -105,7 +101,6 @@ func Compile(n *topo.Network) *Compiled {
 			c.Ports[off+int32(pi)] = Port{
 				To:      int32(p.To),
 				Rev:     c.PortOff[p.To] + p.ToPort,
-				Class:   p.Class,
 				GBps:    p.GBps,
 				Latency: p.Latency,
 			}
@@ -301,6 +296,68 @@ func (c *Compiled) BFSFromMask(src topo.NodeID, mask PortMask) []int32 {
 		}
 	}
 	return dist
+}
+
+// BFSBatch is the most sources BFSBatchMask serves in one walk: one bit
+// of a uint64 per source.
+const BFSBatch = 64
+
+// BFSBatchMask returns the distance vectors of up to BFSBatch sources,
+// out[i] equal to BFSFromMask(srcs[i], mask), from a single bit-parallel
+// walk of the fabric (the multi-source BFS of Then et al., "The More the
+// Merrier", PVLDB 8(4), 2014). Every node carries one uint64 of sources
+// that have reached it, bit i for srcs[i]; each level ORs the frontier
+// bits of a node into its neighbours over the same live ports
+// BFSFromMask crosses, so one pass over the adjacency advances all
+// sources a hop. The vectors share one allocation.
+func (c *Compiled) BFSBatchMask(srcs []topo.NodeID, mask PortMask) [][]int32 {
+	if len(srcs) > BFSBatch {
+		panic("simcore: BFSBatchMask takes at most 64 sources")
+	}
+	n := c.NumNodes()
+	all := make([]int32, len(srcs)*n)
+	for i := range all {
+		all[i] = -1
+	}
+	out := make([][]int32, len(srcs))
+	words := make([]uint64, 3*n)
+	seen, frontier, next := words[:n], words[n:2*n], words[2*n:]
+	for i, src := range srcs {
+		out[i] = all[i*n : (i+1)*n : (i+1)*n]
+		out[i][src] = 0
+		seen[src] |= 1 << i
+		frontier[src] |= 1 << i
+	}
+	for level := int32(1); ; level++ {
+		for u, f := range frontier {
+			if f == 0 {
+				continue
+			}
+			for p := c.PortOff[u]; p < c.PortOff[u+1]; p++ {
+				if mask != nil && mask.Get(c.Ports[p].Rev) {
+					continue
+				}
+				next[c.Ports[p].To] |= f
+			}
+		}
+		grew := false
+		for v, w := range next {
+			w &^= seen[v]
+			next[v] = 0
+			frontier[v] = w
+			if w == 0 {
+				continue
+			}
+			grew = true
+			seen[v] |= w
+			for ; w != 0; w &= w - 1 {
+				out[bits.TrailingZeros64(w)][v] = level
+			}
+		}
+		if !grew {
+			return out
+		}
+	}
 }
 
 // cache maps *topo.Network to its Compiled form so that the many call sites

@@ -22,8 +22,8 @@ func tableIINetworks() map[string]*topo.Network {
 }
 
 // TestCompileRoundTrip checks that Compile preserves every port of every
-// Table II topology family: order, peer, reverse port, class, bandwidth
-// and latency, plus the endpoint rank index and switch list.
+// Table II topology family: order, peer, reverse port, bandwidth and
+// latency, plus the endpoint rank index and switch list.
 func TestCompileRoundTrip(t *testing.T) {
 	for name, n := range tableIINetworks() {
 		t.Run(name, func(t *testing.T) {
@@ -41,17 +41,13 @@ func TestCompileRoundTrip(t *testing.T) {
 				if got := c.Kind[i]; got != node.Kind {
 					t.Fatalf("node %d kind %v, want %v", i, got, node.Kind)
 				}
-				if got := c.Level[i]; got != node.Level {
-					t.Fatalf("node %d level %d, want %d", i, got, node.Level)
-				}
 				ports := c.PortsOf(int32(i))
 				if len(ports) != len(node.Ports) {
 					t.Fatalf("node %d has %d compiled ports, want %d", i, len(ports), len(node.Ports))
 				}
 				for pi, p := range node.Ports {
 					cp := ports[pi]
-					if topo.NodeID(cp.To) != p.To || cp.Class != p.Class ||
-						cp.GBps != p.GBps || cp.Latency != p.Latency {
+					if topo.NodeID(cp.To) != p.To || cp.GBps != p.GBps || cp.Latency != p.Latency {
 						t.Fatalf("node %d port %d mismatch: %+v vs %+v", i, pi, cp, p)
 					}
 					if want := c.PortID(int32(p.To), int(p.ToPort)); cp.Rev != want {

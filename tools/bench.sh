@@ -11,6 +11,10 @@
 #   TraceOverhead/off|on instrumentation cost: off must be 0 allocs/op
 #   AlltoallSweep        pooled packet-level alltoall shift sweep
 #   AlltoallSweepFaulted the same sweep on a 10%-degraded fabric
+#   ResilienceSweep      paper-small's resilience step in process: the small
+#                        Hx2Mesh, 5 failure fractions x 3 trials x 4 shifts
+#                        of 64 KiB, each trial on a cold masked routing
+#                        table (small even in -short)
 #   FlowSolverLarge      flow-level alltoall on the 16,384-endpoint Hx2Mesh
 #   DaemonHit            hxd repeat-request path: HTTP + cache hit
 #   DaemonDistinct       hxd miss path: canonicalize + compute slot + pool
@@ -38,7 +42,7 @@ cd "$(dirname "$0")/.."
 out="${1:-BENCH_PR10.json}"
 raw="bench-raw.txt"
 args=(-run '^$'
-  -bench 'BenchmarkPacketSim$|BenchmarkPacketSimRing$|BenchmarkPacketSimShards$|BenchmarkTraceOverhead$|BenchmarkAlltoallSweep$|BenchmarkAlltoallSweepFaulted$|BenchmarkFlowSolverLarge$'
+  -bench 'BenchmarkPacketSim$|BenchmarkPacketSimRing$|BenchmarkPacketSimShards$|BenchmarkTraceOverhead$|BenchmarkAlltoallSweep$|BenchmarkAlltoallSweepFaulted$|BenchmarkResilienceSweep$|BenchmarkFlowSolverLarge$'
   -benchmem -benchtime "${BENCHTIME:-1x}")
 if [ "${SHORT:-1}" = "1" ]; then
   args+=(-short)
