@@ -167,9 +167,8 @@ func TestHxsimJournalCrashResume(t *testing.T) {
 	}
 	want := sweepTable(cmdtest.Run(t, bin, args...))
 
-	// Rotation boundaries need tiny segments and are covered by the
-	// in-process tests (internal/runner); at the CLI's default segment
-	// size the sweep never rotates.
+	// One real process death at each of the journal's three write
+	// boundaries.
 	for _, plan := range []string{"torn-write:2", "before-sync:1", "before-append:3"} {
 		t.Run(plan, func(t *testing.T) {
 			dir := filepath.Join(t.TempDir(), "journal")

@@ -12,6 +12,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"unsafe"
 
 	"hammingmesh/internal/alloc"
 	"hammingmesh/internal/analysis"
@@ -138,16 +139,28 @@ func (c *Cluster) SampleFaults(linkFrac float64, boards int, seed int64) (*fault
 }
 
 // MemoryBytes estimates the resident size of the cluster's shared
-// immutable state: the compiled network's flat per-port/per-node arrays
-// plus the routing table's lazily built caches. The table part grows as
-// experiments warm it, so the estimate should be re-read, not snapshot —
-// runner.Pool budgets its cluster cache against this value.
+// immutable state, each array from its length and element size: the topo
+// graph, the compiled network's flat arrays (the endpoint list both hold
+// is counted once) and the routing table's lazily built caches. The table
+// part grows as experiments warm it, so the estimate should be re-read,
+// not snapshot — runner.Pool budgets its cluster cache against this
+// value. The HxMesh coordinate index and the board grid, a few bytes per
+// endpoint and per board, are left out.
 func (c *Cluster) MemoryBytes() int64 {
-	// Ports + Owner + GroupOf + GroupPorts are the per-port arrays
-	// (~28 B/port); PortOff, Kind, ranks and group offsets are per node
-	// (~16 B/node).
-	b := int64(c.Comp.NumPorts())*28 + int64(c.Comp.NumNodes())*16
-	return b + c.Table.MemoryBytes()
+	n, p := c.Net, c.Comp
+	// Every topo port compiles to exactly one simcore port.
+	graph := sliceBytes(n.Nodes) + sliceBytes(n.Endpoints) +
+		int64(len(p.Ports))*int64(unsafe.Sizeof(topo.Port{}))
+	comp := sliceBytes(p.PortOff) + sliceBytes(p.Ports) + sliceBytes(p.Owner) +
+		sliceBytes(p.Kind) + sliceBytes(p.RankOf) + sliceBytes(p.Switches) +
+		sliceBytes(p.GroupOf) + sliceBytes(p.GroupOff) + sliceBytes(p.GroupPorts)
+	return graph + comp + c.Table.MemoryBytes()
+}
+
+// sliceBytes is the size of s's elements.
+func sliceBytes[T any](s []T) int64 {
+	var zero T
+	return int64(len(s)) * int64(unsafe.Sizeof(zero))
 }
 
 // Inventory returns the graph-derived equipment inventory.

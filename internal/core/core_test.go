@@ -2,10 +2,12 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"hammingmesh/internal/flowsim"
 	"hammingmesh/internal/netsim"
+	"hammingmesh/internal/topo"
 )
 
 // alltoallShare is the serial flow-level alltoall share over nShifts
@@ -111,5 +113,45 @@ func TestTorusAndDragonflyClusters(t *testing.T) {
 	}
 	if _, err := tor.Summary(); err == nil {
 		t.Error("torus summary should fail")
+	}
+}
+
+// MemoryBytes counts every array a cluster holds. The expected size walks
+// simcore.Compiled's fields by reflection, so a new compiled array fails
+// here until MemoryBytes counts it, and sums the topo graph node by node.
+func TestMemoryBytesCountsEveryArray(t *testing.T) {
+	for _, name := range []string{"hx2mesh", "fattree", "dragonfly", "torus"} {
+		c, err := NewByName(name, Small)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Table.Precompute(c.Comp.Endpoints[:3])
+		var want int64
+		v := reflect.ValueOf(c.Comp).Elem()
+		for i := 0; i < v.NumField(); i++ {
+			f, field := v.Field(i), v.Type().Field(i)
+			switch {
+			case field.Name == "Net":
+				// The graph, summed below.
+			case field.Name == "Endpoints":
+				// Shared with Net.Endpoints, counted with the graph.
+				if f.Pointer() != reflect.ValueOf(c.Net.Endpoints).Pointer() {
+					t.Fatalf("%s: Compiled.Endpoints no longer shares Net.Endpoints", name)
+				}
+			case f.Kind() == reflect.Slice:
+				want += int64(f.Len()) * int64(f.Type().Elem().Size())
+			default:
+				t.Fatalf("%s: Compiled.%s (%s) is neither a slice nor classified here", name, field.Name, f.Type())
+			}
+		}
+		want += int64(len(c.Net.Nodes))*int64(reflect.TypeFor[topo.Node]().Size()) +
+			int64(len(c.Net.Endpoints))*int64(reflect.TypeFor[topo.NodeID]().Size())
+		for _, nd := range c.Net.Nodes {
+			want += int64(len(nd.Ports)) * int64(reflect.TypeFor[topo.Port]().Size())
+		}
+		want += c.Table.MemoryBytes()
+		if got := c.MemoryBytes(); got != want {
+			t.Errorf("%s: MemoryBytes = %d, want %d", name, got, want)
+		}
 	}
 }

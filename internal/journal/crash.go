@@ -28,18 +28,11 @@ const (
 	// recovery sees either the whole record or a torn artifact, never a
 	// corrupt accepted one.
 	CrashBeforeSync CrashPoint = "before-sync"
-	// CrashBeforeRotate dies after the full segment was sealed but before
-	// the next segment exists.
-	CrashBeforeRotate CrashPoint = "before-rotate"
-	// CrashAfterRotate dies after the new segment was created (header
-	// only), before the record reached it.
-	CrashAfterRotate CrashPoint = "after-rotate"
 )
 
 // CrashPoints lists every injectable boundary (tests iterate it).
 func CrashPoints() []CrashPoint {
-	return []CrashPoint{CrashBeforeAppend, CrashTornWrite, CrashBeforeSync,
-		CrashBeforeRotate, CrashAfterRotate}
+	return []CrashPoint{CrashBeforeAppend, CrashTornWrite, CrashBeforeSync}
 }
 
 // CrashPlan arms one injected crash: the first time the writer reaches

@@ -61,49 +61,34 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 	}
 }
 
-// Rotation: a tiny segment threshold produces multiple segment files and
-// replay still sees every record in order.
-func TestSegmentRotation(t *testing.T) {
+// A directory holding a second segment, left by a journal that rotated,
+// is refused with an error naming that file, and Open changes nothing in
+// it.
+func TestSecondSegmentRefused(t *testing.T) {
 	dir := t.TempDir()
-	o := Options{SegmentBytes: 256, NoSync: true}
-	l, _, _ := collect(t, dir, o)
-	const n = 50
-	for i := 0; i < n; i++ {
+	l, _, _ := collect(t, dir, Options{NoSync: true})
+	for i := 0; i < 3; i++ {
 		if err := l.Append(rec(i)); err != nil {
-			t.Fatalf("append %d: %v", i, err)
+			t.Fatal(err)
 		}
 	}
 	l.Close()
-
-	segs, err := segIndices(dir)
+	first := filepath.Join(dir, fileName)
+	want, err := os.ReadFile(first)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(segs) < 3 {
-		t.Fatalf("only %d segments after %d appends at a 256-byte threshold", len(segs), n)
+	second := filepath.Join(dir, "jseg-00000001.wal")
+	if err := os.WriteFile(second, want, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	l2, recs, st := collect(t, dir, o)
-	defer l2.Close()
-	if len(recs) != n || st.TornTail {
-		t.Fatalf("replayed %d records across %d segments (torn=%v), want %d", len(recs), st.Segments, st.TornTail, n)
+	if _, _, err := Open(dir, Options{NoSync: true}, nil); err == nil || !strings.Contains(err.Error(), second) {
+		t.Fatalf("Open over a second segment: %v, want an error naming %s", err, second)
 	}
-	for i, r := range recs {
-		if !bytes.Equal(r, rec(i)) {
-			t.Fatalf("record %d mismatch after rotation", i)
+	for _, path := range []string{first, second} {
+		if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("refused Open changed %s (err %v)", path, err)
 		}
-	}
-
-	// An over-threshold record still appends (a segment always accepts at
-	// least one record).
-	l3, _, _ := collect(t, dir, o)
-	big := bytes.Repeat([]byte("B"), 1024)
-	if err := l3.Append(big); err != nil {
-		t.Fatalf("oversized append: %v", err)
-	}
-	l3.Close()
-	_, recs, _ = collect(t, dir, o)
-	if !bytes.Equal(recs[len(recs)-1], big) {
-		t.Fatalf("oversized record lost")
 	}
 }
 
@@ -114,10 +99,7 @@ func TestCrashPointsRecover(t *testing.T) {
 		for _, after := range []int{0, 1, 5} {
 			t.Run(fmt.Sprintf("%s-after%d", point, after), func(t *testing.T) {
 				dir := t.TempDir()
-				// A small segment threshold makes the rotate boundaries
-				// reachable; non-rotate points fire on the armed append
-				// directly.
-				o := Options{SegmentBytes: 128, NoSync: true,
+				o := Options{NoSync: true,
 					Crash: &CrashPlan{Point: point, AfterAppends: after}}
 				l, _, _ := collect(t, dir, o)
 				survived := 0
@@ -145,7 +127,7 @@ func TestCrashPointsRecover(t *testing.T) {
 				if point == CrashBeforeSync {
 					expected++
 				}
-				l2, recs, _ := collect(t, dir, Options{SegmentBytes: 128, NoSync: true})
+				l2, recs, _ := collect(t, dir, Options{NoSync: true})
 				if len(recs) != expected {
 					t.Fatalf("recovered %d records, want %d (%d appended before the crash at %s)",
 						len(recs), expected, survived, point)
@@ -199,63 +181,32 @@ func TestParseCrashPlan(t *testing.T) {
 	}
 }
 
-// A damaged magic header on the only segment recovers to an empty,
-// writable journal; on a later segment it recovers to the prior
-// segments' records.
+// A damaged magic header recovers to an empty, writable journal.
 func TestDamagedHeaderRecovers(t *testing.T) {
 	dir := t.TempDir()
-	o := Options{SegmentBytes: 128, NoSync: true}
-	l, _, _ := collect(t, dir, o)
-	for i := 0; i < 20; i++ {
-		l.Append(rec(i))
-	}
+	l, _, _ := collect(t, dir, Options{NoSync: true})
+	l.Append(rec(0))
 	l.Close()
-	segs, _ := segIndices(dir)
-	if len(segs) < 2 {
-		t.Fatalf("need ≥2 segments, got %d", len(segs))
+	os.WriteFile(filepath.Join(dir, fileName), []byte("garbage"), 0o644)
+	l2, recs, st := collect(t, dir, Options{NoSync: true})
+	if len(recs) != 0 || !st.TornTail {
+		t.Fatalf("damaged header: %d records, stats %+v", len(recs), st)
 	}
-	// Damage the last segment's magic.
-	last := filepath.Join(dir, segName(segs[len(segs)-1]))
-	b, _ := os.ReadFile(last)
-	b[0] ^= 0xff
-	os.WriteFile(last, b, 0o644)
-
-	l2, recs, st := collect(t, dir, o)
-	if !st.TornTail {
-		t.Fatalf("damaged header not reported as recovered artifact: %+v", st)
-	}
-	for i, r := range recs {
-		if !bytes.Equal(r, rec(i)) {
-			t.Fatalf("record %d corrupted", i)
-		}
-	}
-	if err := l2.Append([]byte("after")); err != nil {
+	if err := l2.Append(rec(9)); err != nil {
 		t.Fatalf("append after header recovery: %v", err)
 	}
 	l2.Close()
-
-	// Sole-segment damage: empty journal, still writable.
-	dir2 := t.TempDir()
-	l3, _, _ := collect(t, dir2, Options{NoSync: true})
-	l3.Append(rec(0))
-	l3.Close()
-	seg0 := filepath.Join(dir2, segName(0))
-	os.WriteFile(seg0, []byte("garbage"), 0o644)
-	l4, recs, st := collect(t, dir2, Options{NoSync: true})
-	if len(recs) != 0 || !st.TornTail {
-		t.Fatalf("sole damaged segment: %d records, stats %+v", len(recs), st)
+	_, recs, st = collect(t, dir, Options{NoSync: true})
+	if len(recs) != 1 || !bytes.Equal(recs[0], rec(9)) || st.TornTail {
+		t.Fatalf("after header recovery: %d records, stats %+v", len(recs), st)
 	}
-	if err := l4.Append(rec(9)); err != nil {
-		t.Fatalf("append after sole-segment recovery: %v", err)
-	}
-	l4.Close()
 }
 
 // Concurrent appends are serialized and all durable (run under -race in
 // CI).
 func TestConcurrentAppends(t *testing.T) {
 	dir := t.TempDir()
-	l, _, _ := collect(t, dir, Options{NoSync: true, SegmentBytes: 512})
+	l, _, _ := collect(t, dir, Options{NoSync: true})
 	var wg sync.WaitGroup
 	const g, per = 8, 25
 	for w := 0; w < g; w++ {
@@ -290,9 +241,8 @@ func TestObsCounters(t *testing.T) {
 		l.Append(rec(i))
 	}
 	l.Close()
-	// Tear the tail by hand: append garbage bytes to the segment.
-	seg0 := filepath.Join(dir, segName(0))
-	f, _ := os.OpenFile(seg0, os.O_WRONLY|os.O_APPEND, 0o644)
+	// Tear the tail by hand: append garbage bytes to the file.
+	f, _ := os.OpenFile(filepath.Join(dir, fileName), os.O_WRONLY|os.O_APPEND, 0o644)
 	f.Write([]byte{1, 2, 3})
 	f.Close()
 
@@ -308,7 +258,6 @@ func TestObsCounters(t *testing.T) {
 		"journal_records_written_total 7",
 		"journal_records_replayed_total 7",
 		"journal_torn_tails_recovered_total 1",
-		"journal_segments_created_total 1",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("metrics missing %q:\n%s", want, out)

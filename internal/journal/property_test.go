@@ -2,19 +2,21 @@ package journal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
-// Property test for torn-tail recovery: write a journal, corrupt it at a
-// random offset — truncation (a torn write) or a bit flip (media damage /
-// partial sector) — and require that Open (a) never panics or errors,
-// (b) replays a prefix of the original records, (c) replays the longest
-// prefix consistent with the damage (every record strictly before the
-// damaged byte survives), and (d) accepts appends afterwards that
+// Property test for torn-tail recovery: write a journal, corrupt its file
+// at a random offset — truncation (a torn write) or a bit flip (media
+// damage / partial sector) — and require that Open (a) never panics or
+// errors, (b) replays a prefix of the original records, (c) replays the
+// longest prefix consistent with the damage (every record strictly before
+// the damaged byte survives), and (d) accepts appends afterwards that
 // round-trip through one more recovery.
 func TestTornTailRecoveryProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -23,14 +25,17 @@ func TestTornTailRecoveryProperty(t *testing.T) {
 		trial := trial
 		t.Run(fmt.Sprintf("trial%02d", trial), func(t *testing.T) {
 			dir := t.TempDir()
-			segBytes := int64(128 + rng.Intn(512))
-			o := Options{SegmentBytes: segBytes, NoSync: true}
+			o := Options{NoSync: true}
 			l, _, err := Open(dir, o, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			n := 1 + rng.Intn(40)
 			var originals [][]byte
+			// ends[i] is the file offset where record i's frame ends, so
+			// the "longest valid prefix" bound is checkable.
+			var ends []int64
+			end := int64(len(magic))
 			for i := 0; i < n; i++ {
 				r := make([]byte, 1+rng.Intn(120))
 				rng.Read(r)
@@ -38,48 +43,18 @@ func TestTornTailRecoveryProperty(t *testing.T) {
 				if err := l.Append(r); err != nil {
 					t.Fatalf("append %d: %v", i, err)
 				}
+				end += int64(frameHeader + len(r))
+				ends = append(ends, end)
 			}
 			l.Close()
 
-			// Pick a victim segment and offset; record where each record
-			// ends so the "longest valid prefix" bound is checkable.
-			segs, err := segIndices(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// recEnd[i] = (segment index, end offset) of record i.
-			type pos struct {
-				seg int
-				end int64
-			}
-			ends := make([]pos, 0, n)
-			{
-				off := int64(len(magic))
-				si := 0
-				// Re-derive framing by replaying sizes against the
-				// rotation rule the writer uses.
-				for _, r := range originals {
-					frame := int64(frameHeader + len(r))
-					if off > int64(len(magic)) && off+frame > segBytes {
-						si++
-						off = int64(len(magic))
-					}
-					off += frame
-					ends = append(ends, pos{si, off})
-				}
-				if si != segs[len(segs)-1] {
-					t.Fatalf("segment layout model out of sync: derived %d, on disk %d", si, segs[len(segs)-1])
-				}
-			}
-
-			victimSeg := segs[rng.Intn(len(segs))]
-			path := filepath.Join(dir, segName(victimSeg))
+			path := filepath.Join(dir, fileName)
 			data, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(data) == 0 {
-				t.Fatalf("empty segment file %s", path)
+			if int64(len(data)) != end {
+				t.Fatalf("journal file holds %d bytes, framing model says %d", len(data), end)
 			}
 			corruptAt := rng.Intn(len(data))
 			truncate := rng.Intn(2) == 0
@@ -92,11 +67,11 @@ func TestTornTailRecoveryProperty(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			// Every record that ends strictly before the damaged byte in
-			// an earlier-or-same segment must survive.
+			// Every record that ends at or before the damaged byte must
+			// survive.
 			mustSurvive := 0
-			for i, p := range ends {
-				if p.seg < victimSeg || (p.seg == victimSeg && p.end <= int64(corruptAt)) {
+			for i, e := range ends {
+				if e <= int64(corruptAt) {
 					mustSurvive = i + 1
 				}
 			}
@@ -118,8 +93,8 @@ func TestTornTailRecoveryProperty(t *testing.T) {
 				}
 			}
 			if len(recs) < mustSurvive {
-				t.Fatalf("recovered %d records, but %d end before the damage (seg %d offset %d, truncate=%v, stats %+v)",
-					len(recs), mustSurvive, victimSeg, corruptAt, truncate, st)
+				t.Fatalf("recovered %d records, but %d end before the damage (offset %d, truncate=%v, stats %+v)",
+					len(recs), mustSurvive, corruptAt, truncate, st)
 			}
 
 			// Re-append after recovery round-trips through another open.
@@ -142,4 +117,73 @@ func TestTornTailRecoveryProperty(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzOpen writes the fuzz input as the journal file and opens it. Open
+// must neither panic nor error on any bytes; a second open must replay
+// the same records and find nothing left to truncate; and a record
+// appended after that must come back on the next open.
+func FuzzOpen(f *testing.F) {
+	recs := [][]byte{[]byte("first"), []byte("second record"), []byte("3")}
+	dir := f.TempDir()
+	l, _, err := Open(dir, Options{NoSync: true}, nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, r := range recs {
+		if err := l.Append(r); err != nil {
+			f.Fatal(err)
+		}
+	}
+	l.Close()
+	clean, err := os.ReadFile(filepath.Join(dir, fileName))
+	if err != nil {
+		f.Fatal(err)
+	}
+	// frame[i] is where record i's frame starts in clean.
+	frame := []int{len(magic)}
+	for _, r := range recs {
+		frame = append(frame, frame[len(frame)-1]+frameHeader+len(r))
+	}
+	badCRC := bytes.Clone(clean)
+	badCRC[frame[1]+8] ^= 0x40
+	tooLong := bytes.Clone(clean)
+	binary.LittleEndian.PutUint32(tooLong[frame[2]:], MaxRecordBytes+1)
+	badHeader := bytes.Clone(clean)
+	badHeader[3] ^= 0xff
+	for _, seed := range [][]byte{
+		clean,
+		[]byte(magic),
+		{},
+		clean[:frame[2]+frameHeader/2], // tail cut mid-frame
+		badCRC,
+		tooLong, // length field above MaxRecordBytes
+		append(clean[:frame[1]:frame[1]], clean[frame[2]:]...), // record 2 right after record 0
+		badHeader,
+	} {
+		f.Add(seed)
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, fileName), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		l, first, _ := collect(t, dir, Options{NoSync: true})
+		l.Close()
+		l, again, st := collect(t, dir, Options{NoSync: true})
+		if st.TornTail || st.Records != len(first) || !slices.EqualFunc(first, again, bytes.Equal) {
+			t.Fatalf("second open replayed %d records (stats %+v), first open %d", len(again), st, len(first))
+		}
+		post := []byte("post-fuzz")
+		if err := l.Append(post); err != nil {
+			t.Fatalf("append after recovery: %v", err)
+		}
+		l.Close()
+		l, last, st := collect(t, dir, Options{NoSync: true})
+		l.Close()
+		if st.TornTail || !slices.EqualFunc(last, append(again, post), bytes.Equal) {
+			t.Fatalf("appended record did not come back: %d records (stats %+v), want %d", len(last), st, len(again)+1)
+		}
+	})
 }

@@ -94,34 +94,27 @@ func (ck *Checkpoint) Put(key string, val []byte) error {
 // Close seals the journal.
 func (ck *Checkpoint) Close() error { return ck.log.Close() }
 
-// OpenCheckpointCLI is OpenCheckpoint for the command-line tools' flag
-// pair -journal / -journal-crash: fsync'd appends (a kill -9 after any
-// point completes loses nothing), and a non-empty crashSpec arms an
-// injected crash that kills the process (journal.ExitCrashPlan).
-func OpenCheckpointCLI(dir, crashSpec, fingerprint string) (*Checkpoint, error) {
-	plan, err := journal.ExitCrashPlan(crashSpec)
-	if err != nil {
-		return nil, err
-	}
-	return OpenCheckpoint(dir, fingerprint, journal.Options{Crash: plan})
-}
-
 // RunSweepCLI is the command-line tools' journaled-sweep driver. It runs
 // sweep under a context that SIGINT and SIGTERM cancel: in-flight points
 // finish and are journaled, the rest of the grid is skipped, and rerunning
 // the same command resumes from the checkpoint. With a -journal directory
-// the checkpoint is opened by OpenCheckpointCLI against fingerprint and
-// announces how many points it resumes; without one sweep gets a nil
-// checkpoint. Errors end the process with a one-line message on stderr:
-// exit 130 on interruption (with a rerun hint when points are journaled),
-// exit 1 otherwise.
+// the checkpoint is opened against fingerprint with fsync'd appends (a
+// kill -9 after any point completes loses nothing), a non-empty crashSpec
+// arms an injected crash that kills the process (journal.ExitCrashPlan),
+// and the number of resumed points is announced; without a directory
+// sweep gets a nil checkpoint. Errors end the process with a one-line
+// message on stderr: exit 130 on interruption (with a rerun hint when
+// points are journaled), exit 1 otherwise.
 func RunSweepCLI[T any](tool, dir, crashSpec, fingerprint string, sweep func(context.Context, *Checkpoint) (T, error)) T {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	var ck *Checkpoint
 	if dir != "" {
-		var err error
-		if ck, err = OpenCheckpointCLI(dir, crashSpec, fingerprint); err != nil {
+		plan, err := journal.ExitCrashPlan(crashSpec)
+		if err == nil {
+			ck, err = OpenCheckpoint(dir, fingerprint, journal.Options{Crash: plan})
+		}
+		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}

@@ -88,15 +88,12 @@ func TestRunJournaledSkipsCompleted(t *testing.T) {
 }
 
 // crashPlans are the injected crash points the sweep invariance tests kill
-// at — distinct write boundaries, including mid-rotation (the checkpoint
-// tests use tiny segments so points span several segment files).
+// at, one per distinct write boundary.
 func crashPlans() []journal.CrashPlan {
 	return []journal.CrashPlan{
 		{Point: journal.CrashTornWrite, AfterAppends: 1},
 		{Point: journal.CrashBeforeSync, AfterAppends: 2},
 		{Point: journal.CrashBeforeAppend, AfterAppends: 3},
-		{Point: journal.CrashBeforeRotate, AfterAppends: 1},
-		{Point: journal.CrashAfterRotate, AfterAppends: 1},
 	}
 }
 
@@ -140,8 +137,7 @@ func TestSchedSweepCrashResumeBitIdentical(t *testing.T) {
 		plan := plan
 		t.Run(string(plan.Point), func(t *testing.T) {
 			dir := t.TempDir()
-			// Tiny segments force rotations so the rotate crash points fire.
-			crashed := journal.Options{SegmentBytes: 512, NoSync: true, Crash: &plan}
+			crashed := journal.Options{NoSync: true, Crash: &plan}
 			ck, err := OpenCheckpoint(dir, fp, crashed)
 			if err != nil {
 				// The crash can fire on the meta append itself
@@ -156,7 +152,7 @@ func TestSchedSweepCrashResumeBitIdentical(t *testing.T) {
 			ck.Close()
 
 			// Resume from whatever survived on disk.
-			ck2 := openCk(t, dir, fp, journal.Options{SegmentBytes: 512, NoSync: true})
+			ck2 := openCk(t, dir, fp, journal.Options{NoSync: true})
 			replayed += ck2.Len()
 			got, err := pool.SchedSweepJournaled(context.Background(), c, cfg, ck2)
 			if err != nil {
@@ -205,7 +201,7 @@ func TestResilienceSweepCrashResumeBitIdentical(t *testing.T) {
 		plan := plan
 		t.Run(string(plan.Point), func(t *testing.T) {
 			dir := t.TempDir()
-			ck, err := OpenCheckpoint(dir, fp, journal.Options{SegmentBytes: 256, NoSync: true, Crash: &plan})
+			ck, err := OpenCheckpoint(dir, fp, journal.Options{NoSync: true, Crash: &plan})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -215,7 +211,7 @@ func TestResilienceSweepCrashResumeBitIdentical(t *testing.T) {
 			}
 			ck.Close()
 
-			ck2 := openCk(t, dir, fp, journal.Options{SegmentBytes: 256, NoSync: true})
+			ck2 := openCk(t, dir, fp, journal.Options{NoSync: true})
 			replayed += ck2.Len()
 			got, err := pool.ResilienceSweepJournaled(context.Background(), c, netCfg, bytesPer, fracs, trials, shifts, seed, boards, ck2)
 			if err != nil {

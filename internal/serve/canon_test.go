@@ -3,8 +3,13 @@ package serve
 import (
 	"encoding/json"
 	"math/rand"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
+
+	"hammingmesh/internal/core"
+	"hammingmesh/internal/sched"
 )
 
 // keyOf decodes raw JSON the way the handler does (strict) and returns the
@@ -254,5 +259,119 @@ func TestCanonUpperPenaltyZeroExplicit(t *testing.T) {
 	}
 	if !strings.Contains(string(cn.CanonicalJSON()), `"upper_penalty":0`) {
 		t.Fatalf("canonical JSON hides the explicit 0: %s", cn.CanonicalJSON())
+	}
+}
+
+// fieldReaders lists, for every Request field, the kinds whose result
+// reads it, mirroring Computer.Compute: the content address must move
+// exactly when one of these fields changes. A field missing here fails
+// TestCanonicalizeKeyPerKind until it is classified.
+var fieldReaders = func() map[string][]string {
+	all := Kinds()
+	network := []string{KindAlltoallFlow, KindAlltoallPacket, KindPermutation, KindAllreduce, KindResilience}
+	schedOnly := []string{KindSched}
+	return map[string][]string{
+		"Kind":       all,
+		"Topo":       all,
+		"Size":       all,
+		"Bytes":      {KindAlltoallPacket, KindPermutation, KindAllreduce, KindResilience},
+		"Shifts":     {KindAlltoallFlow, KindAlltoallPacket, KindResilience},
+		"Perms":      {KindPermutation},
+		"Seed":       {KindAlltoallFlow, KindAlltoallPacket, KindPermutation, KindResilience, KindSched},
+		"Credit":     {KindAlltoallPacket, KindPermutation, KindResilience},
+		"Shards":     nil, // results are shard-count invariant
+		"Workers":    nil, // results are worker-count invariant
+		"FailLinks":  network,
+		"FailBoards": network,
+		// Resilience samples faults on every request; the other network
+		// kinds read the sampler seed only on a faulted request (see
+		// faultedReaders).
+		"FailSeed":     {KindResilience},
+		"Trials":       {KindResilience, KindSched},
+		"Steps":        {KindResilience},
+		"Jobs":         schedOnly,
+		"HorizonH":     schedOnly,
+		"MTBFs":        schedOnly,
+		"CkptsH":       schedOnly,
+		"Policies":     schedOnly,
+		"Reserve":      schedOnly,
+		"Interference": schedOnly,
+		"Elastic":      schedOnly,
+		"Preempt":      schedOnly,
+		"UpperPenalty": schedOnly,
+	}
+}()
+
+// faultedReaders adds the fields a faulted request (fail_links > 0)
+// reads on top of fieldReaders.
+var faultedReaders = map[string][]string{
+	"FailSeed": {KindAlltoallFlow, KindAlltoallPacket, KindPermutation, KindAllreduce},
+}
+
+// For each kind, on a plain and on a faulted request, every Request field
+// set to a second valid value moves the content address exactly when the
+// kind reads that field.
+func TestCanonicalizeKeyPerKind(t *testing.T) {
+	kinds := Kinds()
+	typ := reflect.TypeFor[Request]()
+	for ki, kind := range kinds {
+		for _, faulted := range []bool{false, true} {
+			base := Request{Kind: kind}
+			if faulted {
+				base.FailLinks = 0.05
+			}
+			cn, err := Canonicalize(base)
+			if err != nil {
+				t.Fatal(err)
+			}
+			baseKey := cn.Key()
+			for i := 0; i < typ.NumField(); i++ {
+				name := typ.Field(i).Name
+				readers, ok := fieldReaders[name]
+				if !ok {
+					t.Fatalf("Request.%s is not classified in fieldReaders", name)
+				}
+				if faulted {
+					readers = append(slices.Clone(readers), faultedReaders[name]...)
+				}
+				r := base
+				f := reflect.ValueOf(&r).Elem().Field(i)
+				switch name {
+				case "Kind":
+					r.Kind = kinds[(ki+1)%len(kinds)]
+				case "Topo":
+					r.Topo = "hx4mesh"
+				case "Size":
+					r.Size = string(core.Small)
+				case "Policies":
+					r.Policies = []string{string(sched.BestFit)}
+				default:
+					switch f.Kind() {
+					case reflect.Int, reflect.Int64:
+						f.SetInt(7)
+					case reflect.Float64:
+						f.SetFloat(0.07)
+					case reflect.Bool:
+						f.SetBool(true)
+					case reflect.Slice:
+						f.Set(reflect.ValueOf([]float64{7}))
+					case reflect.Pointer:
+						f.Set(reflect.ValueOf(fp(7)))
+					default:
+						t.Fatalf("Request.%s: no second value for %s", name, f.Type())
+					}
+				}
+				if reflect.DeepEqual(r, base) {
+					t.Fatalf("Request.%s: the second value equals the base", name)
+				}
+				mut, err := Canonicalize(r)
+				if err != nil {
+					t.Fatalf("%s: Request.%s second value rejected: %v", kind, name, err)
+				}
+				if moved, want := mut.Key() != baseKey, slices.Contains(readers, kind); moved != want {
+					t.Errorf("%s (faulted %v): changing Request.%s moved the key: %v, want %v", kind, faulted, name, moved, want)
+				}
+			}
+		}
 	}
 }

@@ -56,8 +56,8 @@ type Config struct {
 	// journaled results while accepted-but-unserved requests are re-run
 	// through the compute slot. Empty disables journaling entirely.
 	JournalDir string
-	// JournalOptions tunes the journal (tests: NoSync, tiny segments,
-	// crash plans). Its Obs field is overridden with the server registry.
+	// JournalOptions tunes the journal (tests: NoSync and crash plans).
+	// Its Obs field is overridden with the server registry.
 	JournalOptions journal.Options
 }
 

@@ -22,10 +22,9 @@ func LargeDragonfly(lp LinkParams) DragonflyConfig {
 	return DragonflyConfig{A: 32, P: 17, H: 16, G: 30, LP: lp}
 }
 
-// NewDragonfly builds a single plane of a Dragonfly. Router Coord holds
-// (group, routerInGroup); endpoint Coord holds (group, routerInGroup, slot).
-// Global links are distributed so that every group pair receives
-// ⌊a·h/(g-1)⌋ or ⌈a·h/(g-1)⌉ links, assigned round-robin to routers.
+// NewDragonfly builds a single plane of a Dragonfly. Global links are
+// distributed so that every group pair receives ⌊a·h/(g-1)⌋ or
+// ⌈a·h/(g-1)⌉ links, assigned round-robin to routers.
 func NewDragonfly(cfg DragonflyConfig) *Network {
 	if cfg.G < 2 || cfg.A < 1 || cfg.P < 1 || cfg.H < 0 {
 		panic(fmt.Sprintf("topo: invalid dragonfly %+v", cfg))
@@ -42,12 +41,9 @@ func NewDragonfly(cfg DragonflyConfig) *Network {
 		routers[g] = make([]NodeID, cfg.A)
 		for r := 0; r < cfg.A; r++ {
 			sw := n.AddNode(Switch)
-			n.Nodes[sw].Coord = [4]int16{int16(g), int16(r)}
 			routers[g][r] = sw
 			for t := 0; t < cfg.P; t++ {
-				ep := n.AddNode(Endpoint)
-				n.Nodes[ep].Coord = [4]int16{int16(g), int16(r), int16(t)}
-				n.Link(ep, sw, DAC, lp.GBps, lp.CableNS)
+				n.Link(n.AddNode(Endpoint), sw, DAC, lp.GBps, lp.CableNS)
 			}
 		}
 	}

@@ -50,7 +50,6 @@ func attachTree(n *Network, attach []NodeID, leafClass LinkClass, lp LinkParams,
 	var switches []NodeID
 	if len(attach) <= spec.Radix {
 		sw := n.AddNode(Switch)
-		n.Nodes[sw].Level = 1
 		for _, a := range attach {
 			n.Link(a, sw, leafClass, lp.GBps, lp.CableNS)
 		}
@@ -60,15 +59,13 @@ func attachTree(n *Network, attach []NodeID, leafClass LinkClass, lp LinkParams,
 	nL1 := (len(attach) + spec.L1Down - 1) / spec.L1Down
 	l1 := make([]NodeID, nL1)
 	for i := range l1 {
-		sw := n.AddNode(Switch)
-		n.Nodes[sw].Level = 1
-		l1[i] = sw
+		l1[i] = n.AddNode(Switch)
 	}
 	switches = append(switches, l1...)
 	for i, a := range attach {
 		n.Link(a, l1[i/spec.L1Down], leafClass, lp.GBps, lp.CableNS)
 	}
-	switches = append(switches, buildUpper(n, l1, spec.L1Up, spec.Radix, lp, 2)...)
+	switches = append(switches, buildUpper(n, l1, spec.L1Up, spec.Radix, lp)...)
 	return switches
 }
 
@@ -82,18 +79,16 @@ func attachTree(n *Network, attach []NodeID, leafClass LinkClass, lp LinkParams,
 // endpoints are 6 cables apart (the paper's 3-level diameter). This caps
 // the construction at three switch levels, which covers radix³/4 ≈ 65k
 // endpoints at radix 64 — beyond the paper's largest cluster.
-func buildUpper(n *Network, prev []NodeID, upPer, radix int, lp LinkParams, level int8) []NodeID {
+func buildUpper(n *Network, prev []NodeID, upPer, radix int, lp LinkParams) []NodeID {
 	if len(prev) <= 1 || upPer == 0 {
 		return nil
 	}
-	spread := func(from []NodeID, per int, lvl int8) []NodeID {
+	spread := func(from []NodeID, per int) []NodeID {
 		total := len(from) * per
 		nTop := (total + radix - 1) / radix
 		top := make([]NodeID, nTop)
 		for i := range top {
-			sw := n.AddNode(Switch)
-			n.Nodes[sw].Level = lvl
-			top[i] = sw
+			top[i] = n.AddNode(Switch)
 		}
 		for i, p := range from {
 			for j := 0; j < per; j++ {
@@ -103,7 +98,7 @@ func buildUpper(n *Network, prev []NodeID, upPer, radix int, lp LinkParams, leve
 		return top
 	}
 	if len(prev) <= radix {
-		return spread(prev, upPer, level)
+		return spread(prev, upPer)
 	}
 	// Pod-based intermediate level: radix/2 prev switches per pod, each pod
 	// internally nonblocking.
@@ -119,9 +114,7 @@ func buildUpper(n *Network, prev []NodeID, upPer, radix int, lp LinkParams, leve
 		nMid := (podUp + podSize - 1) / podSize
 		mid := make([]NodeID, nMid)
 		for i := range mid {
-			sw := n.AddNode(Switch)
-			n.Nodes[sw].Level = level
-			mid[i] = sw
+			mid[i] = n.AddNode(Switch)
 		}
 		for i, p := range pod {
 			for j := 0; j < upPer; j++ {
@@ -130,7 +123,7 @@ func buildUpper(n *Network, prev []NodeID, upPer, radix int, lp LinkParams, leve
 		}
 		mids = append(mids, mid...)
 	}
-	cores := spread(mids, podSize, level+1)
+	cores := spread(mids, podSize)
 	out := make([]NodeID, 0, len(mids)+len(cores))
 	out = append(out, mids...)
 	out = append(out, cores...)
@@ -139,15 +132,13 @@ func buildUpper(n *Network, prev []NodeID, upPer, radix int, lp LinkParams, leve
 
 // NewFatTree builds a standalone fat-tree topology with the given number of
 // endpoints, one plane. Endpoints attach with DAC cables; all inter-switch
-// links are AoC. Endpoint Coord[0] is the endpoint rank.
+// links are AoC.
 func NewFatTree(endpoints int, spec TreeSpec, lp LinkParams) *Network {
 	n := &Network{Name: fmt.Sprintf("fattree-%d", endpoints)}
 	n.Meta = Meta{Family: "fattree", Planes: lp.NumPlanes, NumAccels: endpoints}
 	eps := make([]NodeID, endpoints)
 	for i := range eps {
-		id := n.AddNode(Endpoint)
-		n.Nodes[id].Coord[0] = int16(i % 32768)
-		eps[i] = id
+		eps[i] = n.AddNode(Endpoint)
 	}
 	attachTree(n, eps, DAC, lp, spec)
 	return n

@@ -73,9 +73,7 @@ func NewHxMeshConfig(cfg HxMeshConfig) *HxMesh {
 	for gy := 0; gy < gh; gy++ {
 		h.AccelAt[gy] = make([]NodeID, gw)
 		for gx := 0; gx < gw; gx++ {
-			id := n.AddNode(Endpoint)
-			n.Nodes[id].Coord = [4]int16{int16(gx), int16(gy), int16(gx / cfg.A), int16(gy / cfg.B)}
-			h.AccelAt[gy][gx] = id
+			h.AccelAt[gy][gx] = n.AddNode(Endpoint)
 		}
 	}
 	// On-board PCB mesh links.

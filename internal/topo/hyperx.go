@@ -25,10 +25,8 @@ func NewHyperXDirect(x, y, terminalLinks int, lp LinkParams) *Network {
 		sw[r] = make([]NodeID, x)
 		for c := 0; c < x; c++ {
 			s := n.AddNode(Switch)
-			n.Nodes[s].Coord = [4]int16{int16(c), int16(r)}
 			sw[r][c] = s
 			ep := n.AddNode(Endpoint)
-			n.Nodes[ep].Coord = [4]int16{int16(c), int16(r)}
 			for t := 0; t < terminalLinks; t++ {
 				n.Link(ep, s, DAC, lp.GBps, lp.CableNS)
 			}

@@ -6,7 +6,7 @@ import "fmt"
 // The accelerators sit on boardA×boardB PCB boards (the paper's torus
 // baseline uses 2×2 boards); links within a board are PCB, links between
 // boards are DAC (the torus baseline uses no switches and no AoC cables).
-// Wrap-around links close each ring. Endpoint Coord holds (gx, gy, bx, by).
+// Wrap-around links close each ring.
 func NewTorus2D(w, h, boardA, boardB int, lp LinkParams) *Network {
 	if w < 2 || h < 2 || boardA < 1 || boardB < 1 {
 		panic(fmt.Sprintf("topo: invalid torus %dx%d boards %dx%d", w, h, boardA, boardB))
@@ -21,9 +21,7 @@ func NewTorus2D(w, h, boardA, boardB int, lp LinkParams) *Network {
 	for gy := 0; gy < h; gy++ {
 		at[gy] = make([]NodeID, w)
 		for gx := 0; gx < w; gx++ {
-			id := n.AddNode(Endpoint)
-			n.Nodes[id].Coord = [4]int16{int16(gx), int16(gy), int16(gx / boardA), int16(gy / boardB)}
-			at[gy][gx] = id
+			at[gy][gx] = n.AddNode(Endpoint)
 		}
 	}
 	link := func(x1, y1, x2, y2 int) {

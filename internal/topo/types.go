@@ -83,12 +83,6 @@ type Node struct {
 	ID    NodeID
 	Kind  NodeKind
 	Ports []Port
-	// Coord carries topology-specific coordinates (meaning documented by
-	// each builder); used by routing policies and by tests.
-	Coord [4]int16
-	// Level is the tier for hierarchical topologies (0 = leaf/endpoint
-	// attach level). For HxMesh tree switches it is 1 or 2.
-	Level int8
 }
 
 // Network is a built topology: a node list plus the endpoint index.
