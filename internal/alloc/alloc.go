@@ -20,24 +20,25 @@ import (
 )
 
 // Grid is the allocator's view of an x×y HxMesh: a matrix of boards that
-// are free, failed, or owned by a job.
+// are free, failed, or owned by a job. Every owner write goes through set,
+// which keeps each row's free-column set in step with the owners, so a
+// placement search reads the sets without rebuilding them.
 //
 // A Grid is not safe for concurrent use, and that includes the read-only
 // searches (PlaceCandidates, FitsDims, LargestPlaceable): every search
 // works in the grid's own scratch. Concurrent searches need their own
-// grids (Clone); no caller in this module shares one.
+// grids; no caller in this module shares one.
 type Grid struct {
 	X, Y  int
-	owner []int32 // -1 free, -2 failed, otherwise job id
-	sc    search  // placement-search scratch; Clone does not share it
+	owner []int32  // -1 free, -2 failed, otherwise job id; written by set
+	free  []colSet // per row, the free columns; set keeps them current
+	sc    search   // placement-search scratch; CopyFrom leaves it alone
 }
 
-// search is a Grid's reusable placement-search scratch: the per-row free
-// columns (rebuilt from the owners at the start of every search call), the
-// two intersection sets and the row and column-index buffers the
+// search is a Grid's reusable placement-search scratch: the two
+// intersection sets and the row and column-index buffers the
 // row-intersection loop reuses, and the memoized shape lists.
 type search struct {
-	avail        []colSet
 	inter, trial colSet
 	rows, cols   []int
 	shapes       map[[2]int][][2]int // by (u, v), under shapeOpt
@@ -56,7 +57,48 @@ func NewGrid(x, y int) *Grid {
 	for i := range g.owner {
 		g.owner[i] = Free
 	}
+	// The free sets and the two intersection sets share one allocation.
+	nw := (x + 63) / 64
+	words := make(colSet, (y+2)*nw)
+	g.free = make([]colSet, y)
+	for by := range g.free {
+		s := words[by*nw : (by+1)*nw : (by+1)*nw]
+		for bx := 0; bx < x; bx++ {
+			s[bx/64] |= 1 << (bx % 64)
+		}
+		g.free[by] = s
+	}
+	g.sc.inter = words[y*nw : (y+1)*nw : (y+1)*nw]
+	g.sc.trial = words[(y+1)*nw:]
 	return g
+}
+
+// set writes board i's owner and flips the board's bit in its row's
+// free-column set to match. Every owner write after NewGrid goes through
+// it.
+func (g *Grid) set(i int, o int32) {
+	g.owner[i] = o
+	bx := i % g.X
+	w, bit := &g.free[i/g.X][bx/64], uint64(1)<<(bx%64)
+	if o == Free {
+		*w |= bit
+	} else {
+		*w &^= bit
+	}
+}
+
+// CopyFrom makes g's boards a copy of src's, which must have g's
+// dimensions: the owners and the free-column sets. g's search scratch and
+// shape memo are kept, so a scheduler's shadow grid, refreshed from the
+// live grid for every projection, searches warm.
+func (g *Grid) CopyFrom(src *Grid) {
+	if g.X != src.X || g.Y != src.Y {
+		panic(fmt.Sprintf("alloc: copying a %dx%d grid onto a %dx%d one", src.X, src.Y, g.X, g.Y))
+	}
+	copy(g.owner, src.owner)
+	for by, s := range src.free {
+		copy(g.free[by], s)
+	}
 }
 
 // Owner returns the owner of board (bx, by).
@@ -66,13 +108,9 @@ func (g *Grid) Owner(bx, by int) int32 { return g.owner[by*g.X+bx] }
 // job (the caller decides whether to reschedule it).
 func (g *Grid) Fail(bx, by int) int32 {
 	prev := g.owner[by*g.X+bx]
-	g.owner[by*g.X+bx] = Failed
+	g.set(by*g.X+bx, Failed)
 	if prev >= 0 {
-		for i, o := range g.owner {
-			if o == prev {
-				g.owner[i] = Free
-			}
-		}
+		g.Release(prev)
 	}
 	return prev
 }
@@ -84,7 +122,7 @@ func (g *Grid) Repair(bx, by int) bool {
 	if g.owner[by*g.X+bx] != Failed {
 		return false
 	}
-	g.owner[by*g.X+bx] = Free
+	g.set(by*g.X+bx, Free)
 	return true
 }
 
@@ -92,7 +130,7 @@ func (g *Grid) Repair(bx, by int) bool {
 func (g *Grid) Release(job int32) {
 	for i, o := range g.owner {
 		if o == job {
-			g.owner[i] = Free
+			g.set(i, Free)
 		}
 	}
 }
@@ -102,7 +140,7 @@ func (g *Grid) Release(job int32) {
 func (g *Grid) Reset() {
 	for i, o := range g.owner {
 		if o >= 0 {
-			g.owner[i] = Free
+			g.set(i, Free)
 		}
 	}
 }
@@ -178,34 +216,10 @@ func (s colSet) appendIndices(out []int) []int {
 	return out
 }
 
-// availRows rebuilds, per row, the bitset of free columns in the grid's
-// search scratch. The sets stay valid until the next search call.
-func (g *Grid) availRows() []colSet {
-	sc := &g.sc
-	if sc.avail == nil {
-		nw := (g.X + 63) / 64
-		words := make(colSet, (g.Y+2)*nw)
-		sc.avail = make([]colSet, g.Y)
-		for by := range sc.avail {
-			sc.avail[by] = words[by*nw : (by+1)*nw : (by+1)*nw]
-		}
-		sc.inter = words[g.Y*nw : (g.Y+1)*nw : (g.Y+1)*nw]
-		sc.trial = words[(g.Y+1)*nw:]
-	}
-	for by, s := range sc.avail {
-		row := g.owner[by*g.X : (by+1)*g.X]
-		for wi := range s {
-			var w uint64
-			for i, o := range row[wi*64 : min(len(row), wi*64+64)] {
-				if o == Free {
-					w |= 1 << uint(i)
-				}
-			}
-			s[wi] = w
-		}
-	}
-	return sc.avail
-}
+// availRows returns, per row, the set of free columns. set keeps the sets
+// current, so a search reads them as they stand; searches must not write
+// them.
+func (g *Grid) availRows() []colSet { return g.free }
 
 // place finds a u×v placement with the greedy row-intersection strategy of
 // §IV-A: starting from each candidate row in turn, grow the selected set S
@@ -477,7 +491,7 @@ func (g *Grid) commit(p *Placement) {
 			if g.owner[r*g.X+c] != Free {
 				panic(fmt.Sprintf("alloc: committing non-free board (%d,%d)", c, r))
 			}
-			g.owner[r*g.X+c] = p.Job
+			g.set(r*g.X+c, p.Job)
 		}
 	}
 }

@@ -154,7 +154,7 @@ func TestLocalityReducesUpperTraffic(t *testing.T) {
 		g := NewGrid(64, 64)
 		rng := rand.New(rand.NewSource(3))
 		for i := 0; i < 600; i++ { // fragment with scattered 1x1 jobs
-			g.owner[rng.Intn(len(g.owner))] = 999
+			g.set(rng.Intn(len(g.owner)), 999)
 		}
 		opt := Options{Transpose: true, AspectRatio: true, Locality: locality}
 		var ps []*Placement

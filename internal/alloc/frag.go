@@ -1,13 +1,5 @@
 package alloc
 
-// Clone returns an independent copy of the grid (same dimensions and board
-// owners). Schedulers use clones as shadow grids for reservation
-// projections: future releases are replayed on the copy without touching
-// the live allocation state.
-func (g *Grid) Clone() *Grid {
-	return &Grid{X: g.X, Y: g.Y, owner: append([]int32(nil), g.owner...)}
-}
-
 // FreeBoards counts the boards that are neither failed nor owned.
 func (g *Grid) FreeBoards() int {
 	n := 0

@@ -18,7 +18,7 @@ func TestLargestPlaceableAndFragmentation(t *testing.T) {
 	for by := 0; by < 4; by++ {
 		for bx := 0; bx < 4; bx++ {
 			if (bx+by)%2 == 1 {
-				g.owner[by*g.X+bx] = 9 // an opaque owner
+				g.set(by*g.X+bx, 9) // an opaque owner
 			}
 		}
 	}
@@ -48,25 +48,27 @@ func TestLargestPlaceableAndFragmentation(t *testing.T) {
 	}
 }
 
-func TestCloneIsIndependent(t *testing.T) {
+func TestCopyFromIsIndependent(t *testing.T) {
 	g := NewGrid(3, 3)
 	if _, ok := g.Allocate(7, 2, 2, Options{}); !ok {
 		t.Fatal("2x2 should place on an empty 3x3 grid")
 	}
-	c := g.Clone()
-	if c.X != g.X || c.Y != g.Y || c.AllocatedBoards() != g.AllocatedBoards() {
-		t.Fatalf("clone mismatch: %dx%d alloc %d, want %dx%d alloc %d",
-			c.X, c.Y, c.AllocatedBoards(), g.X, g.Y, g.AllocatedBoards())
+	c := NewGrid(3, 3)
+	c.Fail(2, 2)
+	c.CopyFrom(g)
+	if c.AllocatedBoards() != g.AllocatedBoards() || c.WorkingBoards() != g.WorkingBoards() {
+		t.Fatalf("copy mismatch: alloc %d working %d, want alloc %d working %d",
+			c.AllocatedBoards(), c.WorkingBoards(), g.AllocatedBoards(), g.WorkingBoards())
 	}
 	c.Release(7)
 	if c.AllocatedBoards() != 0 {
-		t.Fatal("release on clone did not free its boards")
+		t.Fatal("release on the copy did not free its boards")
 	}
 	if g.AllocatedBoards() != 4 {
-		t.Fatal("release on clone mutated the original grid")
+		t.Fatal("release on the copy mutated the original grid")
 	}
-	// LargestPlaceable on the mutated clone sees the whole grid again.
+	// LargestPlaceable on the mutated copy sees the whole grid again.
 	if got := c.LargestPlaceable(); got != 9 {
-		t.Fatalf("cleared clone largest placeable %d, want 9", got)
+		t.Fatalf("cleared copy largest placeable %d, want 9", got)
 	}
 }

@@ -194,38 +194,62 @@ func randomOptions(rng *rand.Rand) Options {
 	}
 }
 
+// checkAvail fails the test when g's kept free-column sets differ from the
+// ones the reference rebuilds from the owners.
+func checkAvail(t *testing.T, g *Grid, where string) {
+	t.Helper()
+	want := refAvailRows(g)
+	for by, s := range g.availRows() {
+		if !slices.Equal(s, colSet(want[by])) {
+			t.Fatalf("%s: row %d free columns %b, reference %b", where, by, s, want[by])
+		}
+	}
+}
+
 // TestPlacementSearchMatchesReference runs random searches on random grid
 // states (free, failed and job-owned boards; 8 and 70 columns, so both
 // single- and multi-word column sets, and rows inside one GroupBoards
-// group and across five) and on clones of them, interleaved
-// with the mutations a scheduler makes, and checks that the scratch-reusing
-// PlaceCandidates, Allocate and FitsDims return the reference search's
-// placements in the reference order.
+// group and across five), on a fresh copy and on a reused shadow grid
+// refreshed by CopyFrom, interleaved with every mutation a scheduler makes
+// (Release, Fail, Repair, Reset, Shrink, Commit, CopyFrom), and checks that
+// the scratch-reusing PlaceCandidates, Allocate and FitsDims return the
+// reference search's placements in the reference order and that the kept
+// free-column sets equal the reference's after every mutation.
 func TestPlacementSearchMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	for trial := 0; trial < 60; trial++ {
 		x := []int{8, 70}[trial%2]
 		y := 1 + rng.Intn(20)
-		g := NewGrid(x, y)
+		g, shadow := NewGrid(x, y), NewGrid(x, y)
 		nextJob := int32(100)
+		var placed []*Placement // committed on g; Shrink picks from them
 		// A scheduler searches its grid under one policy's options; an
 		// occasional switch exercises the shape memo's restart.
 		gridOpt := randomOptions(rng)
 		for i := range g.owner {
 			switch r := rng.Float64(); {
 			case r < 0.1:
-				g.owner[i] = Failed
+				g.set(i, Failed)
 			case r < 0.1+0.5*rng.Float64():
-				g.owner[i] = int32(rng.Intn(5))
+				g.set(i, int32(rng.Intn(5)))
 			}
 		}
+		checkAvail(t, g, fmt.Sprintf("trial %d setup", trial))
 		for step := 0; step < 40; step++ {
-			// Searches on a clone exercise a grid whose scratch was never
-			// built alongside one whose scratch is warm.
+			where := fmt.Sprintf("trial %d step %d", trial, step)
+			// Searches on a fresh copy exercise a grid whose scratch was
+			// never used; on the shadow grid, scratch warmed on older
+			// states.
 			target := g
-			if rng.Intn(4) == 0 {
-				target = g.Clone()
+			switch rng.Intn(8) {
+			case 0:
+				target = NewGrid(x, y)
+				target.CopyFrom(g)
+			case 1:
+				shadow.CopyFrom(g)
+				target = shadow
 			}
+			checkAvail(t, target, where+" target")
 			u, v := 1+rng.Intn(y+2), 1+rng.Intn(min(x, 12)+2)
 			opt := gridOpt
 			if rng.Intn(8) == 0 {
@@ -234,43 +258,165 @@ func TestPlacementSearchMatchesReference(t *testing.T) {
 			got := target.PlaceCandidates(nextJob, u, v, opt)
 			want := refPlaceCandidates(target, nextJob, u, v, opt)
 			if err := samePlacements(got, want); err != nil {
-				t.Fatalf("trial %d step %d: PlaceCandidates(%d, %d, %+v) on %dx%d: %v", trial, step, u, v, opt, x, y, err)
+				t.Fatalf("%s: PlaceCandidates(%d, %d, %+v) on %dx%d: %v", where, u, v, opt, x, y, err)
 			}
 			if a, b := target.FitsDims(u, v, opt), refFitsDims(target, u, v, opt); a != b {
-				t.Fatalf("trial %d step %d: FitsDims(%d, %d, %+v) = %v, reference %v", trial, step, u, v, opt, a, b)
+				t.Fatalf("%s: FitsDims(%d, %d, %+v) = %v, reference %v", where, u, v, opt, a, b)
 			}
 			if !slices.Equal(target.shapesFor(u, v, opt), refShapes(u, v, opt)) {
-				t.Fatalf("trial %d step %d: memoized shapes %v, reference %v", trial, step, target.shapesFor(u, v, opt), refShapes(u, v, opt))
+				t.Fatalf("%s: memoized shapes %v, reference %v", where, target.shapesFor(u, v, opt), refShapes(u, v, opt))
 			}
 
 			// Allocate on twin grids; the committed boards must agree too.
-			twin := target.Clone()
+			twin := NewGrid(x, y)
+			twin.CopyFrom(target)
 			p, ok := target.Allocate(nextJob, u, v, opt)
 			rp, rok := refAllocate(twin, nextJob, u, v, opt)
 			if ok != rok {
-				t.Fatalf("trial %d step %d: Allocate(%d, %d, %+v) ok=%v, reference %v", trial, step, u, v, opt, ok, rok)
+				t.Fatalf("%s: Allocate(%d, %d, %+v) ok=%v, reference %v", where, u, v, opt, ok, rok)
 			}
 			if ok {
 				if err := samePlacements([]*Placement{p}, []*Placement{rp}); err != nil {
-					t.Fatalf("trial %d step %d: Allocate(%d, %d, %+v): %v", trial, step, u, v, opt, err)
+					t.Fatalf("%s: Allocate(%d, %d, %+v): %v", where, u, v, opt, err)
 				}
 			}
 			if !slices.Equal(target.owner, twin.owner) {
-				t.Fatalf("trial %d step %d: Allocate committed different boards than the reference", trial, step)
+				t.Fatalf("%s: Allocate committed different boards than the reference", where)
 			}
+			checkAvail(t, target, where+" Allocate")
 			if ok && target == g {
+				placed = append(placed, p)
 				nextJob++
 			}
 
-			// Mutate between searches so stale scratch would show.
-			switch rng.Intn(4) {
-			case 0:
+			// Mutate between searches so stale scratch or a stale free set
+			// would show.
+			switch op := rng.Intn(16); {
+			case op < 3:
 				g.Release(int32(rng.Intn(int(nextJob) + 1)))
-			case 1:
+			case op < 6:
 				g.Fail(rng.Intn(x), rng.Intn(y))
-			case 2:
+			case op < 8:
 				g.Repair(rng.Intn(x), rng.Intn(y))
+			case op < 9:
+				g.Reset()
+			case op < 12 && len(placed) > 0:
+				// Trim a committed placement to a random corner; a stale
+				// one (released, failed or reset since) is refused.
+				k := rng.Intn(len(placed))
+				p := placed[k]
+				if np, err := g.Shrink(p, p.Rows[:1+rng.Intn(p.U())], p.Cols[:1+rng.Intn(p.V())]); err == nil {
+					placed[k] = np
+				}
+			case op < 14:
+				if cands := g.PlaceCandidates(nextJob, 1+rng.Intn(3), 1+rng.Intn(3), gridOpt); len(cands) > 0 {
+					p := cands[rng.Intn(len(cands))]
+					if err := g.Commit(p); err != nil {
+						t.Fatalf("%s: Commit of a fresh candidate: %v", where, err)
+					}
+					placed = append(placed, p)
+					nextJob++
+				}
+			case op < 15:
+				// Copy back a diverged state: a job released on a copy.
+				src := NewGrid(x, y)
+				src.CopyFrom(g)
+				src.Release(int32(rng.Intn(int(nextJob) + 1)))
+				g.CopyFrom(src)
 			}
+			checkAvail(t, g, where+" mutation")
+		}
+	}
+}
+
+// strideSample returns at most max entries of xs, evenly strided,
+// always including the first and last entries.
+func strideSample(xs []int, max int) []int {
+	if len(xs) <= max {
+		return xs
+	}
+	out := make([]int, 0, max)
+	step := float64(len(xs)-1) / float64(max-1)
+	prev := -1
+	for i := 0; i < max; i++ {
+		idx := int(float64(i)*step + 0.5)
+		if idx == prev {
+			continue
+		}
+		prev = idx
+		out = append(out, xs[idx])
+	}
+	return out
+}
+
+// refUpperLayerAlltoall is the alltoall upper-layer fraction by
+// enumeration: every ordered pair of distinct boards of the stride-sampled
+// rows and columns (each reduced to its L1 group), counting one traversal
+// per dimension network the pair uses and a crossing where the pair's
+// coordinates in it lie in different groups.
+func refUpperLayerAlltoall(p *Placement, groupBoards int) float64 {
+	groups := func(xs []int) []int {
+		out := make([]int, len(xs))
+		for i, x := range xs {
+			out[i] = x / groupBoards
+		}
+		return out
+	}
+	rows, cols := groups(strideSample(p.Rows, 12)), groups(strideSample(p.Cols, 12))
+	crossings, traversals := 0, 0
+	for i, r1 := range rows {
+		for j, c1 := range cols {
+			for i2, r2 := range rows {
+				for j2, c2 := range cols {
+					switch {
+					case i == i2 && j == j2:
+						continue
+					case i == i2: // same physical row: row network only
+						traversals++
+						if c1 != c2 {
+							crossings++
+						}
+					case j == j2: // same column: column network only
+						traversals++
+						if r1 != r2 {
+							crossings++
+						}
+					default: // via intermediate board: one of each
+						traversals += 2
+						if c1 != c2 {
+							crossings++
+						}
+						if r1 != r2 {
+							crossings++
+						}
+					}
+				}
+			}
+		}
+	}
+	if traversals == 0 {
+		return 0
+	}
+	return float64(crossings) / float64(traversals)
+}
+
+// TestUpperLayerFractionMatchesEnumeration checks the closed-form alltoall
+// count against the pair enumeration, bit for bit, on random ascending
+// placements of up to 64 rows and columns (so the 12-entry stride sample
+// is taken) under L1 groups of 1 to 20 boards.
+func TestUpperLayerFractionMatchesEnumeration(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	ascending := func() []int {
+		n := 1 + rng.Intn(64)
+		xs := rng.Perm(n + rng.Intn(65))[:n]
+		slices.Sort(xs)
+		return xs
+	}
+	for i := 0; i < 20000; i++ {
+		p := &Placement{Job: 1, Rows: ascending(), Cols: ascending()}
+		group := 1 + rng.Intn(20)
+		if got, want := UpperLayerFraction(p, TrafficAlltoall, group), refUpperLayerAlltoall(p, group); got != want {
+			t.Fatalf("rows %v cols %v group %d: closed form %v, enumeration %v", p.Rows, p.Cols, group, got, want)
 		}
 	}
 }

@@ -37,7 +37,7 @@ func (g *Grid) Shrink(p *Placement, keepRows, keepCols []int) (*Placement, error
 	for _, r := range p.Rows {
 		for _, c := range p.Cols {
 			if !inRows[r] || !inCols[c] {
-				g.owner[r*g.X+c] = Free
+				g.set(r*g.X+c, Free)
 			}
 		}
 	}

@@ -20,45 +20,34 @@ const (
 // cross the upper level. Pairs on different rows and columns traverse two
 // dimension networks via an intermediate board (§IV-C2), contributing two
 // traversals.
+//
+// Alltoall counts the ordered board pairs of an evenly strided sample of
+// at most alltoallSample rows and as many columns, which preserves the
+// crossing fraction because the metric is an average over pairs. The
+// counts factor, so no pair is enumerated: with n_r sampled rows, n_c
+// sampled columns, and X_r and X_c their ordered pairs in different L1
+// groups, crossings = n_r²·X_c + n_c²·X_r and traversals =
+// n_r·n_c(n_c−1) + n_c·n_r(n_r−1) + 2·n_r(n_r−1)·n_c(n_c−1), the last
+// term for the pairs on different rows and columns.
 func UpperLayerFraction(p *Placement, kind TrafficKind, groupBoards int) float64 {
 	if groupBoards <= 0 {
 		groupBoards = GroupBoards
 	}
 	crossings, traversals := 0, 0
-	cross := func(a, b int) {
-		traversals++
-		if a/groupBoards != b/groupBoards {
-			crossings++
-		}
-	}
 	switch kind {
 	case TrafficAlltoall:
-		// Full enumeration is O((uv)²); for large jobs sample a stride of
-		// rows and columns, which preserves the crossing fraction because
-		// the metric is an average over pairs.
-		rows, cols := strideSample(p.Rows, 12), strideSample(p.Cols, 12)
-		for i, r1 := range rows {
-			for j, c1 := range cols {
-				for i2, r2 := range rows {
-					for j2, c2 := range cols {
-						if i == i2 && j == j2 {
-							continue
-						}
-						switch {
-						case i == i2: // same physical row: row network only
-							cross(c1, c2)
-						case j == j2: // same column: column network only
-							cross(r1, r2)
-						default: // via intermediate board: one of each
-							cross(c1, c2)
-							cross(r1, r2)
-						}
-					}
-				}
-			}
-		}
+		nr, xr := sampleGroupPairs(p.Rows, groupBoards)
+		nc, xc := sampleGroupPairs(p.Cols, groupBoards)
+		crossings = nr*nr*xc + nc*nc*xr
+		traversals = nr*nc*(nc-1) + nc*nr*(nr-1) + 2*nr*(nr-1)*nc*(nc-1)
 	case TrafficAllreduce:
 		u, v := p.U(), p.V()
+		cross := func(a, b int) {
+			traversals++
+			if a/groupBoards != b/groupBoards {
+				crossings++
+			}
+		}
 		for i := 0; i < u; i++ {
 			for j := 0; j < v; j++ {
 				// Virtual ring neighbors along both dimensions (wrapping).
@@ -71,6 +60,33 @@ func UpperLayerFraction(p *Placement, kind TrafficKind, groupBoards int) float64
 		return 0
 	}
 	return float64(crossings) / float64(traversals)
+}
+
+// alltoallSample caps the rows and the columns UpperLayerFraction samples
+// for alltoall traffic.
+const alltoallSample = 12
+
+// sampleGroupPairs returns the size n of the evenly strided sample of at
+// most alltoallSample entries of xs (the first and last always in; the
+// stride is at least 1, so no entry is sampled twice) and the number of
+// ordered pairs of sampled entries in different L1 groups, n² − Σ_g n_g².
+// xs ascends, so each group's entries form one run of the sample and one
+// pass counts the runs.
+func sampleGroupPairs(xs []int, groupBoards int) (n, pairs int) {
+	n, step := len(xs), 1.0
+	if n > alltoallSample {
+		n, step = alltoallSample, float64(len(xs)-1)/float64(alltoallSample-1)
+	}
+	group, run, sameGroup := 0, 0, 0
+	for i := 0; i < n; i++ {
+		if g := xs[int(float64(i)*step+0.5)] / groupBoards; run == 0 || g != group {
+			sameGroup += run * run
+			group, run = g, 0
+		}
+		run++
+	}
+	sameGroup += run * run
+	return n, n*n - sameGroup
 }
 
 // SystemUpperLayerFraction aggregates UpperLayerFraction over placements,
@@ -95,24 +111,4 @@ func weight(p *Placement, kind TrafficKind) int {
 		return n * (n - 1)
 	}
 	return 2 * n
-}
-
-// strideSample returns at most max entries of xs, evenly strided,
-// always including the first and last entries.
-func strideSample(xs []int, max int) []int {
-	if len(xs) <= max {
-		return xs
-	}
-	out := make([]int, 0, max)
-	step := float64(len(xs)-1) / float64(max-1)
-	prev := -1
-	for i := 0; i < max; i++ {
-		idx := int(float64(i)*step + 0.5)
-		if idx == prev {
-			continue
-		}
-		prev = idx
-		out = append(out, xs[idx])
-	}
-	return out
 }

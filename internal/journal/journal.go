@@ -23,10 +23,13 @@
 // out-of-sequence record); everything before it replays and the damaged
 // tail is truncated away, so a re-opened journal appends exactly where
 // the valid prefix ends. A file whose magic header is damaged holds no
-// trustworthy record and is recreated empty. The crash-injection hooks
-// (CrashPlan) drive a writer through each of those boundaries
-// deliberately, which is how the recovery path is tested — including from
-// the CLIs, where an injected crash is a real os.Exit mid-write.
+// trustworthy record and is recreated empty. A read error is not a crash
+// artifact: any error but the end of the file fails Open and leaves the
+// file as it was, since the records past it may be intact. The
+// crash-injection hooks (CrashPlan) drive a writer through each of those
+// boundaries deliberately, which is how the recovery path is tested —
+// including from the CLIs, where an injected crash is a real os.Exit
+// mid-write.
 //
 // A journal that grew past 8 MiB under segment rotation also holds a
 // second segment file, jseg-00000001.wal; Open refuses such a directory
@@ -151,7 +154,13 @@ func (l *Log) recover(dir string, fn func([]byte) error) error {
 	if err != nil {
 		return fmt.Errorf("journal: %w", err)
 	}
-	end, size, err := l.scan(f, fn)
+	fi, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return fmt.Errorf("journal: %w", err)
+	}
+	size := fi.Size()
+	end, err := l.scan(f, size, fn)
 	if err != nil {
 		f.Close()
 		return err
@@ -180,18 +189,22 @@ func (l *Log) noteTorn() {
 	}
 }
 
-// scan replays f's valid records from its start and returns the offset
-// where the valid prefix ends, or -1 when the magic header itself is
-// damaged, and the file's size.
-func (l *Log) scan(f *os.File, fn func([]byte) error) (end, size int64, err error) {
-	fi, err := f.Stat()
-	if err != nil {
-		return 0, 0, fmt.Errorf("journal: %w", err)
-	}
-	size = fi.Size()
+// scan replays the valid records of r, a journal file of size bytes read
+// from its start, and returns the offset where the valid prefix ends, or
+// -1 when the magic header itself is damaged. Only the end of the data
+// (io.EOF, io.ErrUnexpectedEOF) and a frame failing its length, CRC or
+// sequence check end the prefix; any other read error is returned, so the
+// caller fails without truncating records it could not read.
+func (l *Log) scan(r io.Reader, size int64, fn func([]byte) error) (end int64, err error) {
 	hdr := make([]byte, len(magic))
-	if _, err := io.ReadFull(f, hdr); err != nil || string(hdr) != magic {
-		return -1, size, nil
+	if _, err := io.ReadFull(r, hdr); err != nil {
+		if !isEOF(err) {
+			return 0, fmt.Errorf("journal: read header: %w", err)
+		}
+		return -1, nil
+	}
+	if string(hdr) != magic {
+		return -1, nil
 	}
 	offset := int64(len(magic))
 	var frame [frameHeader]byte
@@ -199,8 +212,11 @@ func (l *Log) scan(f *os.File, fn func([]byte) error) (end, size int64, err erro
 	for {
 		// A clean EOF ends the file; a partial frame header is a torn
 		// append.
-		if _, err := io.ReadFull(f, frame[:]); err != nil {
-			return offset, size, nil
+		if _, err := io.ReadFull(r, frame[:]); err != nil {
+			if !isEOF(err) {
+				return 0, fmt.Errorf("journal: read record %d: %w", l.stats.Records, err)
+			}
+			return offset, nil
 		}
 		length := binary.LittleEndian.Uint32(frame[0:4])
 		seq := binary.LittleEndian.Uint32(frame[4:8])
@@ -208,27 +224,30 @@ func (l *Log) scan(f *os.File, fn func([]byte) error) (end, size int64, err erro
 		// A length past the end of the file is a torn frame; checking it
 		// before allocating keeps a damaged length from sizing a buffer.
 		if length > MaxRecordBytes || int64(length) > size-offset-frameHeader {
-			return offset, size, nil
+			return offset, nil
 		}
 		if cap(payload) < int(length) {
 			payload = make([]byte, length)
 		}
 		payload = payload[:length]
-		if _, err := io.ReadFull(f, payload); err != nil {
-			return offset, size, nil
+		if _, err := io.ReadFull(r, payload); err != nil {
+			if !isEOF(err) {
+				return 0, fmt.Errorf("journal: read record %d: %w", l.stats.Records, err)
+			}
+			return offset, nil
 		}
 		if crc32.Update(crc32.Checksum(frame[4:8], castagnoli), castagnoli, payload) != sum {
-			return offset, size, nil
+			return offset, nil
 		}
 		// A checksummed record with the wrong sequence number means a
 		// hole (a boundary-aligned truncation earlier in the journal):
 		// the valid prefix ends before it.
 		if seq != uint32(l.stats.Records) {
-			return offset, size, nil
+			return offset, nil
 		}
 		if fn != nil {
 			if err := fn(payload); err != nil {
-				return 0, 0, err
+				return 0, err
 			}
 		}
 		l.stats.Records++
@@ -237,6 +256,12 @@ func (l *Log) scan(f *os.File, fn func([]byte) error) (end, size int64, err erro
 		}
 		offset += frameHeader + int64(length)
 	}
+}
+
+// isEOF reports whether a read error only means the data ran out: the
+// file ends there, which is a torn tail, not a failed read.
+func isEOF(err error) bool {
+	return errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF)
 }
 
 // create atomically creates the journal file at path with its header

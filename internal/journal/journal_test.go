@@ -2,7 +2,9 @@ package journal
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -199,6 +201,68 @@ func TestDamagedHeaderRecovers(t *testing.T) {
 	_, recs, st = collect(t, dir, Options{NoSync: true})
 	if len(recs) != 1 || !bytes.Equal(recs[0], rec(9)) || st.TornTail {
 		t.Fatalf("after header recovery: %d records, stats %+v", len(recs), st)
+	}
+}
+
+// failAfter reads r and fails with err once n bytes have been read.
+type failAfter struct {
+	r   io.Reader
+	n   int
+	err error
+}
+
+func (f *failAfter) Read(p []byte) (int, error) {
+	if f.n <= 0 {
+		return 0, f.err
+	}
+	k, err := f.r.Read(p[:min(len(p), f.n)])
+	f.n -= k
+	return k, err
+}
+
+// A read error during replay is not a torn tail: scan returns it, whether
+// it strikes in the magic header or inside a record's payload, instead of
+// ending the valid prefix there (which recovery would truncate or, for the
+// header, recreate empty). The same cut as the end of the data still is a
+// torn tail.
+func TestReadErrorIsNotTornTail(t *testing.T) {
+	dir := t.TempDir()
+	l, _, _ := collect(t, dir, Options{NoSync: true})
+	for i := 0; i < 3; i++ {
+		if err := l.Append(rec(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l.Close()
+	data, err := os.ReadFile(filepath.Join(dir, fileName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := int64(len(magic) + frameHeader + len(rec(0)))
+	injected := errors.New("injected read error")
+	for _, c := range []struct {
+		name    string
+		cut     int64 // bytes read before the error
+		replays int   // records delivered before it
+		tornEnd int64 // where an EOF at the same cut ends the prefix
+	}{
+		{"header", 4, 0, -1},
+		{"payload", first + frameHeader + 3, 1, first},
+	} {
+		var got int
+		count := func([]byte) error { got++; return nil }
+		r := &failAfter{r: bytes.NewReader(data), n: int(c.cut), err: injected}
+		end, err := (&Log{}).scan(r, int64(len(data)), count)
+		if !errors.Is(err, injected) || !strings.HasPrefix(err.Error(), "journal: ") {
+			t.Fatalf("%s: scan = %d, %v; want a journal: error wrapping the read error", c.name, end, err)
+		}
+		if got != c.replays {
+			t.Fatalf("%s: %d records replayed before the error, want %d", c.name, got, c.replays)
+		}
+		end, err = (&Log{}).scan(bytes.NewReader(data[:c.cut]), c.cut, nil)
+		if err != nil || end != c.tornEnd {
+			t.Fatalf("%s: EOF at the same cut: scan = %d, %v; want %d, nil", c.name, end, err, c.tornEnd)
+		}
 	}
 }
 

@@ -1,8 +1,9 @@
 package sched
 
 import (
+	"cmp"
 	"iter"
-	"sort"
+	"slices"
 
 	"hammingmesh/internal/alloc"
 	"hammingmesh/internal/workload"
@@ -197,23 +198,23 @@ func (s *sim) tryPreempt(idx int32, j *jobState, t float64) *alloc.Placement {
 	}
 	// Lowest priority first (the least important die first), then most
 	// boards (fewest victims freed), then index for determinism.
-	sort.Slice(vics, func(a, b int) bool {
-		ja, jb := &s.jobs[vics[a]], &s.jobs[vics[b]]
-		if ja.tj.Priority != jb.tj.Priority {
-			return ja.tj.Priority < jb.tj.Priority
+	slices.SortFunc(vics, func(a, b int32) int {
+		ja, jb := &s.jobs[a], &s.jobs[b]
+		if c := cmp.Compare(ja.tj.Priority, jb.tj.Priority); c != 0 {
+			return c
 		}
-		if na, nb := boards(ja.p), boards(jb.p); na != nb {
-			return na > nb
+		if c := cmp.Compare(boards(jb.p), boards(ja.p)); c != 0 {
+			return c
 		}
-		return vics[a] < vics[b]
+		return cmp.Compare(a, b)
 	})
-	shadow := s.grid.Clone()
+	s.shadow.CopyFrom(s.grid)
 	var p *alloc.Placement
 	prefix := 0
 	for _, v := range vics {
-		shadow.Release(v)
+		s.shadow.Release(v)
 		prefix++
-		if cand := s.findPlacement(shadow, idx, j.u, j.v); cand != nil {
+		if cand := s.findPlacement(s.shadow, idx, j.u, j.v); cand != nil {
 			p = cand
 			break
 		}

@@ -1,9 +1,11 @@
 package sched
 
 import (
+	"cmp"
 	"container/heap"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"hammingmesh/internal/alloc"
@@ -302,8 +304,12 @@ type jobState struct {
 
 // sim is one in-flight run.
 type sim struct {
-	cfg     Config
-	grid    *alloc.Grid
+	cfg  Config
+	grid *alloc.Grid
+	// shadow is the grid reservation and preemption projections replay
+	// releases on: CopyFrom refreshes it from grid for each projection,
+	// keeping its search scratch and shape memo warm.
+	shadow  *alloc.Grid
 	jobs    []jobState
 	queue   []int32 // job indices, scan order
 	events  eventHeap
@@ -359,8 +365,8 @@ func Run(x, y int, trace []TraceJob, failures []FailEvent, cfg Config) (*Metrics
 	if _, err := ParsePolicy(string(cfg.Policy)); err != nil {
 		return nil, err
 	}
-	s := &sim{cfg: cfg, grid: alloc.NewGrid(x, y), opts: policyOptions(cfg.Policy),
-		resJob: -1, lastDefragT: math.Inf(-1)}
+	s := &sim{cfg: cfg, grid: alloc.NewGrid(x, y), shadow: alloc.NewGrid(x, y),
+		opts: policyOptions(cfg.Policy), resJob: -1, lastDefragT: math.Inf(-1)}
 	if tr := cfg.Trace; tr != nil {
 		tr.SetProcessName(tracePidSched, "sched")
 		tr.SetThreadName(tracePidSched, traceTidCluster, "cluster")
@@ -618,16 +624,16 @@ func (s *sim) reserve(now float64, idx int32, j *jobState) {
 	if len(rels) == 0 {
 		return // nothing will free up; no projection exists
 	}
-	sort.Slice(rels, func(a, b int) bool {
-		if rels[a].t != rels[b].t {
-			return rels[a].t < rels[b].t
+	slices.SortFunc(rels, func(a, b release) int {
+		if c := cmp.Compare(a.t, b.t); c != 0 {
+			return c
 		}
-		return rels[a].idx < rels[b].idx
+		return cmp.Compare(a.idx, b.idx)
 	})
-	shadow := s.grid.Clone()
+	s.shadow.CopyFrom(s.grid)
 	for _, r := range rels {
-		shadow.Release(r.idx)
-		p := s.findPlacement(shadow, idx, j.u, j.v)
+		s.shadow.Release(r.idx)
+		p := s.findPlacement(s.shadow, idx, j.u, j.v)
 		if p == nil {
 			continue
 		}
@@ -846,12 +852,11 @@ func (s *sim) defrag(t, frag float64, running []int32) {
 	s.lastDefragT = t
 	s.met.Defrags++
 	s.emitInstant(traceTidCluster, "defrag", t)
-	sort.Slice(running, func(a, b int) bool {
-		ja, jb := &s.jobs[running[a]], &s.jobs[running[b]]
-		if ja.tj.Boards != jb.tj.Boards {
-			return ja.tj.Boards > jb.tj.Boards
+	slices.SortFunc(running, func(a, b int32) int {
+		if c := cmp.Compare(s.jobs[b].tj.Boards, s.jobs[a].tj.Boards); c != 0 {
+			return c
 		}
-		return running[a] < running[b]
+		return cmp.Compare(a, b)
 	})
 	for _, idx := range running {
 		j := &s.jobs[idx]

@@ -26,7 +26,9 @@
 #                        cold (solves/op) vs shared-model memoized (%memo),
 #                        and joint-shared-2: two sims pricing on one model
 #   PlaceCandidates/*    alloc's placement search on half-occupied 8x8 and
-#                        32x32 grids under each sched policy's options
+#                        32x32 grids under each sched policy's options, and
+#                        a churn case per size that releases and re-commits
+#                        one job between searches (the owner setter's cost)
 #
 # Usage:
 #   tools/bench.sh [out.json]
