@@ -20,6 +20,12 @@
 // per-stage latencies, so response bodies stay byte-identical across
 // cache hits and fresh computations. On SIGINT/SIGTERM the daemon drains
 // gracefully: in-flight requests complete, new ones are refused.
+//
+// With -journal-dir every computed result is appended to a crash-safe
+// journal, and a restart over the same directory loads the journaled
+// results back into the cache before it listens, printing
+// "hxd journal: N results rewarmed". A request whose computation a crash
+// cut short is not re-run; its client gets no response and retries.
 package main
 
 import (
@@ -51,7 +57,7 @@ func main() {
 	queueLen := flag.Int("queue", serve.DefaultQueueLen, "bound on requests waiting to compute; beyond it requests get 429")
 	drainWait := flag.Duration("drain-wait", 30*time.Second, "graceful-shutdown deadline for in-flight requests")
 	pprofFlag := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
-	journalDir := flag.String("journal-dir", "", "durable job journal directory: accepted requests and results survive a crash; on restart results rewarm the cache and unserved requests re-run")
+	journalDir := flag.String("journal-dir", "", "durable job journal directory: computed results survive a crash and rewarm the cache on restart")
 	journalCrash := flag.String("journal-crash", "", "crash-injection plan <point>:<n> — die mid-write at that journal boundary (testing; see internal/journal)")
 	flag.Parse()
 
@@ -87,8 +93,7 @@ func main() {
 		os.Exit(1)
 	}
 	if *journalDir != "" {
-		fmt.Printf("hxd journal: %d results rewarmed, %d pending requests replaying\n",
-			s.ReplayedResults, s.ReplayedPending)
+		fmt.Printf("hxd journal: %d results rewarmed\n", s.ReplayedResults)
 	}
 
 	ln, err := net.Listen("tcp", *addr)

@@ -7,6 +7,7 @@ import (
 	"os"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 )
 
@@ -218,12 +219,12 @@ func (r *Recorder) WriteJSON(w io.Writer) error {
 		for _, pid := range pids {
 			sep()
 			fmt.Fprintf(bw, `{"name":"process_name","ph":"M","pid":%d,"tid":0,"args":{"name":%s}}`,
-				pid, strconv.Quote(procs[pid]))
+				pid, jstr(procs[pid]))
 		}
 		for _, k := range tkeys {
 			sep()
 			fmt.Fprintf(bw, `{"name":"thread_name","ph":"M","pid":%d,"tid":%d,"args":{"name":%s}}`,
-				int32(k>>32), int32(uint32(k)), strconv.Quote(threads[k]))
+				int32(k>>32), int32(uint32(k)), jstr(threads[k]))
 		}
 	}
 	for _, e := range r.Events() {
@@ -231,17 +232,17 @@ func (r *Recorder) WriteJSON(w io.Writer) error {
 		switch e.Ph {
 		case PhaseSpan:
 			fmt.Fprintf(bw, `{"name":%s,%s"ph":"X","pid":%d,"tid":%d,"ts":%s,"dur":%s}`,
-				strconv.Quote(e.Name), catField(e.Cat), e.Pid, e.Tid, jnum(e.TS), jnum(e.Dur))
+				jstr(e.Name), catField(e.Cat), e.Pid, e.Tid, jnum(e.TS), jnum(e.Dur))
 		case PhaseInstant:
 			fmt.Fprintf(bw, `{"name":%s,%s"ph":"i","s":"t","pid":%d,"tid":%d,"ts":%s}`,
-				strconv.Quote(e.Name), catField(e.Cat), e.Pid, e.Tid, jnum(e.TS))
+				jstr(e.Name), catField(e.Cat), e.Pid, e.Tid, jnum(e.TS))
 		case PhaseCounter:
 			arg := e.ArgName
 			if arg == "" {
 				arg = "value"
 			}
 			fmt.Fprintf(bw, `{"name":%s,"ph":"C","pid":%d,"tid":%d,"ts":%s,"args":{%s:%s}}`,
-				strconv.Quote(e.Name), e.Pid, e.Tid, jnum(e.TS), strconv.Quote(arg), jnum(e.Arg))
+				jstr(e.Name), e.Pid, e.Tid, jnum(e.TS), jstr(arg), jnum(e.Arg))
 		}
 	}
 	bw.WriteString("\n]}\n")
@@ -252,7 +253,30 @@ func catField(cat string) string {
 	if cat == "" {
 		return ""
 	}
-	return `"cat":` + strconv.Quote(cat) + `,`
+	return `"cat":` + jstr(cat) + `,`
+}
+
+// jstr quotes s as a JSON string without HTML escaping: invalid UTF-8
+// becomes U+FFFD, '"' and '\' are backslash-escaped, control characters
+// become \u00XX, and every other byte is written as is. On printable ASCII
+// this is strconv.Quote's output, whose Go escapes (\a, \x7f, \xff) JSON
+// rejects.
+func jstr(s string) string {
+	const hex = "0123456789abcdef"
+	s = strings.ToValidUTF8(s, "\uFFFD")
+	b := make([]byte, 0, len(s)+2)
+	b = append(b, '"')
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c == '"' || c == '\\':
+			b = append(b, '\\', c)
+		case c < 0x20:
+			b = append(b, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xf])
+		default:
+			b = append(b, c)
+		}
+	}
+	return string(append(b, '"'))
 }
 
 // jnum formats a float as a JSON number (no exponent surprises for the

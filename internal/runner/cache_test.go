@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"hammingmesh/internal/core"
+	"hammingmesh/internal/obs"
 )
 
 // The bounded cluster cache must never let its cached entries exceed the
@@ -30,9 +31,7 @@ func TestClusterCacheBudgetChurn(t *testing.T) {
 	}
 
 	// A budget around one warmed tiny cluster forces churn: the four
-	// topologies cannot all stay cached. (Sizes are only swept under a
-	// budget, so set an effectively unbounded one to measure.)
-	pool.SetClusterBudget(1 << 40)
+	// topologies cannot all stay cached.
 	_, bytes, _ := pool.CacheStats()
 	budget := bytes / int64(len(names))
 	if budget <= 0 {
@@ -76,12 +75,25 @@ func TestClusterCacheBudgetChurn(t *testing.T) {
 }
 
 // Without a budget the cache keeps every cluster (the CLI sweep behavior):
-// repeated access returns the same instance and never evicts.
+// repeated access returns the same instance and never evicts. Its bytes
+// are measured all the same: after a warm, CacheStats reports the
+// cluster's MemoryBytes, and a hit adds that amount to the hit-bytes
+// counter.
 func TestClusterCacheUnboundedDefault(t *testing.T) {
 	pool := New(1)
+	reg := obs.NewRegistry()
+	pool.EnableObs(reg)
 	a, err := pool.Cluster("hx2mesh", core.Tiny)
 	if err != nil {
 		t.Fatal(err)
+	}
+	cold := a.MemoryBytes()
+	if _, err := pool.AlltoallFlowShare(a, a.FlowConfig(7), 2, 7); err != nil {
+		t.Fatal(err)
+	}
+	warm := a.MemoryBytes()
+	if warm <= cold {
+		t.Fatalf("warming the routing table left the cluster at %d bytes (cold %d)", warm, cold)
 	}
 	b, err := pool.Cluster("hx2mesh", core.Tiny)
 	if err != nil {
@@ -90,9 +102,11 @@ func TestClusterCacheUnboundedDefault(t *testing.T) {
 	if a != b {
 		t.Fatal("unbounded cache rebuilt a cached cluster")
 	}
-	if entries, bytes, evictions := pool.CacheStats(); entries != 1 || evictions != 0 || bytes != 0 {
-		// bytes stays 0 unbounded: accounting only runs under a budget.
-		t.Fatalf("stats = (%d entries, %d bytes, %d evictions), want (1, 0, 0)",
-			entries, bytes, evictions)
+	if entries, bytes, evictions := pool.CacheStats(); entries != 1 || evictions != 0 || bytes != warm {
+		t.Fatalf("stats = (%d entries, %d bytes, %d evictions), want (1, %d, 0)",
+			entries, bytes, evictions, warm)
+	}
+	if got := reg.Counter("runner_cluster_cache_hit_bytes_total", "", "").Value(); got != warm {
+		t.Fatalf("hit bytes = %d, want the warm cluster's %d", got, warm)
 	}
 }

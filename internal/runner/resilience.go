@@ -126,11 +126,22 @@ func (p *Pool) ResilienceSweepJournaled(ctx context.Context, c *core.Cluster, cf
 	if trials <= 0 {
 		trials = 1
 	}
-	if c.Comp.NumEndpoints() < 2 {
-		return nil, fmt.Errorf("runner: need ≥2 endpoints")
-	}
 	if boards > 0 && c.Hx == nil {
 		return nil, fmt.Errorf("runner: board faults need an HxMesh-family cluster, got %s", c.Net.Meta.Family)
+	}
+	baseBuilder := func(tr int) *faults.Builder {
+		b := faults.NewBuilder(c.Comp)
+		if boards > 0 {
+			b.SampleFailedBoards(c.Hx, boards, JobSeed(seed, tr))
+		}
+		return b
+	}
+	// Every board holds as many endpoints as any other, so each trial's
+	// board failures leave the same number alive; link failures never
+	// isolate a live endpoint.
+	if alive := len(baseBuilder(0).Build().SurvivingEndpoints()); alive < 2 {
+		return nil, fmt.Errorf("runner: need ≥2 endpoints, %d of %d survive %d failed boards",
+			alive, c.Comp.NumEndpoints(), boards)
 	}
 	maxFrac := 0.0
 	for _, f := range fracs {
@@ -142,13 +153,6 @@ func (p *Pool) ResilienceSweepJournaled(ctx context.Context, c *core.Cluster, cf
 
 	// Round 1: one job per trial validates the nested failure sequence at
 	// the highest fraction (the expensive per-cable connectivity BFS).
-	baseBuilder := func(tr int) *faults.Builder {
-		b := faults.NewBuilder(c.Comp)
-		if boards > 0 {
-			b.SampleFailedBoards(c.Hx, boards, JobSeed(seed, tr))
-		}
-		return b
-	}
 	seqJobs := make([]Job, trials)
 	for tr := 0; tr < trials; tr++ {
 		tr := tr

@@ -1,6 +1,7 @@
 package runner
 
 import (
+	"strings"
 	"testing"
 
 	"hammingmesh/internal/netsim"
@@ -82,5 +83,27 @@ func TestResilienceSweepMonotone(t *testing.T) {
 	}
 	if diff := pts[0].Share - want; diff > 1e-12 || diff < -1e-12 {
 		t.Fatalf("zero-fault sweep share %.15f != pristine %.15f", pts[0].Share, want)
+	}
+}
+
+// A sweep whose board failures leave fewer than two endpoints alive has
+// nothing to simulate: it returns an error naming the survivors instead of
+// sampling shifts among zero endpoints inside a pool job. One surviving
+// board is still a sweep.
+func TestResilienceSweepNoSurvivors(t *testing.T) {
+	pool := New(2)
+	c, err := pool.Cluster("hx2mesh", "tiny")
+	if err != nil {
+		t.Fatal(err)
+	}
+	boards := c.Hx.Cfg.X * c.Hx.Cfg.Y
+	for _, n := range []int{boards, boards + 5} {
+		pts, err := pool.ResilienceSweep(c, netsim.DefaultConfig(), 32<<10, []float64{0, 0.1}, 2, 2, 1, n)
+		if err == nil || !strings.Contains(err.Error(), "0 of 64 survive") {
+			t.Fatalf("%d of %d boards failed: points %v, err %v; want the survivor-count error", n, boards, pts, err)
+		}
+	}
+	if _, err := pool.ResilienceSweep(c, netsim.DefaultConfig(), 32<<10, []float64{0}, 1, 1, 1, boards-1); err != nil {
+		t.Fatalf("one surviving board: %v", err)
 	}
 }

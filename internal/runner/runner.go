@@ -162,15 +162,12 @@ func (p *Pool) SetClusterBudget(bytes int64) {
 }
 
 // CacheStats reports the cluster cache occupancy: cached entries, their
-// estimated resident bytes (as of the last accounting sweep), and the
+// estimated resident bytes (measured now, budget or not), and the
 // cumulative eviction count.
 func (p *Pool) CacheStats() (entries int, bytes int64, evictions int64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for e := p.lru.Front(); e != nil; e = e.Next() {
-		bytes += e.Value.(*clusterSlot).size
-	}
-	return p.lru.Len(), bytes, p.evicted
+	return p.lru.Len(), p.sizeLocked(), p.evicted
 }
 
 // Cluster returns the cached cluster for (name, size), building it on
@@ -189,11 +186,10 @@ func (p *Pool) Cluster(name string, size core.ClusterSize) (*core.Cluster, error
 		p.lru.MoveToFront(slot.elem)
 	}
 	hit := ok && slot.built && slot.err == nil
-	hitBytes := slot.size
 	p.mu.Unlock()
 	if hit && p.obsReg != nil {
 		p.cacheHits.Inc()
-		p.cacheHitBytes.Add(hitBytes)
+		p.cacheHitBytes.Add(slot.c.MemoryBytes())
 	}
 	slot.once.Do(func() { slot.c, slot.err = core.NewByName(name, size) })
 	p.mu.Lock()
@@ -205,13 +201,9 @@ func (p *Pool) Cluster(name string, size core.ClusterSize) (*core.Cluster, error
 	return slot.c, slot.err
 }
 
-// accountLocked re-estimates every built cached cluster's size and evicts
-// from the LRU tail until the cached total fits the budget. Caller holds
-// p.mu; with no budget set it is a no-op.
-func (p *Pool) accountLocked() {
-	if p.budget <= 0 {
-		return
-	}
+// sizeLocked re-estimates every built cached cluster's size (routing
+// tables warm lazily) and returns the cached total. Caller holds p.mu.
+func (p *Pool) sizeLocked() int64 {
 	total := int64(0)
 	for e := p.lru.Front(); e != nil; e = e.Next() {
 		s := e.Value.(*clusterSlot)
@@ -220,6 +212,16 @@ func (p *Pool) accountLocked() {
 		}
 		total += s.size
 	}
+	return total
+}
+
+// accountLocked evicts from the LRU tail until the cached total fits the
+// budget. Caller holds p.mu; with no budget set it is a no-op.
+func (p *Pool) accountLocked() {
+	if p.budget <= 0 {
+		return
+	}
+	total := p.sizeLocked()
 	for total > p.budget && p.lru.Len() > 0 {
 		s := p.lru.Remove(p.lru.Back()).(*clusterSlot)
 		s.elem = nil

@@ -6,6 +6,7 @@ import (
 
 	"hammingmesh/internal/core"
 	"hammingmesh/internal/netsim"
+	"hammingmesh/internal/obs"
 )
 
 // TestRunDeterministicAcrossWorkerCounts checks that job results depend
@@ -40,15 +41,19 @@ func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
 }
 
 // TestClusterCacheShared checks that concurrent jobs share one cluster
-// build per (name, size).
+// build per (name, size). With obs on, each hit and each CacheStats call
+// sizes the shared cluster while the other jobs build or hit it.
 func TestClusterCacheShared(t *testing.T) {
 	p := New(4)
+	p.EnableObs(obs.NewRegistry())
 	jobs := make([]Job, 8)
 	for i := range jobs {
 		jobs[i] = Job{
 			Name: fmt.Sprintf("c%d", i),
 			Run: func(ctx *Ctx) (any, error) {
-				return p.Cluster("hx2mesh", core.Tiny)
+				c, err := p.Cluster("hx2mesh", core.Tiny)
+				p.CacheStats()
+				return c, err
 			},
 		}
 	}

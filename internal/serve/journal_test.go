@@ -14,15 +14,44 @@ import (
 	"hammingmesh/internal/journal"
 )
 
-// A journaled daemon restart rewarms the result cache: a request computed
-// before the restart is served as a cache hit afterwards, byte-identical,
+// journalRecords reads every record of the job journal in dir, in append
+// order.
+func journalRecords(t *testing.T, dir string) [][]byte {
+	t.Helper()
+	var recs [][]byte
+	log, _, err := journal.Open(dir, journal.Options{NoSync: true}, func(rec []byte) error {
+		recs = append(recs, append([]byte(nil), rec...))
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return recs
+}
+
+// mustKey is the content address of r.
+func mustKey(t *testing.T, r Request) string {
+	t.Helper()
+	cn, err := Canonicalize(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cn.Key()
+}
+
+// A miss appends exactly one journal record, its result, and a journaled
+// daemon restart loads it into the result cache: the request computed
+// before the restart is served as a byte-identical hit afterwards,
 // without recomputing.
 func TestServeJournalRestartRewarmsCache(t *testing.T) {
 	dir := t.TempDir()
 	var computations atomic.Int64
 	compute := func(cn *Canon) ([]byte, error) {
 		computations.Add(1)
-		return cn.CanonicalJSON(), nil
+		return canonicalJSON(cn), nil
 	}
 	cfg := Config{Compute: compute, JournalDir: dir, JournalOptions: journal.Options{NoSync: true}}
 
@@ -36,12 +65,23 @@ func TestServeJournalRestartRewarmsCache(t *testing.T) {
 	ts1.Close()
 	s1.Close()
 
+	recs := journalRecords(t, dir)
+	if len(recs) != 1 || recs[0][0] != jrecResult {
+		t.Fatalf("journal after one miss holds %d records, want exactly its result", len(recs))
+	}
+	key, body, err := journal.DecodeKeyed(recs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := mustKey(t, Request{Kind: KindAllreduce, Topo: "hx2mesh", Size: "tiny"}); key != want || !bytes.Equal(body, body1) {
+		t.Fatalf("journaled result %.12s… %s, want %.12s… %s", key, body, want, body1)
+	}
+
 	// Restart: a fresh server over the same journal directory.
 	s2 := mustNew(t, cfg)
 	defer s2.Close()
-	if s2.ReplayedResults != 1 || s2.ReplayedPending != 0 {
-		t.Fatalf("restart replayed %d results / %d pending, want 1/0",
-			s2.ReplayedResults, s2.ReplayedPending)
+	if s2.ReplayedResults != 1 {
+		t.Fatalf("restart rewarmed %d results, want 1", s2.ReplayedResults)
 	}
 	ts2 := httptest.NewServer(s2)
 	defer ts2.Close()
@@ -57,92 +97,74 @@ func TestServeJournalRestartRewarmsCache(t *testing.T) {
 	}
 }
 
-// An accept record with no journaled result — the on-disk state a daemon
-// killed mid-computation leaves — is re-run through the compute slot on
-// restart: no accepted request is lost.
-func TestServeJournalReplaysUnservedAccepts(t *testing.T) {
+// A journal written when accepted requests were journaled too holds 'A'
+// records (the canonical request JSON) next to the results. It opens, its
+// results load into the cache, and none of its accepts runs: the restart
+// computes nothing until a request arrives, and an accepted request that
+// never got its result is computed only when a client asks again.
+func TestServeJournalSkipsAcceptRecords(t *testing.T) {
 	dir := t.TempDir()
 	o := journal.Options{NoSync: true}
+	served := Request{Kind: KindAllreduce, Topo: "hx2mesh", Size: "tiny"}
+	lost := Request{Kind: KindAllreduce, Topo: "hx2mesh", Size: "tiny", Bytes: 1 << 20}
 
-	// Forge the crash artifact: two accepted requests, one computed result.
-	cnServed, err := Canonicalize(Request{Kind: KindAllreduce, Topo: "hx2mesh", Size: "tiny"})
+	// The state such a daemon killed mid-computation left: two accepted
+	// requests, one computed result.
+	log, _, err := journal.Open(dir, o, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cnLost, err := Canonicalize(Request{Kind: KindAllreduce, Topo: "hx2mesh", Size: "tiny", Bytes: 1 << 20})
-	if err != nil {
+	for _, r := range []Request{served, lost} {
+		cn, err := Canonicalize(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := log.Append(append([]byte{jrecAccept}, canonicalJSON(cn)...)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := log.Append(journal.AppendKeyed(nil, jrecResult, mustKey(t, served), []byte(`{"served":true}`))); err != nil {
 		t.Fatal(err)
 	}
-	jj, pending, results, err := openJobJournal(dir, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pending) != 0 || len(results) != 0 {
-		t.Fatalf("fresh journal not empty: %d pending, %d results", len(pending), len(results))
-	}
-	if err := jj.accept(cnServed); err != nil {
-		t.Fatal(err)
-	}
-	if err := jj.accept(cnLost); err != nil {
-		t.Fatal(err)
-	}
-	if err := jj.result(cnServed.Key(), []byte(`{"served":true}`)); err != nil {
-		t.Fatal(err)
-	}
-	if err := jj.close(); err != nil {
+	if err := log.Close(); err != nil {
 		t.Fatal(err)
 	}
 
 	var computed atomic.Int64
-	var lastKey atomic.Value
 	s := mustNew(t, Config{
 		Compute: func(cn *Canon) ([]byte, error) {
 			computed.Add(1)
-			lastKey.Store(cn.Key())
-			return cn.CanonicalJSON(), nil
+			return canonicalJSON(cn), nil
 		},
 		JournalDir: dir, JournalOptions: o,
 	})
-	defer s.Close()
-	if s.ReplayedResults != 1 || s.ReplayedPending != 1 {
-		t.Fatalf("restart replayed %d results / %d pending, want 1/1",
-			s.ReplayedResults, s.ReplayedPending)
+	if s.ReplayedResults != 1 {
+		t.Fatalf("restart rewarmed %d results, want 1", s.ReplayedResults)
 	}
-	s.WaitReplay()
-	if n := computed.Load(); n != 1 {
-		t.Fatalf("replay ran %d computations, want exactly the lost request", n)
-	}
-	if got := lastKey.Load().(string); got != cnLost.Key() {
-		t.Fatalf("replay computed key %.12s…, want the unserved request %.12s…", got, cnLost.Key())
-	}
-
-	// Both requests now serve from the cache — the journaled result and the
-	// replayed one.
 	ts := httptest.NewServer(s)
 	defer ts.Close()
-	for _, req := range []string{
-		`{"kind":"allreduce","topo":"hx2mesh","size":"tiny"}`,
-		`{"kind":"allreduce","topo":"hx2mesh","size":"tiny","bytes":1048576}`,
-	} {
-		code, _, cache := post(t, ts.URL, req)
-		if code != http.StatusOK || cache != "hit" {
-			t.Fatalf("request %s: status %d cache %q, want hit", req, code, cache)
-		}
+	code, body, cache := post(t, ts.URL, `{"kind":"allreduce","topo":"hx2mesh","size":"tiny"}`)
+	if code != http.StatusOK || cache != "hit" || string(body) != `{"served":true}` {
+		t.Fatalf("journaled request: status %d cache %q body %s, want the journaled hit", code, cache, body)
 	}
-	if n := computed.Load(); n != 1 {
-		t.Fatalf("cache misses after replay: %d computations", n)
+	if n := computed.Load(); n != 0 {
+		t.Fatalf("restart ran %d computations before the unserved request was asked again", n)
 	}
-
-	// A third restart over the now-complete journal has nothing pending.
+	code, _, cache = post(t, ts.URL, `{"kind":"allreduce","topo":"hx2mesh","size":"tiny","bytes":1048576}`)
+	if code != http.StatusOK || cache != "miss" {
+		t.Fatalf("unserved request asked again: status %d cache %q, want a fresh miss", code, cache)
+	}
+	// Close would wait for any background work; there must be none.
 	s.Close()
-	s2 := mustNew(t, Config{Compute: func(cn *Canon) ([]byte, error) {
-		t.Error("complete journal still recomputed")
-		return cn.CanonicalJSON(), nil
-	}, JournalDir: dir, JournalOptions: o})
-	defer s2.Close()
-	if s2.ReplayedResults != 2 || s2.ReplayedPending != 0 {
-		t.Fatalf("final restart replayed %d results / %d pending, want 2/0",
-			s2.ReplayedResults, s2.ReplayedPending)
+	if n := computed.Load(); n != 1 {
+		t.Fatalf("%d computations, want only the one the retry asked for", n)
+	}
+	recs := journalRecords(t, dir)
+	if len(recs) != 4 || recs[3][0] != jrecResult {
+		t.Fatalf("journal holds %d records, want the 3 old ones plus one result", len(recs))
+	}
+	if key, _, _ := journal.DecodeKeyed(recs[3]); key != mustKey(t, lost) {
+		t.Fatalf("appended result %.12s…, want the retried request's", key)
 	}
 }
 
@@ -154,7 +176,7 @@ func TestServeCloseDrainsAdmittedRequests(t *testing.T) {
 	o := journal.Options{NoSync: true}
 	release := make(chan struct{})
 	s := mustNew(t, Config{
-		Compute:  func(cn *Canon) ([]byte, error) { <-release; return cn.CanonicalJSON(), nil },
+		Compute:  func(cn *Canon) ([]byte, error) { <-release; return canonicalJSON(cn), nil },
 		QueueLen: 2, JournalDir: dir, JournalOptions: o,
 	})
 	ts := httptest.NewServer(s)
@@ -207,15 +229,19 @@ func TestServeCloseDrainsAdmittedRequests(t *testing.T) {
 
 	// The journal was sealed by Close, so every result found in it was
 	// appended before Close returned.
-	_, pending, results, err := openJobJournal(dir, o)
-	if err != nil {
-		t.Fatal(err)
+	journaled := make(map[string]bool)
+	for _, rec := range journalRecords(t, dir) {
+		key, _, err := journal.DecodeKeyed(rec)
+		if rec[0] != jrecResult || err != nil {
+			t.Fatalf("journal record of type %q (%v), want only results", rec[0], err)
+		}
+		journaled[key] = true
 	}
-	if len(pending) != 0 || len(results) != n {
-		t.Fatalf("journal after Close: %d pending, %d results, want 0 and %d", len(pending), len(results), n)
+	if len(journaled) != n {
+		t.Fatalf("journal after Close holds %d results, want %d", len(journaled), n)
 	}
 	for i := 0; i < n; i++ {
-		if key := <-keys; results[key] == nil {
+		if key := <-keys; !journaled[key] {
 			t.Fatalf("result of %.12s… missing from the journal", key)
 		}
 	}

@@ -9,11 +9,14 @@
 // byte-accounted LRU result cache, concurrent identical requests coalesce
 // onto one in-flight computation, and distinct requests compute one at a
 // time on the shared runner pool, behind a bounded queue whose overflow is
-// rejected (backpressure).
+// rejected (backpressure). With a job journal (Config.JournalDir) every
+// computed result is also appended to a crash-safe journal.Log, and a
+// restarted daemon loads the journaled results back into the cache; a
+// request whose computation a crash cut short is not re-run, and its
+// client retries it.
 package serve
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"hammingmesh/internal/core"
@@ -145,17 +148,7 @@ type Canon struct {
 	UpperPenalty float64   `json:"upper_penalty"`
 }
 
-// CanonicalJSON is the canonical byte form: one JSON object, keys in
-// sorted order, inert fields zeroed, defaults explicit.
-func (c *Canon) CanonicalJSON() []byte {
-	b, err := json.Marshal(c)
-	if err != nil {
-		panic(fmt.Sprintf("serve: canonical marshal: %v", err)) // fixed struct, cannot fail
-	}
-	return b
-}
-
-// Key is the content address: the hex SHA-256 of the canonical JSON
+// Key is the content address: the hex SHA-256 of the Canon's JSON
 // (journal.KeyOf, the address the checkpoint layers share).
 func (c *Canon) Key() string { return journal.KeyOf(c) }
 

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"hammingmesh/internal/journal"
 	"hammingmesh/internal/runner"
 )
 
@@ -140,7 +141,7 @@ func TestServeCoalescesConcurrentIdentical(t *testing.T) {
 	s := mustNew(t, Config{Compute: func(cn *Canon) ([]byte, error) {
 		computations.Add(1)
 		<-release
-		return cn.CanonicalJSON(), nil
+		return canonicalJSON(cn), nil
 	}})
 	defer s.Close()
 	ts := httptest.NewServer(s)
@@ -206,7 +207,7 @@ func TestServeCoalescesConcurrentIdentical(t *testing.T) {
 func TestServeEvictionNeverServesWrongResult(t *testing.T) {
 	// Deterministic stand-in for the pool: the body IS the canonical
 	// config, so correctness is checkable against a fresh Canonicalize.
-	compute := func(cn *Canon) ([]byte, error) { return cn.CanonicalJSON(), nil }
+	compute := func(cn *Canon) ([]byte, error) { return canonicalJSON(cn), nil }
 	reqAt := func(seed int) (string, []byte) {
 		r := Request{Kind: KindAlltoallFlow, Topo: "hx2mesh", Size: "tiny", Seed: int64(seed)}
 		cn, err := Canonicalize(r)
@@ -214,7 +215,7 @@ func TestServeEvictionNeverServesWrongResult(t *testing.T) {
 			t.Fatalf("canonicalize: %v", err)
 		}
 		return fmt.Sprintf(`{"kind":"alltoall_flow","topo":"hx2mesh","size":"tiny","seed":%d}`, seed),
-			cn.CanonicalJSON()
+			canonicalJSON(cn)
 	}
 	_, sample := reqAt(1)
 	budget := 2*entrySize(strings.Repeat("k", 64), sample) + entrySize("", nil)/2 // room for two entries
@@ -260,7 +261,7 @@ func TestServeEvictionNeverServesWrongResult(t *testing.T) {
 func TestServeBackpressureAndBadRequests(t *testing.T) {
 	release := make(chan struct{})
 	s := mustNew(t, Config{
-		Compute:  func(cn *Canon) ([]byte, error) { <-release; return cn.CanonicalJSON(), nil },
+		Compute:  func(cn *Canon) ([]byte, error) { <-release; return canonicalJSON(cn), nil },
 		QueueLen: 1,
 	})
 	ts := httptest.NewServer(s)
@@ -333,7 +334,7 @@ func TestServeBackpressureAndBadRequests(t *testing.T) {
 // buffers it, even when it would decode to a valid request, and the
 // daemon keeps serving normal requests afterwards.
 func TestServeRejectsOversizedBody(t *testing.T) {
-	s := mustNew(t, Config{Compute: func(cn *Canon) ([]byte, error) { return cn.CanonicalJSON(), nil }})
+	s := mustNew(t, Config{Compute: func(cn *Canon) ([]byte, error) { return canonicalJSON(cn), nil }})
 	defer s.Close()
 	ts := httptest.NewServer(s)
 	defer ts.Close()
@@ -350,5 +351,28 @@ func TestServeRejectsOversizedBody(t *testing.T) {
 	s.Metrics().Render(&m)
 	if want := `hxd_requests_total{kind="unknown",status="bad_request"} 1`; !strings.Contains(m.String(), want) {
 		t.Fatalf("metrics lack %s:\n%s", want, m.String())
+	}
+}
+
+// A resilience sweep with every board failed leaves no endpoint to
+// simulate: the request answers 500 with the survivor count, the daemon
+// keeps serving, and the journal records only the result that was
+// computed.
+func TestServeResilienceNoSurvivorsAnswers500(t *testing.T) {
+	dir := t.TempDir()
+	s := mustNew(t, Config{Pool: runner.New(2), JournalDir: dir, JournalOptions: journal.Options{NoSync: true}})
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+
+	code, body, _ := post(t, ts.URL, `{"kind":"resilience","topo":"hx2mesh","size":"tiny","fail_boards":16}`)
+	if code != http.StatusInternalServerError || !strings.Contains(string(body), "0 of 64 survive 16 failed boards") {
+		t.Fatalf("all boards failed: status %d body %s, want 500 naming the survivors", code, body)
+	}
+	if code, body, cache := post(t, ts.URL, `{"kind":"allreduce","topo":"hx2mesh","size":"tiny"}`); code != http.StatusOK || cache != "miss" {
+		t.Fatalf("next request: status %d cache %q body %s, want a computed 200", code, cache, body)
+	}
+	s.Close()
+	if recs := journalRecords(t, dir); len(recs) != 1 {
+		t.Fatalf("journal holds %d records, want only the computed result", len(recs))
 	}
 }

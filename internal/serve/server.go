@@ -51,10 +51,10 @@ type Config struct {
 	// Pprof mounts net/http/pprof handlers under /debug/pprof/ when set.
 	Pprof bool
 	// JournalDir enables the durable job journal (cmd/hxd -journal-dir):
-	// accepted requests and computed results are appended to a crash-safe
-	// journal there, and on restart the result cache is rewarmed from
-	// journaled results while accepted-but-unserved requests are re-run
-	// through the compute slot. Empty disables journaling entirely.
+	// every computed result is appended to a crash-safe journal there, and
+	// on restart the journaled results are loaded back into the result
+	// cache. A request whose computation a crash cut short is not re-run;
+	// its client retries it. Empty disables journaling entirely.
 	JournalDir string
 	// JournalOptions tunes the journal (tests: NoSync and crash plans).
 	// Its Obs field is overridden with the server registry.
@@ -97,12 +97,11 @@ type Server struct {
 	// Close; it is incremented under mu.
 	active sync.WaitGroup
 
-	journal  *jobJournal // nil: journaling off
-	replayWG sync.WaitGroup
-	// ReplayedResults and ReplayedPending report what the journal restart
-	// recovery did: results rewarmed into the cache and accepted requests
-	// re-run through the compute slot. Zero without a journal.
-	ReplayedResults, ReplayedPending int
+	journal *journal.Log // nil: journaling off
+	// ReplayedResults is the number of journaled results the restart
+	// loaded into the result cache (the entries it holds after the
+	// replay). Zero without a journal.
+	ReplayedResults int
 
 	hits, misses, coalesced, rejected, computations, errored *obs.Counter
 	journalErrors                                            *obs.Counter
@@ -111,9 +110,7 @@ type Server struct {
 
 // New builds a Server. Call Close to drain it. With Config.JournalDir set
 // it also opens (and if needed recovers) the durable job journal before
-// serving: journaled results rewarm the cache synchronously, and
-// accepted-but-unserved requests replay through the compute slot in the
-// background (WaitReplay blocks until they finish).
+// serving and loads every journaled result into the cache.
 func New(cfg Config) (*Server, error) {
 	if cfg.CacheBytes <= 0 {
 		cfg.CacheBytes = DefaultCacheBytes
@@ -148,50 +145,21 @@ func New(cfg Config) (*Server, error) {
 		journalErrors: reg.Counter("hxd_journal_errors_total", "", "job-journal appends that failed"),
 	}
 
-	var pendingReplay map[string]*Canon
 	if cfg.JournalDir != "" {
 		o := cfg.JournalOptions
 		o.Obs = reg
-		jj, pending, results, err := openJobJournal(cfg.JournalDir, o)
+		log, _, err := journal.Open(cfg.JournalDir, o, s.rewarm)
 		if err != nil {
 			return nil, fmt.Errorf("serve: open job journal: %w", err)
 		}
-		s.journal = jj
-		for key, body := range results {
-			s.cache.Put(key, body)
-		}
-		s.ReplayedResults = len(results)
-		s.ReplayedPending = len(pending)
-		pendingReplay = pending
-		reg.Counter("hxd_journal_results_rewarmed_total", "", "journaled results loaded into the cache at startup").Add(int64(len(results)))
-		reg.Counter("hxd_journal_pending_replayed_total", "", "accepted-but-unserved requests re-run at startup").Add(int64(len(pending)))
+		s.journal = log
+		s.ReplayedResults, _, _, _, _ = s.cache.Stats()
+		reg.Counter("hxd_journal_results_rewarmed_total", "", "journaled results loaded into the cache at startup").Add(int64(s.ReplayedResults))
 	}
 	latBuckets := []float64{0.0005, 0.002, 0.01, 0.05, 0.2, 1, 5, 20}
 	s.queueHist = reg.Histogram("hxd_stage_seconds", `stage="queue"`, "per-stage request latency", latBuckets)
 	s.computeHist = reg.Histogram("hxd_stage_seconds", `stage="compute"`, "per-stage request latency", latBuckets)
 	s.totalHist = reg.Histogram("hxd_stage_seconds", `stage="total"`, "per-stage request latency", latBuckets)
-
-	if len(pendingReplay) > 0 {
-		// Re-run accepted-but-unserved requests through the compute slot,
-		// sequentially (each waits for an admission token, so replay never
-		// trips the queue's backpressure) and in sorted key order
-		// (deterministic recovery). The daemon serves normally meanwhile.
-		s.replayWG.Add(1)
-		go func() {
-			defer s.replayWG.Done()
-			for _, key := range sortedKeys(pendingReplay) {
-				var cl call
-				s.admit <- struct{}{}
-				s.run(pendingReplay[key], &cl)
-				if cl.err != nil {
-					s.errored.Inc()
-					continue
-				}
-				s.cache.Put(key, cl.body)
-				s.journalResult(key, cl.body)
-			}
-		}()
-	}
 
 	reg.GaugeFunc("hxd_queue_depth", "", "admitted requests waiting for the compute slot", func() float64 {
 		return float64(max(len(s.admit)-len(s.slot), 0))
@@ -244,47 +212,51 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// WaitReplay blocks until the journal restart recovery finished re-running
-// accepted-but-unserved requests (immediately without a journal).
-func (s *Server) WaitReplay() { s.replayWG.Wait() }
+// Job-journal records; the first byte is the type. A result record is
+// 'R' | u32 key length | key | result body (journal.AppendKeyed). Journals
+// written before results were the only record also hold 'A' records, one
+// canonical request JSON per accepted request; replay skips them.
+const (
+	jrecAccept = 'A'
+	jrecResult = 'R'
+)
 
-// run computes cn into cl once the compute slot is free, timing the wait
-// for the slot and the computation. The caller holds an admission token;
-// run returns it.
-func (s *Server) run(cn *Canon, cl *call) {
-	queued := time.Now()
-	s.slot <- struct{}{}
-	began := time.Now()
-	cl.body, cl.err = s.compute(cn)
-	cl.queueNs, cl.computeNs = began.Sub(queued).Nanoseconds(), time.Since(began).Nanoseconds()
-	<-s.slot
-	<-s.admit
-}
-
-// journalResult appends a computed result to the job journal (no-op
-// without one). A failed append only degrades durability — the response
-// is already correct — so it is counted, not propagated.
-func (s *Server) journalResult(key string, body []byte) {
-	if err := s.journal.result(key, body); err != nil {
-		s.journalErrors.Inc()
+// rewarm replays one job-journal record into the result cache, in append
+// order, so the most recently computed results are the last to be evicted
+// when the journal holds more than the cache budget.
+func (s *Server) rewarm(rec []byte) error {
+	if len(rec) == 0 {
+		return fmt.Errorf("serve: empty journal record")
 	}
+	switch rec[0] {
+	case jrecAccept:
+		return nil
+	case jrecResult:
+		key, body, err := journal.DecodeKeyed(rec)
+		if err != nil {
+			return fmt.Errorf("serve: journal result record: %w", err)
+		}
+		s.cache.Put(key, body)
+		return nil
+	}
+	return fmt.Errorf("serve: unknown journal record type %q", rec[0])
 }
 
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// Close waits for the journal replay and every admitted request to
-// finish, then seals the job journal. The graceful-shutdown order in
-// cmd/hxd is http.Server.Shutdown first — no new requests — then Close.
-// Safe to call more than once.
+// Close waits for every admitted request to finish, then seals the job
+// journal. The graceful-shutdown order in cmd/hxd is http.Server.Shutdown
+// first — no new requests — then Close. Safe to call more than once.
 func (s *Server) Close() {
-	s.replayWG.Wait()
 	// Taking mu orders the active.Add of every request registered so far
 	// before the Wait.
 	s.mu.Lock()
 	s.mu.Unlock()
 	s.active.Wait()
-	s.journal.close()
+	if s.journal != nil {
+		s.journal.Close()
+	}
 }
 
 // Metrics exposes the registry (examples, tests).
@@ -376,16 +348,15 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, cn.Kind, http.StatusTooManyRequests, errQueueFull)
 		return
 	}
-	// The request is accepted: make it durable before the (possibly long)
-	// computation, so a daemon killed mid-computation re-runs it on
-	// restart. The response itself is synchronous, so a failed append only
-	// loses durability for work the client has not been promised yet.
-	if s.journal != nil {
-		if err := s.journal.accept(cn); err != nil {
-			s.journalErrors.Inc()
-		}
-	}
-	s.run(cn, cl)
+	// Admitted: wait for the compute slot, compute, and give back the slot
+	// and the admission token, timing the wait and the computation.
+	queued := time.Now()
+	s.slot <- struct{}{}
+	began := time.Now()
+	cl.body, cl.err = s.compute(cn)
+	cl.queueNs, cl.computeNs = began.Sub(queued).Nanoseconds(), time.Since(began).Nanoseconds()
+	<-s.slot
+	<-s.admit
 	s.computations.Inc()
 	s.queueHist.Observe(float64(cl.queueNs) / 1e9)
 	s.computeHist.Observe(float64(cl.computeNs) / 1e9)
@@ -394,8 +365,10 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 		// arriving in between finds the cached body instead of starting
 		// a duplicate computation.
 		s.cache.Put(key, cl.body)
-		if s.journal != nil {
-			s.journalResult(key, cl.body)
+		// A failed append only degrades durability (the response is
+		// already correct), so it is counted, not propagated.
+		if s.journal != nil && s.journal.Append(journal.AppendKeyed(nil, jrecResult, key, cl.body)) != nil {
+			s.journalErrors.Inc()
 		}
 	}
 	close(cl.done)

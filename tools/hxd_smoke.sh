@@ -5,9 +5,10 @@
 # same experiment twice and require the second response to be a
 # byte-identical cache hit, scrape /metrics — including the pool/engine
 # series the unified obs registry adds — curl a pprof endpoint, validate
-# an hxsim -trace flight recording as JSON, SIGTERM and require a
-# graceful exit, then kill -9 a fresh daemon and require the restart to
-# replay its journal (rewarmed cache, first request already a hit).
+# an hxsim -trace flight recording as JSON, require a request that fails
+# to compute to answer 500 while /healthz still answers, SIGTERM and
+# require a graceful exit, then kill -9 a fresh daemon and require the
+# restart to reload its journaled results (first request already a hit).
 #
 # Usage:
 #   tools/hxd_smoke.sh
@@ -99,6 +100,13 @@ go build -o "$workdir/hxsim" ./cmd/hxsim
 python3 -mjson.tool "$workdir/trace.json" >/dev/null || { echo "hxsim -trace wrote invalid JSON"; exit 1; }
 grep -q '"ph":"X"' "$workdir/trace.json" || { echo "trace has no spans"; exit 1; }
 
+echo "== a resilience sweep with every board failed answers 500, and the daemon keeps serving"
+req='{"kind":"resilience","topo":"hx2mesh","size":"tiny","fail_boards":16}'
+post r-nosurvivors
+grep -qi '^HTTP/.* 500' "$workdir/r-nosurvivors.hdr" || {
+  echo "no-survivor request did not answer 500:"; cat "$workdir/r-nosurvivors.hdr" "$workdir/r-nosurvivors.body"; exit 1; }
+cat "$workdir/r-nosurvivors.body"
+
 echo "== /healthz"
 curl -sSf "$base/healthz"
 
@@ -108,7 +116,7 @@ wait "$hxd_pid" || { echo "hxd exited non-zero after SIGTERM"; cat "$workdir/std
 hxd_pid=""
 grep -q 'drained, bye' "$workdir/stdout.log" || { echo "no drain message"; cat "$workdir/stdout.log"; exit 1; }
 
-echo "== kill -9 -> restart -> journal replay"
+echo "== kill -9 -> restart -> journaled results rewarm the cache"
 # A daemon that dies with no drain and no cleanup must come back with
 # every journaled result rewarmed: the two computed above survive, and
 # the very first request after the restart is already a cache hit.
@@ -117,8 +125,8 @@ kill -9 "$hxd_pid"
 wait "$hxd_pid" 2>/dev/null || true
 hxd_pid=""
 start_hxd "$workdir/stdout3.log" -journal-dir "$workdir/journal"
-grep -q '^hxd journal: 2 results rewarmed, 0 pending requests replaying$' "$workdir/stdout3.log" || {
-  echo "restart did not replay the journal:"; cat "$workdir/stdout3.log"; exit 1; }
+grep -q '^hxd journal: 2 results rewarmed$' "$workdir/stdout3.log" || {
+  echo "restart did not rewarm the journaled results:"; cat "$workdir/stdout3.log"; exit 1; }
 req='{"kind":"allreduce","topo":"hx2mesh","size":"tiny"}'
 post r4
 grep -qi '^x-hxd-cache: hit' "$workdir/r4.hdr" || {
