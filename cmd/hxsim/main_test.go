@@ -1,8 +1,10 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -48,6 +50,23 @@ func TestHxsimSmoke(t *testing.T) {
 		cmdtest.MustContain(t, out, "bad "+bad[0])
 		if strings.Contains(strings.TrimSpace(out), "\n") {
 			t.Fatalf("%v: want a one-line error, got:\n%s", bad, out)
+		}
+	}
+}
+
+// A permutation or resilience sweep with every board failed has no
+// endpoint to simulate: hxsim exits 1 with the survivor count as the one
+// line on stderr.
+func TestHxsimNoSurvivors(t *testing.T) {
+	bin := cmdtest.Build(t)
+	for _, pattern := range []string{"permutation", "resilience"} {
+		cmd := exec.Command(bin, "-topo", "hx2mesh", "-size", "tiny", "-pattern", pattern, "-fail-boards", "16")
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		out, err := cmd.Output()
+		msg := strings.TrimSuffix(stderr.String(), "\n")
+		if cmd.ProcessState.ExitCode() != 1 || strings.Contains(msg, "\n") || !strings.Contains(msg, "need ≥2 endpoints, 0 of 64 survive") {
+			t.Fatalf("%s with every board failed: %v, stderr %q, stdout:\n%s\nwant exit 1 and one survivor-count line", pattern, err, stderr.String(), out)
 		}
 	}
 }

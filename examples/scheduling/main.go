@@ -65,8 +65,13 @@ func main() {
 		MTBFs:        []float64{0, 120, 40, 12},
 		CheckpointsH: []float64{2},
 		Policies:     []sched.Policy{sched.FirstFit, sched.BestFit, sched.FragAware},
-		Trials:       4,
-		Seed:         42,
+		// A sweep states every axis: this one keeps reservations, bursts,
+		// defragmentation, contention pricing, elastic jobs and preemption
+		// off.
+		Reservations: []bool{false}, BurstRates: []float64{0}, DefragThresholds: []float64{0},
+		Interferences: []bool{false}, Elastics: []bool{false}, Preempts: []bool{false},
+		Trials: 4,
+		Seed:   42,
 	})
 	if err != nil {
 		log.Fatal(err)

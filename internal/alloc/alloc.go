@@ -25,7 +25,7 @@ import (
 // placement search reads the sets without rebuilding them.
 //
 // A Grid is not safe for concurrent use, and that includes the read-only
-// searches (PlaceCandidates, FitsDims, LargestPlaceable): every search
+// searches (PlaceCandidates, Pick, FitsDims, LargestPlaceable): every search
 // works in the grid's own scratch. Concurrent searches need their own
 // grids; no caller in this module shares one.
 type Grid struct {
@@ -363,7 +363,8 @@ func (e *ErrNeverFits) Error() string {
 // shape of a u×v job under the options, in shape-preference order. The grid
 // is not modified; callers score the candidates with their own policy and
 // commit the winner with Commit. Candidates overlap (they draw from the
-// same free boards), so at most one may be committed.
+// same free boards), so at most one may be committed. Pick chooses among
+// the same candidates as Allocate does.
 func (g *Grid) PlaceCandidates(job int32, u, v int, opt Options) []*Placement {
 	if job < 0 {
 		panic(fmt.Sprintf("alloc: invalid job id %d", job))
@@ -411,37 +412,41 @@ func (g *Grid) FitsDims(u, v int, opt Options) bool {
 	return false
 }
 
-// Allocate places a u×v job, applying the enabled heuristics, and commits
-// the first (or, with Locality, best-scoring) placement. It returns false
-// when no shape fits.
-func (g *Grid) Allocate(job int32, u, v int, opt Options) (*Placement, bool) {
+// Pick returns, uncommitted, the placement of a u×v job that the enabled
+// heuristics choose: the first feasible shape's, or with Locality the
+// candidate with the lowest upper-layer alltoall fraction, where a tie
+// keeps the earlier shape. The grid is not modified; commit the result
+// with Commit. It returns false when no shape fits.
+func (g *Grid) Pick(job int32, u, v int, opt Options) (*Placement, bool) {
 	if job < 0 {
 		panic(fmt.Sprintf("alloc: invalid job id %d", job))
 	}
-	if !opt.Locality {
-		// First feasible shape wins: stop searching at the first fit
-		// instead of enumerating every candidate.
-		avail := g.availRows()
-		for _, s := range g.shapesFor(u, v, opt) {
-			if p, ok := g.placeShape(avail, job, s[0], s[1]); ok {
-				g.commit(p)
-				return p, true
-			}
+	avail := g.availRows()
+	var best *Placement
+	bestScore := 0.0
+	for _, s := range g.shapesFor(u, v, opt) {
+		p, ok := g.placeShape(avail, job, s[0], s[1])
+		if !ok {
+			continue
 		}
-		return nil, false
-	}
-	cands := g.PlaceCandidates(job, u, v, opt)
-	if len(cands) == 0 {
-		return nil, false
-	}
-	best, bestScore := cands[0], UpperLayerFraction(cands[0], TrafficAlltoall, GroupBoards)
-	for _, p := range cands[1:] {
-		if score := UpperLayerFraction(p, TrafficAlltoall, GroupBoards); score < bestScore {
+		if !opt.Locality {
+			return p, true // first feasible shape wins
+		}
+		if score := UpperLayerFraction(p, TrafficAlltoall, GroupBoards); best == nil || score < bestScore {
 			best, bestScore = p, score
 		}
 	}
-	g.commit(best)
-	return best, true
+	return best, best != nil
+}
+
+// Allocate commits the placement Pick chooses. It returns false when no
+// shape fits.
+func (g *Grid) Allocate(job int32, u, v int, opt Options) (*Placement, bool) {
+	p, ok := g.Pick(job, u, v, opt)
+	if ok {
+		g.commit(p)
+	}
+	return p, ok
 }
 
 // Commit marks a candidate placement's boards as owned, with a typed error

@@ -7,9 +7,10 @@ import (
 )
 
 // BenchmarkPlaceCandidates times the placement search a scheduler runs for
-// every queued job: PlaceCandidates for a spread of job shapes on a
-// half-occupied grid, under each sched policy's heuristics (firstfit: none;
-// fragaware: transpose and aspect ratio; bestfit: those plus locality).
+// every queued job: PlaceCandidates (whose shape loop Pick runs for
+// firstfit and bestfit) for a spread of job shapes on a half-occupied
+// grid, under each sched policy's heuristics (firstfit: none; fragaware:
+// transpose and aspect ratio; bestfit: those plus locality).
 // Those cases search a static grid; the churn case releases one job and
 // commits its placement again before each round of firstfit searches, as
 // a scheduler's completions and starts do, so it also times the owner

@@ -206,6 +206,49 @@ func checkAvail(t *testing.T, g *Grid, where string) {
 	}
 }
 
+// searchOptions are the heuristic settings programs search under: the
+// Fig. 8 stacks' (greedy, +transpose, +aspect ratio, +locality; the sort
+// stack only reorders jobs) and the sched policies' (firstfit: none;
+// fragaware: transpose + aspect ratio; bestfit: all).
+var searchOptions = []Options{{}, {Transpose: true}, {Transpose: true, AspectRatio: true}, DefaultOptions()}
+
+// checkPick fails the test unless Pick leaves g's owners and free-column
+// sets as they were and returns the placement Allocate then commits on a
+// copy of g.
+func checkPick(t *testing.T, g *Grid, job int32, u, v int, opt Options, where string) {
+	t.Helper()
+	owners, free := slices.Clone(g.owner), refAvailRows(g)
+	p, ok := g.Pick(job, u, v, opt)
+	if !slices.Equal(g.owner, owners) {
+		t.Fatalf("%s: Pick(%d, %d, %+v) wrote owners", where, u, v, opt)
+	}
+	for by, s := range g.availRows() {
+		if !slices.Equal(s, colSet(free[by])) {
+			t.Fatalf("%s: Pick(%d, %d, %+v) changed row %d's free columns", where, u, v, opt, by)
+		}
+	}
+	twin := NewGrid(g.X, g.Y)
+	twin.CopyFrom(g)
+	ap, aok := twin.Allocate(job, u, v, opt)
+	if ok != aok {
+		t.Fatalf("%s: Pick(%d, %d, %+v) ok=%v, Allocate %v", where, u, v, opt, ok, aok)
+	}
+	if !ok {
+		return
+	}
+	if err := samePlacements([]*Placement{p}, []*Placement{ap}); err != nil {
+		t.Fatalf("%s: Pick(%d, %d, %+v) against Allocate: %v", where, u, v, opt, err)
+	}
+	for _, r := range p.Rows {
+		for _, c := range p.Cols {
+			owners[r*g.X+c] = job
+		}
+	}
+	if !slices.Equal(twin.owner, owners) {
+		t.Fatalf("%s: Allocate(%d, %d, %+v) committed other boards than Pick's", where, u, v, opt)
+	}
+}
+
 // TestPlacementSearchMatchesReference runs random searches on random grid
 // states (free, failed and job-owned boards; 8 and 70 columns, so both
 // single- and multi-word column sets, and rows inside one GroupBoards
@@ -214,7 +257,9 @@ func checkAvail(t *testing.T, g *Grid, where string) {
 // (Release, Fail, Repair, Reset, Shrink, Commit, CopyFrom), and checks that
 // the scratch-reusing PlaceCandidates, Allocate and FitsDims return the
 // reference search's placements in the reference order and that the kept
-// free-column sets equal the reference's after every mutation.
+// free-column sets equal the reference's after every mutation. Under every
+// option set of searchOptions, Pick must leave the grid as it was and
+// return the placement Allocate commits.
 func TestPlacementSearchMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	for trial := 0; trial < 60; trial++ {
@@ -265,6 +310,10 @@ func TestPlacementSearchMatchesReference(t *testing.T) {
 			}
 			if !slices.Equal(target.shapesFor(u, v, opt), refShapes(u, v, opt)) {
 				t.Fatalf("%s: memoized shapes %v, reference %v", where, target.shapesFor(u, v, opt), refShapes(u, v, opt))
+			}
+
+			for _, o := range searchOptions {
+				checkPick(t, target, nextJob, u, v, o, where)
 			}
 
 			// Allocate on twin grids; the committed boards must agree too.

@@ -136,8 +136,12 @@ func (p *Pool) AlltoallFlowShare(c *core.Cluster, cfg flowsim.Config, nShifts in
 // concatenated per-endpoint receive bandwidths (the Fig. 12 distribution
 // with more samples). Permutations and engine seeds derive only from the
 // explicit seed/cfg arguments (job index included), so the distribution is
-// identical for any worker count and any pool base seed.
+// identical for any worker count and any pool base seed. A degraded view
+// with fewer than two surviving endpoints is refused before simulating.
 func (p *Pool) PermutationSweepGBps(c *core.Cluster, cfg netsim.Config, bytes int64, nPerms int, seed int64) ([]float64, error) {
+	if alive := len(c.AliveEndpoints()); alive < 2 {
+		return nil, fmt.Errorf("runner: need ≥2 endpoints, %d of %d survive", alive, c.Comp.NumEndpoints())
+	}
 	if nPerms <= 0 {
 		nPerms = 1
 	}

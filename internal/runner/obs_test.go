@@ -83,8 +83,10 @@ func TestSchedSweepObs(t *testing.T) {
 		MTBFs:        []float64{0},
 		CheckpointsH: []float64{0},
 		Policies:     []sched.Policy{sched.FirstFit},
-		Trials:       1,
-		Seed:         3,
+		Reservations: []bool{false}, BurstRates: []float64{0}, DefragThresholds: []float64{0},
+		Interferences: []bool{false}, Elastics: []bool{false}, Preempts: []bool{false},
+		Trials: 1,
+		Seed:   3,
 	})
 	if err != nil {
 		t.Fatalf("sweep: %v", err)

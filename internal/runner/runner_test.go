@@ -2,6 +2,7 @@ package runner
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"hammingmesh/internal/core"
@@ -116,6 +117,31 @@ func TestPermutationSweep(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("sample %d differs across worker counts", i)
+		}
+	}
+}
+
+// A permutation on a view whose failed boards leave fewer than two
+// endpoints alive is refused with the survivor count before any packet
+// simulation; one surviving board still measures.
+func TestPermutationSweepNoSurvivors(t *testing.T) {
+	pool := New(2)
+	c, err := pool.Cluster("hx2mesh", core.Tiny)
+	if err != nil {
+		t.Fatal(err)
+	}
+	boards := c.Hx.Cfg.X * c.Hx.Cfg.Y
+	for _, n := range []int{boards, boards - 1} {
+		fs, err := c.SampleFaults(0, n, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bws, err := pool.PermutationSweepGBps(c.WithFaults(fs), netsim.DefaultConfig(), 32<<10, 2, 1)
+		if n == boards && (err == nil || !strings.Contains(err.Error(), "need ≥2 endpoints, 0 of 64 survive")) {
+			t.Fatalf("every board failed: %d samples, err %v; want the survivor-count error", len(bws), err)
+		}
+		if n < boards && (err != nil || len(bws) != 2*len(fs.SurvivingEndpoints())) {
+			t.Fatalf("one surviving board: %d samples, err %v", len(bws), err)
 		}
 	}
 }

@@ -14,8 +14,8 @@ import (
 )
 
 // SchedSweepConfig describes a scheduler sweep: one trace-driven cluster
-// simulation per (policy, checkpoint interval, MTBF, trial), all on the
-// same board grid.
+// simulation per point of its axes and trial, all on the same board grid.
+// Every axis is required: a sweep with an empty one is refused.
 type SchedSweepConfig struct {
 	// Trace parameterizes the synthetic trace; each trial draws its own
 	// trace from a deterministic per-trial seed.
@@ -24,11 +24,15 @@ type SchedSweepConfig struct {
 	// trial replays this exact trace (e.g. one loaded with
 	// sched.LoadTrace) and trials differ only in their failure draws.
 	FixedTrace []sched.TraceJob
-	// Base is the scheduler config template; Policy and CheckpointH are
-	// overridden per point. Base.HorizonH must be finite and positive. A nil
-	// Base.Slowdown defaults to the communication model for the
-	// cluster's board type, shared (with its shape cache) across all
-	// jobs of the sweep.
+	// Base is the scheduler config template. Its per-point fields (Policy,
+	// CheckpointH, Reservation, DefragThreshold, Elastic, Preempt) are
+	// never read: the axes below set them for each point. Base.HorizonH
+	// must be finite and positive. A nil Base.Slowdown defaults to the
+	// communication model for the cluster's board type, and
+	// Base.Interference is only the contention model the
+	// interference-on points share (nil: one derived from the cluster's
+	// board dimensions); each model, with its caches, is shared across
+	// all jobs of the sweep.
 	Base sched.Config
 	// MTBFs are the per-board mean-time-between-failure values in hours;
 	// 0 means no failures. Order is preserved in the result.
@@ -37,33 +41,25 @@ type SchedSweepConfig struct {
 	CheckpointsH []float64
 	// Policies are the placement policies to sweep.
 	Policies []sched.Policy
-	// Reservations sweeps EASY reservation backfill on/off. Empty means
-	// the single value Base.Reservation.
+	// Reservations sweeps EASY reservation backfill on/off.
 	Reservations []bool
 	// BurstRates sweeps the correlated-outage rate in bursts/hour (0 =
 	// independent failures only). Within a trial the burst sets are nested
-	// across rates (sched.Failures thinning), like the MTBF axis. Empty
-	// means the single value 0.
+	// across rates (sched.Failures thinning), like the MTBF axis.
 	BurstRates []float64
-	// Burst is the board-region footprint of one burst (zero value means
-	// sched.DefaultBurstShape, a 4x1 rack segment).
+	// Burst is the board-region footprint of one burst; sched.NewBursts
+	// fills a width or height below 1 from sched.DefaultBurstShape, a 4x1
+	// rack segment.
 	Burst sched.BurstShape
 	// DefragThresholds sweeps the fragmentation threshold that triggers
-	// checkpoint-migrate defragmentation (0 = disabled). Empty means the
-	// single value Base.DefragThreshold.
+	// checkpoint-migrate defragmentation (0 = disabled).
 	DefragThresholds []float64
-	// Interferences sweeps cross-job contention pricing on/off. When on,
-	// the point uses Base.Interference if non-nil, otherwise a contention
-	// model derived from the cluster's board dimensions; the model (with
-	// its memoized joint solves) is shared across all jobs of the sweep.
-	// Empty means the single value "Base.Interference != nil".
+	// Interferences sweeps cross-job contention pricing on/off.
 	Interferences []bool
 	// Elastics sweeps malleable-job scheduling on/off (shrunk admission,
-	// regrow, failure trims for jobs with MinBoards). Empty means the
-	// single value Base.Elastic.
+	// regrow, failure trims for jobs with MinBoards).
 	Elastics []bool
-	// Preempts sweeps priority preemption on/off. Empty means the single
-	// value Base.Preempt.
+	// Preempts sweeps priority preemption on/off.
 	Preempts []bool
 	// Trials is the number of seeded trials per point (min 1).
 	Trials int
@@ -226,44 +222,21 @@ type SchedPoint struct {
 	Trials                                     int
 }
 
-// Fingerprint canonicalizes the sweep — cluster shape, trace, base config
-// scalars, the slowdown model it runs with, every axis, trials and seed —
-// into a content hash (the hxd canonicalize-then-hash discipline), used by
-// checkpoints to refuse resuming a journal under different parameters.
-// Base.Trace is excluded: recording never changes results.
+// Fingerprint canonicalizes the sweep — the cluster shape, then the whole
+// config with the slowdown model it runs with — into a content hash (the
+// hxd canonicalize-then-hash discipline), used by checkpoints to refuse
+// resuming a journal under different parameters. The config is embedded,
+// so every field is hashed, in declaration order, without being listed
+// here. Base.Trace is excluded: recording never changes results.
 func (cfg SchedSweepConfig) Fingerprint(c *core.Cluster) string {
-	base := cfg.Base
-	base.Slowdown = cfg.slowdown(c)
-	base.Trace = nil
+	cfg.Base.Slowdown = cfg.slowdown(c)
+	cfg.Base.Trace = nil
 	return journal.KeyOf(struct {
-		Kind             string
-		Family           string
-		A, B, X, Y       int
-		Trace            sched.TraceConfig
-		FixedTrace       []sched.TraceJob
-		Base             sched.Config
-		MTBFs            []float64
-		CheckpointsH     []float64
-		Policies         []sched.Policy
-		Reservations     []bool
-		BurstRates       []float64
-		Burst            sched.BurstShape
-		DefragThresholds []float64
-		Interferences    []bool
-		Elastics         []bool
-		Preempts         []bool
-		Trials           int
-		Seed             int64
-	}{
-		Kind: "sched-sweep", Family: string(c.Net.Meta.Family),
-		A: c.Hx.Cfg.A, B: c.Hx.Cfg.B, X: c.Grid.X, Y: c.Grid.Y,
-		Trace: cfg.Trace, FixedTrace: cfg.FixedTrace, Base: base,
-		MTBFs: cfg.MTBFs, CheckpointsH: cfg.CheckpointsH, Policies: cfg.Policies,
-		Reservations: cfg.Reservations, BurstRates: cfg.BurstRates, Burst: cfg.Burst,
-		DefragThresholds: cfg.DefragThresholds,
-		Interferences:    cfg.Interferences, Elastics: cfg.Elastics, Preempts: cfg.Preempts,
-		Trials: cfg.Trials, Seed: cfg.Seed,
-	})
+		Kind       string
+		Family     string
+		A, B, X, Y int
+		SchedSweepConfig
+	}{"sched-sweep", string(c.Net.Meta.Family), c.Hx.Cfg.A, c.Hx.Cfg.B, c.Grid.X, c.Grid.Y, cfg})
 }
 
 // slowdown is the model the sweep runs with: Base.Slowdown, or the default
@@ -407,7 +380,6 @@ type schedPlan struct {
 	base              sched.Config
 	sharedInf         *sched.Interference
 	minMTBF, maxBurst float64
-	burstShape        sched.BurstShape
 	trials            int
 	points            []SchedPoint // axis values and Trials set, metrics zero
 }
@@ -427,68 +399,47 @@ func newSchedPlan(c *core.Cluster, cfg SchedSweepConfig) (*schedPlan, error) {
 	if h := cfg.Base.HorizonH; math.IsNaN(h) || math.IsInf(h, 0) || h <= 0 {
 		return nil, fmt.Errorf("runner: SchedSweepConfig.Base needs a finite positive HorizonH, got %v", h)
 	}
-	if len(cfg.MTBFs) == 0 || len(cfg.CheckpointsH) == 0 || len(cfg.Policies) == 0 {
-		return nil, fmt.Errorf("runner: scheduler sweep needs at least one MTBF, checkpoint and policy")
+	for _, axis := range []struct {
+		name string
+		n    int
+	}{
+		{"MTBFs", len(cfg.MTBFs)}, {"CheckpointsH", len(cfg.CheckpointsH)}, {"Policies", len(cfg.Policies)},
+		{"Reservations", len(cfg.Reservations)}, {"BurstRates", len(cfg.BurstRates)},
+		{"DefragThresholds", len(cfg.DefragThresholds)}, {"Interferences", len(cfg.Interferences)},
+		{"Elastics", len(cfg.Elastics)}, {"Preempts", len(cfg.Preempts)},
+	} {
+		if axis.n == 0 {
+			return nil, fmt.Errorf("runner: scheduler sweep axis %s is empty; every axis needs at least one value", axis.name)
+		}
 	}
-	pl := &schedPlan{c: c, cfg: cfg, base: cfg.Base, trials: max(cfg.Trials, 1), burstShape: cfg.Burst}
-	base := &pl.base
-	base.Slowdown = cfg.slowdown(c)
+	pl := &schedPlan{c: c, cfg: cfg, base: cfg.Base, trials: max(cfg.Trials, 1)}
+	pl.base.Slowdown = cfg.slowdown(c)
 	// The failure process is sampled once per trial at the shortest
-	// positive MTBF and thinned per point (nested sets).
+	// positive MTBF and thinned per point (nested sets), and the burst
+	// process at the highest rate.
 	for _, m := range cfg.MTBFs {
 		if m > 0 && (pl.minMTBF == 0 || m < pl.minMTBF) {
 			pl.minMTBF = m
 		}
 	}
-
-	// The scheduler-v2 axes default to a single inert value so pre-v2
-	// sweeps reproduce their points unchanged.
-	reservations := cfg.Reservations
-	if len(reservations) == 0 {
-		reservations = []bool{base.Reservation}
-	}
-	burstRates := cfg.BurstRates
-	if len(burstRates) == 0 {
-		burstRates = []float64{0}
-	}
-	defrags := cfg.DefragThresholds
-	if len(defrags) == 0 {
-		defrags = []float64{base.DefragThreshold}
-	}
-	// The scheduler-v3 axes likewise default to the base config's values.
-	// A single contention model (with its memoized joint solves) is shared
-	// by every interference-on point; its caches never affect results.
-	interferences := cfg.Interferences
-	if len(interferences) == 0 {
-		interferences = []bool{base.Interference != nil}
-	}
-	pl.sharedInf = base.Interference
-	if pl.sharedInf == nil {
-		pl.sharedInf = &sched.Interference{BoardA: c.Hx.Cfg.A, BoardB: c.Hx.Cfg.B}
-	}
-	elastics := cfg.Elastics
-	if len(elastics) == 0 {
-		elastics = []bool{base.Elastic}
-	}
-	preempts := cfg.Preempts
-	if len(preempts) == 0 {
-		preempts = []bool{base.Preempt}
-	}
-	for _, r := range burstRates {
+	for _, r := range cfg.BurstRates {
 		pl.maxBurst = max(pl.maxBurst, r)
 	}
-	if pl.burstShape.W < 1 && pl.burstShape.H < 1 {
-		pl.burstShape = sched.DefaultBurstShape()
+	// A single contention model (with its memoized joint solves) is shared
+	// by every interference-on point; its caches never affect results.
+	pl.sharedInf = cfg.Base.Interference
+	if pl.sharedInf == nil {
+		pl.sharedInf = &sched.Interference{BoardA: c.Hx.Cfg.A, BoardB: c.Hx.Cfg.B}
 	}
 
 	for _, policy := range cfg.Policies {
 		for _, ckpt := range cfg.CheckpointsH {
-			for _, res := range reservations {
-				for _, defrag := range defrags {
-					for _, inf := range interferences {
-						for _, ela := range elastics {
-							for _, pre := range preempts {
-								for _, rate := range burstRates {
+			for _, res := range cfg.Reservations {
+				for _, defrag := range cfg.DefragThresholds {
+					for _, inf := range cfg.Interferences {
+						for _, ela := range cfg.Elastics {
+							for _, pre := range cfg.Preempts {
+								for _, rate := range cfg.BurstRates {
 									for _, mtbf := range cfg.MTBFs {
 										pl.points = append(pl.points, SchedPoint{
 											Policy: policy, CheckpointH: ckpt, Reservation: res,
@@ -522,7 +473,7 @@ func (pl *schedPlan) trial(tr int) *schedTrial {
 		in.fp = sched.NewFailures(sched.BoardSequence(pl.c.Hx, seed), pl.base.HorizonH, pl.failRate(pl.minMTBF), seed)
 	}
 	if pl.maxBurst > 0 {
-		in.bp = sched.NewBursts(pl.c.Grid.X, pl.c.Grid.Y, pl.burstShape, pl.base.HorizonH, pl.maxBurst, seed)
+		in.bp = sched.NewBursts(pl.c.Grid.X, pl.c.Grid.Y, pl.cfg.Burst, pl.base.HorizonH, pl.maxBurst, seed)
 	}
 	return in
 }

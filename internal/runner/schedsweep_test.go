@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"hammingmesh/internal/obs"
 	"hammingmesh/internal/sched"
 )
 
@@ -16,8 +17,10 @@ func schedSweepTestConfig() SchedSweepConfig {
 		MTBFs:        []float64{0, 120, 40, 12},
 		CheckpointsH: []float64{2},
 		Policies:     []sched.Policy{sched.FirstFit, sched.BestFit},
-		Trials:       6,
-		Seed:         42,
+		Reservations: []bool{false}, BurstRates: []float64{0}, DefragThresholds: []float64{0},
+		Interferences: []bool{false}, Elastics: []bool{false}, Preempts: []bool{false},
+		Trials: 6,
+		Seed:   42,
 	}
 }
 
@@ -35,6 +38,45 @@ func TestSchedSweepRejectsBadHorizon(t *testing.T) {
 		if _, err := pool.SchedSweep(c, cfg); err == nil || !strings.Contains(err.Error(), "HorizonH") {
 			t.Fatalf("HorizonH %v: got error %v, want a HorizonH error", h, err)
 		}
+	}
+}
+
+// Every axis is required: a sweep with any one of the six feature axes
+// empty is refused, naming it, before any trial runs, whatever Base holds
+// in the matching per-point field.
+func TestSchedSweepRequiresEveryAxis(t *testing.T) {
+	pool := NewSeeded(1, 1)
+	reg := obs.NewRegistry()
+	pool.EnableObs(reg)
+	c, err := pool.Cluster("hx2mesh", "tiny")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		axis  string
+		empty func(*SchedSweepConfig)
+	}{
+		{"Reservations", func(cfg *SchedSweepConfig) { cfg.Reservations, cfg.Base.Reservation = nil, true }},
+		{"BurstRates", func(cfg *SchedSweepConfig) { cfg.BurstRates = nil }},
+		{"DefragThresholds", func(cfg *SchedSweepConfig) { cfg.DefragThresholds, cfg.Base.DefragThreshold = nil, 0.3 }},
+		{"Interferences", func(cfg *SchedSweepConfig) {
+			cfg.Interferences, cfg.Base.Interference = nil, &sched.Interference{BoardA: 2, BoardB: 2}
+		}},
+		{"Elastics", func(cfg *SchedSweepConfig) { cfg.Elastics, cfg.Base.Elastic = nil, true }},
+		{"Preempts", func(cfg *SchedSweepConfig) { cfg.Preempts, cfg.Base.Preempt = nil, true }},
+	} {
+		cfg := schedSweepTestConfig()
+		tc.empty(&cfg)
+		want := "runner: scheduler sweep axis " + tc.axis + " is empty; every axis needs at least one value"
+		if pts, err := pool.SchedSweep(c, cfg); err == nil || err.Error() != want {
+			t.Errorf("%s empty: %d points, err %v; want %q", tc.axis, len(pts), err, want)
+		}
+		if _, err := SchedTraceRun(c, cfg, nil); err == nil || err.Error() != want {
+			t.Errorf("%s empty: SchedTraceRun err %v; want %q", tc.axis, err, want)
+		}
+	}
+	if n := reg.Counter("runner_jobs_total", "", "").Value(); n != 0 {
+		t.Fatalf("refused sweeps ran %d pool jobs, want 0", n)
 	}
 }
 

@@ -193,9 +193,6 @@ func (s *sim) tryPreempt(idx int32, j *jobState, t float64) *alloc.Placement {
 			vics = append(vics, int32(i))
 		}
 	}
-	if len(vics) == 0 {
-		return nil
-	}
 	// Lowest priority first (the least important die first), then most
 	// boards (fewest victims freed), then index for determinism.
 	slices.SortFunc(vics, func(a, b int32) int {
@@ -208,21 +205,11 @@ func (s *sim) tryPreempt(idx int32, j *jobState, t float64) *alloc.Placement {
 		}
 		return cmp.Compare(a, b)
 	})
-	s.shadow.CopyFrom(s.grid)
-	var p *alloc.Placement
-	prefix := 0
-	for _, v := range vics {
-		s.shadow.Release(v)
-		prefix++
-		if cand := s.findPlacement(s.shadow, idx, j.u, j.v); cand != nil {
-			p = cand
-			break
-		}
-	}
+	p, n := s.project(idx, j, vics)
 	if p == nil {
 		return nil
 	}
-	for _, v := range vics[:prefix] {
+	for _, v := range vics[:n] {
 		vj := &s.jobs[v]
 		lost := s.rollback(vj, t)
 		s.grid.Release(v)

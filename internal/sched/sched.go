@@ -554,40 +554,33 @@ func (s *sim) start(idx int32, j *jobState, p *alloc.Placement, t float64) {
 
 // findPlacement runs the policy's placement search for job idx at shape
 // u×v on g (the job's request, or a shrunk elastic width) and returns the
-// uncommitted winner (nil when nothing fits). Separating the search from
-// the commit lets reservation projections run the identical search on
-// shadow grids and lets backfill veto a placement before it lands.
+// uncommitted winner (nil when nothing fits). FirstFit and BestFit pick as
+// alloc.Grid.Allocate does, through alloc.Grid.Pick under policyOptions;
+// FragAware scores the reshaped candidates itself. Separating the search
+// from the commit lets reservation and preemption projections run the
+// identical search on the shadow grid and lets backfill veto a placement
+// before it lands.
 func (s *sim) findPlacement(g *alloc.Grid, idx int32, u, v int) *alloc.Placement {
+	if s.cfg.Policy != FragAware {
+		p, _ := g.Pick(idx, u, v, s.opts)
+		return p
+	}
 	cands := g.PlaceCandidates(idx, u, v, s.opts)
 	if len(cands) == 0 {
 		return nil
 	}
-	switch s.cfg.Policy {
-	case BestFit:
-		// Most contiguous wins: lowest upper-layer alltoall traffic
-		// fraction (the Fig. 9 locality metric).
-		best, bestScore := cands[0], alloc.UpperLayerFraction(cands[0], alloc.TrafficAlltoall, alloc.GroupBoards)
-		for _, p := range cands[1:] {
-			if score := alloc.UpperLayerFraction(p, alloc.TrafficAlltoall, alloc.GroupBoards); score < bestScore {
-				best, bestScore = p, score
-			}
+	// Fragmentation-aware: the candidate that strands the fewest free
+	// boards in its rows (best-fit by row occupancy), ties broken toward
+	// locality.
+	best, bestFrag, bestLoc := cands[0], fragScore(g, cands[0]), alloc.UpperLayerFraction(cands[0], alloc.TrafficAlltoall, alloc.GroupBoards)
+	for _, p := range cands[1:] {
+		frag := fragScore(g, p)
+		loc := alloc.UpperLayerFraction(p, alloc.TrafficAlltoall, alloc.GroupBoards)
+		if frag < bestFrag || (frag == bestFrag && loc < bestLoc) {
+			best, bestFrag, bestLoc = p, frag, loc
 		}
-		return best
-	case FragAware:
-		// Fragmentation-aware: the candidate that strands the fewest free
-		// boards in its rows (best-fit by row occupancy), ties broken
-		// toward locality.
-		best, bestFrag, bestLoc := cands[0], fragScore(g, cands[0]), alloc.UpperLayerFraction(cands[0], alloc.TrafficAlltoall, alloc.GroupBoards)
-		for _, p := range cands[1:] {
-			frag := fragScore(g, p)
-			loc := alloc.UpperLayerFraction(p, alloc.TrafficAlltoall, alloc.GroupBoards)
-			if frag < bestFrag || (frag == bestFrag && loc < bestLoc) {
-				best, bestFrag, bestLoc = p, frag, loc
-			}
-		}
-		return best
 	}
-	return cands[0] // FirstFit: first feasible shape
+	return best
 }
 
 // fragScore counts the free boards that would remain in the placement's
@@ -605,53 +598,58 @@ func fragScore(g *alloc.Grid, p *alloc.Placement) int {
 }
 
 // reserve projects a start time and board set for a blocked head-of-queue
-// job: the running jobs' scheduled completions are replayed in time order
-// on a shadow grid, and the first release after which the policy's search
-// finds a placement becomes the reservation. Failed boards stay failed in
-// the projection (repairs are not anticipated), so reservations are
-// conservative on degraded grids.
+// job: the running jobs are released on the shadow grid in order of their
+// scheduled completions, and the first release after which the policy's
+// search finds a placement becomes the reservation. Failed boards stay
+// failed in the projection (repairs are not anticipated), so reservations
+// are conservative on degraded grids.
 func (s *sim) reserve(now float64, idx int32, j *jobState) {
-	type release struct {
-		t   float64
-		idx int32
-	}
-	var rels []release
+	var running []int32
 	for i := range s.jobs {
 		if s.jobs[i].running {
-			rels = append(rels, release{s.jobs[i].completeT, int32(i)})
+			running = append(running, int32(i))
 		}
 	}
-	if len(rels) == 0 {
-		return // nothing will free up; no projection exists
-	}
-	slices.SortFunc(rels, func(a, b release) int {
-		if c := cmp.Compare(a.t, b.t); c != 0 {
+	slices.SortFunc(running, func(a, b int32) int {
+		if c := cmp.Compare(s.jobs[a].completeT, s.jobs[b].completeT); c != 0 {
 			return c
 		}
-		return cmp.Compare(a.idx, b.idx)
+		return cmp.Compare(a, b)
 	})
-	s.shadow.CopyFrom(s.grid)
-	for _, r := range rels {
-		s.shadow.Release(r.idx)
-		p := s.findPlacement(s.shadow, idx, j.u, j.v)
-		if p == nil {
-			continue
-		}
-		s.resJob = idx
-		s.resTime = r.t
-		if s.resBoards == nil {
-			s.resBoards = make([]bool, s.grid.X*s.grid.Y)
-		}
-		clear(s.resBoards)
-		for _, row := range p.Rows {
-			for _, col := range p.Cols {
-				s.resBoards[row*s.grid.X+col] = true
-			}
-		}
-		s.met.Reservations++
-		s.logf("t=%.4f reserve job=%d at=%.4f rows=%v cols=%v", now, j.tj.ID, r.t, p.Rows, p.Cols)
-		return
+	p, n := s.project(idx, j, running)
+	if p == nil {
+		return // nothing frees enough boards; no projection exists
 	}
+	s.resJob = idx
+	s.resTime = s.jobs[running[n-1]].completeT
+	if s.resBoards == nil {
+		s.resBoards = make([]bool, s.grid.X*s.grid.Y)
+	}
+	clear(s.resBoards)
+	for _, row := range p.Rows {
+		for _, col := range p.Cols {
+			s.resBoards[row*s.grid.X+col] = true
+		}
+	}
+	s.met.Reservations++
+	s.logf("t=%.4f reserve job=%d at=%.4f rows=%v cols=%v", now, j.tj.ID, s.resTime, p.Rows, p.Cols)
+}
+
+// project copies the live grid onto the shadow grid and releases the
+// running jobs of order there one at a time, running the policy's search
+// for job idx at its requested shape after each release. It returns the
+// first placement that fits and how many jobs it released to get it, or
+// nil and 0 when none does. The reservation and preemption projections
+// share it.
+func (s *sim) project(idx int32, j *jobState, order []int32) (*alloc.Placement, int) {
+	s.shadow.CopyFrom(s.grid)
+	for n, o := range order {
+		s.shadow.Release(o)
+		if p := s.findPlacement(s.shadow, idx, j.u, j.v); p != nil {
+			return p, n + 1
+		}
+	}
+	return nil, 0
 }
 
 // tryBackfill places a job behind an active reservation if doing so cannot

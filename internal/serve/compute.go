@@ -124,9 +124,6 @@ func (cp *Computer) Compute(cn *Canon) ([]byte, error) {
 		}
 		v = ResilienceResult{Kind: cn.Kind, Topo: cn.Topo, Size: cn.Size, Points: pts}
 	case KindSched:
-		if c.Hx == nil || c.Grid == nil {
-			return nil, fmt.Errorf("serve: sched needs a board grid, topo %q has none", cn.Topo)
-		}
 		// hxalloc's sweep, with each field hxd serves set from the request.
 		spec := runner.DefaultSchedSpec()
 		spec.Jobs, spec.HorizonH, spec.Trials, spec.Seed = cn.Jobs, cn.HorizonH, cn.Trials, cn.Seed

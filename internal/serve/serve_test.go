@@ -354,25 +354,32 @@ func TestServeRejectsOversizedBody(t *testing.T) {
 	}
 }
 
-// A resilience sweep with every board failed leaves no endpoint to
-// simulate: the request answers 500 with the survivor count, the daemon
-// keeps serving, and the journal records only the result that was
-// computed.
-func TestServeResilienceNoSurvivorsAnswers500(t *testing.T) {
-	dir := t.TempDir()
-	s := mustNew(t, Config{Pool: runner.New(2), JournalDir: dir, JournalOptions: journal.Options{NoSync: true}})
-	ts := httptest.NewServer(s)
-	defer ts.Close()
+// A resilience sweep or a permutation with every board failed leaves no
+// endpoint to simulate: the request answers 500 with the survivor count,
+// the daemon keeps serving, and the journal records only the result that
+// was computed.
+func TestServeNoSurvivorsAnswers500(t *testing.T) {
+	for _, tc := range []struct{ kind, want string }{
+		{"resilience", "0 of 64 survive 16 failed boards"},
+		{"permutation", "need ≥2 endpoints, 0 of 64 survive"},
+	} {
+		t.Run(tc.kind, func(t *testing.T) {
+			dir := t.TempDir()
+			s := mustNew(t, Config{Pool: runner.New(2), JournalDir: dir, JournalOptions: journal.Options{NoSync: true}})
+			ts := httptest.NewServer(s)
+			defer ts.Close()
 
-	code, body, _ := post(t, ts.URL, `{"kind":"resilience","topo":"hx2mesh","size":"tiny","fail_boards":16}`)
-	if code != http.StatusInternalServerError || !strings.Contains(string(body), "0 of 64 survive 16 failed boards") {
-		t.Fatalf("all boards failed: status %d body %s, want 500 naming the survivors", code, body)
-	}
-	if code, body, cache := post(t, ts.URL, `{"kind":"allreduce","topo":"hx2mesh","size":"tiny"}`); code != http.StatusOK || cache != "miss" {
-		t.Fatalf("next request: status %d cache %q body %s, want a computed 200", code, cache, body)
-	}
-	s.Close()
-	if recs := journalRecords(t, dir); len(recs) != 1 {
-		t.Fatalf("journal holds %d records, want only the computed result", len(recs))
+			code, body, _ := post(t, ts.URL, `{"kind":"`+tc.kind+`","topo":"hx2mesh","size":"tiny","fail_boards":16}`)
+			if code != http.StatusInternalServerError || !strings.Contains(string(body), tc.want) {
+				t.Fatalf("all boards failed: status %d body %s, want 500 naming the survivors", code, body)
+			}
+			if code, body, cache := post(t, ts.URL, `{"kind":"allreduce","topo":"hx2mesh","size":"tiny"}`); code != http.StatusOK || cache != "miss" {
+				t.Fatalf("next request: status %d cache %q body %s, want a computed 200", code, cache, body)
+			}
+			s.Close()
+			if recs := journalRecords(t, dir); len(recs) != 1 {
+				t.Fatalf("journal holds %d records, want only the computed result", len(recs))
+			}
+		})
 	}
 }

@@ -100,12 +100,15 @@ go build -o "$workdir/hxsim" ./cmd/hxsim
 python3 -mjson.tool "$workdir/trace.json" >/dev/null || { echo "hxsim -trace wrote invalid JSON"; exit 1; }
 grep -q '"ph":"X"' "$workdir/trace.json" || { echo "trace has no spans"; exit 1; }
 
-echo "== a resilience sweep with every board failed answers 500, and the daemon keeps serving"
-req='{"kind":"resilience","topo":"hx2mesh","size":"tiny","fail_boards":16}'
-post r-nosurvivors
-grep -qi '^HTTP/.* 500' "$workdir/r-nosurvivors.hdr" || {
-  echo "no-survivor request did not answer 500:"; cat "$workdir/r-nosurvivors.hdr" "$workdir/r-nosurvivors.body"; exit 1; }
-cat "$workdir/r-nosurvivors.body"
+echo "== a resilience sweep or a permutation with every board failed answers 500, and the daemon keeps serving"
+for kind in resilience permutation; do
+  req='{"kind":"'$kind'","topo":"hx2mesh","size":"tiny","fail_boards":16}'
+  post "r-nosurvivors-$kind"
+  grep -qi '^HTTP/.* 500' "$workdir/r-nosurvivors-$kind.hdr" || {
+    echo "no-survivor $kind request did not answer 500:"
+    cat "$workdir/r-nosurvivors-$kind.hdr" "$workdir/r-nosurvivors-$kind.body"; exit 1; }
+  cat "$workdir/r-nosurvivors-$kind.body"
+done
 
 echo "== /healthz"
 curl -sSf "$base/healthz"
