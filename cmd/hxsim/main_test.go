@@ -54,12 +54,12 @@ func TestHxsimSmoke(t *testing.T) {
 	}
 }
 
-// A permutation or resilience sweep with every board failed has no
-// endpoint to simulate: hxsim exits 1 with the survivor count as the one
-// line on stderr.
+// An alltoall, a permutation or a resilience sweep with every board
+// failed has no endpoint to simulate: hxsim exits 1 with the survivor
+// count as the one line on stderr.
 func TestHxsimNoSurvivors(t *testing.T) {
 	bin := cmdtest.Build(t)
-	for _, pattern := range []string{"permutation", "resilience"} {
+	for _, pattern := range []string{"alltoall", "permutation", "resilience"} {
 		cmd := exec.Command(bin, "-topo", "hx2mesh", "-size", "tiny", "-pattern", pattern, "-fail-boards", "16")
 		var stderr bytes.Buffer
 		cmd.Stderr = &stderr

@@ -22,7 +22,9 @@ import (
 // Grid is the allocator's view of an x×y HxMesh: a matrix of boards that
 // are free, failed, or owned by a job. Every owner write goes through set,
 // which keeps each row's free-column set in step with the owners, so a
-// placement search reads the sets without rebuilding them.
+// placement search reads the sets without rebuilding them. set and
+// CopyFrom also advance the grid's generation (Gen), so a caller can tell
+// an unchanged grid from a changed one without comparing boards.
 //
 // A Grid is not safe for concurrent use, and that includes the read-only
 // searches (PlaceCandidates, Pick, FitsDims, LargestPlaceable): every search
@@ -32,17 +34,21 @@ type Grid struct {
 	X, Y  int
 	owner []int32  // -1 free, -2 failed, otherwise job id; written by set
 	free  []colSet // per row, the free columns; set keeps them current
+	gen   uint64   // advanced by set and CopyFrom
 	sc    search   // placement-search scratch; CopyFrom leaves it alone
 }
 
 // search is a Grid's reusable placement-search scratch: the two
 // intersection sets and the row and column-index buffers the
-// row-intersection loop reuses, and the memoized shape lists.
+// row-intersection loop reuses, the memoized shape lists, and the shapes
+// found infeasible at generation failedGen.
 type search struct {
 	inter, trial colSet
 	rows, cols   []int
 	shapes       map[[2]int][][2]int // by (u, v), under shapeOpt
 	shapeOpt     Options
+	failed       colSet // bit (u-1)·X + v-1: no u×v placement at failedGen
+	failedGen    uint64
 }
 
 // Free and Failed are the non-job owner values.
@@ -57,9 +63,10 @@ func NewGrid(x, y int) *Grid {
 	for i := range g.owner {
 		g.owner[i] = Free
 	}
-	// The free sets and the two intersection sets share one allocation.
+	// The free sets, the two intersection sets and the infeasible-shape
+	// bits share one allocation.
 	nw := (x + 63) / 64
-	words := make(colSet, (y+2)*nw)
+	words := make(colSet, (y+2)*nw+(x*y+63)/64)
 	g.free = make([]colSet, y)
 	for by := range g.free {
 		s := words[by*nw : (by+1)*nw : (by+1)*nw]
@@ -69,15 +76,17 @@ func NewGrid(x, y int) *Grid {
 		g.free[by] = s
 	}
 	g.sc.inter = words[y*nw : (y+1)*nw : (y+1)*nw]
-	g.sc.trial = words[(y+1)*nw:]
+	g.sc.trial = words[(y+1)*nw : (y+2)*nw : (y+2)*nw]
+	g.sc.failed = words[(y+2)*nw:]
 	return g
 }
 
-// set writes board i's owner and flips the board's bit in its row's
-// free-column set to match. Every owner write after NewGrid goes through
-// it.
+// set writes board i's owner, flips the board's bit in its row's
+// free-column set to match and advances the generation. Every owner write
+// after NewGrid goes through it.
 func (g *Grid) set(i int, o int32) {
 	g.owner[i] = o
+	g.gen++
 	bx := i % g.X
 	w, bit := &g.free[i/g.X][bx/64], uint64(1)<<(bx%64)
 	if o == Free {
@@ -88,9 +97,10 @@ func (g *Grid) set(i int, o int32) {
 }
 
 // CopyFrom makes g's boards a copy of src's, which must have g's
-// dimensions: the owners and the free-column sets. g's search scratch and
-// shape memo are kept, so a scheduler's shadow grid, refreshed from the
-// live grid for every projection, searches warm.
+// dimensions: the owners and the free-column sets. It advances g's
+// generation. g's search scratch and shape memo are kept, so a scheduler's
+// shadow grid, refreshed from the live grid for every projection, searches
+// warm.
 func (g *Grid) CopyFrom(src *Grid) {
 	if g.X != src.X || g.Y != src.Y {
 		panic(fmt.Sprintf("alloc: copying a %dx%d grid onto a %dx%d one", src.X, src.Y, g.X, g.Y))
@@ -99,7 +109,13 @@ func (g *Grid) CopyFrom(src *Grid) {
 	for by, s := range src.free {
 		copy(g.free[by], s)
 	}
+	g.gen++
 }
+
+// Gen returns the grid's generation, which every owner change advances:
+// while it reads the same, so do all of the grid's boards. Generations of
+// two different grids are unrelated.
+func (g *Grid) Gen() uint64 { return g.gen }
 
 // Owner returns the owner of board (bx, by).
 func (g *Grid) Owner(bx, by int) int32 { return g.owner[by*g.X+bx] }
@@ -216,30 +232,40 @@ func (s colSet) appendIndices(out []int) []int {
 	return out
 }
 
-// availRows returns, per row, the set of free columns. set keeps the sets
-// current, so a search reads them as they stand; searches must not write
-// them.
-func (g *Grid) availRows() []colSet { return g.free }
-
 // place finds a u×v placement with the greedy row-intersection strategy of
 // §IV-A: starting from each candidate row in turn, grow the selected set S
 // with rows whose intersection with the running column set keeps at least
-// v columns, until u rows are collected. avail comes from availRows; the
-// returned rows and columns live in the search scratch.
-func (g *Grid) place(avail []colSet, u, v int) (rows []int, cols colSet, ok bool) {
+// v columns, until u rows are collected. The returned rows and columns live
+// in the search scratch.
+//
+// The search reads only the free-column sets, and writes none of them, so
+// its answer changes only with the generation: a shape found infeasible is
+// remembered until the generation moves, and asking again returns at once. Only the exact shape
+// is remembered. The greedy search is not monotone in the shape (on a grid
+// whose rows hold free columns {a,b,c}, {a}, {b,c}, {b,c}, a 3×1 request
+// fails where 3×2 succeeds), so one failure says nothing of another shape.
+func (g *Grid) place(u, v int) (rows []int, cols colSet, ok bool) {
 	if u > g.Y || v > g.X || u <= 0 || v <= 0 {
+		return nil, nil, false
+	}
+	if g.sc.failedGen != g.gen {
+		clear(g.sc.failed)
+		g.sc.failedGen = g.gen
+	}
+	k := (u-1)*g.X + v - 1
+	if g.sc.failed[k/64]&(1<<(k%64)) != 0 {
 		return nil, nil, false
 	}
 	inter, trial := g.sc.inter, g.sc.trial
 	rows = g.sc.rows[:0]
 	for start := 0; start+u <= g.Y; start++ {
-		if avail[start].count() < v {
+		if g.free[start].count() < v {
 			continue
 		}
-		copy(inter, avail[start])
+		copy(inter, g.free[start])
 		rows = append(rows[:0], start)
 		for r := start + 1; r < g.Y && len(rows) < u; r++ {
-			avail[r].andInto(trial, inter)
+			g.free[r].andInto(trial, inter)
 			if trial.count() >= v {
 				inter, trial = trial, inter
 				rows = append(rows, r)
@@ -251,6 +277,7 @@ func (g *Grid) place(avail []colSet, u, v int) (rows []int, cols colSet, ok bool
 		}
 	}
 	g.sc.rows = rows
+	g.sc.failed[k/64] |= 1 << (k % 64)
 	return nil, nil, false
 }
 
@@ -369,10 +396,9 @@ func (g *Grid) PlaceCandidates(job int32, u, v int, opt Options) []*Placement {
 	if job < 0 {
 		panic(fmt.Sprintf("alloc: invalid job id %d", job))
 	}
-	avail := g.availRows()
 	var out []*Placement
 	for _, s := range g.shapesFor(u, v, opt) {
-		if p, ok := g.placeShape(avail, job, s[0], s[1]); ok {
+		if p, ok := g.placeShape(job, s[0], s[1]); ok {
 			out = append(out, p)
 		}
 	}
@@ -381,8 +407,8 @@ func (g *Grid) PlaceCandidates(job int32, u, v int, opt Options) []*Placement {
 
 // placeShape runs the greedy row-intersection search for one concrete
 // shape and builds the (uncommitted) placement.
-func (g *Grid) placeShape(avail []colSet, job int32, u, v int) (*Placement, bool) {
-	rows, cols, ok := g.place(avail, u, v)
+func (g *Grid) placeShape(job int32, u, v int) (*Placement, bool) {
+	rows, cols, ok := g.place(u, v)
 	if !ok {
 		return nil, false
 	}
@@ -421,11 +447,10 @@ func (g *Grid) Pick(job int32, u, v int, opt Options) (*Placement, bool) {
 	if job < 0 {
 		panic(fmt.Sprintf("alloc: invalid job id %d", job))
 	}
-	avail := g.availRows()
 	var best *Placement
 	bestScore := 0.0
 	for _, s := range g.shapesFor(u, v, opt) {
-		p, ok := g.placeShape(avail, job, s[0], s[1])
+		p, ok := g.placeShape(job, s[0], s[1])
 		if !ok {
 			continue
 		}

@@ -17,19 +17,18 @@ func (g *Grid) FreeBoards() int {
 // Because placements need u rows sharing v free columns — not a contiguous
 // rectangle — this is the allocator's own notion of "largest free block".
 func (g *Grid) LargestPlaceable() int {
-	avail := g.availRows()
 	inter, trial := g.sc.inter, g.sc.trial
 	best := 0
 	for v := 1; v <= g.X; v++ {
 		maxU := 0
 		for start := 0; start < g.Y; start++ {
-			if avail[start].count() < v {
+			if g.free[start].count() < v {
 				continue
 			}
-			copy(inter, avail[start])
+			copy(inter, g.free[start])
 			u := 1
 			for r := start + 1; r < g.Y; r++ {
-				avail[r].andInto(trial, inter)
+				g.free[r].andInto(trial, inter)
 				if trial.count() >= v {
 					inter, trial = trial, inter
 					u++

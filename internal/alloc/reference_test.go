@@ -199,7 +199,7 @@ func randomOptions(rng *rand.Rand) Options {
 func checkAvail(t *testing.T, g *Grid, where string) {
 	t.Helper()
 	want := refAvailRows(g)
-	for by, s := range g.availRows() {
+	for by, s := range g.free {
 		if !slices.Equal(s, colSet(want[by])) {
 			t.Fatalf("%s: row %d free columns %b, reference %b", where, by, s, want[by])
 		}
@@ -222,7 +222,7 @@ func checkPick(t *testing.T, g *Grid, job int32, u, v int, opt Options, where st
 	if !slices.Equal(g.owner, owners) {
 		t.Fatalf("%s: Pick(%d, %d, %+v) wrote owners", where, u, v, opt)
 	}
-	for by, s := range g.availRows() {
+	for by, s := range g.free {
 		if !slices.Equal(s, colSet(free[by])) {
 			t.Fatalf("%s: Pick(%d, %d, %+v) changed row %d's free columns", where, u, v, opt, by)
 		}
@@ -259,7 +259,10 @@ func checkPick(t *testing.T, g *Grid, job int32, u, v int, opt Options, where st
 // reference search's placements in the reference order and that the kept
 // free-column sets equal the reference's after every mutation. Under every
 // option set of searchOptions, Pick must leave the grid as it was and
-// return the placement Allocate commits.
+// return the placement Allocate commits. Each step runs its searches twice
+// on the unchanged grid, so answers from the infeasible-shape memo are
+// checked too, and a mutation that left the generation in place would
+// show as a stale refusal.
 func TestPlacementSearchMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	for trial := 0; trial < 60; trial++ {
@@ -300,20 +303,24 @@ func TestPlacementSearchMatchesReference(t *testing.T) {
 			if rng.Intn(8) == 0 {
 				opt = randomOptions(rng)
 			}
-			got := target.PlaceCandidates(nextJob, u, v, opt)
-			want := refPlaceCandidates(target, nextJob, u, v, opt)
-			if err := samePlacements(got, want); err != nil {
-				t.Fatalf("%s: PlaceCandidates(%d, %d, %+v) on %dx%d: %v", where, u, v, opt, x, y, err)
-			}
-			if a, b := target.FitsDims(u, v, opt), refFitsDims(target, u, v, opt); a != b {
-				t.Fatalf("%s: FitsDims(%d, %d, %+v) = %v, reference %v", where, u, v, opt, a, b)
-			}
-			if !slices.Equal(target.shapesFor(u, v, opt), refShapes(u, v, opt)) {
-				t.Fatalf("%s: memoized shapes %v, reference %v", where, target.shapesFor(u, v, opt), refShapes(u, v, opt))
-			}
-
-			for _, o := range searchOptions {
-				checkPick(t, target, nextJob, u, v, o, where)
+			// The second round repeats every search on the unchanged grid,
+			// where the shapes the first found infeasible are remembered.
+			for round := range 2 {
+				where := fmt.Sprintf("%s round %d", where, round)
+				got := target.PlaceCandidates(nextJob, u, v, opt)
+				want := refPlaceCandidates(target, nextJob, u, v, opt)
+				if err := samePlacements(got, want); err != nil {
+					t.Fatalf("%s: PlaceCandidates(%d, %d, %+v) on %dx%d: %v", where, u, v, opt, x, y, err)
+				}
+				if a, b := target.FitsDims(u, v, opt), refFitsDims(target, u, v, opt); a != b {
+					t.Fatalf("%s: FitsDims(%d, %d, %+v) = %v, reference %v", where, u, v, opt, a, b)
+				}
+				if !slices.Equal(target.shapesFor(u, v, opt), refShapes(u, v, opt)) {
+					t.Fatalf("%s: memoized shapes %v, reference %v", where, target.shapesFor(u, v, opt), refShapes(u, v, opt))
+				}
+				for _, o := range searchOptions {
+					checkPick(t, target, nextJob, u, v, o, where)
+				}
 			}
 
 			// Allocate on twin grids; the committed boards must agree too.

@@ -8,7 +8,18 @@ import (
 	"hammingmesh/internal/core"
 	"hammingmesh/internal/flowsim"
 	"hammingmesh/internal/netsim"
+	"hammingmesh/internal/topo"
 )
+
+// survivors returns the cluster view's surviving endpoints, refusing a view
+// with fewer than two, on which no traffic pattern has a pair to run.
+func survivors(c *core.Cluster) ([]topo.NodeID, error) {
+	eps := c.AliveEndpoints()
+	if len(eps) < 2 {
+		return nil, fmt.Errorf("runner: need ≥2 endpoints, %d of %d survive", len(eps), c.Comp.NumEndpoints())
+	}
+	return eps, nil
+}
 
 // AlltoallPacketShare measures the packet-level alltoall bandwidth share of
 // the cluster's injection bandwidth by running nShifts sampled shift
@@ -28,11 +39,11 @@ import (
 func (p *Pool) AlltoallPacketShare(c *core.Cluster, cfg netsim.Config, bytes int64, nShifts int, seed int64) (float64, error) {
 	// On a degraded cluster view the alltoall runs among the surviving
 	// endpoints over the fault-masked routing table.
-	eps := c.AliveEndpoints()
-	nEp := len(eps)
-	if nEp < 2 {
-		return 0, fmt.Errorf("runner: need ≥2 endpoints")
+	eps, err := survivors(c)
+	if err != nil {
+		return 0, err
 	}
+	nEp := len(eps)
 	shifts := netsim.SampleShifts(nEp, nShifts, seed)
 	inj := c.SimInjectionGBps()
 	jobs := make([]Job, len(shifts))
@@ -81,11 +92,11 @@ func (p *Pool) AlltoallPacketShare(c *core.Cluster, cfg netsim.Config, bytes int
 // same distance vectors (the lock-free cache tolerates but duplicates that
 // work).
 func (p *Pool) AlltoallFlowShare(c *core.Cluster, cfg flowsim.Config, nShifts int, seed uint64) (float64, error) {
-	eps := c.AliveEndpoints()
-	nEp := len(eps)
-	if nEp < 2 {
-		return 0, fmt.Errorf("runner: need ≥2 endpoints")
+	eps, err := survivors(c)
+	if err != nil {
+		return 0, err
 	}
+	nEp := len(eps)
 	c.Table.PrecomputeParallel(eps, p.workers)
 	if cfg.ValiantPaths > 0 {
 		// Valiant detours route via random switch intermediates, so their
@@ -139,8 +150,8 @@ func (p *Pool) AlltoallFlowShare(c *core.Cluster, cfg flowsim.Config, nShifts in
 // identical for any worker count and any pool base seed. A degraded view
 // with fewer than two surviving endpoints is refused before simulating.
 func (p *Pool) PermutationSweepGBps(c *core.Cluster, cfg netsim.Config, bytes int64, nPerms int, seed int64) ([]float64, error) {
-	if alive := len(c.AliveEndpoints()); alive < 2 {
-		return nil, fmt.Errorf("runner: need ≥2 endpoints, %d of %d survive", alive, c.Comp.NumEndpoints())
+	if _, err := survivors(c); err != nil {
+		return nil, err
 	}
 	if nPerms <= 0 {
 		nPerms = 1

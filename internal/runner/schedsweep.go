@@ -61,7 +61,7 @@ type SchedSweepConfig struct {
 	Elastics []bool
 	// Preempts sweeps priority preemption on/off.
 	Preempts []bool
-	// Trials is the number of seeded trials per point (min 1).
+	// Trials is the number of seeded trials per point, at least 1.
 	Trials int
 	// Seed derives every per-trial trace, board sequence and failure
 	// process.
@@ -276,7 +276,7 @@ func (p *Pool) SchedSweepJournaled(ctx context.Context, c *core.Cluster, cfg Sch
 	if err != nil {
 		return nil, err
 	}
-	trials := pl.trials
+	trials := cfg.Trials
 
 	// Per-trial inputs are shared by every point of the trial; build them
 	// as a first round of pool jobs (trace synthesis and failure sampling
@@ -380,7 +380,6 @@ type schedPlan struct {
 	base              sched.Config
 	sharedInf         *sched.Interference
 	minMTBF, maxBurst float64
-	trials            int
 	points            []SchedPoint // axis values and Trials set, metrics zero
 }
 
@@ -412,7 +411,10 @@ func newSchedPlan(c *core.Cluster, cfg SchedSweepConfig) (*schedPlan, error) {
 			return nil, fmt.Errorf("runner: scheduler sweep axis %s is empty; every axis needs at least one value", axis.name)
 		}
 	}
-	pl := &schedPlan{c: c, cfg: cfg, base: cfg.Base, trials: max(cfg.Trials, 1)}
+	if cfg.Trials < 1 {
+		return nil, fmt.Errorf("runner: scheduler sweep needs Trials of at least 1, got %d", cfg.Trials)
+	}
+	pl := &schedPlan{c: c, cfg: cfg, base: cfg.Base}
 	pl.base.Slowdown = cfg.slowdown(c)
 	// The failure process is sampled once per trial at the shortest
 	// positive MTBF and thinned per point (nested sets), and the burst
@@ -445,7 +447,7 @@ func newSchedPlan(c *core.Cluster, cfg SchedSweepConfig) (*schedPlan, error) {
 											Policy: policy, CheckpointH: ckpt, Reservation: res,
 											BurstRate: rate, DefragThreshold: defrag,
 											Interference: inf, Elastic: ela, Preempt: pre,
-											MTBFh: mtbf, Trials: pl.trials,
+											MTBFh: mtbf, Trials: cfg.Trials,
 										})
 									}
 								}

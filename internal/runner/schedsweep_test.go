@@ -1,6 +1,7 @@
 package runner
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -77,6 +78,28 @@ func TestSchedSweepRequiresEveryAxis(t *testing.T) {
 	}
 	if n := reg.Counter("runner_jobs_total", "", "").Value(); n != 0 {
 		t.Fatalf("refused sweeps ran %d pool jobs, want 0", n)
+	}
+}
+
+// A sweep of fewer than one trial is refused, naming the field, before any
+// trial runs: running it as one trial would answer under a journal key
+// that a one-trial sweep of the same config does not share.
+func TestSchedSweepRequiresTrials(t *testing.T) {
+	pool := NewSeeded(1, 1)
+	c, err := pool.Cluster("hx2mesh", "tiny")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{0, -1} {
+		cfg := schedSweepTestConfig()
+		cfg.Trials = n
+		want := fmt.Sprintf("runner: scheduler sweep needs Trials of at least 1, got %d", n)
+		if pts, err := pool.SchedSweep(c, cfg); err == nil || err.Error() != want {
+			t.Errorf("Trials %d: %d points, err %v; want %q", n, len(pts), err, want)
+		}
+		if _, err := SchedTraceRun(c, cfg, nil); err == nil || err.Error() != want {
+			t.Errorf("Trials %d: SchedTraceRun err %v; want %q", n, err, want)
+		}
 	}
 }
 

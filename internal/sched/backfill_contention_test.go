@@ -11,9 +11,15 @@ import "testing"
 // whose (contention-priced, possibly re-stretched) completion lands at or
 // before the reservation start. An optimistic isolation estimate would
 // admit a stretched backfill that holds reserved boards past resTime.
+//
+// The run also pins its exact contention-pricing work. A backfill late
+// even at the isolation price is refused without a joint solve, an
+// admission is priced once, and a pass that leaves the grid as it was
+// does not reprice, so any pricing added on those paths moves the counts.
 func TestBackfillConformanceUnderContention(t *testing.T) {
 	trace := goldenV3Trace()
-	cfg := goldenV3Config(&Interference{GroupBoards: 2, Taper: 0.25})
+	inf := &Interference{GroupBoards: 2, Taper: 0.25}
+	cfg := goldenV3Config(inf)
 	cfg.RecordDecisions = false
 	cfg.Reservation = true
 	violations := 0
@@ -51,5 +57,8 @@ func TestBackfillConformanceUnderContention(t *testing.T) {
 	if m.Reservations == 0 || m.Backfills == 0 || m.Restretches == 0 {
 		t.Fatalf("degenerate run: reservations=%d backfills=%d restretches=%d",
 			m.Reservations, m.Backfills, m.Restretches)
+	}
+	if got, want := inf.Stats(), (InterferenceStats{Solves: 96, MemoHits: 65}); got != want {
+		t.Fatalf("contention pricing: %+v, want %+v", got, want)
 	}
 }

@@ -11,7 +11,11 @@ import (
 // rebuilds the Interference model every run (every pricing is a fresh
 // flow solve), "joint-memoized" shares one model across runs the way the
 // sweep layer does, so recurring placement sets hit the memo. solves/op
-// and memohits/op expose the split. "joint-shared-2" runs two sims at once
+// and memohits/op expose the split. "joint-reserve" is joint-cold with
+// EASY reservations on, so backfills are judged against a reservation:
+// pricings/op (solves plus memo hits) counts every joint pricing the run
+// asks for, which the isolation bound on hopeless backfills keeps down.
+// "joint-shared-2" runs two sims at once
 // (best-fit and frag-aware) on one fresh model per iteration, the way the
 // sweep's two workers share it: the only case where pricing can wait on
 // the model's lock.
@@ -54,6 +58,21 @@ func BenchmarkSchedContention(b *testing.B) {
 			solves += inf.Stats().Solves
 		}
 		b.ReportMetric(float64(solves)/float64(b.N), "solves/op")
+	})
+	b.Run("joint-reserve", func(b *testing.B) {
+		var solves, pricings int64
+		for i := 0; i < b.N; i++ {
+			cfg := baseCfg()
+			cfg.Reservation = true
+			inf := &Interference{GroupBoards: 2, Taper: 0.25}
+			cfg.Interference = inf
+			run(b, cfg)
+			st := inf.Stats()
+			solves += st.Solves
+			pricings += st.Solves + st.MemoHits
+		}
+		b.ReportMetric(float64(solves)/float64(b.N), "solves/op")
+		b.ReportMetric(float64(pricings)/float64(b.N), "pricings/op")
 	})
 	b.Run("joint-memoized", func(b *testing.B) {
 		cfg := baseCfg()

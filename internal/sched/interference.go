@@ -500,10 +500,16 @@ func (s *sim) stretched(j *jobState, p *alloc.Placement, gamma float64) float64 
 // epoch-bumped and rescheduled at the new one — the same staleness
 // mechanism rollback uses). A no-op when interference is off, keeping
 // decision logs byte-identical.
+//
+// It returns at once when the live grid's generation equals the one it
+// last ran at. No job starts, ends, moves or fails without an owner write,
+// so the running set and its placements are those it last priced, and a
+// second reprice of them changes nothing.
 func (s *sim) reprice(t float64) {
-	if s.cfg.Interference == nil {
+	if s.cfg.Interference == nil || s.grid.Gen() == s.repricedGen {
 		return
 	}
+	s.repricedGen = s.grid.Gen()
 	s.collectRunning(-1)
 	if len(s.traffic) == 0 {
 		return

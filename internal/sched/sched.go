@@ -323,11 +323,13 @@ type sim struct {
 
 	// reservation state (Config.Reservation): the blocked head-of-queue
 	// job holding the reservation, its projected start time, and the
-	// reserved board set. Recomputed from scratch at every scheduling
-	// pass, so it always reflects the current grid and running set.
+	// reserved board set. Recomputed at every scheduling pass, so it
+	// always reflects the current grid and running set; resProj is the
+	// last projection behind it, reused while its inputs stand.
 	resJob    int32
 	resTime   float64
 	resBoards []bool // X*Y bitset
+	resProj   projection
 
 	lastDefragT float64 // last defragmentation pass (-Inf before the first)
 
@@ -344,9 +346,25 @@ type sim struct {
 	pendingFailSched bool
 
 	// traffic and sigs are the contention-pricing scratch gammaFor and
-	// reprice fill with the running set.
-	traffic []JobTraffic
-	sigs    []string
+	// reprice fill with the running set; repricedGen is the live grid's
+	// generation at the last reprice that ran.
+	traffic     []JobTraffic
+	sigs        []string
+	repricedGen uint64
+}
+
+// projection is reserve's last shadow projection together with its
+// inputs: the live grid's generation, the head job, and the running jobs
+// in release order with their completion times. The projection is a
+// function of these alone, so equal inputs reuse its placement p and
+// release count n.
+type projection struct {
+	gen     uint64
+	idx     int32 // -1 before the first projection
+	order   []int32
+	release []float64
+	p       *alloc.Placement
+	n       int
 }
 
 // Run replays a trace against an x×y board grid under the failure process
@@ -366,7 +384,8 @@ func Run(x, y int, trace []TraceJob, failures []FailEvent, cfg Config) (*Metrics
 		return nil, err
 	}
 	s := &sim{cfg: cfg, grid: alloc.NewGrid(x, y), shadow: alloc.NewGrid(x, y),
-		opts: policyOptions(cfg.Policy), resJob: -1, lastDefragT: math.Inf(-1)}
+		opts: policyOptions(cfg.Policy), resJob: -1, resProj: projection{idx: -1},
+		lastDefragT: math.Inf(-1)}
 	if tr := cfg.Trace; tr != nil {
 		tr.SetProcessName(tracePidSched, "sched")
 		tr.SetThreadName(tracePidSched, traceTidCluster, "cluster")
@@ -513,7 +532,7 @@ func (s *sim) trySchedule(t float64) {
 			kept = append(kept, idx)
 			continue
 		}
-		s.start(idx, j, p, t)
+		s.start(idx, j, p, t, s.price(idx, j, p))
 	}
 	s.queue = append([]int32(nil), kept...)
 	if len(s.pendingRequeue) > 0 {
@@ -524,8 +543,11 @@ func (s *sim) trySchedule(t float64) {
 	s.reprice(t)
 }
 
-// start commits a candidate placement and schedules the job's completion.
-func (s *sim) start(idx int32, j *jobState, p *alloc.Placement, t float64) {
+// start commits a candidate placement at slowdown slow and schedules the
+// job's completion. The caller prices p once, before the commit: the job
+// is not running yet, so gammaFor sees the running set the commit joins,
+// and the price equals one taken after it.
+func (s *sim) start(idx int32, j *jobState, p *alloc.Placement, t, slow float64) {
 	if err := s.grid.Commit(p); err != nil {
 		// Candidates were enumerated against the current grid; a failed
 		// commit means a bookkeeping bug, not a runtime condition.
@@ -536,7 +558,7 @@ func (s *sim) start(idx int32, j *jobState, p *alloc.Placement, t float64) {
 	s.setPlacement(j, p)
 	j.startT = t
 	j.wait += t - j.queuedAt
-	j.slowdown = s.price(idx, j, p)
+	j.slowdown = slow
 	if n := boards(p); n < j.tj.Boards {
 		// Elastic shrink: the job runs below its requested width, and its
 		// price includes the width ratio.
@@ -602,7 +624,10 @@ func fragScore(g *alloc.Grid, p *alloc.Placement) int {
 // scheduled completions, and the first release after which the policy's
 // search finds a placement becomes the reservation. Failed boards stay
 // failed in the projection (repairs are not anticipated), so reservations
-// are conservative on degraded grids.
+// are conservative on degraded grids. When the live grid's generation, the
+// head job and the release order with its completion times all equal the
+// last projection's, its placement and release count are reused without a
+// replay; the reservation is still counted and logged.
 func (s *sim) reserve(now float64, idx int32, j *jobState) {
 	var running []int32
 	for i := range s.jobs {
@@ -616,7 +641,16 @@ func (s *sim) reserve(now float64, idx int32, j *jobState) {
 		}
 		return cmp.Compare(a, b)
 	})
-	p, n := s.project(idx, j, running)
+	pr := &s.resProj
+	if !s.sameProjection(idx, running) {
+		pr.p, pr.n = s.project(idx, j, running)
+		pr.gen, pr.idx = s.grid.Gen(), idx
+		pr.order, pr.release = append(pr.order[:0], running...), pr.release[:0]
+		for _, o := range running {
+			pr.release = append(pr.release, s.jobs[o].completeT)
+		}
+	}
+	p, n := pr.p, pr.n
 	if p == nil {
 		return // nothing frees enough boards; no projection exists
 	}
@@ -633,6 +667,22 @@ func (s *sim) reserve(now float64, idx int32, j *jobState) {
 	}
 	s.met.Reservations++
 	s.logf("t=%.4f reserve job=%d at=%.4f rows=%v cols=%v", now, j.tj.ID, s.resTime, p.Rows, p.Cols)
+}
+
+// sameProjection reports whether the last projection was made on the
+// current live grid for job idx with the running jobs released in this
+// order at the same completion times.
+func (s *sim) sameProjection(idx int32, order []int32) bool {
+	pr := &s.resProj
+	if pr.idx != idx || pr.gen != s.grid.Gen() || !slices.Equal(pr.order, order) {
+		return false
+	}
+	for k, o := range order {
+		if pr.release[k] != s.jobs[o].completeT {
+			return false
+		}
+	}
+	return true
 }
 
 // project copies the live grid onto the shadow grid and releases the
@@ -657,19 +707,38 @@ func (s *sim) project(idx int32, j *jobState, order []int32) (*alloc.Placement, 
 // before the reservation starts, or its boards are disjoint from the
 // reserved set. The finish estimate is contention-priced when interference
 // is on — an isolation estimate would optimistically admit backfills whose
-// contention-stretched runtimes overlap the reservation.
+// contention-stretched runtimes overlap the reservation — and an admitted
+// job starts at the price it was judged by.
+//
+// A candidate on reserved boards is first judged at the isolation price
+// (γ = 1), and refused without the joint contention solve when even that
+// finish is late: gammas never returns γ < 1, and the stretched slowdown
+// and the finish are non-decreasing in γ, so the contended finish is never
+// earlier. Both finishes go through endsAfterReservation, so both round
+// alike.
 func (s *sim) tryBackfill(idx int32, j *jobState, t float64) bool {
 	p := s.findPlacement(s.grid, idx, j.u, j.v)
 	if p == nil {
 		return false
 	}
-	finish := t + j.overheadPending + j.remaining*s.price(idx, j, p)
-	if finish > s.resTime+1e-9 && s.overlapsReservation(p) {
+	overlaps := s.overlapsReservation(p)
+	if overlaps && s.endsAfterReservation(j, t, s.stretched(j, p, 1)) {
+		return false
+	}
+	slow := s.price(idx, j, p)
+	if overlaps && s.endsAfterReservation(j, t, slow) {
 		return false
 	}
 	s.met.Backfills++
-	s.start(idx, j, p, t)
+	s.start(idx, j, p, t, slow)
 	return true
+}
+
+// endsAfterReservation reports whether job j, started at t at slowdown
+// slow, would finish (pending migration overhead included) after the
+// reservation starts.
+func (s *sim) endsAfterReservation(j *jobState, t, slow float64) bool {
+	return t+j.overheadPending+j.remaining*slow > s.resTime+1e-9
 }
 
 // overlapsReservation reports whether any board of p is reserved.

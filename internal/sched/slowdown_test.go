@@ -2,6 +2,8 @@ package sched
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"hammingmesh/internal/alloc"
@@ -121,20 +123,58 @@ func TestUpperPenaltySentinel(t *testing.T) {
 	}
 }
 
-// γ monotonically stretches, and γ below 1 prices like γ = 1.
+// TestContendedSlowdownGamma checks the property tryBackfill's isolation
+// bound rests on: a job's stretched slowdown is non-decreasing in γ ≥ 1,
+// compared as exact floats, so it is lowest at γ = 1 and a backfill that
+// ends after the reservation at the isolation price ends after it at every
+// contention price. The cases are random placements of up to 8×8 boards on
+// 8×8 and 32×32 grids, under L1 groups of 2 and 16 boards, with shrunk
+// elastic widths, comm fractions outside [0, 1], UpperPenalty unset, 2 and
+// negative, and γ of 1, the next float above 1 and random values up to 64.
+// γ below 1 prices like γ = 1.
 func TestContendedSlowdownGamma(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	models := []*CommSlowdown{
+		{BoardA: 2, BoardB: 2, GroupBoards: 2},
+		{BoardA: 2, BoardB: 2, GroupBoards: 2, UpperPenalty: 2},
+		{BoardA: 2, BoardB: 2, GroupBoards: 2, UpperPenalty: -1},
+		{BoardA: 2, BoardB: 2, UpperPenalty: 2},
+		{BoardA: 2, BoardB: 2},
+	}
+	ascending := func(n, width int) []int {
+		xs := rng.Perm(width)[:n]
+		slices.Sort(xs)
+		return xs
+	}
+	for i := 0; i < 12000; i++ {
+		width := []int{8, 32}[i%2]
+		u, v := 1+rng.Intn(8), 1+rng.Intn(8)
+		p := &alloc.Placement{Rows: ascending(u, width), Cols: ascending(v, width)}
+		// Up to 4× the placed boards: an elastic job running shrunk.
+		j := &jobState{tj: TraceJob{Boards: u * v << rng.Intn(3), Service: 1, CommFrac: 1.2*rng.Float64() - 0.1},
+			remaining: 10 * rng.Float64(), overheadPending: rng.Float64()}
+		s := &sim{cfg: Config{Slowdown: models[rng.Intn(len(models))]}, resTime: 20 * rng.Float64()}
+		now := 10 * rng.Float64()
+		iso := s.stretched(j, p, 1)
+		gammas := []float64{1, math.Nextafter(1, 2), 1 + 63*rng.Float64()}
+		slices.Sort(gammas)
+		prev := iso
+		for _, g := range gammas {
+			got := s.stretched(j, p, g)
+			if got < prev {
+				t.Fatalf("case %d: rows %v cols %v %+v model %+v: slowdown %v at γ=%v below %v at a smaller γ",
+					i, p.Rows, p.Cols, j.tj, *s.cfg.Slowdown, got, g, prev)
+			}
+			if s.endsAfterReservation(j, now, iso) && !s.endsAfterReservation(j, now, got) {
+				t.Fatalf("case %d: late at the isolation price %v but not at γ=%v's %v", i, iso, g, got)
+			}
+			prev = got
+		}
+	}
+	// γ below 1 clamps to 1 (contention never speeds a job up).
 	m := &CommSlowdown{BoardA: 2, BoardB: 2, GroupBoards: 2}
 	job := TraceJob{Boards: 16, Service: 1, CommFrac: 0.5}
 	p := spreadPlacement(4, 4, 4)
-	prev := 0.0
-	for _, g := range []float64{1, 1.5, 2, 4} {
-		got := m.ContendedSlowdown(p, job, g)
-		if got < prev {
-			t.Fatalf("contended slowdown not monotone in gamma: γ=%v gave %v after %v", g, got, prev)
-		}
-		prev = got
-	}
-	// γ below 1 clamps to 1 (contention never speeds a job up).
 	if got, want := m.ContendedSlowdown(p, job, 0.5), m.ContendedSlowdown(p, job, 1); got != want {
 		t.Fatalf("gamma<1 must clamp: %v vs %v", got, want)
 	}

@@ -354,14 +354,16 @@ func TestServeRejectsOversizedBody(t *testing.T) {
 	}
 }
 
-// A resilience sweep or a permutation with every board failed leaves no
-// endpoint to simulate: the request answers 500 with the survivor count,
-// the daemon keeps serving, and the journal records only the result that
-// was computed.
+// A resilience sweep, a permutation or an alltoall with every board failed
+// leaves no endpoint to simulate: the request answers 500 with the
+// survivor count, the daemon keeps serving, and the journal records only
+// the result that was computed.
 func TestServeNoSurvivorsAnswers500(t *testing.T) {
 	for _, tc := range []struct{ kind, want string }{
 		{"resilience", "0 of 64 survive 16 failed boards"},
 		{"permutation", "need ≥2 endpoints, 0 of 64 survive"},
+		{"alltoall_flow", "need ≥2 endpoints, 0 of 64 survive"},
+		{"alltoall_packet", "need ≥2 endpoints, 0 of 64 survive"},
 	} {
 		t.Run(tc.kind, func(t *testing.T) {
 			dir := t.TempDir()

@@ -24,6 +24,8 @@
 #   SweepResume/*        journaled sched sweep: fresh run vs journal replay
 #   SchedContention/*    joint contention pricing vs isolation slowdowns,
 #                        cold (solves/op) vs shared-model memoized (%memo),
+#                        joint-reserve: cold with EASY reservations, so
+#                        backfills are judged (solves/op, pricings/op),
 #                        and joint-shared-2: two sims pricing on one model
 #   PlaceCandidates/*    alloc's placement search on half-occupied 8x8 and
 #                        32x32 grids under each sched policy's options, and
@@ -73,8 +75,9 @@ go test -run '^$' -bench 'BenchmarkSweepResume$' \
   -benchmem -benchtime "${BENCHTIME:-1x}" ./internal/runner | tee -a "$raw"
 
 # Contention-pricing trajectory: what the joint flow solve adds on top of
-# the isolation slowdown model per sched run, and how much the shared
-# placement-set memo claws back (the sweep layer shares one model).
+# the isolation slowdown model per sched run, how much the shared
+# placement-set memo claws back (the sweep layer shares one model), and
+# how many joint pricings a run with reservation backfill asks for.
 go test -run '^$' -bench 'BenchmarkSchedContention$' \
   -benchmem -benchtime "${BENCHTIME:-1x}" ./internal/sched | tee -a "$raw"
 
